@@ -19,10 +19,9 @@ import (
 // package: the hot loop is self-contained by design, and cross-package
 // callees (obs counters, stdlib) own their allocation policy.
 //
-// Deliberate allocations stay, visibly: the seed-replica interning map
-// (the LegacyEngine baseline must allocate the way the seed did), the
-// marginal-sweep result sets (the caller owns them), and per-scan —
-// not per-probe — setup each carry a //lint:ignore hotalloc with the
+// Deliberate allocations stay, visibly: the marginal-sweep result sets
+// (the caller owns them), rare amortized cache compaction, and per-scan
+// — not per-probe — setup each carry a //lint:ignore hotalloc with the
 // reason, so every exception is a reviewed decision rather than drift.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",

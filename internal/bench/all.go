@@ -26,7 +26,7 @@ var Descriptions = map[string]string{
 	"cache":         "component-memoization ablation: crowdsourcing phase with the Pr(phi) cache on vs off",
 	"faults":        "fault tolerance: monetary cost and round inflation vs answer-drop rate, three strategies",
 	"obs":           "observability overhead: crowdsourcing phase timed with tracing/metrics disabled, no-op, aggregated, and fully traced",
-	"scale":         "raw-speed push: sort-based c-table build scaling to 1M objects, and the compiled Pr(phi) engine vs the seed replica on the NBA selection phase",
+	"scale":         "c-table build scaling to 1M objects: sort-based build vs the pairwise seed baseline",
 	"stream":        "sliding-window sustained throughput: incremental delta c-table maintenance vs rebuild-per-tick",
 	"streamcrowd":   "asynchronous crowd over the live window: answer utilisation and F1 vs crowd latency, fixed task deadline",
 }

@@ -28,7 +28,6 @@ func microScale() Scale {
 	s.Reps = 1
 	s.ScaleNs = []int{300, 600}
 	s.ScalePerObjectCap = 400
-	s.ScaleSelN = 300
 	s.StreamWindow = 40
 	s.StreamTicks = 30
 	return s

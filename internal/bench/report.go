@@ -10,33 +10,28 @@ import (
 // the executed experiments published, flattened to "experiment.metric"
 // keys, plus the absolute floors certain metrics must clear regardless of
 // what the baseline says. Reports are what the CI regression gate
-// compares: the metrics are in-run speedups of the current code over the
-// seed replica (dimensionless, measured within one process), so a
-// baseline committed from one machine transfers to any other.
+// compares: the metrics are in-run speedups of the current code over an
+// in-process comparator (the pairwise c-table build, the cache-off run,
+// the rebuild-per-tick stream — dimensionless, measured within one
+// process), so a baseline committed from one machine transfers to any
+// other.
 type Report struct {
 	Scale   string             `json:"scale"`
 	Metrics map[string]float64 `json:"metrics"`
 	// Floors are absolute minima enforced on the CURRENT run when the
-	// named metric is present — the acceptance bars of the kernel push,
-	// independent of baseline drift. A report being used purely as a
+	// named metric is present — acceptance bars independent of baseline
+	// drift. A report being used purely as a
 	// baseline may leave them empty.
 	Floors map[string]float64 `json:"floors,omitempty"`
 }
 
-// Floors the scale experiment's speedups must clear. The round metric —
-// the full per-round selection computation (task scoring + Pr(φ)
-// recomputation) — carries the headline ≥2× bar; selection scoring alone
-// includes engine-independent sweep bookkeeping and plateaus lower, and
-// the plateau depends on α (measured 1.71× at quick α=0.01, 1.34× at the
-// paper's α=0.003, where smaller c-tables shrink the Pr(φ) share of the
-// sweep), so its floor is the scale-independent 1.25.
+// Floors gated metrics must clear whatever the baseline says. The
+// streaming engine must sustain at least 3× the rebuild-per-tick
+// baseline's objects/sec at the default window (the incremental
+// maintenance acceptance bar). Pr(φ) kernel speed is not gated here: the
+// end-to-end svc-mixed and svc-oneshot workloads (BENCHMARK.json) guard
+// it.
 var defaultFloors = map[string]float64{
-	"scale.round_speedup_vs_seed":  2.0,
-	"scale.sel_speedup_vs_seed":    1.25,
-	"scale.kernel_speedup_vs_seed": 1.8,
-	// The streaming engine must sustain at least 3× the rebuild-per-tick
-	// baseline's objects/sec at the default window (the incremental
-	// maintenance PR's acceptance bar).
 	"stream.throughput_speedup_vs_rebuild": 3.0,
 }
 

@@ -9,19 +9,20 @@ func baselineReport() *Report {
 	return &Report{
 		Scale: "quick",
 		Metrics: map[string]float64{
-			"scale.round_speedup_vs_seed":    2.5,
-			"scale.sel_speedup_vs_seed":      1.7,
-			"cache.sel_speedup_cache_vs_off": 1.5,
+			"stream.throughput_speedup_vs_rebuild": 5.1,
+			"scale.build_speedup_vs_seed":          15.7,
+			"cache.sel_speedup_cache_vs_off":       1.5,
+			"cache.phase_speedup_cache_vs_off":     1.3,
 		},
 		Floors: map[string]float64{
-			"scale.round_speedup_vs_seed": 2.0,
+			"stream.throughput_speedup_vs_rebuild": 3.0,
 		},
 	}
 }
 
 func TestComparePasses(t *testing.T) {
 	cur := baselineReport()
-	cur.Metrics["scale.round_speedup_vs_seed"] = 2.3 // within 20% of 2.5, above floor
+	cur.Metrics["stream.throughput_speedup_vs_rebuild"] = 4.5 // within 20% of 5.1, above floor
 	if problems := Compare(cur, baselineReport(), 0.20); len(problems) != 0 {
 		t.Fatalf("expected clean gate, got %v", problems)
 	}
@@ -38,9 +39,9 @@ func TestCompareFailsOnRegression(t *testing.T) {
 
 func TestCompareFailsBelowFloor(t *testing.T) {
 	base := baselineReport()
-	base.Metrics["scale.round_speedup_vs_seed"] = 2.2 // band floor 1.76...
+	base.Metrics["stream.throughput_speedup_vs_rebuild"] = 3.6 // band floor 2.88...
 	cur := baselineReport()
-	cur.Metrics["scale.round_speedup_vs_seed"] = 1.9 // ...but the absolute floor is 2.0
+	cur.Metrics["stream.throughput_speedup_vs_rebuild"] = 2.9 // ...but the absolute floor is 3.0
 	problems := Compare(cur, base, 0.20)
 	if len(problems) != 1 || !strings.Contains(problems[0], "absolute floor") {
 		t.Fatalf("expected a floor breach, got %v", problems)
@@ -49,7 +50,7 @@ func TestCompareFailsBelowFloor(t *testing.T) {
 
 func TestCompareFailsOnMissingMetric(t *testing.T) {
 	cur := baselineReport()
-	delete(cur.Metrics, "scale.sel_speedup_vs_seed")
+	delete(cur.Metrics, "cache.phase_speedup_cache_vs_off")
 	problems := Compare(cur, baselineReport(), 0.20)
 	if len(problems) != 1 || !strings.Contains(problems[0], "missing") {
 		t.Fatalf("expected a missing-metric failure, got %v", problems)
@@ -58,27 +59,24 @@ func TestCompareFailsOnMissingMetric(t *testing.T) {
 
 func TestCompareCrossScaleSkipsBand(t *testing.T) {
 	// A paper-scale nightly compared against the quick-scale baseline:
-	// the select-only plateau shifts with α, so the relative band must
-	// not apply — but the absolute floors still do. The numbers mirror a
-	// measured paper run (sel 1.34 vs quick baseline 1.71).
+	// speedups shift with the workload (window size, α), so the relative
+	// band must not apply — but the absolute floors still do. The paper
+	// figure here sits below the quick baseline's band on purpose.
 	cur := &Report{
 		Scale: "paper",
 		Metrics: map[string]float64{
-			"scale.round_speedup_vs_seed": 2.28,
-			"scale.sel_speedup_vs_seed":   1.34,
+			"stream.throughput_speedup_vs_rebuild": 3.5,
 		},
 		Floors: map[string]float64{
-			"scale.round_speedup_vs_seed": 2.0,
-			"scale.sel_speedup_vs_seed":   1.25,
+			"stream.throughput_speedup_vs_rebuild": 3.0,
 		},
 	}
 	base := baselineReport()
-	base.Metrics["scale.sel_speedup_vs_seed"] = 1.71
 	if problems := Compare(cur, base, 0.20); len(problems) != 0 {
 		t.Fatalf("cross-scale band applied: %v", problems)
 	}
 	// Floors remain binding across scales.
-	cur.Metrics["scale.round_speedup_vs_seed"] = 1.9
+	cur.Metrics["stream.throughput_speedup_vs_rebuild"] = 2.9
 	problems := Compare(cur, base, 0.20)
 	if len(problems) != 1 || !strings.Contains(problems[0], "absolute floor") {
 		t.Fatalf("cross-scale floor not enforced: %v", problems)
@@ -86,13 +84,13 @@ func TestCompareCrossScaleSkipsBand(t *testing.T) {
 }
 
 func TestCompareSkipsExperimentsNotRun(t *testing.T) {
-	// A partial run (scale only) must not be failed for cache metrics it
-	// never measured — but still answers for the experiments it ran.
+	// A partial run (stream only) must not be failed for scale and cache
+	// metrics it never measured — but still answers for the experiments
+	// it ran.
 	cur := &Report{
 		Scale: "quick",
 		Metrics: map[string]float64{
-			"scale.round_speedup_vs_seed": 2.4,
-			"scale.sel_speedup_vs_seed":   1.7,
+			"stream.throughput_speedup_vs_rebuild": 5.0,
 		},
 	}
 	if problems := Compare(cur, baselineReport(), 0.20); len(problems) != 0 {

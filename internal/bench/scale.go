@@ -73,16 +73,11 @@ type Scale struct {
 	// relative to.
 	DropRates []float64
 
-	// "scale" experiment: cardinalities for the c-table build sweep,
+	// "scale" experiment: cardinalities for the c-table build sweep and
 	// the cap above which the quadratic per-object baseline is skipped
-	// (noted in the table, never silently), and the NBA cardinality for
-	// the selection-phase engine comparison. ScaleSelN stays at the
-	// paper's 10,000 even at quick scale: the engine speedup is the
-	// number the CI regression gate enforces, and sub-paper sizes are
-	// too noisy to gate on.
+	// (noted in the table, never silently).
 	ScaleNs           []int
 	ScalePerObjectCap int
-	ScaleSelN         int
 
 	// "stream" experiment: the sliding-window sustained-throughput gate.
 	// A count-bound window of StreamWindow objects is filled untimed,
@@ -127,7 +122,6 @@ func Paper() Scale {
 		DropRates:         []float64{0, 0.1, 0.2, 0.3},
 		ScaleNs:           []int{10000, 100000, 1000000},
 		ScalePerObjectCap: 20000,
-		ScaleSelN:         10000,
 		StreamWindow:      1000,
 		StreamArrivals:    1,
 		StreamTicks:       300,
@@ -163,7 +157,6 @@ func Quick() Scale {
 		DropRates:         []float64{0, 0.1, 0.2, 0.3},
 		ScaleNs:           []int{2000, 10000, 50000},
 		ScalePerObjectCap: 5000,
-		ScaleSelN:         10000,
 		StreamWindow:      300,
 		StreamArrivals:    1,
 		StreamTicks:       300,

@@ -1,46 +1,16 @@
 package bench
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
+import "fmt"
 
-	"bayescrowd/internal/core"
-	"bayescrowd/internal/crowd"
-	"bayescrowd/internal/ctable"
-)
-
-// ScaleExperiment is the raw-speed push behind the CI regression gate:
-//
-//   - a c-table construction sweep over Scale.ScaleNs (up to 1,000,000
-//     objects at paper scale), sort-based build versus the seed's pairwise
-//     dominator scan — the quadratic baseline is skipped above
-//     Scale.ScalePerObjectCap and the skip is noted, never silent;
-//   - the NBA selection-phase head-to-head of the compiled clause-state
-//     Pr(φ) engine against the in-tree seed replica
-//     (prob.Options.LegacyEngine), at Scale.ScaleSelN objects.
-//
-// Every metric is a dimensionless in-run speedup of the current code over
-// the seed replica measured within one process, so the committed baseline
-// transfers across machines. The selection run also cross-checks that
-// both engines return identical answers — the exact path is bit-identical
-// by construction, and a mismatch fails the experiment rather than
-// publishing a speedup of a wrong result.
+// ScaleExperiment is the c-table construction sweep over Scale.ScaleNs
+// (up to 1,000,000 objects at paper scale): the sort-based build versus
+// the seed's pairwise dominator scan, which is also the paper's Fig. 2
+// baseline. The quadratic baseline is skipped above
+// Scale.ScalePerObjectCap and the skip is noted, never silent. Dataset
+// generation is untimed; only ctable.Build is measured. The build speedup
+// is a dimensionless in-run ratio measured within one process, so the
+// committed baseline transfers across machines.
 func ScaleExperiment(s Scale) ([]*Table, error) {
-	bt, err := scaleBuild(s)
-	if err != nil {
-		return nil, err
-	}
-	st, err := scaleSelection(s)
-	if err != nil {
-		return []*Table{bt}, err
-	}
-	return []*Table{bt, st}, nil
-}
-
-// scaleBuild times c-table construction at each cardinality. Dataset
-// generation is untimed; only ctable.Build is measured.
-func scaleBuild(s Scale) (*Table, error) {
 	t := &Table{
 		Title:  "Scale: c-table construction, sort-based vs pairwise seed baseline",
 		Header: []string{"|O|", "sorted", "pairwise", "speedup"},
@@ -62,110 +32,5 @@ func scaleBuild(s Scale) (*Table, error) {
 		// The largest capped cardinality wins: later rows overwrite.
 		t.SetMetric("build_speedup_vs_seed", ratio)
 	}
-	return t, nil
-}
-
-// scaleSelection runs the NBA crowdsourcing phase once per engine per
-// rep — same seeds, same platform, fresh c-table each rep — and reports
-// the best-of-reps phase breakdown. Three speedups come out:
-//
-//	sel_speedup_vs_seed    — task-selection scoring only (SelectTime)
-//	kernel_speedup_vs_seed — Pr(φ) recomputation only (ProbTime)
-//	round_speedup_vs_seed  — their sum: the full per-round selection
-//	                         computation, the number the CI gate holds
-//	                         at ≥2× over the seed replica
-//
-// Selection scoring spends part of its time in engine-independent sweep
-// bookkeeping, so sel alone plateaus below the kernel's speedup; the
-// round metric weights the two the way a real round pays for them.
-func scaleSelection(s Scale) (*Table, error) {
-	reps := s.Reps
-	if reps < 3 {
-		reps = 3 // one-shot ~30ms phases are too noisy to gate on
-	}
-	e := nbaEnv(s, s.ScaleSelN, s.MissingRate)
-	dists := e.dists()
-
-	type best struct {
-		sel, prob, phase time.Duration
-		res              *core.Result
-	}
-	run := func(legacy bool) (best, error) {
-		b := best{sel: 1 << 62, prob: 1 << 62, phase: 1 << 62}
-		for r := 0; r < reps; r++ {
-			opt := nbaOpts(s, core.UBS)
-			opt.LegacyProb = legacy
-			opt.Rng = rand.New(rand.NewSource(s.Seed))
-			ct := ctable.Build(e.incomplete, ctable.BuildOptions{Alpha: s.NBAAlpha, Workers: opt.Workers})
-			platform := crowd.NewSimulated(e.truth, 1.0, nil)
-			start := time.Now()
-			res, err := core.RunCrowdPhase(e.incomplete, ct, dists, platform, opt)
-			elapsed := time.Since(start)
-			if err != nil {
-				return b, fmt.Errorf("scale: selection run (legacy=%v): %w", legacy, err)
-			}
-			if res.SelectTime < b.sel {
-				b.sel = res.SelectTime
-			}
-			if res.ProbTime < b.prob {
-				b.prob = res.ProbTime
-			}
-			if elapsed < b.phase {
-				b.phase = elapsed
-			}
-			b.res = res
-		}
-		return b, nil
-	}
-
-	cur, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	if err := sameAnswers(cur.res, seed.res); err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		Title: fmt.Sprintf("Scale: NBA selection phase (|O|=%d, UBS, best of %d), compiled engine vs seed replica",
-			s.ScaleSelN, reps),
-		Header: []string{"engine", "select", "Pr(phi)", "sel+prob", "phase"},
-	}
-	t.AddRow("compiled", fmtDur(cur.sel), fmtDur(cur.prob), fmtDur(cur.sel+cur.prob), fmtDur(cur.phase))
-	t.AddRow("seed replica", fmtDur(seed.sel), fmtDur(seed.prob), fmtDur(seed.sel+seed.prob), fmtDur(seed.phase))
-	selUp := float64(seed.sel) / float64(cur.sel)
-	kernUp := float64(seed.prob) / float64(cur.prob)
-	roundUp := float64(seed.sel+seed.prob) / float64(cur.sel+cur.prob)
-	t.AddRow("speedup", fmt.Sprintf("%.2fx", selUp), fmt.Sprintf("%.2fx", kernUp),
-		fmt.Sprintf("%.2fx", roundUp), fmt.Sprintf("%.2fx", float64(seed.phase)/float64(cur.phase)))
-	t.Notes = append(t.Notes,
-		"identical answers, rounds and task counts verified across engines")
-	t.SetMetric("sel_speedup_vs_seed", selUp)
-	t.SetMetric("kernel_speedup_vs_seed", kernUp)
-	t.SetMetric("round_speedup_vs_seed", roundUp)
-	return t, nil
-}
-
-// sameAnswers cross-checks the two engines' end-of-phase results. The
-// exact path is bit-identical, and both runs share seeds, so any drift
-// here is a bug, not noise.
-func sameAnswers(a, b *core.Result) error {
-	if a.Rounds != b.Rounds || a.TasksPosted != b.TasksPosted {
-		return fmt.Errorf("scale: engines diverged: rounds %d vs %d, tasks %d vs %d",
-			a.Rounds, b.Rounds, a.TasksPosted, b.TasksPosted)
-	}
-	if len(a.Answers) != len(b.Answers) {
-		return fmt.Errorf("scale: engines diverged: %d vs %d answers", len(a.Answers), len(b.Answers))
-	}
-	for i := range a.Answers {
-		if a.Answers[i] != b.Answers[i] {
-			return fmt.Errorf("scale: engines diverged at answer %d: object %d vs %d",
-				i, a.Answers[i], b.Answers[i])
-		}
-	}
-	return nil
+	return []*Table{t}, nil
 }

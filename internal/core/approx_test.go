@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"bayescrowd/internal/crowd"
@@ -13,9 +12,7 @@ import (
 // TestApproxThresholdWiring pins the end-to-end plumbing of the
 // ApproxCount fallback: with a low threshold the run estimates some
 // components, reports the count on the Result, and mirrors it in the
-// metrics registry; with the threshold off the count stays zero; and
-// LegacyProb (the clause-rewriting oracle engine) produces the same
-// Result as the default compiled engine.
+// metrics registry; and with the threshold off the count stays zero.
 func TestApproxThresholdWiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	truth := dataset.GenNBA(rng, 150)
@@ -38,16 +35,6 @@ func TestApproxThresholdWiring(t *testing.T) {
 	}
 	if exact.ApproxComponents != 0 {
 		t.Fatalf("exact run reports %d approximated components, want 0", exact.ApproxComponents)
-	}
-
-	legacyOpt := opts()
-	legacyOpt.LegacyProb = true
-	legacy, err := Run(d, crowd.NewSimulated(truth, 1.0, nil), legacyOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Answers, exact.Answers) || !reflect.DeepEqual(legacy.Probs, exact.Probs) {
-		t.Fatal("LegacyProb run differs from the default engine")
 	}
 
 	reg := obs.NewRegistry()

@@ -107,11 +107,6 @@ type Options struct {
 	// estimate stays within 0.05 absolute of the exact probability).
 	// 0 — the default — counts every component exactly.
 	ApproxThreshold int
-	// LegacyProb runs Pr(φ) through the original clause-rewriting
-	// recursion instead of the compiled bitset clause-state engine. The
-	// two are bit-identical; the switch exists for equivalence tests and
-	// the benchmark harness's in-run speedup measurement.
-	LegacyProb bool
 
 	// NoCache disables the connected-component probability cache the
 	// crowdsourcing phase keeps across Pr(φ) evaluations (see

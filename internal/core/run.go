@@ -101,7 +101,6 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 	ev := &prob.Evaluator{Dists: eff, Opt: prob.Options{
 		NoCache:         opt.NoCache,
 		ApproxThreshold: opt.ApproxThreshold,
-		LegacyEngine:    opt.LegacyProb,
 	}}
 	if !opt.NoCache {
 		// The component cache persists across every Pr(φ) evaluation of

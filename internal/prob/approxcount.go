@@ -59,10 +59,6 @@ func clone2(clauses [][]ctable.Expr) [][]ctable.Expr {
 // what keeps the estimate a pure function of the component, and thus
 // identical at any worker count or cache state.
 func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
-	samples := s.opt.ApproxSamples
-	if samples <= 0 {
-		samples = DefaultApproxSamples
-	}
 	// FNV-1a over the canonical key.
 	h := uint64(14695981039346656037)
 	for _, b := range key {
@@ -71,7 +67,7 @@ func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
 	}
 	rng := rand.New(rand.NewSource(int64(h)))
 	s.nApprox++
-	return s.approxCount(comp, samples, rng)
+	return s.approxCount(comp, DefaultApproxSamples, rng)
 }
 
 // approxCount runs one telescoping estimate over the solver's interned

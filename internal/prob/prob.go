@@ -61,12 +61,6 @@ type Options struct {
 	// decides whether a component's probability is looked up or
 	// recomputed.
 	NoCache bool
-	// LegacyEngine solves branched components with the original
-	// clause-rewriting recursion instead of the compiled bitset
-	// clause-state engine (state.go). The two engines are bit-identical;
-	// the flag exists for the equivalence tests that prove it and for the
-	// benchmark that measures the speedup within one process.
-	LegacyEngine bool
 	// ApproxThreshold, when > 0, caps the exact solver: a connected
 	// component with more than ApproxThreshold distinct variables is
 	// estimated by the generalised weighted ApproxCount sampler instead
@@ -78,13 +72,10 @@ type Options struct {
 	// (the default) means always exact. The threshold is per component,
 	// so it has no effect under NoComponents.
 	ApproxThreshold int
-	// ApproxSamples is the per-variable sampling effort of the
-	// ApproxThreshold fallback; <= 0 means DefaultApproxSamples.
-	ApproxSamples int
 }
 
 // DefaultApproxSamples is the samples-per-level effort of the
-// ApproxThreshold fallback when Options.ApproxSamples is unset.
+// ApproxThreshold fallback.
 const DefaultApproxSamples = 200
 
 // Evaluator computes condition probabilities against a fixed set of

@@ -172,7 +172,7 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 // carrying constant-comparison candidates. Cached vectors from an earlier
 // scan or round are picked up for free; the rest are computed — when the
 // component's candidate load clears marginalsThreshold — by one
-// all-variable marginal pass per component (allMarginals), which costs a
+// all-variable marginal pass per component (stAllMarginals), which costs a
 // small constant factor over a single solve however many variables it
 // reports. Call it once, before probing — wholesale scorers like the UBS
 // utility fan-out do — and the per-candidate cost on a swept variable
@@ -209,7 +209,7 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 
 // planComp serves or computes the marginal vectors of one component's
 // needed variables: cache lookups first, then — if any are missing and
-// the candidate count justifies it — a single allMarginals pass whose
+// the candidate count justifies it — a single stAllMarginals pass whose
 // vectors are stored for later scans and rounds. Vectors are computed on
 // the canonically-ordered component, so cache-served and freshly-computed
 // values are bit-identical.

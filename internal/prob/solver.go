@@ -10,7 +10,13 @@ import (
 // The solver is the allocation-lean engine behind ADPLL. Public entry
 // points convert a condition's expressions into a dense form first —
 // variables interned to small integer ids, clauses to slices of cexpr —
-// so the recursion works on array indexing instead of map hashing.
+// so everything downstream works on array indexing instead of map
+// hashing. This file holds the interning, the top-level split into
+// connected components with their cache and approximate-fallback
+// dispatch, and the clause-rewriting helpers (substitute, simplify,
+// pickVar, directProb, components) the top level and the ApproxCount
+// estimator share. Branching itself runs on the compiled clause-state
+// engine in state.go.
 
 // cexpr is an interned expression. y < 0 marks a constant right operand.
 type cexpr struct {
@@ -32,14 +38,8 @@ type solver struct {
 	itabEp    []uint64
 	itabEpoch uint64
 	itabLive  int
-	// ids is the seed implementation's interning map, kept verbatim for
-	// Options.LegacyEngine so the legacy path reproduces the seed's cost
-	// profile exactly — the benchmark harness reports the compiled
-	// engine's speedup as an in-run ratio against it, which is what makes
-	// the CI regression gate portable across machines.
-	ids   map[ctable.Var]int32
-	dists [][]float64  // per var id
-	vars  []ctable.Var // per var id: the real variable, for fingerprints
+	dists     [][]float64  // per var id
+	vars      []ctable.Var // per var id: the real variable, for fingerprints
 	// assign[v] is the branched value of var v, or -1.
 	assign []int32
 	// Scratch epochs avoid clearing per-var arrays on every recursion.
@@ -48,14 +48,12 @@ type solver struct {
 	counts  []int
 	ownerEp []int // components bookkeeping
 	owner   []int
-	// unitCl backs the augmenting unit clause of Pr(φ∧e) runs, so the
+	// ceArena and clArena back the interned clause set of one evaluation:
+	// all literals live in one flat buffer and the clause headers in one
+	// reused slice, so a Pr(φ∧e) probe interns its condition — augmenting
+	// unit clause included — with zero per-clause allocations, and the
 	// UBS/HHS inner loop never materialises an augmented clause buffer.
-	unitCl [1]cexpr
-	// ceArena and clArena back the interned clause set of one evaluation
-	// (default engine): all literals live in one flat buffer and the
-	// clause headers in one reused slice, so a Pr(φ∧e) probe interns its
-	// condition with zero per-clause allocations. The legacy path keeps
-	// the seed's per-clause copies. Carved slices are solver-owned
+	// Carved slices are solver-owned
 	// per-evaluation scratch, which is what lets fingerprint sort them
 	// in place.
 	ceArena []cexpr
@@ -133,26 +131,15 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 	s.dists = s.dists[:0]
 	s.vars = s.vars[:0]
 	s.nApprox = 0
-	if s.opt.LegacyEngine {
-		// Seed replica: the original map-based interning, cleared per
-		// evaluation the way the seed's pooled solver did it.
-		if s.ids == nil {
-			//lint:ignore hotalloc deliberate seed-replica behavior: the LegacyEngine baseline must allocate the way the seed did
-			s.ids = map[ctable.Var]int32{}
-		}
-		clear(s.ids)
-	} else {
-		// One increment invalidates every intern slot left over from
-		// earlier evaluations; see grow for why epoch stamping makes that
-		// sound.
-		s.itabEpoch++
-		s.itabLive = 0
-		if len(s.itabKeys) == 0 {
-			const initialSlots = 64
-			s.itabKeys = make([]uint64, initialSlots)
-			s.itabIDs = make([]int32, initialSlots)
-			s.itabEp = make([]uint64, initialSlots)
-		}
+	// One increment invalidates every intern slot left over from earlier
+	// evaluations; see grow for why epoch stamping makes that sound.
+	s.itabEpoch++
+	s.itabLive = 0
+	if len(s.itabKeys) == 0 {
+		const initialSlots = 64
+		s.itabKeys = make([]uint64, initialSlots)
+		s.itabIDs = make([]int32, initialSlots)
+		s.itabEp = make([]uint64, initialSlots)
 	}
 	n, lits := 0, 0
 	for _, g := range groups {
@@ -165,56 +152,36 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 		n++
 		lits++
 	}
-	var out [][]cexpr
-	if s.opt.LegacyEngine {
-		// Seed replica: one fresh slice per clause, as the original did.
-		out = make([][]cexpr, 0, n)
-		for _, g := range groups {
-			for _, cl := range g {
-				ce := make([]cexpr, len(cl))
-				for k, e := range cl {
-					ce[k] = s.intern(ev, e)
-				}
-				out = append(out, ce)
-			}
-		}
-		if unit != nil {
-			s.unitCl[0] = s.intern(ev, *unit)
-			out = append(out, s.unitCl[:])
-		}
+	// Arena carve: the buffers are pre-sized before any slice is carved,
+	// so no append can reallocate under an aliasing clause.
+	if cap(s.ceArena) < lits {
+		s.ceArena = make([]cexpr, lits)
 	} else {
-		// Arena carve: the buffers are pre-sized before any slice is
-		// carved, so no append can reallocate under an aliasing clause.
-		if cap(s.ceArena) < lits {
-			s.ceArena = make([]cexpr, lits)
-		} else {
-			s.ceArena = s.ceArena[:lits]
-		}
-		if cap(s.clArena) < n {
-			s.clArena = make([][]cexpr, n)
-		} else {
-			s.clArena = s.clArena[:n]
-		}
-		k, ci := 0, 0
-		for _, g := range groups {
-			for _, cl := range g {
-				dst := s.ceArena[k : k+len(cl) : k+len(cl)]
-				for j, e := range cl {
-					dst[j] = s.intern(ev, e)
-				}
-				s.clArena[ci] = dst
-				ci++
-				k += len(cl)
+		s.ceArena = s.ceArena[:lits]
+	}
+	if cap(s.clArena) < n {
+		s.clArena = make([][]cexpr, n)
+	} else {
+		s.clArena = s.clArena[:n]
+	}
+	k, ci := 0, 0
+	for _, g := range groups {
+		for _, cl := range g {
+			dst := s.ceArena[k : k+len(cl) : k+len(cl)]
+			for j, e := range cl {
+				dst[j] = s.intern(ev, e)
 			}
+			s.clArena[ci] = dst
+			ci++
+			k += len(cl)
 		}
-		if unit != nil {
-			s.ceArena[k] = s.intern(ev, *unit)
-			s.clArena[ci] = s.ceArena[k : k+1 : k+1]
-		}
-		out = s.clArena
+	}
+	if unit != nil {
+		s.ceArena[k] = s.intern(ev, *unit)
+		s.clArena[ci] = s.ceArena[k : k+1 : k+1]
 	}
 	s.grow(len(s.dists))
-	return s, out
+	return s, s.clArena
 }
 
 // intern converts an expression to its dense form, assigning variable ids
@@ -245,16 +212,6 @@ func itabHash(key uint64) uint64 {
 }
 
 func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
-	if s.opt.LegacyEngine {
-		if id, ok := s.ids[v]; ok {
-			return id
-		}
-		id := int32(len(s.dists))
-		s.ids[v] = id
-		s.dists = append(s.dists, ev.dist(v))
-		s.vars = append(s.vars, v)
-		return id
-	}
 	key := packVar(v)
 	mask := uint64(len(s.itabKeys) - 1)
 	i := itabHash(key) & mask
@@ -281,10 +238,6 @@ func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
 
 // varID returns the interned id of an already-interned variable.
 func (s *solver) varID(v ctable.Var) (int32, bool) {
-	if s.opt.LegacyEngine {
-		id, ok := s.ids[v]
-		return id, ok
-	}
 	key := packVar(v)
 	mask := uint64(len(s.itabKeys) - 1)
 	i := itabHash(key) & mask
@@ -432,8 +385,11 @@ func (s *solver) substitute(e cexpr) (out cexpr, value, decided bool) {
 	}
 }
 
-// simplify rewrites clauses under the assignment into dst (which is
-// reused storage); decided reports a collapsed formula.
+// simplify rewrites clauses under the assignment into freshly allocated
+// clause copies; decided reports a collapsed formula. Only the ApproxCount
+// estimator uses it: it fixes one variable per level and carries the
+// rewritten residual forward, where the exact engine (state.go) reads
+// assignments through its clause-state bits instead.
 func (s *solver) simplify(clauses [][]cexpr) (out [][]cexpr, value, decided bool) {
 	out = make([][]cexpr, 0, len(clauses))
 	for _, cl := range clauses {
@@ -464,46 +420,36 @@ func (s *solver) simplify(clauses [][]cexpr) (out [][]cexpr, value, decided bool
 	return out, false, false
 }
 
-// adpllTop is the ADPLL entry point: the same mathematics as adpll, but
-// connected components are solved in a canonical clause order and, when
-// cache is non-nil, memoized under their canonical fingerprint. A nil
-// cache keeps the canonical order and skips only the memoization — the
-// single difference between cached and uncached evaluation is whether a
-// component's probability is looked up or recomputed, never the
-// arithmetic order, which is what makes the two modes bit-identical.
+// adpllTop is the ADPLL entry point (Algorithm 3) over a freshly interned
+// clause set. It tries the paper's direct rule on the whole formula, then
+// splits it into connected components, each solved in a canonical clause
+// order and, when cache is non-nil, memoized under its canonical
+// fingerprint. A nil cache keeps the canonical order and skips only the
+// memoization — the single difference between cached and uncached
+// evaluation is whether a component's probability is looked up or
+// recomputed, never the arithmetic order, which is what makes the two
+// modes bit-identical. Under Options.NoComponents the whole formula goes
+// to the compiled engine as one unit, which then never decomposes.
 func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
-	residual := clauses
-	if s.opt.LegacyEngine {
-		var value, decided bool
-		residual, value, decided = s.simplify(clauses)
-		if decided {
-			if value {
-				return 1
-			}
+	// adpllTop is only entered on a fresh solver, so the assignment is
+	// empty and nothing can be substituted: an empty clause set is true,
+	// an empty clause false, and otherwise the interned arena is the
+	// residual as it stands.
+	if len(clauses) == 0 {
+		return 1
+	}
+	for _, cl := range clauses {
+		if len(cl) == 0 {
 			return 0
 		}
-	} else {
-		// adpllTop is only entered on a fresh solver, so the assignment is
-		// empty and simplify would copy the clause set unchanged — skip the
-		// copy and handle the collapse cases directly. residual then
-		// aliases the interned arena, which is per-evaluation solver
-		// scratch exactly like simplify's output was.
-		if len(clauses) == 0 {
-			return 1
-		}
-		for _, cl := range clauses {
-			if len(cl) == 0 {
-				return 0
-			}
-		}
 	}
-	if p, ok := s.directProb(residual); ok {
+	if p, ok := s.directProb(clauses); ok {
 		return p
 	}
 	if s.opt.NoComponents {
-		return s.branch(residual, s.pickVar(residual))
+		return s.stSolve(clauses)
 	}
-	comps := s.components(residual)
+	comps := s.components(clauses)
 	p := 1.0
 	for _, comp := range comps {
 		p *= s.componentProb(comp, cache)
@@ -520,15 +466,13 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 // little as fingerprinting them would, and caching them would crowd out
 // entries that save real branching work.
 //
-// Branched components are solved by the compiled bitset clause-state
-// engine (state.go) unless Options.LegacyEngine re-selects the original
-// clause-rewriting recursion; the two are bit-identical. When
-// Options.ApproxThreshold is set and the component holds more distinct
-// variables than the threshold, the exact count is replaced by the
-// generalised ApproxCount estimator, seeded from the component's
-// canonical fingerprint — the decision and the estimate are pure
-// functions of the component, so results stay deterministic at any
-// worker count, schedule, and cache state.
+// Branched components are solved exactly by the compiled bitset
+// clause-state engine (state.go). When Options.ApproxThreshold is set and
+// the component holds more distinct variables than the threshold, the
+// exact count is replaced by the generalised ApproxCount estimator,
+// seeded from the component's canonical fingerprint — the decision and
+// the estimate are pure functions of the component, so results stay
+// deterministic at any worker count, schedule, and cache state.
 func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 	if p, ok := s.directProb(comp); ok {
 		return p
@@ -540,70 +484,15 @@ func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 		}
 	}
 	var p float64
-	switch {
-	case s.opt.ApproxThreshold > 0 && len(s.componentVars(comp)) > s.opt.ApproxThreshold:
+	if s.opt.ApproxThreshold > 0 && len(s.componentVars(comp)) > s.opt.ApproxThreshold {
 		p = s.approxComponent(comp, key)
-	case s.opt.LegacyEngine:
-		p = s.branch(comp, s.pickVar(comp))
-	default:
+	} else {
 		p = s.stSolve(comp)
 	}
 	if cache != nil {
 		cache.store(key, s.componentVars(comp), p)
 	}
 	return p
-}
-
-// adpll is Algorithm 3 over interned clauses.
-func (s *solver) adpll(clauses [][]cexpr) float64 {
-	residual, value, decided := s.simplify(clauses)
-	if decided {
-		if value {
-			return 1
-		}
-		return 0
-	}
-
-	// The direct rule over the whole residual is the common case after
-	// branching (clauses become pairwise variable-disjoint), so try it
-	// before paying for component analysis.
-	if p, ok := s.directProb(residual); ok {
-		return p
-	}
-	if s.opt.NoComponents {
-		return s.branch(residual, s.pickVar(residual))
-	}
-
-	comps := s.components(residual)
-	if len(comps) == 1 {
-		return s.branch(residual, s.pickVar(residual))
-	}
-	p := 1.0
-	for _, comp := range comps {
-		if direct, ok := s.directProb(comp); ok {
-			p *= direct
-			continue
-		}
-		p *= s.branch(comp, s.pickVar(comp))
-		if p == 0 {
-			return 0
-		}
-	}
-	return p
-}
-
-// branch enumerates the values of var id v weighted by its distribution.
-func (s *solver) branch(clauses [][]cexpr, v int32) float64 {
-	total := 0.0
-	for a, pa := range s.dists[v] {
-		if pa == 0 {
-			continue
-		}
-		s.assign[v] = int32(a)
-		total += pa * s.adpll(clauses)
-	}
-	s.assign[v] = -1
-	return total
 }
 
 // pickVar returns the most frequent variable id of the clause set (first

@@ -2,18 +2,16 @@ package prob
 
 import "bayescrowd/internal/ctable"
 
-// Compiled bitset clause-state engine for the ADPLL hot loop.
+// Compiled bitset clause-state engine: the ADPLL recursion (Algorithm 3)
+// every exact Pr(φ), Pr(φ∧e) and marginal sweep runs on.
 //
-// The original recursion (solver.go, kept behind Options.LegacyEngine)
-// rewrites the clause set at every node: simplify allocates a fresh
-// [][]cexpr residual, copies the surviving literals — substituting
-// assigned variables into constant forms — and the component split
-// allocates again. Those per-node allocations are the dominant cost of
-// the selection phase, where the UBS/HHS candidate loop solves tens of
-// thousands of small components per round.
-//
-// This engine compiles a component once per solve into flat, reusable
-// solver scratch:
+// A textbook ADPLL rewrites the clause set at every node — a fresh
+// residual with assigned variables substituted into constant forms, and
+// another allocation for the component split. Per-node allocation would
+// dominate the selection phase, where the UBS/HHS candidate loop solves
+// tens of thousands of small components per round. Instead, this engine
+// compiles a component once per solve into flat, reusable solver
+// scratch:
 //
 //   - a literal arena (stExprs) with per-clause offsets, in the canonical
 //     order the fingerprint established;
@@ -27,14 +25,15 @@ import "bayescrowd/internal/ctable"
 //     reverted before the next branch value, DPLL-style.
 //
 // Substitution is evaluated dynamically instead of by rewriting: a
-// var-vs-var literal with one side assigned is *read* as the constant
-// comparison the legacy engine would have rewritten it to (effExprProb,
-// effective-variable visits). Every probability sum runs over the same
-// distributions in the same order as the legacy engine's rewritten
-// forms, every clause and literal is visited in the same sequence, and
-// the branch/decomposition arithmetic is mirrored statement for
-// statement — so the two engines return bit-identical floats
-// (state_equiv_test.go pins this).
+// var-vs-var literal with one side assigned is *read* as its effective
+// form, the constant comparison on the other side (effExprProb,
+// effective-variable visits). Clauses and literals keep their compiled
+// order, so every sum and product runs in one fixed order however the
+// recursion reaches it — which is what keeps results bit-stable across
+// worker counts and cache states. The frozen engine corpus
+// (state_equiv_test.go) pins every output bit to the seed's
+// clause-rewriting engine, and Naive enumeration checks the mathematics
+// (prob_test.go, TestSweepVectorsMatchNaive).
 //
 // Recursion-local clause-index lists (residuals, component groups) are
 // carved from a stack-disciplined int32 arena (stIdx): a frame records
@@ -44,9 +43,10 @@ import "bayescrowd/internal/ctable"
 // list is append-filled only through its own capped slice and read-only
 // afterwards.
 
-// stSolve compiles one connected component — already in canonical
-// fingerprint order, under an empty assignment — and solves it. Mirrors
-// the legacy componentProb step branch(comp, pickVar(comp)).
+// stSolve compiles a clause set under an empty assignment — a connected
+// component in canonical fingerprint order, or under NoComponents the
+// whole formula — and solves it by branching on its most frequent
+// variable. The callers have already tried the direct rule.
 func (s *solver) stSolve(comp [][]cexpr) float64 {
 	s.stCompile(comp)
 	s.stTrail = s.stTrail[:0]
@@ -179,8 +179,7 @@ func (s *solver) stLitDead(ei int32) bool {
 // stAssign applies v=a to the state: every live literal mentioning v that
 // the assignment decides either satisfies its clause (sat bit) or dies
 // (dead bit, live counter). dead reports that some clause ran out of live
-// literals — the subformula is false under this branch, exactly the case
-// the legacy engine detects as an empty clause in simplify. All mutations
+// literals — the subformula is false under this branch. All mutations
 // are trailed for stRewind.
 func (s *solver) stAssign(v, a int32) (dead bool) {
 	s.assign[v] = a
@@ -241,11 +240,10 @@ func (s *solver) stRewind(mark int) {
 	s.stTrail = s.stTrail[:mark]
 }
 
-// effExprProb reads a live literal as the expression the legacy engine's
-// substitution would have rewritten it to, and computes its probability
-// with the same summation. A live constant literal always has its
-// variable unassigned (assignment would have decided it), and a live
-// var-vs-var literal has at most one side assigned.
+// effExprProb computes a live literal's probability in its effective
+// form, with exprProb's summation over that form. A live constant literal
+// always has its variable unassigned (assignment would have decided it),
+// and a live var-vs-var literal has at most one side assigned.
 func (s *solver) effExprProb(e cexpr) float64 {
 	if e.kind == ctable.VarGTVar {
 		if x := s.assign[e.x]; x >= 0 {
@@ -275,9 +273,8 @@ func (s *solver) effExprProb(e cexpr) float64 {
 }
 
 // stVisitEff calls fn for each effective (unassigned) variable of a live
-// literal, in the order the legacy engine's rewritten form would expose
-// them: the sole unassigned side of a half-assigned var-vs-var literal,
-// else x then y.
+// literal: the sole unassigned side of a half-assigned var-vs-var
+// literal, else x then y.
 func (s *solver) stVisitEff(e cexpr, fn func(v int32)) {
 	if e.kind == ctable.VarGTVar {
 		if s.assign[e.x] >= 0 {
@@ -295,8 +292,10 @@ func (s *solver) stVisitEff(e cexpr, fn func(v int32)) {
 	fn(e.x)
 }
 
-// stAdpll mirrors the legacy adpll over a clause-index list, truncating
-// the arena allocations of its frame on exit.
+// stAdpll is one ADPLL node over a clause-index list: drop satisfied
+// clauses, try the direct rule, else branch — per connected component
+// unless NoComponents is set. It truncates its frame's arena carvings on
+// exit.
 func (s *solver) stAdpll(clauses []int32) float64 {
 	base := len(s.stIdx)
 	p := s.stAdpllInner(clauses)
@@ -366,7 +365,9 @@ func (s *solver) stBranch(clauses []int32, v int32) float64 {
 	return total
 }
 
-// stPickVar mirrors pickVar over live literals and effective variables.
+// stPickVar returns the most frequent effective variable over the live
+// literals (the first one under BranchFirstVar), counting with pickVar's
+// first-maximum tie rule.
 func (s *solver) stPickVar(clauses []int32) int32 {
 	s.epoch++
 	best, bestCount := int32(-1), 0
@@ -387,9 +388,9 @@ func (s *solver) stPickVar(clauses []int32) int32 {
 			}
 			e := s.stExprs[ei]
 			if s.opt.BranchFirstVar {
-				// The legacy engine returns the rewritten literal's x:
-				// the sole unassigned side of a half-assigned var-vs-var
-				// literal, else the literal's own x.
+				// The effective form's left variable: the sole
+				// unassigned side of a half-assigned var-vs-var literal,
+				// else the literal's own x.
 				if e.kind == ctable.VarGTVar && s.assign[e.x] >= 0 {
 					return e.y
 				}
@@ -435,14 +436,14 @@ func (s *solver) stEffHalf(ei int32, e cexpr, xAssigned bool) float64 {
 	return p
 }
 
-// stDirectProb mirrors directProb: if every effective variable occurs
-// exactly once across the live literals, the probability follows from the
-// independent-conjunction and general-disjunction rules, computed in the
-// same clause and literal order as the legacy engine. The repeated-
-// variable check and the product run as one fused pass — the success
-// path multiplies the same factors in the same order as the legacy
-// two-pass form, and a detected repeat discards the partial product in
-// both. Factors come from the per-literal memos (stProbUn, stEffHalf).
+// stDirectProb is the paper's direct rule over live literals: if every
+// effective variable occurs exactly once, the probability follows from
+// the independent-conjunction and general-disjunction rules, computed in
+// clause and literal order. The repeated-variable check and the product
+// run as one fused pass — the success path multiplies the same factors in
+// the same order as directProb's two-pass form, and a detected repeat
+// discards the partial product. Factors come from the per-literal memos
+// (stProbUn, stEffHalf).
 func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 	s.epoch++
 	p := 1.0
@@ -489,12 +490,13 @@ func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 	return p, true
 }
 
-// stComponents mirrors components over a clause-index list: union-find
-// over residual positions claimed through effective variables, with the
-// single-component fast path reported as (nil, true). Group order is the
-// root-appearance order of the residual scan and members keep residual
-// order, matching the legacy engine. The parent, group and bucket tables
-// are carved from the arena; the caller's stAdpll frame reclaims them.
+// stComponents splits a clause-index list into connected components:
+// union-find over residual positions claimed through effective
+// variables, with the single-component fast path reported as (nil, true).
+// Group order is the root-appearance order of the residual scan and
+// members keep residual order, as in components. The parent, group and
+// bucket tables are carved from the arena; the caller's stAdpll frame
+// reclaims them.
 func (s *solver) stComponents(residual []int32) ([][]int32, bool) {
 	n := len(residual)
 	pbase := len(s.stIdx)

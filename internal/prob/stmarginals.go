@@ -2,25 +2,42 @@ package prob
 
 import "bayescrowd/internal/ctable"
 
-// All-variable marginal sweeps on the compiled clause-state engine
-// (state.go). This is marginals.go's recursion — branch nodes mix child
-// vectors, decomposition nodes scale by sibling values, direct-rule
-// leaves yield vectors in closed form — run over the literal arena
-// instead of per-node rewritten clause copies. Every scalar step reuses
-// the proven stDirectProb/stComponents/stPickVar mirrors and every
-// vector step performs the legacy pass's arithmetic on the same
-// effective literal forms in the same order, so both results are
-// bit-identical to the legacy pass (state_equiv_test.go pins the
-// CondProbs path end to end).
+// All-variable marginal sweeps. The UBS/HHS candidate scan needs, for a
+// connected component and every variable x it holds, the joint vector
+//
+//	m_x[a] = Pr(component ∧ x=a)
+//
+// because each constant-comparison candidate on x is then a partial sum
+// of m_x — no model counting per candidate at all. Computing the vectors
+// one variable at a time would cost a full solve per variable; this file
+// computes all of them in a single pass of the compiled clause-state
+// engine (state.go) instead, by propagating per-variable vectors up the
+// same recursion stAdpll runs: branch nodes mix child vectors weighted by
+// the branch distribution, decomposition nodes scale each component's
+// vectors by the product of its siblings' values, and direct-rule leaves
+// (every variable occurring exactly once) yield their vectors in closed
+// form. The pass visits exactly the subproblems stAdpll would and reuses
+// its stDirectProb/stComponents/stPickVar steps in the same order, so its
+// scalar result is bit-identical to a plain solve; the vector bookkeeping
+// rides along at a small constant factor. The frozen engine corpus
+// (state_equiv_test.go) pins the vectors bit for bit, and
+// TestSweepVectorsMatchNaive checks them against Naive enumeration.
+//
+// Only variables with s.margNeed set get vectors — the scan planner marks
+// the variables that actually carry candidates, so var-vs-var-only
+// variables don't pay for bookkeeping.
 
-// marginals is the engine dispatch for the all-variable sweep pass: the
-// legacy clause-rewriting recursion under Options.LegacyEngine, the
-// compiled state engine otherwise. Entered only on a fresh solver (empty
-// assignment), like adpllTop.
+// marginalSet maps interned variable ids to their joint vectors over the
+// subformula the set was computed for. A needed variable absent from the
+// set was eliminated before any branch constrained it: its joint is the
+// independent product value·p(a), filled in by the caller (branch merge
+// or scan planner).
+type marginalSet map[int32][]float64
+
+// marginals returns Pr(interned) together with the joint vectors of every
+// needed variable. Entered only on a fresh solver (empty assignment),
+// like adpllTop.
 func (s *solver) marginals(interned [][]cexpr) (float64, marginalSet) {
-	if s.opt.LegacyEngine {
-		return s.allMarginals(interned)
-	}
 	s.stCompile(interned)
 	s.stTrail = s.stTrail[:0]
 	s.stIdx = s.stIdx[:0]
@@ -33,11 +50,10 @@ func (s *solver) marginals(interned [][]cexpr) (float64, marginalSet) {
 	return p, m
 }
 
-// stEffLit returns the literal as the legacy engine's substitution would
-// have rewritten it under the current assignment: a var-vs-var literal
-// with one side assigned reads as the constant comparison on the other
-// side. A live literal of any other kind has its variable unassigned, so
-// it is returned unchanged.
+// stEffLit returns a live literal in its effective form under the
+// current assignment: a var-vs-var literal with one side assigned reads
+// as the constant comparison on the other side. A live literal of any
+// other kind has its variable unassigned, so it is returned unchanged.
 func (s *solver) stEffLit(e cexpr) cexpr {
 	if e.kind == ctable.VarGTVar {
 		if x := s.assign[e.x]; x >= 0 {
@@ -51,8 +67,8 @@ func (s *solver) stEffLit(e cexpr) cexpr {
 }
 
 // stLitProb returns a live literal's effective probability through the
-// per-literal memos; the memoized floats are bit-identical to the legacy
-// engine's exprProb over the rewritten literal.
+// per-literal memos; the memoized floats are bit-identical to exprProb
+// over the literal's effective form.
 func (s *solver) stLitProb(ei int32, e cexpr) float64 {
 	if e.kind == ctable.VarGTVar {
 		if s.assign[e.x] >= 0 {
@@ -65,9 +81,10 @@ func (s *solver) stLitProb(ei int32, e cexpr) float64 {
 	return s.stProbUn(ei, e)
 }
 
-// stAllMarginals mirrors allMarginals over a clause-index list: filter
-// the satisfied clauses, then recurse through direct leaves, branch
-// nodes and decompositions. The frame's arena carvings are reclaimed on
+// stAllMarginals is the sweep pass over a clause-index list: filter the
+// satisfied clauses, then recurse through direct leaves, branch nodes and
+// decompositions, returning the subformula's probability and the needed
+// variables' joint vectors. The frame's arena carvings are reclaimed on
 // exit, like stAdpll.
 func (s *solver) stAllMarginals(clauses []int32) (float64, marginalSet) {
 	rbase := len(s.stIdx)
@@ -102,8 +119,9 @@ func (s *solver) stAllMarginalsInner(residual []int32) (float64, marginalSet) {
 	if single {
 		return s.stBranchMarginals(residual, s.stPickVar(residual))
 	}
-	// Mirror allMarginals' decomposition loop, including the early return
-	// once the product hits zero.
+	// Decompose as stAdpll does, including the early return once the
+	// product hits zero (the remaining components' vectors would all be
+	// zero anyway — the nil set says exactly that).
 	p := 1.0
 	vals := make([]float64, len(comps))
 	sets := make([]marginalSet, len(comps))
@@ -119,6 +137,8 @@ func (s *solver) stAllMarginalsInner(residual []int32) (float64, marginalSet) {
 			return 0, nil
 		}
 	}
+	// Each component's vectors are scaled by the product of the sibling
+	// values (prefix × suffix, no division, zero-safe).
 	suf := 1.0
 	sufs := make([]float64, len(comps))
 	for i := len(comps) - 1; i >= 0; i-- {
@@ -141,13 +161,16 @@ func (s *solver) stAllMarginalsInner(residual []int32) (float64, marginalSet) {
 	return p, out
 }
 
-// stBranchMarginals mirrors branchMarginals: enumerate the branch
-// variable's values through the trail, mixing child vectors weighted by
-// the branch distribution, with independent-product defaults for needed
-// variables a child eliminated.
+// stBranchMarginals enumerates the branch variable's values through the
+// trail like stBranch, mixing the children's vectors weighted by the
+// branch distribution. A needed variable a child eliminated before
+// branching on it contributes its independent product instead.
 func (s *solver) stBranchMarginals(clauses []int32, v int32) (float64, marginalSet) {
-	// Collect the needed free variables up front, over the same effective
-	// variables the legacy pass sees in its rewritten clauses.
+	// Collect the needed free variables up front: children report vectors
+	// for the variables they still see, and the merge must fill defaults
+	// for the ones a child eliminated — which requires knowing the full
+	// set before descending (the epoch marks below are clobbered by the
+	// recursion).
 	s.epoch++
 	var need []int32
 	note := func(x int32) {
@@ -183,8 +206,8 @@ func (s *solver) stBranchMarginals(clauses []int32, v int32) (float64, marginalS
 		mark := len(s.stTrail)
 		var cv float64
 		var cm marginalSet
-		// An emptied clause means the child subformula is false: the
-		// legacy pass reports it as simplify's decided-false (0, nil).
+		// An emptied clause means the child subformula is false: value 0
+		// and no vectors.
 		if dead := s.stAssign(v, int32(a)); !dead {
 			cv, cm = s.stAllMarginals(clauses)
 		}
@@ -217,8 +240,14 @@ func (s *solver) stBranchMarginals(clauses []int32, v int32) (float64, marginalS
 	return total, out
 }
 
-// stLeafMarginals mirrors leafMarginals over the live literals of a
-// direct-rule residual, reading each literal in its effective form.
+// stLeafMarginals yields the joint vectors of a direct-rule residual —
+// pairwise variable-disjoint clauses, every effective variable occurring
+// once — in closed form, reading each live literal in its effective form:
+// fixing x=a resolves x's literal (for a var-vs-var literal, to the
+// conditional CDF of the other side), the rest of its clause keeps the
+// exclusion product of the other literals, and the other clauses
+// contribute their unconditioned probabilities via a prefix × suffix
+// outer product.
 func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 	n := len(residual)
 	ps := make([]float64, n)
@@ -323,4 +352,13 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 		}
 	}
 	return out
+}
+
+// constLitSat reports whether a constant-comparison literal holds at
+// value b of its variable.
+func constLitSat(e cexpr, b int) bool {
+	if e.kind == ctable.VarLTConst {
+		return int32(b) < e.c
+	}
+	return int32(b) > e.c
 }

@@ -10,7 +10,7 @@
 // selects the rebuild-per-tick baseline — a fresh batch c-table and a
 // fresh evaluator over the whole window every tick — and the two modes
 // produce identical answer sets and probabilities at every tick (the
-// equivalence tests assert it across solver engines and worker counts).
+// equivalence tests assert it across worker counts).
 // The sustained-throughput benchmark measures the same pair.
 //
 // Concurrency follows the repo's single-writer contract: Tick mutates
@@ -75,9 +75,6 @@ type Config struct {
 	CacheSize int
 	// NoCache disables component memoization entirely.
 	NoCache bool
-	// LegacyEngine selects the original clause-rewriting solver, for the
-	// cross-engine equivalence tests.
-	LegacyEngine bool
 	// Rebuild selects the rebuild-per-tick baseline: a fresh batch
 	// c-table, evaluator and cache over the whole window every tick.
 	// It is the engine's correctness anchor and the benchmark's
@@ -176,7 +173,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
 		e.ev = prob.NewEvaluator(prob.Dists{})
-		e.ev.Opt.LegacyEngine = cfg.LegacyEngine
 		e.ev.Opt.NoCache = cfg.NoCache
 		if !cfg.NoCache {
 			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
@@ -346,7 +342,6 @@ func (e *Engine) tickRebuild(now int64, arrivals [][]dataset.Cell) TickResult {
 	}
 	ct := ctable.Build(w, ctable.BuildOptions{Alpha: 0, Workers: e.cfg.Workers})
 	ev := prob.NewEvaluator(dists)
-	ev.Opt.LegacyEngine = e.cfg.LegacyEngine
 	ev.Opt.NoCache = e.cfg.NoCache
 	if !e.cfg.NoCache {
 		ev.Cache = prob.NewComponentCache(e.cfg.CacheSize)
