@@ -99,6 +99,12 @@ func RepoConfig(modulePath string) *Config {
 			// crowd round, Forget on eviction); it has no mutex by design,
 			// so the single-writer gate is its whole concurrency story.
 			p("internal/ctable") + ".Knowledge",
+			// A Model is shared read-only by every query on its (dataset,
+			// α) pair, and its conditions by every run's Result.CTable:
+			// only the owners build them, and Condition.Simplified copies
+			// on change instead of writing.
+			p("internal/core") + ".Model",
+			p("internal/ctable") + ".Condition",
 		},
 		MutatingMethods: []string{
 			p("internal/prob") + ".ComponentCache.Invalidate",

@@ -30,6 +30,8 @@ func ObsOverhead(s Scale) ([]*Table, error) {
 	}
 	e := nbaEnv(s, s.NBASize, s.MissingRate)
 	dists := e.dists() // preprocessing is offline; force it before timing
+	// Built once, untimed: the phase never writes the table.
+	ct := ctable.Build(e.incomplete, ctable.BuildOptions{Alpha: s.NBAAlpha, Workers: s.Workers})
 
 	// run measures the phase under one instrumentation mode: mk builds the
 	// per-rep recorder/registry pair (nil, nil = disabled) and fin flushes
@@ -45,7 +47,6 @@ func ObsOverhead(s Scale) ([]*Table, error) {
 			opt := nbaOpts(s, core.HHS)
 			opt.Rng = rand.New(rand.NewSource(s.Seed + int64(r)*101))
 			opt.Trace, opt.Metrics = mk()
-			ct := ctable.Build(e.incomplete, ctable.BuildOptions{Alpha: s.NBAAlpha, Workers: opt.Workers})
 			platform := crowd.NewSimulated(e.truth, 1.0, nil)
 			start := time.Now()
 			res, err := core.RunCrowdPhase(e.incomplete, ct, dists, platform, opt)

@@ -265,10 +265,14 @@ type Result struct {
 	Degraded       bool
 	DegradedReason string
 	// CTable is the final conditional table after all answers were
-	// absorbed, for inspection and reporting.
+	// absorbed, for inspection and reporting. It is read-only: every
+	// condition the run's answers did not rewrite is shared with the
+	// Model the run started from (and with every other run on it).
 	CTable *ctable.CTable
 	// Cache reports the component cache's hit/miss/eviction/invalidation
-	// counters for the run (all zero under Options.NoCache).
+	// counters for the run (all zero under Options.NoCache); like
+	// ProbTime, it covers the initial fan-out only when the run built
+	// its own model.
 	Cache prob.CacheStats
 	// ApproxComponents counts the connected components whose probability
 	// was estimated by the ApproxCount fallback rather than counted
@@ -279,9 +283,11 @@ type Result struct {
 	// SelectTime and ProbTime break the crowdsourcing phase's wall time
 	// into its two model-counting bills: cumulative task selection (the
 	// UBS/HHS candidate scoring the component cache accelerates) and
-	// cumulative Pr(φ) maintenance (the initial fan-out plus the per-round
-	// stale recomputation). They are measured around sequential sections
-	// of the round loop, so they are safe at any worker count.
+	// cumulative Pr(φ) maintenance (the per-round stale recomputation,
+	// plus the model's initial fan-out when the run built its own model
+	// — RunModel on a shared model leaves it out). They are measured
+	// around sequential sections of the round loop, so they are safe at
+	// any worker count.
 	SelectTime time.Duration
 	ProbTime   time.Duration
 }

@@ -28,9 +28,7 @@ func Run(d *dataset.Dataset, platform crowd.Platform, opt Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-
-	ct := ctable.Build(d, ctable.BuildOptions{Alpha: opt.Alpha, Workers: opt.Workers})
-	return crowdPhase(d, ct, base, platform, opt)
+	return runOwnModel(d, BuildModel(d, base, opt), base, platform, opt)
 }
 
 // RunWithDists runs the modeling and crowdsourcing phases against
@@ -44,27 +42,147 @@ func RunWithDists(d *dataset.Dataset, base prob.Dists, platform crowd.Platform, 
 	if err != nil {
 		return nil, err
 	}
-	ct := ctable.Build(d, ctable.BuildOptions{Alpha: opt.Alpha, Workers: opt.Workers})
-	return crowdPhase(d, ct, base, platform, opt)
+	return runOwnModel(d, BuildModel(d, base, opt), base, platform, opt)
 }
 
-// RunCrowdPhase runs only the crowdsourcing phase against an already-built
-// c-table and precomputed posteriors. The benchmark harness uses it to
-// time task selection and probability maintenance apart from the c-table
-// build (which it re-runs untimed per repetition — crowdPhase simplifies
-// the table's conditions in place).
+// RunCrowdPhase runs the crowdsourcing phase against an already-built
+// c-table and precomputed posteriors: it computes the initial Pr(φ) over
+// ct's undecided conditions, then runs the rounds. The benchmark harness
+// uses it to time the phase apart from the c-table build, so one table
+// can serve every repetition — the run simplifies a private copy of the
+// condition list and never writes to ct.
 func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return crowdPhase(d, ct, base, platform, opt)
+	return runOwnModel(d, modelOf(ct, base, opt), base, platform, opt)
 }
 
-// crowdPhase runs the crowdsourcing loop against an already-built c-table
-// and base posteriors. Exposed within the package so benchmarks can time
-// it apart from preprocessing.
-func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
+// Model is the query-independent half of a run — the paper's modeling
+// phase: the c-table (Get-CTable) and the initial Pr(φ) of every
+// undecided object. It depends only on the incomplete data, the
+// posteriors and the options that shape the table and the solver
+// (Alpha, ApproxThreshold), never on the budget, latency, strategy or
+// seed, so one model can serve many crowd phases.
+//
+// A Model is read-only once BuildModel returns it, and safe to share
+// between concurrent runs: RunModel simplifies a private copy of the
+// condition list (Condition.Simplified copies on change) and keeps its
+// per-round probabilities in its own map.
+type Model struct {
+	// CT is the c-table. Its conditions are shared with every run's
+	// Result.CTable until a run's answers rewrite them.
+	CT *ctable.CTable
+	// Undecided lists the objects whose condition is open, ascending.
+	Undecided []int
+	// Probs[i] is the initial Pr(φ) of object Undecided[i].
+	Probs []float64
+	// ApproxComponents counts the components the initial fan-out
+	// estimated by the ApproxThreshold fallback (see
+	// Result.ApproxComponents).
+	ApproxComponents int64
+	// ProbTime is the initial fan-out's wall time and Cache its
+	// component-cache counters; a run that builds its own model folds
+	// both into its Result, a run on a shared model does not.
+	ProbTime time.Duration
+	Cache    prob.CacheStats
+
+	// varToObjs indexes the undecided objects by the variables their
+	// conditions mention, in Undecided order: the runs' map from an
+	// answered variable to the conditions it may rewrite.
+	varToObjs map[ctable.Var][]int
+}
+
+// BuildModel runs the modeling phase: Get-CTable at opt.Alpha, then the
+// initial Pr(φ) of every undecided condition on the worker pool. Of opt
+// it reads only Alpha, Workers, NoCache, CacheSize and ApproxThreshold,
+// plus Metrics, which books the fan-out's wall time and counters; it
+// emits nothing to the trace — RunModel replays the model's events at
+// the start of each run.
+func BuildModel(d *dataset.Dataset, base prob.Dists, opt Options) *Model {
+	ct := ctable.Build(d, ctable.BuildOptions{Alpha: opt.Alpha, Workers: opt.Workers})
+	return modelOf(ct, base, opt)
+}
+
+// modelOf computes the initial Pr(φ) over ct's undecided conditions. The
+// fan-out gets its own component cache: its hits come from inside the
+// fan-out, so a run starting with a cold cache loses nothing.
+func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
+	m := &Model{CT: ct, Undecided: ct.Undecided(), varToObjs: map[ctable.Var][]int{}}
+	conds := make([]*ctable.Condition, len(m.Undecided))
+	for i, o := range m.Undecided {
+		conds[i] = ct.Conds[o]
+		for _, v := range conds[i].Vars() {
+			m.varToObjs[v] = append(m.varToObjs[v], o)
+		}
+	}
+	ev := newEvaluator(base, opt)
+	//lint:ignore determinism timing observability only: the model's ProbTime reports wall-clock and never feeds a decision
+	start := time.Now()
+	m.Probs = ev.ProbAll(conds, opt.Workers)
+	m.ProbTime = time.Since(start)
+	m.ApproxComponents = ev.ApproxComponents()
+	if ev.Cache != nil {
+		m.Cache = ev.Cache.Stats()
+	}
+	// The registry books work where it happens: once per model, however
+	// many runs share it.
+	reg := opt.Metrics
+	reg.Histogram("prob.duration").Observe(m.ProbTime)
+	reg.Counter("prob.approx.components").Add(m.ApproxComponents)
+	reg.Counter("cache.hits").Add(int64(m.Cache.Hits))
+	reg.Counter("cache.misses").Add(int64(m.Cache.Misses))
+	reg.Counter("cache.evicted").Add(int64(m.Cache.Evicted))
+	return m
+}
+
+// newEvaluator returns an evaluator over dists with the run's solver
+// options and, unless opt.NoCache, a fresh component cache.
+func newEvaluator(dists prob.Dists, opt Options) *prob.Evaluator {
+	ev := &prob.Evaluator{Dists: dists, Opt: prob.Options{
+		NoCache:         opt.NoCache,
+		ApproxThreshold: opt.ApproxThreshold,
+	}}
+	if !opt.NoCache {
+		ev.Cache = prob.NewComponentCache(opt.CacheSize)
+	}
+	return ev
+}
+
+// RunModel runs the crowdsourcing phase on a model, which it never
+// writes: the run simplifies its own shallow copy of m.CT.Conds and
+// keeps its own component cache, so concurrent runs may share m. The
+// Result's ProbTime and Cache cover this run's work only — the model's
+// initial fan-out is not included — while ApproxComponents counts the
+// model's estimated components too, since the answer rests on them.
+// The trace is the one a run building its own model emits.
+func RunModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return crowdPhase(d, m, base, platform, opt)
+}
+
+// runOwnModel runs a model built for this run alone, so the run also
+// owns the model's initial fan-out: its wall time and cache counters
+// join the Result.
+func runOwnModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
+	res, err := crowdPhase(d, m, base, platform, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.ProbTime += m.ProbTime
+	res.Cache.Hits += m.Cache.Hits
+	res.Cache.Misses += m.Cache.Misses
+	res.Cache.Evicted += m.Cache.Evicted
+	return res, nil
+}
+
+// crowdPhase runs the crowdsourcing loop on a model and base posteriors.
+// Exposed within the package so tests can run it on validated options.
+func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
 	// The recorder and registry are the run's two observability channels:
 	// deterministic events to rec (single-writer sections only), and
 	// scheduling-dependent numbers — durations, cache deltas — to reg.
@@ -92,24 +210,24 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 	know := ctable.NewKnowledge(d)
 	know.NoInference = opt.NoInference
 
+	// The run's own c-table: a shallow copy of the model's, whose
+	// condition slots the rounds below overwrite with simplified copies.
+	// The model's conditions themselves are never written.
+	ct := new(ctable.CTable)
+	*ct = *m.CT
+	ct.Conds = append([]*ctable.Condition(nil), m.CT.Conds...)
+
 	// Effective distributions: the base posteriors, renormalised by what
 	// the crowd has revealed so far.
 	eff := make(prob.Dists, len(base))
 	for v, dist := range base {
 		eff[v] = dist
 	}
-	ev := &prob.Evaluator{Dists: eff, Opt: prob.Options{
-		NoCache:         opt.NoCache,
-		ApproxThreshold: opt.ApproxThreshold,
-	}}
-	if !opt.NoCache {
-		// The component cache persists across every Pr(φ) evaluation of
-		// the run — the initial fan-out, the UBS/HHS candidate scans, and
-		// the cross-round stale recomputation — and is invalidated
-		// per-variable below, right where crowd answers renormalise
-		// distributions.
-		ev.Cache = prob.NewComponentCache(opt.CacheSize)
-	}
+	// The component cache persists across every Pr(φ) evaluation of the
+	// run — the UBS/HHS candidate scans and the cross-round stale
+	// recomputation — and is invalidated per-variable below, right where
+	// crowd answers renormalise distributions.
+	ev := newEvaluator(eff, opt)
 	// core is the single writer that owns the evaluator; it hands the
 	// recorder down so prob's sequential dispatch points (ProbAll,
 	// PlanSweeps, Invalidate) can trace their deterministic sizes.
@@ -125,29 +243,14 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 	// Satisfaction probabilities are cached across rounds and recomputed
 	// only for conditions that mention a variable an answer touched: a
 	// 20-task round changes at most 40 variables, so most conditions keep
-	// their probability. The initial fan-out is the framework's single
-	// biggest model-counting bill, so it runs on the worker pool; the
-	// merge below walks the undecided list in index order, keeping the
-	// map contents identical to the sequential build.
-	undecided := ct.Undecided()
-	conds := make([]*ctable.Condition, len(undecided))
-	for i, o := range undecided {
-		conds[i] = ct.Conds[o]
-	}
-	rec.Emit(obs.Event{Kind: obs.KindModel, N: len(ct.Conds), M: len(undecided)})
-	//lint:ignore determinism timing observability only: ProbTime reports wall-clock and never feeds a decision
-	probStart := time.Now()
-	initial := ev.ProbAll(conds, opt.Workers)
-	initialDur := time.Since(probStart)
-	result.ProbTime += initialDur
-	hProb.Observe(initialDur)
-	probs := make(map[int]float64, len(undecided))
-	varToObjs := map[ctable.Var][]int{}
-	for i, o := range undecided {
-		probs[o] = initial[i]
-		for _, v := range ct.Conds[o].Vars() {
-			varToObjs[v] = append(varToObjs[v], o)
-		}
+	// their probability. They start from the model's initial fan-out,
+	// whose deterministic sizes the trace records as if this run had
+	// computed them.
+	rec.Emit(obs.Event{Kind: obs.KindModel, N: len(ct.Conds), M: len(m.Undecided)})
+	rec.Emit(obs.Event{Kind: obs.KindProbFanout, N: len(m.Undecided)})
+	probs := make(map[int]float64, len(m.Undecided))
+	for i, o := range m.Undecided {
+		probs[o] = m.Probs[i]
 	}
 
 	// Per-round scratch, hoisted out of the loop and cleared in place each
@@ -371,7 +474,7 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 		clear(seen)
 		stale = stale[:0]
 		for v := range touched {
-			for _, o := range varToObjs[v] {
+			for _, o := range m.varToObjs[v] {
 				if seen[o] {
 					continue
 				}
@@ -379,14 +482,14 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 				if _, tracked := probs[o]; !tracked {
 					continue
 				}
-				cond := ct.Conds[o]
-				before := cond.NumExprs()
-				cond.Simplify(know)
+				prev := ct.Conds[o]
+				cond := prev.Simplified(know)
+				ct.Conds[o] = cond
 				if _, decided := cond.Decided(); decided {
 					delete(probs, o)
 					continue
 				}
-				recompute := cond.NumExprs() != before
+				recompute := cond != prev
 				if !recompute && len(distChanged) > 0 {
 					for _, cv := range cond.Vars() {
 						if distChanged[cv] {
@@ -409,7 +512,7 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 			staleConds = append(staleConds, ct.Conds[o])
 		}
 		//lint:ignore determinism timing observability only: ProbTime reports wall-clock and never feeds a decision
-		probStart = time.Now()
+		probStart := time.Now()
 		for i, p := range ev.ProbAll(staleConds, opt.Workers) {
 			probs[stale[i]] = p
 		}
@@ -500,9 +603,9 @@ func crowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platform
 			cCacheInvalE.Add(int64(result.Cache.InvalidatedEntries - prevCache.InvalidatedEntries))
 		}
 	}
-	result.ApproxComponents = ev.ApproxComponents()
+	result.ApproxComponents = m.ApproxComponents + ev.ApproxComponents()
 	if reg != nil {
-		cApprox.Add(result.ApproxComponents - prevApprox)
+		cApprox.Add(ev.ApproxComponents() - prevApprox)
 	}
 	rec.Emit(obs.Event{Kind: obs.KindRunEnd, N: result.TasksPosted, M: result.Rounds})
 	return result, nil

@@ -57,7 +57,7 @@ func TestPaperExample4EndToEnd(t *testing.T) {
 		}
 		platform := crowd.NewSimulated(truth, 1.0, nil)
 		ct := ctable.Build(incomplete, ctable.BuildOptions{Alpha: opt.Alpha})
-		res, err := crowdPhase(incomplete, ct, example3Dists(), platform, opt)
+		res, err := crowdPhase(incomplete, modelOf(ct, example3Dists(), opt), example3Dists(), platform, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

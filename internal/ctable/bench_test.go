@@ -44,7 +44,7 @@ func BenchmarkSimplify(b *testing.B) {
 	d := benchData(b, 1000)
 	ct := Build(d, BuildOptions{Alpha: 0.05})
 	know := NewKnowledge(d)
-	// Narrow a handful of variables so Simplify has work to do.
+	// Narrow a handful of variables so Simplified has work to do.
 	narrowed := 0
 	for _, o := range ct.Undecided() {
 		for _, v := range ct.Conds[o].Vars() {
@@ -65,7 +65,6 @@ func BenchmarkSimplify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := conds[i%len(conds)].Clone()
-		c.Simplify(know)
+		conds[i%len(conds)].Simplified(know)
 	}
 }

@@ -213,16 +213,17 @@ func (ct *CTable) Undecided() []int {
 	return out
 }
 
-// SimplifyAll re-simplifies every undecided condition under the given
-// knowledge, returning how many conditions became decided.
+// SimplifyAll replaces every undecided condition with its simplification
+// under the given knowledge, returning how many conditions became
+// decided. The replaced conditions themselves are not written.
 func (ct *CTable) SimplifyAll(k *Knowledge) int {
 	settled := 0
-	for _, c := range ct.Conds {
+	for i, c := range ct.Conds {
 		if _, decided := c.Decided(); decided {
 			continue
 		}
-		c.Simplify(k)
-		if _, decided := c.Decided(); decided {
+		ct.Conds[i] = c.Simplified(k)
+		if _, decided := ct.Conds[i].Decided(); decided {
 			settled++
 		}
 	}

@@ -102,47 +102,71 @@ func (c *Condition) Exprs() []Expr {
 	return out
 }
 
-// Simplify rewrites the condition in place under the given knowledge:
-// expressions decided false are dropped from their clause, a clause with a
-// decided-true expression is satisfied and removed, an emptied clause
-// decides the condition false, and an emptied clause list decides it true.
-// Decided conditions are left untouched.
-func (c *Condition) Simplify(k *Knowledge) {
+// Simplified returns the condition rewritten under the given knowledge:
+// expressions decided false are dropped from their clause, a clause with
+// a decided-true expression is satisfied and removed, an emptied clause
+// decides the condition false, and an emptied clause list decides it
+// true. It never writes to the receiver. A decided receiver, or one in
+// which no expression is decided, comes back as itself; otherwise the
+// result is a fresh condition sharing every clause slice that did not
+// change — so one condition can back many readers, each simplifying it
+// under its own knowledge.
+func (c *Condition) Simplified(k *Knowledge) *Condition {
 	if c.decided {
-		return
+		return c
 	}
-	outClauses := c.Clauses[:0]
-	for _, cl := range c.Clauses {
-		satisfied := false
-		kept := cl[:0]
-		for _, e := range cl {
-			v, decided := k.Eval(e)
-			switch {
-			case decided && v:
-				satisfied = true
-			case decided && !v:
-				// drop
-			default:
-				kept = append(kept, e)
+	var out [][]Expr // nil until the first clause that changes
+	for i, cl := range c.Clauses {
+		kept, satisfied, changed := simplifyClause(cl, k)
+		if !changed {
+			if out != nil {
+				out = append(out, cl)
 			}
-			if satisfied {
-				break
-			}
+			continue
+		}
+		if out == nil {
+			out = append(make([][]Expr, 0, len(c.Clauses)), c.Clauses[:i]...)
 		}
 		if satisfied {
 			continue
 		}
 		if len(kept) == 0 {
-			*c = *False()
-			return
+			return False()
 		}
-		outClauses = append(outClauses, kept)
+		out = append(out, kept)
 	}
-	if len(outClauses) == 0 {
-		*c = *True()
-		return
+	if out == nil {
+		return c
 	}
-	c.Clauses = outClauses
+	if len(out) == 0 {
+		return True()
+	}
+	return &Condition{Clauses: out}
+}
+
+// simplifyClause rewrites one clause under the knowledge: satisfied when
+// an expression is decided true, otherwise kept holds the expressions
+// not decided false. An unchanged clause comes back as itself; a changed
+// one is a fresh slice, so cl is never written.
+func simplifyClause(cl []Expr, k *Knowledge) (kept []Expr, satisfied, changed bool) {
+	for j, e := range cl {
+		v, decided := k.Eval(e)
+		switch {
+		case decided && v:
+			return nil, true, true
+		case decided:
+			if !changed {
+				changed = true
+				kept = append(make([]Expr, 0, len(cl)-1), cl[:j]...)
+			}
+		case changed:
+			kept = append(kept, e)
+		}
+	}
+	if !changed {
+		return cl, false, false
+	}
+	return kept, false, true
 }
 
 // EvalAssign evaluates the condition under a complete assignment of its

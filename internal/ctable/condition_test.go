@@ -117,7 +117,7 @@ func TestSimplifyDecidesTrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := FromClauses([][]Expr{{LTConst(v(0, 0), 5), GTConst(v(1, 0), 7)}})
-	c.Simplify(k)
+	c = c.Simplified(k)
 	if !c.IsTrue() {
 		t.Fatalf("condition = %v, want true (x<3 implies x<5)", c)
 	}
@@ -129,7 +129,7 @@ func TestSimplifyDecidesFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := FromClauses([][]Expr{{LTConst(v(0, 0), 5)}})
-	c.Simplify(k)
+	c = c.Simplified(k)
 	if !c.IsFalse() {
 		t.Fatalf("condition = %v, want false (x>6 contradicts x<5)", c)
 	}
@@ -144,7 +144,7 @@ func TestSimplifyDropsOnlyDecidedExprs(t *testing.T) {
 		{LTConst(v(0, 0), 5), GTConst(v(1, 0), 2)}, // first expr now false
 		{LTConst(v(2, 0), 4)},                      // untouched
 	})
-	c.Simplify(k)
+	c = c.Simplified(k)
 	if _, decided := c.Decided(); decided {
 		t.Fatalf("condition decided prematurely: %v", c)
 	}
@@ -157,11 +157,11 @@ func TestSimplifyDropsOnlyDecidedExprs(t *testing.T) {
 func TestSimplifyIdempotent(t *testing.T) {
 	k := knowledgeOver(10)
 	c := FromClauses([][]Expr{{LTConst(v(0, 0), 5)}, {GTConst(v(1, 0), 2)}})
-	c.Simplify(k)
+	c = c.Simplified(k)
 	before := c.String()
-	c.Simplify(k)
+	c = c.Simplified(k)
 	if c.String() != before {
-		t.Fatalf("Simplify not idempotent: %q vs %q", before, c.String())
+		t.Fatalf("Simplified not idempotent: %q vs %q", before, c.String())
 	}
 }
 

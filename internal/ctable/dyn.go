@@ -262,9 +262,10 @@ func (t *DynCTable) Evict(id int) (vars []Var) {
 
 // Cond materialises the current condition φ(o) of a live object: decided
 // false while any clause is empty, decided true with no dominators, CNF
-// otherwise. Clauses appear in ascending dominator-id order and the
-// expression slices are copies, so callers may Simplify the result under
-// a Knowledge without corrupting the table.
+// otherwise. Clauses appear in ascending dominator-id order. The clause
+// list is fresh but each clause's expression slice is the table's own,
+// never written after ClauseBetween creates it: callers read it, or
+// simplify it with Condition.Simplified, which copies on change.
 func (t *DynCTable) Cond(id int) *Condition {
 	s := &t.slots[t.mustSlot(id)]
 	if s.empty > 0 {
@@ -275,7 +276,7 @@ func (t *DynCTable) Cond(id int) *Condition {
 	}
 	clauses := make([][]Expr, len(s.clauses))
 	for i := range s.clauses {
-		clauses[i] = append([]Expr(nil), s.clauses[i].exprs...)
+		clauses[i] = s.clauses[i].exprs
 	}
 	return FromClauses(clauses)
 }

@@ -2,6 +2,7 @@ package ctable
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bayescrowd/internal/dataset"
@@ -33,30 +34,7 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 			ground[v] = rng.Intn(levels)
 		}
 
-		// Random CNF over the variables.
-		nClauses := 1 + rng.Intn(4)
-		clauses := make([][]Expr, 0, nClauses)
-		for c := 0; c < nClauses; c++ {
-			var clause []Expr
-			for k := 0; k < 1+rng.Intn(3); k++ {
-				x := vars[rng.Intn(nVars)]
-				switch rng.Intn(3) {
-				case 0:
-					clause = append(clause, LTConst(x, 1+rng.Intn(levels)))
-				case 1:
-					clause = append(clause, GTConst(x, rng.Intn(levels-1)))
-				default:
-					y := vars[rng.Intn(nVars)]
-					if y != x {
-						clause = append(clause, GTVar(x, y))
-					} else {
-						clause = append(clause, GTConst(x, 0))
-					}
-				}
-			}
-			clauses = append(clauses, clause)
-		}
-		orig := FromClauses(clauses)
+		orig := randomCNF(rng, vars, levels)
 		if _, decided := orig.Decided(); decided {
 			continue
 		}
@@ -71,8 +49,7 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 			}
 		}
 
-		simplified := orig.Clone()
-		simplified.Simplify(know)
+		simplified := orig.Simplified(know)
 
 		// Check every assignment consistent with the knowledge.
 		assign := map[Var]int{}
@@ -101,6 +78,132 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 		}
 		rec(0)
 	}
+}
+
+// TestSimplifiedCopyOnChange pins Simplified's sharing contract on random
+// CNFs and random knowledge, some of it about variables the condition
+// never mentions: the result equals the original in-place rewrite (the
+// reference below), the receiver is never written, and a condition the
+// knowledge decides nothing of comes back as the receiver itself.
+func TestSimplifiedCopyOnChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(112))
+	const levels = 4
+	schema := dataset.New([]dataset.Attribute{{Name: "a", Levels: levels}})
+	unchanged := 0
+	for trial := 0; trial < 500; trial++ {
+		vars := make([]Var, 2+rng.Intn(4))
+		for i := range vars {
+			vars[i] = Var{Obj: i, Attr: 0}
+		}
+		orig := randomCNF(rng, vars, levels)
+
+		// Answers about a wider variable set than the condition's, some
+		// possibly contradicting each other (those are simply refused).
+		know := NewKnowledge(schema)
+		others := append(vars, Var{Obj: len(vars), Attr: 0}, Var{Obj: len(vars) + 1, Attr: 0})
+		for k := rng.Intn(4); k > 0; k-- {
+			e := randomExpr(rng, others, levels)
+			if err := know.Absorb(e, Rel(rng.Intn(3))); err != nil {
+				continue // refused: the knowledge stays as it was
+			}
+		}
+
+		snapshot := orig.Clone()
+		got := orig.Simplified(know)
+		if !reflect.DeepEqual(orig, snapshot) {
+			t.Fatalf("trial %d: Simplified wrote to its receiver:\nbefore: %v\nafter:  %v", trial, snapshot, orig)
+		}
+		if want := simplifyInPlace(orig.Clone(), know); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Simplified = %v, in-place reference = %v", trial, got, want)
+		}
+		if _, decided := orig.Decided(); decided || !anyDecided(orig, know) {
+			unchanged++
+			if got != orig {
+				t.Fatalf("trial %d: nothing to simplify in %v, yet Simplified returned a copy", trial, orig)
+			}
+		}
+	}
+	if unchanged == 0 {
+		t.Fatal("no trial left its condition unchanged; the receiver-identity property went unchecked")
+	}
+}
+
+// randomCNF draws a CNF of one to four clauses over vars.
+func randomCNF(rng *rand.Rand, vars []Var, levels int) *Condition {
+	clauses := make([][]Expr, 1+rng.Intn(4))
+	for c := range clauses {
+		for k := 0; k < 1+rng.Intn(3); k++ { // bound redrawn per iteration
+			clauses[c] = append(clauses[c], randomExpr(rng, vars, levels))
+		}
+	}
+	return FromClauses(clauses)
+}
+
+// randomExpr draws one expression over vars: x<c, x>c, or x>y.
+func randomExpr(rng *rand.Rand, vars []Var, levels int) Expr {
+	x := vars[rng.Intn(len(vars))]
+	switch rng.Intn(3) {
+	case 0:
+		return LTConst(x, 1+rng.Intn(levels))
+	case 1:
+		return GTConst(x, rng.Intn(levels-1))
+	default:
+		if y := vars[rng.Intn(len(vars))]; y != x {
+			return GTVar(x, y)
+		}
+		return GTConst(x, 0)
+	}
+}
+
+// simplifyInPlace is the reference semantics Simplified must match: the
+// original rewrite that filtered each clause into its own backing array.
+func simplifyInPlace(c *Condition, k *Knowledge) *Condition {
+	if c.decided {
+		return c
+	}
+	outClauses := c.Clauses[:0]
+	for _, cl := range c.Clauses {
+		satisfied := false
+		kept := cl[:0]
+		for _, e := range cl {
+			v, decided := k.Eval(e)
+			switch {
+			case decided && v:
+				satisfied = true
+			case decided && !v:
+				// drop
+			default:
+				kept = append(kept, e)
+			}
+			if satisfied {
+				break
+			}
+		}
+		if satisfied {
+			continue
+		}
+		if len(kept) == 0 {
+			return False()
+		}
+		outClauses = append(outClauses, kept)
+	}
+	if len(outClauses) == 0 {
+		return True()
+	}
+	c.Clauses = outClauses
+	return c
+}
+
+// anyDecided reports whether the knowledge decides any expression of c.
+func anyDecided(c *Condition, k *Knowledge) bool {
+	for _, cl := range c.Clauses {
+		for _, e := range cl {
+			if _, decided := k.Eval(e); decided {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // relUnder returns the true relation of e's operands under the ground

@@ -8,11 +8,17 @@
 //
 // # Architecture
 //
-// Each query runs the unchanged core pipeline (core.RunWithDists) on
+// Each query runs the unchanged core crowd phase (core.RunModel) on
 // its own goroutine, so a query served by the daemon returns exactly
 // the answer set the library facade would: same options, same seeds,
-// same bits. Three service mechanisms wrap that pipeline:
+// same bits. Four service mechanisms wrap that pipeline:
 //
+//   - The model slot shares the modeling phase. The c-table and the
+//     initial Pr(φ) (core.Model) depend only on the dataset and α, so
+//     each dataset keeps one model, built by the first query on its α
+//     and shared read-only by every later query with the same α. A
+//     query with another α replaces the slot, which bounds the daemon's
+//     models by its datasets.
 //   - The task hub intercepts every crowd round. A posted task joins
 //     the cross-query dedup table keyed by (dataset, expression): two
 //     queries needing the same missing cell share one outstanding crowd
@@ -43,6 +49,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -104,13 +111,33 @@ const (
 
 // datasetEntry is one registered dataset: the immutable data, its
 // preprocessed missing-value posteriors (shared read-only by every
-// query over it), and registration metadata.
+// query over it), its model slot, and registration metadata.
 type datasetEntry struct {
 	name    string
 	data    *dataset.Dataset
 	base    prob.Dists // read-only after registration; shared by every query
 	missing int
 	created time.Time
+
+	mu   sync.Mutex
+	slot *modelSlot // guarded by mu; the latest model, replaced when α changes
+}
+
+// modelKey names a model: α's bits and every other option that changes
+// core.BuildModel's output. The daemon exposes no approximation
+// threshold, but the key carries it so that one could not alias.
+type modelKey struct {
+	alpha  uint64
+	approx int
+}
+
+// modelSlot is a dataset's shared model. The query that creates the
+// slot builds the model; ready closes once m is set, and m is read-only
+// from then on.
+type modelSlot struct {
+	key   modelKey
+	ready chan struct{}
+	m     *core.Model
 }
 
 // query is one accepted skyline query and everything the service knows
@@ -172,6 +199,8 @@ type Server struct {
 	wg sync.WaitGroup // one unit per admitted query goroutine
 
 	cQueries, cDone, cFailed, cDegraded *obs.Counter
+	cModelBuilds, cModelReuses          *obs.Counter
+	hModelBuild                         *obs.Histogram
 }
 
 // New validates the configuration and returns a ready Server. Call
@@ -199,6 +228,10 @@ func New(cfg Config) *Server {
 		cDone:     reg.Counter("service.queries.done"),
 		cFailed:   reg.Counter("service.queries.failed"),
 		cDegraded: reg.Counter("service.queries.degraded"),
+
+		cModelBuilds: reg.Counter("service.model.builds"),
+		cModelReuses: reg.Counter("service.model.reuses"),
+		hModelBuild:  reg.Histogram("model.build.duration"),
 	}
 	s.hub = newHub(reg, cfg.Sink)
 	return s
@@ -401,8 +434,9 @@ func (s *Server) SubmitQuery(req QueryRequest) (*QueryStatus, error) {
 }
 
 // runQuery executes one admitted query end to end: acquire a compute
-// token, run the unchanged library pipeline against the hub-backed
-// platform, flush the trace, publish the terminal state.
+// token, fetch or build the dataset's model, run the unchanged library
+// crowd phase against the hub-backed platform, flush the trace, publish
+// the terminal state.
 func (s *Server) runQuery(q *query) {
 	defer s.wg.Done()
 	s.sched.acquire()
@@ -415,7 +449,7 @@ func (s *Server) runQuery(q *query) {
 		sink = obs.NewTrace(&boundedWriter{buf: q.trace, limit: s.cfg.TraceLimit, q: q})
 		opt.Trace = obs.NewRecorder(sink)
 	}
-	res, err := core.RunWithDists(q.ds.data, q.ds.base, &hubPlatform{s: s, q: q}, opt)
+	res, err := core.RunModel(q.ds.data, s.model(q), q.ds.base, &hubPlatform{s: s, q: q}, opt)
 	flushFailed := false
 	if sink != nil {
 		// Flush before the terminal state publishes: readers gate on the
@@ -444,6 +478,41 @@ func (s *Server) runQuery(q *query) {
 	if res.Degraded {
 		s.cDegraded.Add(1)
 	}
+}
+
+// model returns the dataset model q runs on. The first query on a key
+// builds it under its own compute token; a query that finds that build
+// still running gives its token back until the build is done, so
+// concurrent first queries share one build. A different key replaces
+// the slot: queries already holding the old model keep it, and with α
+// values that keep alternating every query builds, as without sharing.
+func (s *Server) model(q *query) *core.Model {
+	e := q.ds
+	key := modelKey{alpha: math.Float64bits(q.opt.Alpha), approx: q.opt.ApproxThreshold}
+	e.mu.Lock()
+	slot := e.slot
+	if slot != nil && slot.key == key {
+		e.mu.Unlock()
+		select {
+		case <-slot.ready:
+		default:
+			s.sched.release()
+			<-slot.ready
+			s.sched.acquire()
+		}
+		s.cModelReuses.Add(1)
+		return slot.m
+	}
+	slot = &modelSlot{key: key, ready: make(chan struct{})}
+	e.slot = slot
+	e.mu.Unlock()
+
+	start := time.Now()
+	slot.m = core.BuildModel(e.data, e.base, q.opt)
+	s.hModelBuild.Observe(time.Since(start))
+	s.cModelBuilds.Add(1)
+	close(slot.ready)
+	return slot.m
 }
 
 // boundedWriter caps a query's trace buffer: writes beyond the limit

@@ -600,7 +600,7 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	for i, id := range stale {
 		cond := e.tbl.Cond(id)
 		if !knowEmpty {
-			cond.Simplify(c.know)
+			cond = cond.Simplified(c.know)
 		}
 		c.conds[id] = cond
 		conds[i] = cond
