@@ -489,15 +489,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 					delete(probs, o)
 					continue
 				}
-				recompute := cond != prev
-				if !recompute && len(distChanged) > 0 {
-					for _, cv := range cond.Vars() {
-						if distChanged[cv] {
-							recompute = true
-							break
-						}
-					}
-				}
+				recompute := cond != prev || (len(distChanged) > 0 && mentionsAny(cond, distChanged))
 				if recompute {
 					stale = append(stale, o)
 				}
@@ -609,6 +601,20 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	}
 	rec.Emit(obs.Event{Kind: obs.KindRunEnd, N: result.TasksPosted, M: result.Rounds})
 	return result, nil
+}
+
+// mentionsAny reports whether a literal of cond mentions a variable in
+// vars — a scan of the literals in place, where Condition.Vars would
+// allocate the distinct set first.
+func mentionsAny(cond *ctable.Condition, vars map[ctable.Var]bool) bool {
+	for _, cl := range cond.Clauses {
+		for _, e := range cl {
+			if vars[e.X] || (e.Kind == ctable.VarGTVar && vars[e.Y]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // postWithRetry posts one round's batch, retrying round-level failures up

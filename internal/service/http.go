@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -293,18 +294,35 @@ func errorCode(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body the /v1 API reads: 16 MiB, about
+// 60× the registration body of a 10,000-row NBA dataset (273 KB), so a
+// client cannot make a handler buffer an unbounded body.
+const maxBodyBytes = 16 << 20
+
+// decodeBody strictly decodes a JSON request body of at most
+// maxBodyBytes into v. On failure it writes the error envelope — 413
+// for an oversize body, 400 for any other decode error — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Sprintf("decode body: %v", err))
+	return false
 }
 
 // handleRegisterDataset serves POST /v1/datasets.
 func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	var req DatasetRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	info, err := s.RegisterDataset(req)
@@ -346,8 +364,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 // handleSubmitQuery serves POST /v1/queries.
 func (s *Server) handleSubmitQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	st, err := s.SubmitQuery(req)
@@ -426,8 +443,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, _ *http.Request) {
 // callback that drives the event loop.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req AnswerRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rel, err := parseRel(req.Rel)

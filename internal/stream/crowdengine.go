@@ -177,6 +177,22 @@ type CrowdEngine struct {
 	// a tick's selection sees the window as of the previous
 	// re-evaluation.
 	conds map[int]*ctable.Condition
+	// byVar indexes conds by variable: byVar[c.key(v)] holds the list (by
+	// pointer, so appending costs one map lookup) of every id whose cached
+	// condition mentions v, in no particular order — one entry per
+	// variable occurrence of a cached condition. It is exact
+	// at tick end: a refreshed condition moves its entries by a diff
+	// against the one it replaces, an evicted object's entries leave with
+	// its condition, and an evicted variable's list is dropped whole. It
+	// makes both per-tick lookups cost what changed: the conditions an
+	// answer touched, and the ones an eviction left mentioning a dead
+	// variable.
+	byVar map[int]*[]int
+	// gone holds the cached ids whose condition mentions a variable
+	// evicted this tick, collected from byVar at eviction time. Their
+	// conditions are dirty, so re-evaluation refreshes them; until then
+	// selection skips them.
+	gone map[int]bool
 
 	inflight     []*inflightTask
 	inflightExpr map[ctable.Expr]*inflightTask
@@ -195,6 +211,11 @@ type CrowdEngine struct {
 	busyScratch     map[ctable.Var]bool
 	answeredScratch map[ctable.Expr]bool
 	staleScratch    map[int]bool
+	// reindex's scratch: the index keys of the replaced and the new
+	// condition, and the replaced one's keys, true until the new
+	// condition is seen to keep them.
+	oldKeys, curKeys []int
+	inOld            map[int]bool
 
 	cPosted, cExpired, cAnswers, cStale *obs.Counter
 }
@@ -241,9 +262,13 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		touched:      map[ctable.Var]bool{},
 		distChanged:  map[ctable.Var]bool{},
 
+		byVar: map[int]*[]int{},
+		gone:  map[int]bool{},
+
 		busyScratch:     map[ctable.Var]bool{},
 		answeredScratch: map[ctable.Expr]bool{},
 		staleScratch:    map[int]bool{},
+		inOld:           map[int]bool{},
 	}
 	c.ab = &core.Absorption{
 		Know: c.know, Base: c.base, Eff: eng.ev.Dists,
@@ -304,16 +329,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	// Evict, then retract: the knowledge recorded about the retired
 	// variables is tombstoned, so a stale answer racing this eviction
 	// cannot be absorbed even if every later check were bypassed.
-	evictedVars := e.evictStep(now, len(arrivals), &res.TickResult)
-	if len(evictedVars) > 0 {
-		c.know.Forget(evictedVars...)
-		for _, v := range evictedVars {
-			delete(c.base, v)
-		}
-	}
-	for _, id := range res.Evicted {
-		delete(c.conds, id)
-	}
+	c.retire(res.Evicted, e.evictStep(now, len(arrivals), &res.TickResult))
 
 	c.expireTasks(&res.Crowd)
 	c.ingest(&res.Crowd)
@@ -429,15 +445,146 @@ func (c *CrowdEngine) ingest(led *CrowdLedger) {
 	}
 }
 
-// liveCond reports whether every variable the condition mentions
-// belongs to a live window object.
-func (c *CrowdEngine) liveCond(cond *ctable.Condition) bool {
-	for _, v := range cond.Vars() {
-		if !c.eng.tbl.Live(v.Obj) {
-			return false
+// retire forgets what the tick's evictions took: the knowledge and
+// priors of the evicted variables, and the evicted objects' cached
+// conditions with their index entries. It first collects into gone the
+// surviving cached conditions that mention an evicted variable — read
+// from the variables' index lists, which are then dropped whole.
+func (c *CrowdEngine) retire(ids []int, vars []ctable.Var) {
+	clear(c.gone)
+	if len(vars) > 0 {
+		c.know.Forget(vars...)
+	}
+	for _, v := range vars {
+		delete(c.base, v)
+		k := c.key(v)
+		for _, id := range c.mentioning(k) {
+			c.gone[id] = true
+		}
+		delete(c.byVar, k)
+	}
+	for _, id := range ids {
+		if cond, ok := c.conds[id]; ok {
+			c.reindex(id, cond, nil)
+			delete(c.conds, id)
+		}
+		delete(c.gone, id)
+	}
+}
+
+// reindex moves id's index entries from the variables old mentions to
+// the ones cur mentions (nil: no condition), touching only the
+// difference: a variable both mention keeps its entry, and a new object
+// (old nil) is indexed in one pass over its literals. A variable's list
+// gains id at its end, so a repeat within cur is caught by the list's
+// last entry; only old's variables need the scratch set.
+func (c *CrowdEngine) reindex(id int, old, cur *ctable.Condition) {
+	if old == cur {
+		return
+	}
+	c.curKeys = c.keysOf(c.curKeys[:0], id, cur)
+	if old == nil {
+		for _, k := range c.curKeys {
+			c.link(id, k)
+		}
+		return
+	}
+	c.oldKeys = c.keysOf(c.oldKeys[:0], id, old)
+	inOld := c.inOld
+	clear(inOld)
+	for _, k := range c.oldKeys {
+		inOld[k] = true
+	}
+	for _, k := range c.curKeys {
+		if _, had := inOld[k]; had {
+			inOld[k] = false // kept
+			continue
+		}
+		c.link(id, k)
+	}
+	for _, k := range c.oldKeys {
+		if inOld[k] {
+			inOld[k] = false
+			c.unlink(id, k)
 		}
 	}
-	return true
+}
+
+// keysOf appends to dst the index keys of the variables cond's literals
+// mention (none for nil). An object's own variables recur across the
+// clauses of its condition, so those are listed once each; other
+// repeats are left to the callers, which tolerate them.
+func (c *CrowdEngine) keysOf(dst []int, id int, cond *ctable.Condition) []int {
+	if cond == nil {
+		return dst
+	}
+	var own uint64 // own variables listed, by attribute (the first 64)
+	add := func(v ctable.Var) {
+		if v.Obj == id && v.Attr < 64 {
+			if own&(1<<v.Attr) != 0 {
+				return
+			}
+			own |= 1 << v.Attr
+		}
+		dst = append(dst, c.key(v))
+	}
+	for _, cl := range cond.Clauses {
+		for i := range cl {
+			add(cl[i].X)
+			if cl[i].Kind == ctable.VarGTVar {
+				add(cl[i].Y)
+			}
+		}
+	}
+	return dst
+}
+
+// key packs a variable into byVar's key: an int keys the map's fast
+// path, where the two-int Var would hash as a generic struct.
+func (c *CrowdEngine) key(v ctable.Var) int { return v.Obj*len(c.cfg.Attrs) + v.Attr }
+
+// mentioning returns the ids whose cached condition mentions the
+// variable keyed k.
+func (c *CrowdEngine) mentioning(k int) []int {
+	if p := c.byVar[k]; p != nil {
+		return *p
+	}
+	return nil
+}
+
+// link appends id to the list of the variable keyed k, unless this pass
+// already did. A new list starts with room for a few ids, which spares
+// the window fill most of its regrowths.
+func (c *CrowdEngine) link(id, k int) {
+	p := c.byVar[k]
+	if p == nil {
+		ids := make([]int, 0, 4)
+		p = &ids
+		c.byVar[k] = p
+	}
+	if n := len(*p); n > 0 && (*p)[n-1] == id {
+		return
+	}
+	*p = append(*p, id)
+}
+
+// unlink drops id from the list of the variable keyed k, deleting an
+// emptied list. A list dropped whole at eviction stays dropped.
+func (c *CrowdEngine) unlink(id, k int) {
+	ids := c.mentioning(k)
+	for i, x := range ids {
+		if x != id {
+			continue
+		}
+		last := len(ids) - 1
+		ids[i] = ids[last]
+		if last == 0 {
+			delete(c.byVar, k)
+		} else {
+			*c.byVar[k] = ids[:last]
+		}
+		return
+	}
 }
 
 // liveExpr reports whether every object the expression mentions is
@@ -474,12 +621,13 @@ func (c *CrowdEngine) postStep(led *CrowdLedger) {
 			continue
 		}
 		// The cached conditions date from the previous re-evaluation, so
-		// one may still mention an object this tick just evicted. Skip
-		// such candidates: scoring would re-solve a condition whose
-		// evicted variables no longer have distributions, and any answer
-		// bought about them would arrive stale anyway. The survivors
-		// re-enter selection next tick, refreshed.
-		if !c.liveCond(cond) {
+		// one may still mention an object this tick just evicted (retire
+		// collected those into gone). Skip such candidates: scoring would
+		// re-solve a condition whose evicted variables no longer have
+		// distributions, and any answer bought about them would arrive
+		// stale anyway. The survivors re-enter selection next tick,
+		// refreshed.
+		if c.gone[id] {
 			continue
 		}
 		objs = append(objs, id)
@@ -553,28 +701,40 @@ func (c *CrowdEngine) postStep(led *CrowdLedger) {
 
 // reeval refreshes the conditions the tick's edits and answers touched
 // and re-solves their probabilities: the table's dirty set (structure
-// changes from inserts and evictions) plus every live condition that
-// mentions a variable an absorbed answer narrowed. With an empty
-// knowledge the step is exactly the machine engine's — same dirty set,
-// no simplification — so a zero-budget run is bit-identical to Engine.
+// changes from inserts and evictions) plus every cached condition that
+// mentions a variable an absorbed answer narrowed, read from the index.
+// With an empty knowledge the step is exactly the machine engine's —
+// same dirty set, no simplification — so a zero-budget run is
+// bit-identical to Engine.
+//
+// A dirty condition is rebuilt from the table. One stale only because
+// an answer touched it is re-simplified from its cached, already
+// simplified copy, as core's crowd phase does; that gives the same
+// clauses as simplifying the table's condition afresh, because
+//   - knowledge only narrows: Absorb rejects a conflicting answer, so a
+//     literal decided when the copy was cached is decided the same way
+//     now;
+//   - Knowledge.Eval reads only a literal's own variables; and
+//   - a forgotten variable always belongs to an evicted object — the
+//     object itself, whose condition is gone, or a dominator, whose
+//     clause retraction marked the condition dirty — so a condition
+//     that is not dirty mentions no forgotten variable.
+//
+// Simplifying once more therefore drops exactly the literals and
+// clauses that simplifying the table's condition under today's
+// knowledge would.
 func (c *CrowdEngine) reeval(res *TickResult) {
 	e := c.eng
-	dirty := e.tbl.DrainDirty()
+	// staleSet maps each stale id to whether it is dirty.
 	staleSet := c.staleScratch
 	clear(staleSet)
-	for _, id := range dirty {
+	for _, id := range e.tbl.DrainDirty() {
 		staleSet[id] = true
 	}
-	if len(c.touched) > 0 {
-		for id, cond := range c.conds {
-			if staleSet[id] {
-				continue
-			}
-			for _, v := range cond.Vars() {
-				if c.touched[v] {
-					staleSet[id] = true
-					break
-				}
+	for v := range c.touched {
+		for _, id := range c.mentioning(c.key(v)) {
+			if _, ok := staleSet[id]; !ok {
+				staleSet[id] = false
 			}
 		}
 	}
@@ -598,10 +758,17 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	conds := make([]*ctable.Condition, len(stale))
 	knowEmpty := c.know.Empty()
 	for i, id := range stale {
-		cond := e.tbl.Cond(id)
-		if !knowEmpty {
-			cond = cond.Simplified(c.know)
+		prev := c.conds[id]
+		var cond *ctable.Condition
+		switch {
+		case !staleSet[id]:
+			cond = prev.Simplified(c.know)
+		case knowEmpty:
+			cond = e.tbl.Cond(id)
+		default:
+			cond = e.tbl.Cond(id).Simplified(c.know)
 		}
+		c.reindex(id, prev, cond)
 		c.conds[id] = cond
 		conds[i] = cond
 	}

@@ -1,0 +1,196 @@
+package stream
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"bayescrowd/internal/core"
+	"bayescrowd/internal/crowd"
+	"bayescrowd/internal/ctable"
+	"bayescrowd/internal/dataset"
+)
+
+// TestCrowdIndexInvariants checks the variable index and the
+// incrementally simplified condition cache after every tick of seeded,
+// faulted runs: a small window whose objects live a few ticks, answer
+// delays past both that lifetime and the task deadline, UBS and HHS, at
+// 1 and 4 workers. After each tick
+//   - the index is exact: id ∈ byVar[v] ⇔ conds[id] mentions v, with no
+//     duplicate entries;
+//   - the tick's post-step exclusion set equals the brute-force filter
+//     it replaced: the cached conditions (as of the post step) of
+//     surviving objects that mention a variable of a non-live object;
+//   - every cached condition is clause-for-clause the table's condition
+//     simplified under the current knowledge.
+func TestCrowdIndexInvariants(t *testing.T) {
+	for _, strat := range []core.Strategy{core.UBS, core.HHS} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/workers%d", strat, workers), func(t *testing.T) {
+				checkIndexRun(t, strat, workers)
+			})
+		}
+	}
+}
+
+func checkIndexRun(t *testing.T, strat core.Strategy, workers int) {
+	const deadline = 3
+	sc := genCrowdScript(rand.New(rand.NewSource(97)), 60, 2, 0.45)
+	sim := crowd.NewSimulated(sc.truth, 0.85, rand.New(rand.NewSource(41)))
+	platform := crowd.NewUnreliable(sim, 0.1, 0.05, 0.1, rand.New(rand.NewSource(42)))
+	// A count-8 window with two arrivals a tick holds an object for four
+	// ticks: delays up to 6 outlive both it and the deadline.
+	platform.MinDelay, platform.MaxDelay = 0, 6
+	ce, err := NewCrowd(CrowdConfig{
+		Config:       Config{Attrs: sc.attrs, Window: Window{Count: 8}, Workers: workers},
+		Platform:     platform,
+		Budget:       200,
+		TasksPerTick: 3,
+		TaskDeadline: deadline,
+		Strategy:     strat,
+		M:            2,
+		Rng:          rand.New(rand.NewSource(43)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var excluded, absorbed, stale, expired int
+	for tick, batch := range sc.ticks {
+		pre := maps.Clone(ce.conds)
+		res := ce.Tick(int64(tick), batch)
+		tag := fmt.Sprintf("tick %d", tick)
+		checkIndexExact(t, tag, ce)
+		want := bruteForceGone(ce, pre)
+		if !reflect.DeepEqual(sortedIDs(ce.gone), want) {
+			t.Fatalf("%s: exclusion set %v, brute-force filter %v", tag, sortedIDs(ce.gone), want)
+		}
+		checkCondsSimplified(t, tag, ce)
+		excluded += len(want)
+		absorbed += res.Crowd.Absorbed
+		stale += res.Crowd.Stale + res.Crowd.Late
+		expired += res.Crowd.Expired
+	}
+	if excluded == 0 || absorbed == 0 || stale == 0 || expired == 0 {
+		t.Fatalf("vacuous run: %d excluded candidates, %d absorbed, %d stale or late, %d expired",
+			excluded, absorbed, stale, expired)
+	}
+}
+
+// checkIndexExact asserts id ∈ byVar[v] ⇔ conds[id] mentions v.
+func checkIndexExact(t *testing.T, tag string, ce *CrowdEngine) {
+	t.Helper()
+	want := map[int][]int{}
+	for id, cond := range ce.conds {
+		for _, v := range cond.Vars() {
+			want[ce.key(v)] = append(want[ce.key(v)], id)
+		}
+	}
+	got := map[int][]int{}
+	for k, ids := range ce.byVar {
+		got[k] = append([]int(nil), (*ids)...)
+	}
+	for _, m := range []map[int][]int{want, got} {
+		for _, ids := range m {
+			sort.Ints(ids)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k, ids := range want {
+			if !reflect.DeepEqual(got[k], ids) {
+				t.Fatalf("%s: byVar[%d] = %v, cached conditions mentioning it: %v", tag, k, got[k], ids)
+			}
+		}
+		for k, ids := range got {
+			if _, ok := want[k]; !ok {
+				t.Fatalf("%s: byVar[%d] = %v, but no cached condition mentions it", tag, k, ids)
+			}
+		}
+	}
+}
+
+// bruteForceGone is the selection filter the exclusion set replaced:
+// the cached conditions the post step saw (pre, less this tick's
+// evictions) that mention a variable whose object is not live.
+func bruteForceGone(ce *CrowdEngine, pre map[int]*ctable.Condition) []int {
+	out := []int{}
+	for id, cond := range pre {
+		if !ce.eng.tbl.Live(id) {
+			continue
+		}
+		for _, v := range cond.Vars() {
+			if !ce.eng.tbl.Live(v.Obj) {
+				out = append(out, id)
+				break
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// checkCondsSimplified asserts every cached condition equals the
+// table's condition simplified under the current knowledge.
+func checkCondsSimplified(t *testing.T, tag string, ce *CrowdEngine) {
+	t.Helper()
+	if got, want := len(ce.conds), ce.Len(); got != want {
+		t.Fatalf("%s: %d cached conditions for %d live objects", tag, got, want)
+	}
+	for id, cond := range ce.conds {
+		ref := ce.eng.tbl.Cond(id).Simplified(ce.know)
+		gv, gd := cond.Decided()
+		rv, rd := ref.Decided()
+		if gv != rv || gd != rd || !reflect.DeepEqual(cond.Clauses, ref.Clauses) {
+			t.Fatalf("%s: cached condition of %d is %v, the table's simplified is %v", tag, id, cond, ref)
+		}
+	}
+}
+
+func sortedIDs(set map[int]bool) []int {
+	out := []int{}
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// BenchmarkCrowdTick measures one steady-state crowd tick: a
+// 1000-object window of NBA rows with 10% of the cells missing, one
+// arrival and one eviction a tick, UBS posting 2 tasks a tick to a crowd
+// that answers 1–3 ticks later. The window fill is set-up, outside the
+// timing.
+func BenchmarkCrowdTick(b *testing.B) {
+	const window = 1000
+	truth := dataset.GenNBA(rand.New(rand.NewSource(1)), window+b.N)
+	holes := truth.InjectMissing(rand.New(rand.NewSource(2)), 0.1)
+	rows := make([][]dataset.Cell, len(holes.Objects))
+	for i, o := range holes.Objects {
+		rows[i] = o.Cells
+	}
+	platform := crowd.NewUnreliable(crowd.NewSimulated(truth, 1, nil), 0, 0, 0, rand.New(rand.NewSource(3)))
+	platform.MinDelay, platform.MaxDelay = 1, 3
+	ce, err := NewCrowd(CrowdConfig{
+		Config:       Config{Attrs: truth.Attrs, Window: Window{Count: window}, Workers: 2},
+		Platform:     platform,
+		Budget:       2 * b.N,
+		TasksPerTick: 2,
+		TaskDeadline: 4,
+		Strategy:     core.UBS,
+		Rng:          rand.New(rand.NewSource(4)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ce.Tick(0, rows[:window])
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		ce.Tick(int64(i+1), rows[window+i:window+i+1])
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "ns/tick")
+}
