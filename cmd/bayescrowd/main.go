@@ -74,7 +74,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "goroutines for the parallel phases; 0 = one per CPU, 1 = sequential (results are identical either way)")
 		nocache     = flag.Bool("nocache", false, "disable the component probability cache (results are identical either way)")
 		cacheSize   = flag.Int("cachesize", 0, "max memoized components; 0 = default bound")
-		approxThr   = flag.Int("approxthreshold", 0, "estimate components with more than this many variables by sampling (deterministic, ~0.05 absolute error); 0 = always exact")
+		approxThr   = flag.Int("approxthreshold", 0, "estimate components with more than this many variables by Monte Carlo sampling (2000 draws, deterministic; Hoeffding: error >= 0.05 with probability <= 1e-4 per component); 0 = always exact")
 		dropProb    = flag.Float64("dropprob", 0, "fault injection: per-task probability the answer is dropped")
 		outageProb  = flag.Float64("outageprob", 0, "fault injection: per-round probability the platform fails outright")
 		spamProb    = flag.Float64("spamprob", 0, "fault injection: per-task probability the answer is replaced by a random relation")
@@ -271,7 +271,7 @@ func main() {
 
 	fmt.Printf("posted %d tasks in %d rounds (%d budget units spent)\n", res.TasksPosted, res.Rounds, res.BudgetSpent)
 	if res.ApproxComponents > 0 {
-		fmt.Printf("approximated %d components (threshold %d variables, ~0.05 absolute error)\n",
+		fmt.Printf("approximated %d components (threshold %d variables, 2000 Monte Carlo draws each)\n",
 			res.ApproxComponents, *approxThr)
 	}
 	if res.TasksDropped > 0 || res.FailedRounds > 0 || res.ConflictingAnswers > 0 || res.TasksReasked > 0 {

@@ -99,12 +99,13 @@ type Options struct {
 	NoInference bool
 
 	// ApproxThreshold switches Pr(φ) model counting from exact ADPLL to
-	// the ApproxCount estimator for any connected component with more
-	// than this many distinct variables (see prob.Options.ApproxThreshold
-	// for the determinism and error-bound contract: estimates are seeded
-	// from the component fingerprint, so results stay bit-identical at
-	// any worker count, and on the seeded benchmark components the
-	// estimate stays within 0.05 absolute of the exact probability).
+	// a Monte Carlo estimate (2000 draws) for any connected component
+	// with more than this many distinct variables (see
+	// prob.Options.ApproxThreshold for the determinism and error-bound
+	// contract: estimates are seeded from the component fingerprint, so
+	// results stay bit-identical at any worker count and cache state,
+	// and by Hoeffding's bound each estimate misses the exact probability
+	// by 0.05 or more with probability at most about 1e-4).
 	// 0 — the default — counts every component exactly.
 	ApproxThreshold int
 
@@ -275,7 +276,7 @@ type Result struct {
 	// its own model.
 	Cache prob.CacheStats
 	// ApproxComponents counts the connected components whose probability
-	// was estimated by the ApproxCount fallback rather than counted
+	// was estimated by the Monte Carlo fallback rather than counted
 	// exactly (always zero unless Options.ApproxThreshold is set). Like
 	// the cache counters, the count depends on scheduling when the
 	// component cache is shared — the estimated values themselves do not.

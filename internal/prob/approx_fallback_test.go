@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bayescrowd/internal/ctable"
@@ -50,9 +51,9 @@ func TestApproxFallbackBoundary(t *testing.T) {
 	}
 }
 
-// TestApproxFallbackAgreement asserts the documented empirical bound: on
-// seeded components the approximate estimate stays within 0.05 absolute
-// of the exact probability (see Evaluator.ApproxComponents).
+// TestApproxFallbackAgreement asserts the documented bound: on seeded
+// components the approximate estimate stays within 0.05 absolute of the
+// exact probability (see Evaluator.ApproxComponents).
 func TestApproxFallbackAgreement(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		cond, dists := chainCondition(7, 4, seed)
@@ -62,6 +63,68 @@ func TestApproxFallbackAgreement(t *testing.T) {
 			t.Errorf("seed %d: |exact %v - approx %v| exceeds the documented 0.05 bound",
 				seed, exact, approx)
 		}
+	}
+
+	// An NBA-shaped workload: every condition, one or several of its
+	// components estimated, lands within the bound.
+	conds, dists := nbaConditions(400, 0.3, 0.1, 9)
+	exact := (&Evaluator{Dists: dists, Cache: NewComponentCache(DefaultCacheSize)}).ProbAll(conds, 0)
+	ev := &Evaluator{Dists: dists, Opt: Options{ApproxThreshold: 4}, Cache: NewComponentCache(DefaultCacheSize)}
+	approx := ev.ProbAll(conds, 0)
+	if ev.ApproxComponents() == 0 {
+		t.Fatal("NBA workload never tripped the fallback")
+	}
+	over, worst := 0, 0.0
+	for i := range conds {
+		d := math.Abs(exact[i] - approx[i])
+		worst = max(worst, d)
+		if d > 0.05 {
+			over++
+		}
+	}
+	if over > 0 {
+		t.Errorf("NBA: %d of %d conditions off by more than 0.05 (max %.3f)", over, len(conds), worst)
+	}
+}
+
+// permuted returns a copy of c with its clause order and every clause's
+// literal order reversed: the same formula in a different layout, so its
+// variables intern in a different order.
+func permuted(c *ctable.Condition) *ctable.Condition {
+	clauses := make([][]ctable.Expr, len(c.Clauses))
+	for i, cl := range c.Clauses {
+		rev := slices.Clone(cl)
+		slices.Reverse(rev)
+		clauses[len(c.Clauses)-1-i] = rev
+	}
+	return ctable.FromClauses(clauses)
+}
+
+// TestApproxFallbackCacheOrder checks that an estimate depends on the
+// component alone, not on the layout of the condition it was first met
+// in: after a clause-permuted copy of each condition warms a shared
+// cache, every condition reads back exactly its uncached value.
+func TestApproxFallbackCacheOrder(t *testing.T) {
+	conds, dists := nbaConditions(400, 0.3, 0.1, 9)
+	conds = conds[:40]
+	opt := Options{ApproxThreshold: 4}
+	want := (&Evaluator{Dists: dists, Opt: opt}).ProbAll(conds, 1)
+	ev := &Evaluator{Dists: dists, Opt: opt, Cache: NewComponentCache(DefaultCacheSize)}
+	for _, c := range conds {
+		ev.Prob(permuted(c))
+	}
+	if ev.ApproxComponents() == 0 {
+		t.Fatal("warm-up never tripped the fallback")
+	}
+	differ := 0
+	for i, c := range conds {
+		if got := ev.Prob(c); !sameBits(got, want[i]) {
+			differ++
+			t.Logf("condition %d: %v after a permuted warm-up, %v uncached", i, got, want[i])
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d conditions changed value after a permuted copy warmed the cache", differ, len(conds))
 	}
 }
 

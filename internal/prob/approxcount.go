@@ -38,72 +38,61 @@ func (ev *Evaluator) ApproxCount(c *ctable.Condition, samplesPerLevel int, rng *
 	if samplesPerLevel <= 0 {
 		panic(fmt.Sprintf("prob: ApproxCount with %d samples per level", samplesPerLevel))
 	}
-	s, clauses := newSolver(ev, clone2(c.Clauses))
+	s, clauses := newSolver(ev, c.Clauses)
 	p := s.approxCount(clauses, samplesPerLevel, rng)
 	s.release()
 	return p
 }
 
-func clone2(clauses [][]ctable.Expr) [][]ctable.Expr {
-	out := make([][]ctable.Expr, len(clauses))
-	for i, cl := range clauses {
-		out[i] = append([]ctable.Expr(nil), cl...)
-	}
-	return out
-}
-
-// approxComponent is the ApproxThreshold fallback of componentProb: one
-// telescoping estimate over a connected component too wide for exact
-// counting, seeded from the component's canonical cache key. Seeding from
-// the fingerprint — never from a shared, schedule-consumed source — is
-// what keeps the estimate a pure function of the component, and thus
-// identical at any worker count or cache state.
-func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
-	// FNV-1a over the canonical key.
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	rng := rand.New(rand.NewSource(int64(h)))
-	s.nApprox++
-	return s.approxCount(comp, DefaultApproxSamples, rng)
-}
-
-// approxCount runs one telescoping estimate over the solver's interned
-// clauses. The assignments it fixes are reverted on return, so it can
-// run mid-evaluation (the ApproxThreshold fallback) without corrupting
-// sibling components.
+// approxCount runs one telescoping estimate on the compiled clause state
+// (state.go): each level fixes one variable through stAssign, and the
+// level's residual is read through the liveness bits, never rewritten.
+// The trail and the fixed assignments are reverted on return.
 func (s *solver) approxCount(clauses [][]cexpr, samplesPerLevel int, rng *rand.Rand) float64 {
-	var fixed []int32
+	for _, cl := range clauses {
+		if len(cl) == 0 {
+			return 0
+		}
+	}
+	s.stCompile(clauses)
+	s.stTrail = s.stTrail[:0]
 	defer func() {
-		for _, v := range fixed {
+		s.stRewind(0)
+		s.stIdx = s.stIdx[:0]
+		for v := range s.assign {
 			s.assign[v] = -1
 		}
 	}()
 	estimate := 1.0
 	for {
-		residual, value, decided := s.simplify(clauses)
-		if decided {
-			if value {
-				return estimate
+		s.stIdx = s.stIdx[:0]
+		for c := range clauses {
+			if !s.stClauseSat(int32(c)) {
+				s.stIdx = append(s.stIdx, int32(c))
 			}
-			return 0
+		}
+		residual := s.stIdx
+		if len(residual) == 0 {
+			return estimate
 		}
 		// Exact finish when the residual is independent — the cheap exit
 		// ADPLL also uses; without it the estimator would sample forever
 		// on already-trivial formulas.
-		if p, ok := s.directProb(residual); ok {
+		if p, ok := s.stDirectProb(residual); ok {
 			return estimate * p
 		}
 
-		v := s.pickVar(residual)
+		v := s.stPickVar(residual)
+		lits := s.stGatherEff(residual)
+		vars := s.firstVars(lits)
+		slices.Sort(vars)
 
 		// Estimate P(v = a | φ) from satisfying samples.
-		counts := make([]float64, len(s.dists[v]))
+		counts := resizeFillFloats(s.satCounts, len(s.dists[v]), 0)
+		s.satCounts = counts
 		got := 0
 		for i := 0; i < samplesPerLevel; i++ {
-			assignment, ok := s.sampleSat(residual, rng)
+			assignment, ok := s.sampleSat(lits, vars, rng)
 			if !ok {
 				continue
 			}
@@ -129,77 +118,120 @@ func (s *solver) approxCount(clauses [][]cexpr, samplesPerLevel int, rng *rand.R
 		// Weight by the prior of the fixed value: Pr(φ) =
 		// Pr(φ ∧ v=a) / P(v=a | φ) and Pr(φ ∧ v=a) = p(a)·Pr(φ | v=a).
 		estimate *= s.dists[v][best] / share
-		s.assign[v] = int32(best)
-		fixed = append(fixed, v)
-		clauses = residual
+		if dead := s.stAssign(v, int32(best)); dead {
+			return 0
+		}
 	}
 }
 
-// sampleSat draws one satisfying assignment of the residual clauses (over
-// the unassigned variables) by sampling from the variable distributions
-// and repairing violated clauses with a bounded greedy local search —
-// the multi-valued analogue of SampleSat's WalkSat phase. ok is false if
-// no satisfying assignment was reached within the repair budget. The
-// returned assignment is dense solver scratch indexed by var id, valid
-// until the next sampleSat call.
-func (s *solver) sampleSat(clauses [][]cexpr, rng *rand.Rand) ([]int32, bool) {
-	// Collect the variables of the residual in deterministic (sorted)
-	// order: drawing the initial assignment in discovery order would tie
-	// the seeded rng's consumption to clause layout rather than variable
-	// identity. The seen-set rides the solver's epoch-stamped scratch —
-	// this runs under the hot loop's no-map-allocation discipline.
-	s.epoch++
-	varList := s.satVars[:0]
+// stGatherEff copies the live literals of the residual clauses, in their
+// effective form (stEffLit), into reused solver scratch: one clause slice
+// per residual clause, in clause and literal order.
+func (s *solver) stGatherEff(residual []int32) [][]cexpr {
+	s.satLits = s.satLits[:0]
+	for _, c := range residual {
+		for ei := s.stClauseOff[c]; ei < s.stClauseOff[c+1]; ei++ {
+			if !s.stLitDead(ei) {
+				s.satLits = append(s.satLits, s.stEffLit(s.stExprs[ei]))
+			}
+		}
+	}
+	// stLive[c] counts exactly the literals copied for an unsatisfied
+	// clause, so the headers are carved after the buffer is final.
+	s.satClauses = s.satClauses[:0]
+	k := int32(0)
+	for _, c := range residual {
+		n := s.stLive[c]
+		s.satClauses = append(s.satClauses, s.satLits[k:k+n:k+n])
+		k += n
+	}
+	return s.satClauses
+}
+
+// draw samples every variable of vars from its distribution, in the
+// order listed, into the dense working assignment satAssign.
+func (s *solver) draw(vars []int32, rng *rand.Rand) []int32 {
+	a := s.satAssign
+	for _, v := range vars {
+		a[v] = int32(sampleDist(rng, s.dists[v]))
+	}
+	return a
+}
+
+// firstViolated returns the first clause no literal of which holds under
+// the dense assignment a, or nil when a satisfies every clause.
+func firstViolated(clauses [][]cexpr, a []int32) []cexpr {
 	for _, cl := range clauses {
+		sat := false
 		for _, e := range cl {
-			if s.seenEp[e.x] != s.epoch {
-				s.seenEp[e.x] = s.epoch
-				varList = append(varList, e.x)
+			y := int32(0)
+			if e.y >= 0 {
+				y = a[e.y]
 			}
-			if e.y >= 0 && s.seenEp[e.y] != s.epoch {
-				s.seenEp[e.y] = s.epoch
-				varList = append(varList, e.y)
+			if litHolds(e, a[e.x], y) {
+				sat = true
+				break
 			}
 		}
+		if !sat {
+			return cl
+		}
 	}
-	s.satVars = varList
-	slices.Sort(varList)
-	assignment := s.satAssign
-	for _, v := range varList {
-		assignment[v] = int32(sampleDist(rng, s.dists[v]))
-	}
+	return nil
+}
 
-	value := func(v int32) int32 { return assignment[v] }
-	holdsUnder := func(e cexpr) bool {
-		x := value(e.x)
-		switch e.kind {
-		case ctable.VarLTConst:
-			return x < e.c
-		case ctable.VarGTConst:
-			return x > e.c
-		default:
-			return x > value(e.y)
+// monteCarlo estimates the probability of the clause set as the fraction
+// of samples full draws of vars (the clause set's variables, drawn in the
+// order listed) that satisfy every clause.
+func (s *solver) monteCarlo(clauses [][]cexpr, vars []int32, samples int, rng *rand.Rand) float64 {
+	hits := 0
+	for i := 0; i < samples; i++ {
+		if firstViolated(clauses, s.draw(vars, rng)) == nil {
+			hits++
 		}
 	}
-	violated := func() []cexpr {
-		for _, cl := range clauses {
-			sat := false
-			for _, e := range cl {
-				if holdsUnder(e) {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				return cl
-			}
-		}
-		return nil
-	}
+	return float64(hits) / float64(samples)
+}
 
+// fallbackSamples is the Monte Carlo effort of the ApproxThreshold
+// fallback. By Hoeffding's inequality a mean of n independent draws
+// misses the true probability by ε or more with probability at most
+// 2·exp(−2nε²): at n = 2000 and ε = 0.05 that is 2·e^−10 ≈ 1e-4 per
+// component.
+const fallbackSamples = 2000
+
+// approxComponent is the ApproxThreshold fallback of componentProb: a
+// Monte Carlo estimate of a connected component too wide for exact
+// counting. The component arrives in canonical fingerprint order; the
+// rng is seeded from its key, and each draw goes to the n-th variable in
+// first-appearance order of that canonical clause list. The estimate is
+// thus a pure function of the key and the distributions — identical at
+// any worker count, cache state, and clause layout of the condition the
+// component came from.
+func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
+	// FNV-1a over the canonical key.
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	rng := rand.New(rand.NewSource(int64(h)))
+	s.nApprox++
+	return s.monteCarlo(comp, s.firstVars(comp), fallbackSamples, rng)
+}
+
+// sampleSat draws one satisfying assignment of the clauses (over vars,
+// their variables, drawn in the order listed) by sampling from the
+// variable distributions and repairing violated clauses with a bounded
+// greedy local search — the multi-valued analogue of SampleSat's WalkSat
+// phase. ok is false if no satisfying assignment was reached within the
+// repair budget. The returned assignment is dense solver scratch indexed
+// by var id, valid until the next draw.
+func (s *solver) sampleSat(clauses [][]cexpr, vars []int32, rng *rand.Rand) ([]int32, bool) {
+	assignment := s.draw(vars, rng)
 	const maxFlips = 50
 	for flip := 0; flip < maxFlips; flip++ {
-		cl := violated()
+		cl := firstViolated(clauses, assignment)
 		if cl == nil {
 			return assignment, true
 		}
@@ -220,7 +252,7 @@ func (s *solver) sampleSat(clauses [][]cexpr, rng *rand.Rand) ([]int32, bool) {
 			}
 		}
 	}
-	if violated() == nil {
+	if firstViolated(clauses, assignment) == nil {
 		return assignment, true
 	}
 	return nil, false

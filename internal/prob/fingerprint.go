@@ -52,8 +52,8 @@ const (
 )
 
 // fingerprint sorts the component into canonical order (in place — the
-// clause slices are either simplify's per-evaluation scratch or
-// newSolverGroups' fresh interned copies, never caller-owned conditions)
+// clause slices are newSolverGroups' per-evaluation interned copies,
+// never caller-owned conditions)
 // and returns its cache key under the given domain prefix. The key
 // aliases solver scratch: it is valid until the next fingerprint call and
 // must be copied to be retained (ComponentCache does so on store).
@@ -73,24 +73,34 @@ func (s *solver) fingerprint(comp [][]cexpr, prefix byte) []byte {
 	return key
 }
 
-// componentVars returns the distinct variables of the component, in
-// scratch reused across calls (ComponentCache.store copies).
-func (s *solver) componentVars(comp [][]cexpr) []ctable.Var {
+// firstVars returns the distinct variables of the clauses in order of
+// first appearance, in scratch reused across calls.
+func (s *solver) firstVars(clauses [][]cexpr) []int32 {
 	s.epoch++
-	out := s.varsBuf[:0]
-	visit := func(id int32) {
-		if s.seenEp[id] != s.epoch {
-			s.seenEp[id] = s.epoch
-			out = append(out, s.vars[id])
-		}
-	}
-	for _, cl := range comp {
+	out := s.satVars[:0]
+	for _, cl := range clauses {
 		for _, e := range cl {
-			visit(e.x)
-			if e.y >= 0 {
-				visit(e.y)
+			if s.seenEp[e.x] != s.epoch {
+				s.seenEp[e.x] = s.epoch
+				out = append(out, e.x)
+			}
+			if e.y >= 0 && s.seenEp[e.y] != s.epoch {
+				s.seenEp[e.y] = s.epoch
+				out = append(out, e.y)
 			}
 		}
+	}
+	s.satVars = out
+	return out
+}
+
+// componentVars returns the distinct variables of the component in
+// order of first appearance, in scratch reused across calls
+// (ComponentCache.store copies).
+func (s *solver) componentVars(comp [][]cexpr) []ctable.Var {
+	out := s.varsBuf[:0]
+	for _, id := range s.firstVars(comp) {
+		out = append(out, s.vars[id])
 	}
 	s.varsBuf = out
 	return out

@@ -3,7 +3,7 @@
 // §5).
 //
 // The problem is weighted model counting over multi-valued variables, at
-// least as hard as #SAT. Three solvers are provided:
+// least as hard as #SAT. Four solvers are provided:
 //
 //   - ADPLL (Algorithm 3): the paper's adaptive DPLL — branch on the most
 //     frequent variable, and stop branching as soon as the residual
@@ -18,9 +18,13 @@
 //   - Naive: full enumeration of every variable-value combination, the
 //     brute-force comparator of Figure 3.
 //
-//   - MonteCarlo: a sampling estimator standing in for the paper's
-//     generalised weighted ApproxCount, which §5 reports losing to ADPLL
-//     on both axes.
+//   - ApproxCount: the paper's approximate comparator, Wei & Selman's
+//     weighted ApproxCount generalised to multi-valued variables, which
+//     §5 reports losing to ADPLL on both axes.
+//
+//   - MonteCarlo: plain sampling from the variable distributions. The
+//     same sampler estimates the components Options.ApproxThreshold takes
+//     off the exact path.
 //
 // Variables carry independent discrete distributions (their Bayesian-
 // network posteriors, possibly renormalised by crowd answers); following
@@ -63,20 +67,16 @@ type Options struct {
 	NoCache bool
 	// ApproxThreshold, when > 0, caps the exact solver: a connected
 	// component with more than ApproxThreshold distinct variables is
-	// estimated by the generalised weighted ApproxCount sampler instead
-	// of being counted exactly. The estimator is seeded from the
-	// component's canonical fingerprint, so both the fallback decision
-	// and the estimate are pure functions of the component — identical
-	// at any worker count, schedule, and cache state. See
-	// Evaluator.ApproxComponents for the documented error bound. Zero
-	// (the default) means always exact. The threshold is per component,
-	// so it has no effect under NoComponents.
+	// estimated by Monte Carlo sampling (2000 draws) instead of being
+	// counted exactly. The sampler is seeded from the component's
+	// canonical fingerprint, so both the fallback decision and the
+	// estimate are pure functions of the component — identical at any
+	// worker count, schedule, and cache state. See
+	// Evaluator.ApproxComponents for the error bound. Zero (the default)
+	// means always exact. The threshold is per component, so it has no
+	// effect under NoComponents.
 	ApproxThreshold int
 }
-
-// DefaultApproxSamples is the samples-per-level effort of the
-// ApproxThreshold fallback.
-const DefaultApproxSamples = 200
 
 // Evaluator computes condition probabilities against a fixed set of
 // variable distributions.
@@ -121,12 +121,13 @@ type Evaluator struct {
 // it depends on which worker reaches a component first — so treat it as
 // an observability figure, not a traced quantity.
 //
-// Error bound: the estimator is only asymptotically unbiased and carries
-// no worst-case guarantee. Empirically, at the DefaultApproxSamples
-// effort, the absolute error on the seeded benchmark components stays
-// within 0.05 of the exact probability (asserted by the approx fallback
-// tests); treat crossings of the 0.5 answer threshold by less than that
-// margin as undecided when ApproxThreshold is enabled.
+// Error bound: each estimated component is the mean of 2000 independent
+// draws, so by Hoeffding's inequality it misses the component's exact
+// probability by 0.05 or more with probability at most 2·e^−10 ≈ 1e-4
+// (the approx fallback tests assert the 0.05 bound on seeded chains and
+// an NBA-shaped workload). A condition's errors compound across its
+// estimated components; treat crossings of the 0.5 answer threshold by
+// less than 0.05 as undecided when ApproxThreshold is enabled.
 func (ev *Evaluator) ApproxComponents() int64 { return ev.approxN.Load() }
 
 // NewEvaluator returns an evaluator over the given distributions with
@@ -308,8 +309,9 @@ func (ev *Evaluator) StateSpace(c *ctable.Condition) float64 {
 }
 
 // MonteCarlo estimates Pr(φ) by sampling each variable from its
-// distribution and reporting the fraction of satisfied draws. It stands in
-// for the paper's generalised weighted ApproxCount comparator (§5).
+// distribution, in order of first appearance, and reporting the fraction
+// of satisfied draws. It runs the same solver-level sampler as the
+// ApproxThreshold fallback, over the condition's interned clauses.
 func (ev *Evaluator) MonteCarlo(c *ctable.Condition, samples int, rng *rand.Rand) float64 {
 	if value, decided := c.Decided(); decided {
 		if value {
@@ -320,18 +322,10 @@ func (ev *Evaluator) MonteCarlo(c *ctable.Condition, samples int, rng *rand.Rand
 	if samples <= 0 {
 		panic(fmt.Sprintf("prob: MonteCarlo with %d samples", samples))
 	}
-	vars := c.Vars()
-	assign := make(map[ctable.Var]int, len(vars))
-	hits := 0
-	for s := 0; s < samples; s++ {
-		for _, v := range vars {
-			assign[v] = sampleDist(rng, ev.dist(v))
-		}
-		if value, _ := c.EvalAssign(assign); value {
-			hits++
-		}
-	}
-	return float64(hits) / float64(samples)
+	s, clauses := newSolver(ev, c.Clauses)
+	p := s.monteCarlo(clauses, s.firstVars(clauses), samples, rng)
+	s.release()
+	return p
 }
 
 func sampleDist(rng *rand.Rand, dist []float64) int {

@@ -11,12 +11,11 @@ import (
 // points convert a condition's expressions into a dense form first —
 // variables interned to small integer ids, clauses to slices of cexpr —
 // so everything downstream works on array indexing instead of map
-// hashing. This file holds the interning, the top-level split into
-// connected components with their cache and approximate-fallback
-// dispatch, and the clause-rewriting helpers (substitute, simplify,
-// pickVar, directProb, components) the top level and the ApproxCount
-// estimator share. Branching itself runs on the compiled clause-state
-// engine in state.go.
+// hashing. This file holds the interning, the literal evaluators
+// (exprProb, litHolds), and the top level: the direct rule, the split
+// into connected components, and their cache and approximate-fallback
+// dispatch. Branching itself runs on the compiled clause-state engine in
+// state.go; the sampling estimators are in approxcount.go.
 
 // cexpr is an interned expression. y < 0 marks a constant right operand.
 type cexpr struct {
@@ -44,7 +43,7 @@ type solver struct {
 	assign []int32
 	// Scratch epochs avoid clearing per-var arrays on every recursion.
 	epoch   int
-	seenEp  []int // directProb / pickVar bookkeeping
+	seenEp  []int // directProb / stPickVar / firstVars bookkeeping
 	counts  []int
 	ownerEp []int // components bookkeeping
 	owner   []int
@@ -65,11 +64,16 @@ type solver struct {
 	// margNeed marks the variables the all-marginals pass must report
 	// vectors for (set by the scan planner, false everywhere otherwise).
 	margNeed []bool
-	// satVars and satAssign are sampleSat scratch: the sorted variable
-	// list of the residual and the dense working assignment, replacing the
-	// per-sample maps the estimator used to allocate.
-	satVars   []int32
-	satAssign []int32
+	// satVars is firstVars' output, the samplers' variable draw order.
+	// The rest is sampler scratch (approxcount.go): the dense working
+	// assignment, ApproxCount's per-level live literals in effective form
+	// (satLits, carved per clause into satClauses) and its per-value
+	// sample counts.
+	satVars    []int32
+	satAssign  []int32
+	satLits    []cexpr
+	satClauses [][]cexpr
+	satCounts  []float64
 	// nApprox counts the connected components this evaluation resolved
 	// through the approximate estimator (Options.ApproxThreshold); the
 	// public entry points drain it into the evaluator's counter.
@@ -357,69 +361,6 @@ func (s *solver) exprProb(e cexpr) float64 {
 	}
 }
 
-// substitute applies the current assignment to an expression.
-func (s *solver) substitute(e cexpr) (out cexpr, value, decided bool) {
-	switch e.kind {
-	case ctable.VarLTConst:
-		if x := s.assign[e.x]; x >= 0 {
-			return e, x < e.c, true
-		}
-		return e, false, false
-	case ctable.VarGTConst:
-		if x := s.assign[e.x]; x >= 0 {
-			return e, x > e.c, true
-		}
-		return e, false, false
-	default: // VarGTVar
-		x, y := s.assign[e.x], s.assign[e.y]
-		switch {
-		case x >= 0 && y >= 0:
-			return e, x > y, true
-		case x >= 0:
-			return cexpr{kind: ctable.VarLTConst, x: e.y, y: -1, c: x}, false, false
-		case y >= 0:
-			return cexpr{kind: ctable.VarGTConst, x: e.x, y: -1, c: y}, false, false
-		default:
-			return e, false, false
-		}
-	}
-}
-
-// simplify rewrites clauses under the assignment into freshly allocated
-// clause copies; decided reports a collapsed formula. Only the ApproxCount
-// estimator uses it: it fixes one variable per level and carries the
-// rewritten residual forward, where the exact engine (state.go) reads
-// assignments through its clause-state bits instead.
-func (s *solver) simplify(clauses [][]cexpr) (out [][]cexpr, value, decided bool) {
-	out = make([][]cexpr, 0, len(clauses))
-	for _, cl := range clauses {
-		kept := make([]cexpr, 0, len(cl))
-		satisfied := false
-		for _, e := range cl {
-			sub, val, dec := s.substitute(e)
-			if dec {
-				if val {
-					satisfied = true
-					break
-				}
-				continue
-			}
-			kept = append(kept, sub)
-		}
-		if satisfied {
-			continue
-		}
-		if len(kept) == 0 {
-			return nil, false, true
-		}
-		out = append(out, kept)
-	}
-	if len(out) == 0 {
-		return nil, true, true
-	}
-	return out, false, false
-}
-
 // adpllTop is the ADPLL entry point (Algorithm 3) over a freshly interned
 // clause set. It tries the paper's direct rule on the whole formula, then
 // splits it into connected components, each solved in a canonical clause
@@ -469,7 +410,7 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 // Branched components are solved exactly by the compiled bitset
 // clause-state engine (state.go). When Options.ApproxThreshold is set and
 // the component holds more distinct variables than the threshold, the
-// exact count is replaced by the generalised ApproxCount estimator,
+// exact count is replaced by a Monte Carlo estimate (approxComponent)
 // seeded from the component's canonical fingerprint — the decision and
 // the estimate are pure functions of the component, so results stay
 // deterministic at any worker count, schedule, and cache state.
@@ -495,33 +436,17 @@ func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 	return p
 }
 
-// pickVar returns the most frequent variable id of the clause set (first
-// one under the BranchFirstVar ablation).
-func (s *solver) pickVar(clauses [][]cexpr) int32 {
-	s.epoch++
-	best, bestCount := int32(-1), 0
-	visit := func(v int32) {
-		if s.seenEp[v] != s.epoch {
-			s.seenEp[v] = s.epoch
-			s.counts[v] = 0
-		}
-		s.counts[v]++
-		if s.counts[v] > bestCount {
-			best, bestCount = v, s.counts[v]
-		}
+// litHolds evaluates a literal with its variables at values x and y (y
+// is unused by a constant comparison).
+func litHolds(e cexpr, x, y int32) bool {
+	switch e.kind {
+	case ctable.VarLTConst:
+		return x < e.c
+	case ctable.VarGTConst:
+		return x > e.c
+	default: // VarGTVar
+		return x > y
 	}
-	for _, cl := range clauses {
-		for _, e := range cl {
-			if s.opt.BranchFirstVar {
-				return e.x
-			}
-			visit(e.x)
-			if e.y >= 0 {
-				visit(e.y)
-			}
-		}
-	}
-	return best
 }
 
 // directProb applies the independent-conjunction and general-disjunction

@@ -26,11 +26,10 @@ import "bayescrowd/internal/ctable"
 //
 // Substitution is evaluated dynamically instead of by rewriting: a
 // var-vs-var literal with one side assigned is *read* as its effective
-// form, the constant comparison on the other side (effExprProb,
-// effective-variable visits). Clauses and literals keep their compiled
-// order, so every sum and product runs in one fixed order however the
-// recursion reaches it — which is what keeps results bit-stable across
-// worker counts and cache states. The frozen engine corpus
+// form, the constant comparison on the other side (stEffLit). Clauses
+// and literals keep their compiled order, so every sum and product runs
+// in one fixed order however the recursion reaches it — which is what
+// keeps results bit-stable across worker counts and cache states. The frozen engine corpus
 // (state_equiv_test.go) pins every output bit to the seed's
 // clause-rewriting engine, and Naive enumeration checks the mathematics
 // (prob_test.go, TestSweepVectorsMatchNaive).
@@ -191,24 +190,19 @@ func (s *solver) stAssign(v, a int32) (dead bool) {
 			continue
 		}
 		e := s.stExprs[ei]
-		var val, decided bool
-		switch e.kind {
-		case ctable.VarLTConst:
-			val, decided = a < e.c, true
-		case ctable.VarGTConst:
-			val, decided = a > e.c, true
-		default: // VarGTVar: decided once both sides are assigned
+		x, y := a, int32(0)
+		if e.kind == ctable.VarGTVar {
+			// Decided once both sides are assigned.
 			if e.x == v {
-				if y := s.assign[e.y]; y >= 0 {
-					val, decided = a > y, true
-				}
-			} else if x := s.assign[e.x]; x >= 0 {
-				val, decided = x > a, true
+				y = s.assign[e.y]
+			} else {
+				x, y = s.assign[e.x], a
+			}
+			if x < 0 || y < 0 {
+				continue
 			}
 		}
-		if !decided {
-			continue
-		}
+		val := litHolds(e, x, y)
 		if val {
 			s.stSatW[c>>6] |= 1 << uint(c&63)
 			s.stTrail = append(s.stTrail, -(c + 1))
@@ -240,56 +234,32 @@ func (s *solver) stRewind(mark int) {
 	s.stTrail = s.stTrail[:mark]
 }
 
-// effExprProb computes a live literal's probability in its effective
-// form, with exprProb's summation over that form. A live constant literal
-// always has its variable unassigned (assignment would have decided it),
-// and a live var-vs-var literal has at most one side assigned.
-func (s *solver) effExprProb(e cexpr) float64 {
+// stEffLit returns a live literal in its effective form: a var-vs-var
+// literal with one side assigned reads as the constant comparison on its
+// other side; any other live literal is its own effective form. (A live
+// constant literal always has its variable unassigned — assignment would
+// have decided it — and a live var-vs-var literal has at most one side
+// assigned.)
+func (s *solver) stEffLit(e cexpr) cexpr {
 	if e.kind == ctable.VarGTVar {
 		if x := s.assign[e.x]; x >= 0 {
-			// Rewritten form: e.y < x (VarLTConst).
-			d := s.dists[e.y]
-			p := 0.0
-			for v := 0; v < len(d) && v < int(x); v++ {
-				p += d[v]
-			}
-			return p
+			return cexpr{kind: ctable.VarLTConst, x: e.y, y: -1, c: x}
 		}
 		if y := s.assign[e.y]; y >= 0 {
-			// Rewritten form: e.x > y (VarGTConst).
-			d := s.dists[e.x]
-			p := 0.0
-			start := int(y) + 1
-			if start < 0 {
-				start = 0
-			}
-			for v := start; v < len(d); v++ {
-				p += d[v]
-			}
-			return p
+			return cexpr{kind: ctable.VarGTConst, x: e.x, y: -1, c: y}
 		}
 	}
-	return s.exprProb(e)
+	return e
 }
 
-// stVisitEff calls fn for each effective (unassigned) variable of a live
-// literal: the sole unassigned side of a half-assigned var-vs-var
-// literal, else x then y.
+// stVisitEff calls fn for each variable of a live literal's effective
+// form, x then y.
 func (s *solver) stVisitEff(e cexpr, fn func(v int32)) {
-	if e.kind == ctable.VarGTVar {
-		if s.assign[e.x] >= 0 {
-			fn(e.y)
-			return
-		}
-		if s.assign[e.y] >= 0 {
-			fn(e.x)
-			return
-		}
-		fn(e.x)
-		fn(e.y)
-		return
-	}
+	e = s.stEffLit(e)
 	fn(e.x)
+	if e.y >= 0 {
+		fn(e.y)
+	}
 }
 
 // stAdpll is one ADPLL node over a clause-index list: drop satisfied
@@ -366,8 +336,8 @@ func (s *solver) stBranch(clauses []int32, v int32) float64 {
 }
 
 // stPickVar returns the most frequent effective variable over the live
-// literals (the first one under BranchFirstVar), counting with pickVar's
-// first-maximum tie rule.
+// literals (the first one under BranchFirstVar); ties go to the variable
+// that reached the maximum count first.
 func (s *solver) stPickVar(clauses []int32) int32 {
 	s.epoch++
 	best, bestCount := int32(-1), 0
@@ -388,13 +358,7 @@ func (s *solver) stPickVar(clauses []int32) int32 {
 			}
 			e := s.stExprs[ei]
 			if s.opt.BranchFirstVar {
-				// The effective form's left variable: the sole
-				// unassigned side of a half-assigned var-vs-var literal,
-				// else the literal's own x.
-				if e.kind == ctable.VarGTVar && s.assign[e.x] >= 0 {
-					return e.y
-				}
-				return e.x
+				return s.stEffLit(e).x
 			}
 			s.stVisitEff(e, visit)
 		}
@@ -418,7 +382,7 @@ func (s *solver) stProbUn(ei int32, e cexpr) float64 {
 // stEffHalf returns the probability of a half-assigned var-vs-var literal,
 // memoized under the assigned side's assignment version: while that
 // variable keeps its branched value the effective form — and therefore the
-// summation effExprProb runs — is unchanged, so the cached float is
+// summation exprProb runs over it — is unchanged, so the cached float is
 // bit-identical to a recomputation. Any re-assignment bumps stVarVer and
 // misses the memo.
 func (s *solver) stEffHalf(ei int32, e cexpr, xAssigned bool) float64 {
@@ -429,7 +393,7 @@ func (s *solver) stEffHalf(ei int32, e cexpr, xAssigned bool) float64 {
 	if s.stEffVer[ei] == s.stVarVer[v] && s.stEffX[ei] == xAssigned {
 		return s.stEffP[ei]
 	}
-	p := s.effExprProb(e)
+	p := s.exprProb(s.stEffLit(e))
 	s.stEffVer[ei] = s.stVarVer[v]
 	s.stEffX[ei] = xAssigned
 	s.stEffP[ei] = p

@@ -50,22 +50,6 @@ func (s *solver) marginals(interned [][]cexpr) (float64, marginalSet) {
 	return p, m
 }
 
-// stEffLit returns a live literal in its effective form under the
-// current assignment: a var-vs-var literal with one side assigned reads
-// as the constant comparison on the other side. A live literal of any
-// other kind has its variable unassigned, so it is returned unchanged.
-func (s *solver) stEffLit(e cexpr) cexpr {
-	if e.kind == ctable.VarGTVar {
-		if x := s.assign[e.x]; x >= 0 {
-			return cexpr{kind: ctable.VarLTConst, x: e.y, y: -1, c: x}
-		}
-		if y := s.assign[e.y]; y >= 0 {
-			return cexpr{kind: ctable.VarGTConst, x: e.x, y: -1, c: y}
-		}
-	}
-	return e
-}
-
 // stLitProb returns a live literal's effective probability through the
 // per-literal memos; the memoized floats are bit-identical to exprProb
 // over the literal's effective form.

@@ -123,19 +123,14 @@ type datasetEntry struct {
 	slot *modelSlot // guarded by mu; the latest model, replaced when α changes
 }
 
-// modelKey names a model: α's bits and every other option that changes
-// core.BuildModel's output. The daemon exposes no approximation
-// threshold, but the key carries it so that one could not alias.
-type modelKey struct {
-	alpha  uint64
-	approx int
-}
-
 // modelSlot is a dataset's shared model. The query that creates the
 // slot builds the model; ready closes once m is set, and m is read-only
 // from then on.
 type modelSlot struct {
-	key   modelKey
+	// alpha is the bits of the α the model was built at, the slot's key:
+	// α is the only query option that changes core.BuildModel's output,
+	// since the daemon never sets an approximation threshold.
+	alpha uint64
 	ready chan struct{}
 	m     *core.Model
 }
@@ -480,18 +475,18 @@ func (s *Server) runQuery(q *query) {
 	}
 }
 
-// model returns the dataset model q runs on. The first query on a key
+// model returns the dataset model q runs on. The first query at an α
 // builds it under its own compute token; a query that finds that build
 // still running gives its token back until the build is done, so
-// concurrent first queries share one build. A different key replaces
+// concurrent first queries share one build. A different α replaces
 // the slot: queries already holding the old model keep it, and with α
 // values that keep alternating every query builds, as without sharing.
 func (s *Server) model(q *query) *core.Model {
 	e := q.ds
-	key := modelKey{alpha: math.Float64bits(q.opt.Alpha), approx: q.opt.ApproxThreshold}
+	alpha := math.Float64bits(q.opt.Alpha)
 	e.mu.Lock()
 	slot := e.slot
-	if slot != nil && slot.key == key {
+	if slot != nil && slot.alpha == alpha {
 		e.mu.Unlock()
 		select {
 		case <-slot.ready:
@@ -503,7 +498,7 @@ func (s *Server) model(q *query) *core.Model {
 		s.cModelReuses.Add(1)
 		return slot.m
 	}
-	slot = &modelSlot{key: key, ready: make(chan struct{})}
+	slot = &modelSlot{alpha: alpha, ready: make(chan struct{})}
 	e.slot = slot
 	e.mu.Unlock()
 
