@@ -253,10 +253,6 @@ func NewUnreliableCrowd(inner Platform, dropProb, outageProb, spamProb float64, 
 // whole platform is down for a round.
 var ErrOutage = crowd.ErrOutage
 
-// CrowdStats is the per-platform ledger of posted tasks, delivered
-// answers, and round outcomes (full, partial, failed).
-type CrowdStats = crowd.Stats
-
 // WorkerPool is a Platform over a heterogeneous worker population with
 // per-worker accuracies and an AMT-style recruitment threshold
 // (MinAccuracy).

@@ -58,14 +58,17 @@ func TestLearnedNetworkPipeline(t *testing.T) {
 	if res.TasksPosted > 60 || res.Rounds > 6 {
 		t.Fatalf("constraints violated: %d tasks, %d rounds", res.TasksPosted, res.Rounds)
 	}
-	if pool.Stats.TasksPosted != res.TasksPosted {
-		t.Fatal("pool stats disagree with result stats")
-	}
-	// Only recruited workers answered.
+	// Only recruited workers answered, each posted task drawing
+	// VotesPerTask votes.
+	votes := 0
 	for _, w := range pool.Workers {
 		if w.Accuracy < 0.9 && w.Answered > 0 {
 			t.Fatalf("unrecruited worker %s answered tasks", w.ID)
 		}
+		votes += w.Answered
+	}
+	if votes != pool.VotesPerTask*res.TasksPosted {
+		t.Fatalf("workers cast %d votes for %d tasks at %d votes each", votes, res.TasksPosted, pool.VotesPerTask)
 	}
 }
 

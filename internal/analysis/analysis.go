@@ -29,7 +29,7 @@
 //     parameters, dereference copies, by-value ranges) fork the lock
 //     state and are flagged.
 //   - ledger: the crowd accounting counters (stream.CrowdLedger,
-//     crowd.Stats) may only be mutated inside the accounting helpers
+//     service.Ledger) may only be mutated inside the accounting helpers
 //     and the configured accounting call trees.
 //
 // Since PR 9 the driver computes an interprocedural facts layer before

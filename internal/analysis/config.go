@@ -133,12 +133,10 @@ func RepoConfig(modulePath string) *Config {
 		DocPkgs: []string{modulePath},
 		LedgerTypes: []string{
 			p("internal/stream") + ".CrowdLedger",
-			p("internal/crowd") + ".Stats",
 			p("internal/service") + ".Ledger",
 		},
 		LedgerRoots: []string{
 			p("internal/stream") + ".CrowdEngine.Tick",
-			p("internal/core") + ".crowdPhase",
 			// The service hub's settlement paths are the only legal
 			// mutation sites of the per-query crowd-cost ledgers; every
 			// reserve/charge/refund happens inside these call trees, which

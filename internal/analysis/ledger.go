@@ -6,7 +6,7 @@ import (
 )
 
 // LedgerAnalyzer enforces conservation of the crowdsourcing accounting
-// state. The configured ledger types (stream.CrowdLedger, crowd.Stats)
+// state. The configured ledger types (stream.CrowdLedger, service.Ledger)
 // hold the counters behind the paper's budget guarantee — Posted must
 // equal Charged + Refunded + reserved at every quiescent point — and
 // that identity only survives review if the set of mutation sites stays
@@ -14,19 +14,20 @@ import (
 // every mutating (pointer-receiver) method call on a ledger type to:
 //
 //   - the accounting helpers: methods declared on the ledger types
-//     themselves (CrowdLedger.add, Stats.record), and their call trees;
-//   - the configured accounting roots' call trees (CrowdEngine.Tick,
-//     core.crowdPhase), resolved interprocedurally over the call graph —
-//     including closures, method values, and pool-submitted thunks;
+//     themselves (CrowdLedger.add), and their call trees;
+//   - the configured accounting roots' call trees (CrowdEngine.Tick and
+//     the service hub's register/resolve/expireOverdue/drain), resolved
+//     interprocedurally over the call graph — including closures,
+//     method values, and pool-submitted thunks;
 //   - function literals lexically nested inside an allowed node (they
 //     execute as part of it even when no call edge is visible).
 //
-// A new call site that bumps TasksPosted from, say, a CLI command or a
+// A new call site that bumps Posted from, say, a CLI command or a
 // test helper is a finding: route it through the engine or a helper so
 // the conservation check keeps meaning something.
 var LedgerAnalyzer = &Analyzer{
 	Name: "ledger",
-	Doc:  "ledger counters (CrowdLedger, Stats) may only be mutated inside accounting helpers and the configured accounting call trees",
+	Doc:  "ledger counters (CrowdLedger, service.Ledger) may only be mutated inside accounting helpers and the configured accounting call trees",
 	Run:  runLedger,
 }
 

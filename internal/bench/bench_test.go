@@ -27,7 +27,7 @@ func microScale() Scale {
 	s.NaiveCap = 1e5
 	s.Reps = 1
 	s.ScaleNs = []int{300, 600}
-	s.ScalePerObjectCap = 400
+	s.ScalePairwiseCap = 400
 	s.StreamWindow = 40
 	s.StreamTicks = 30
 	return s

@@ -74,10 +74,10 @@ type Scale struct {
 	DropRates []float64
 
 	// "scale" experiment: cardinalities for the c-table build sweep and
-	// the cap above which the quadratic per-object baseline is skipped
-	// (noted in the table, never silently).
-	ScaleNs           []int
-	ScalePerObjectCap int
+	// the cap above which the quadratic pairwise (Fig 2) baseline is
+	// skipped (noted in the table, never silently).
+	ScaleNs          []int
+	ScalePairwiseCap int
 
 	// "stream" experiment: the sliding-window sustained-throughput gate.
 	// A count-bound window of StreamWindow objects is filled untimed,
@@ -103,29 +103,29 @@ func Paper() Scale {
 		NBABudget: 50, SynBudget: 1000,
 		NBAM: 15, SynM: 50,
 		NBALatency: 5, SynLatency: 10,
-		MissingRate:       0.1,
-		MissingRates:      []float64{0.05, 0.1, 0.15, 0.2},
-		NBACardinalities:  []int{2000, 4000, 6000, 8000, 10000},
-		Fig4PerRound:      20,
-		Fig4CrowdAttrs:    []int{2, 3},
-		NBABudgets:        []int{10, 30, 50, 70, 90},
-		SynBudgets:        []int{200, 600, 1000, 1400, 1800},
-		Ms:                []int{5, 10, 15, 20, 25},
-		Alphas:            []float64{0.001, 0.003, 0.005, 0.008, 0.01},
-		Accuracies:        []float64{0.7, 0.8, 0.9, 1.0},
-		Latencies:         []int{2, 4, 6, 8, 10},
-		SynCardinalities:  []int{25000, 50000, 75000, 100000, 125000},
-		NaiveCap:          2e7,
-		AMTAccuracy:       0.95,
-		Reps:              1,
-		WorkerCounts:      []int{1, 2, 4, 8},
-		DropRates:         []float64{0, 0.1, 0.2, 0.3},
-		ScaleNs:           []int{10000, 100000, 1000000},
-		ScalePerObjectCap: 20000,
-		StreamWindow:      1000,
-		StreamArrivals:    1,
-		StreamTicks:       300,
-		Seed:              1,
+		MissingRate:      0.1,
+		MissingRates:     []float64{0.05, 0.1, 0.15, 0.2},
+		NBACardinalities: []int{2000, 4000, 6000, 8000, 10000},
+		Fig4PerRound:     20,
+		Fig4CrowdAttrs:   []int{2, 3},
+		NBABudgets:       []int{10, 30, 50, 70, 90},
+		SynBudgets:       []int{200, 600, 1000, 1400, 1800},
+		Ms:               []int{5, 10, 15, 20, 25},
+		Alphas:           []float64{0.001, 0.003, 0.005, 0.008, 0.01},
+		Accuracies:       []float64{0.7, 0.8, 0.9, 1.0},
+		Latencies:        []int{2, 4, 6, 8, 10},
+		SynCardinalities: []int{25000, 50000, 75000, 100000, 125000},
+		NaiveCap:         2e7,
+		AMTAccuracy:      0.95,
+		Reps:             1,
+		WorkerCounts:     []int{1, 2, 4, 8},
+		DropRates:        []float64{0, 0.1, 0.2, 0.3},
+		ScaleNs:          []int{10000, 100000, 1000000},
+		ScalePairwiseCap: 20000,
+		StreamWindow:     1000,
+		StreamArrivals:   1,
+		StreamTicks:      300,
+		Seed:             1,
 	}
 }
 
@@ -138,28 +138,28 @@ func Quick() Scale {
 		NBABudget: 40, SynBudget: 120,
 		NBAM: 5, SynM: 8,
 		NBALatency: 5, SynLatency: 10,
-		MissingRate:       0.1,
-		MissingRates:      []float64{0.05, 0.1, 0.15, 0.2},
-		NBACardinalities:  []int{200, 400, 800},
-		Fig4PerRound:      20,
-		Fig4CrowdAttrs:    []int{2, 3},
-		NBABudgets:        []int{10, 30, 50, 70, 90},
-		SynBudgets:        []int{40, 80, 120, 160, 200},
-		Ms:                []int{1, 3, 5, 10},
-		Alphas:            []float64{0.005, 0.01, 0.02, 0.04},
-		Accuracies:        []float64{0.7, 0.8, 0.9, 1.0},
-		Latencies:         []int{2, 4, 6, 8, 10},
-		SynCardinalities:  []int{500, 1000, 2000, 4000},
-		NaiveCap:          2e6,
-		AMTAccuracy:       0.95,
-		Reps:              3,
-		WorkerCounts:      []int{1, 2, 4},
-		DropRates:         []float64{0, 0.1, 0.2, 0.3},
-		ScaleNs:           []int{2000, 10000, 50000},
-		ScalePerObjectCap: 5000,
-		StreamWindow:      300,
-		StreamArrivals:    1,
-		StreamTicks:       300,
-		Seed:              1,
+		MissingRate:      0.1,
+		MissingRates:     []float64{0.05, 0.1, 0.15, 0.2},
+		NBACardinalities: []int{200, 400, 800},
+		Fig4PerRound:     20,
+		Fig4CrowdAttrs:   []int{2, 3},
+		NBABudgets:       []int{10, 30, 50, 70, 90},
+		SynBudgets:       []int{40, 80, 120, 160, 200},
+		Ms:               []int{1, 3, 5, 10},
+		Alphas:           []float64{0.005, 0.01, 0.02, 0.04},
+		Accuracies:       []float64{0.7, 0.8, 0.9, 1.0},
+		Latencies:        []int{2, 4, 6, 8, 10},
+		SynCardinalities: []int{500, 1000, 2000, 4000},
+		NaiveCap:         2e6,
+		AMTAccuracy:      0.95,
+		Reps:             3,
+		WorkerCounts:     []int{1, 2, 4},
+		DropRates:        []float64{0, 0.1, 0.2, 0.3},
+		ScaleNs:          []int{2000, 10000, 50000},
+		ScalePairwiseCap: 5000,
+		StreamWindow:     300,
+		StreamArrivals:   1,
+		StreamTicks:      300,
+		Seed:             1,
 	}
 }

@@ -6,7 +6,7 @@ import "fmt"
 // (up to 1,000,000 objects at paper scale): the sort-based build versus
 // the seed's pairwise dominator scan, which is also the paper's Fig. 2
 // baseline. The quadratic baseline is skipped above
-// Scale.ScalePerObjectCap and the skip is noted, never silent. Dataset
+// Scale.ScalePairwiseCap and the skip is noted, never silent. Dataset
 // generation is untimed; only ctable.Build is measured. The build speedup
 // is a dimensionless in-run ratio measured within one process, so the
 // committed baseline transfers across machines.
@@ -18,11 +18,11 @@ func ScaleExperiment(s Scale) ([]*Table, error) {
 	for _, n := range s.ScaleNs {
 		e := nbaEnv(s, n, s.MissingRate)
 		fast := timeBuild(e, s.NBAAlpha, false)
-		if n > s.ScalePerObjectCap {
+		if n > s.ScalePairwiseCap {
 			t.AddRow(fmt.Sprintf("%d", n), fmtDur(fast), "-", "-")
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"|O|=%d: pairwise baseline skipped above the %d-object cap (quadratic)",
-				n, s.ScalePerObjectCap))
+				n, s.ScalePairwiseCap))
 			continue
 		}
 		slow := timeBuild(e, s.NBAAlpha, true)

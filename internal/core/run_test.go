@@ -55,7 +55,7 @@ func TestPaperExample4EndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		platform := crowd.NewSimulated(truth, 1.0, nil)
+		platform := &recordingPlatform{inner: crowd.NewSimulated(truth, 1.0, nil)}
 		ct := ctable.Build(incomplete, ctable.BuildOptions{Alpha: opt.Alpha})
 		res, err := crowdPhase(incomplete, modelOf(ct, example3Dists(), opt), example3Dists(), platform, opt)
 		if err != nil {
@@ -70,8 +70,13 @@ func TestPaperExample4EndToEnd(t *testing.T) {
 		if res.Rounds > 3 {
 			t.Errorf("%v: used %d rounds, latency 3", strat, res.Rounds)
 		}
-		if res.TasksPosted != platform.Stats.TasksPosted || res.Rounds != platform.Stats.Rounds {
-			t.Errorf("%v: result stats disagree with platform stats", strat)
+		posted := 0
+		for _, b := range platform.batches {
+			posted += len(b)
+		}
+		if res.TasksPosted != posted || res.Rounds != len(platform.batches) {
+			t.Errorf("%v: result counts %d tasks in %d rounds, platform saw %d in %d",
+				strat, res.TasksPosted, res.Rounds, posted, len(platform.batches))
 		}
 	}
 }

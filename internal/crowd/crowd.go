@@ -113,46 +113,6 @@ func PostDelayed(p Platform, tasks []Task) ([]DelayedAnswer, error) {
 	return out, err
 }
 
-// Stats tracks the monetary-cost and latency metrics the paper reports —
-// total tasks posted (each costs a fixed amount, so #tasks is the
-// monetary cost) and rounds used (#rounds is the latency) — split by
-// round outcome so that lossy rounds are visible: a round counts in
-// exactly one of Rounds (fully answered), PartialRounds (some answers
-// lost) or FailedRounds (round-level error).
-type Stats struct {
-	// TasksPosted counts tasks submitted across all Post calls,
-	// including those that were never answered.
-	TasksPosted int
-	// TasksAnswered counts answers actually delivered; the difference
-	// TasksPosted-TasksAnswered is the platform's drop count.
-	TasksAnswered int
-	// Rounds counts fully answered Post calls (empty batches excluded).
-	Rounds int
-	// PartialRounds counts Post calls that succeeded but delivered fewer
-	// answers than tasks.
-	PartialRounds int
-	// FailedRounds counts Post calls that returned a round-level error.
-	FailedRounds int
-}
-
-// record books one Post call's outcome into exactly one round bucket.
-// It is a no-op for empty batches (an empty batch is not a round).
-func (s *Stats) record(posted, answered int, err error) {
-	if posted == 0 && err == nil {
-		return
-	}
-	s.TasksPosted += posted
-	s.TasksAnswered += answered
-	switch {
-	case err != nil:
-		s.FailedRounds++
-	case answered < posted:
-		s.PartialRounds++
-	default:
-		s.Rounds++
-	}
-}
-
 // Simulated is a Platform that answers from hidden ground truth with
 // imperfect workers.
 type Simulated struct {
@@ -166,8 +126,6 @@ type Simulated struct {
 	WorkersPerTask int
 	// Rng drives worker errors; required when Accuracy < 1.
 	Rng *rand.Rand
-
-	Stats Stats
 }
 
 // NewSimulated returns a simulated platform with the paper's defaults:
@@ -196,9 +154,7 @@ func (s *Simulated) Post(tasks []Task) ([]Answer, error) {
 		return nil, nil
 	}
 	if s.Accuracy < 1 && s.Rng == nil {
-		err := fmt.Errorf("crowd: accuracy %v needs an Rng to drive worker errors", s.Accuracy)
-		s.Stats.record(0, 0, err)
-		return nil, err
+		return nil, fmt.Errorf("crowd: accuracy %v needs an Rng to drive worker errors", s.Accuracy)
 	}
 
 	answers := make([]Answer, len(tasks))
@@ -206,7 +162,6 @@ func (s *Simulated) Post(tasks []Task) ([]Answer, error) {
 		truth := ctable.TrueRel(s.Truth, task.Expr)
 		answers[i] = Answer{Task: task, Rel: s.vote(truth)}
 	}
-	s.Stats.record(len(tasks), len(answers), nil)
 	return answers, nil
 }
 
@@ -219,29 +174,23 @@ func (s *Simulated) vote(truth ctable.Rel) ctable.Rel {
 	counts := [3]int{}
 	first := truth
 	for w := 0; w < workers; w++ {
-		ans := s.workerAnswer(truth)
+		ans := workerAnswer(s.Rng, s.Accuracy, truth)
 		if w == 0 {
 			first = ans
 		}
 		counts[ans]++
 	}
-	best := first
-	for _, r := range []ctable.Rel{ctable.LT, ctable.EQ, ctable.GT} {
-		if counts[r] > counts[best] {
-			best = r
-		}
-	}
-	return best
+	return majority(counts, first)
 }
 
 // workerAnswer returns one worker's response: the truth with probability
-// Accuracy, otherwise one of the two wrong relations uniformly. Post has
-// already rejected the Accuracy < 1 && Rng == nil misconfiguration.
-func (s *Simulated) workerAnswer(truth ctable.Rel) ctable.Rel {
-	if s.Accuracy >= 1 {
+// accuracy, otherwise one of the two wrong relations uniformly. It draws
+// nothing from rng when accuracy is 1, so rng may then be nil.
+func workerAnswer(rng *rand.Rand, accuracy float64, truth ctable.Rel) ctable.Rel {
+	if accuracy >= 1 {
 		return truth
 	}
-	if s.Rng.Float64() < s.Accuracy {
+	if rng.Float64() < accuracy {
 		return truth
 	}
 	wrong := [2]ctable.Rel{}
@@ -252,5 +201,18 @@ func (s *Simulated) workerAnswer(truth ctable.Rel) ctable.Rel {
 			k++
 		}
 	}
-	return wrong[s.Rng.Intn(2)]
+	return wrong[rng.Intn(2)]
+}
+
+// majority returns the relation with the most votes, breaking ties in
+// favour of first (the earliest vote, mirroring a requester accepting
+// the earliest answer).
+func majority(counts [3]int, first ctable.Rel) ctable.Rel {
+	best := first
+	for _, r := range []ctable.Rel{ctable.LT, ctable.EQ, ctable.GT} {
+		if counts[r] > counts[best] {
+			best = r
+		}
+	}
+	return best
 }

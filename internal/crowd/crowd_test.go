@@ -48,17 +48,20 @@ func TestPerfectWorkersAnswerTruth(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
+// TestSimulatedAnswersEveryTask pins the fault-free simulator's side of
+// the Platform contract: one answer per posted task, in task order, and
+// an empty batch answered with nothing.
+func TestSimulatedAnswersEveryTask(t *testing.T) {
 	p := NewSimulated(truthTable(), 1.0, nil)
 	task := Task{Expr: ctable.LTConst(ctable.Var{Obj: 0, Attr: 0}, 5)}
-	mustPost(t, p, []Task{task, task})
-	mustPost(t, p, []Task{task})
-	mustPost(t, p, nil) // empty batch is not a round
-	if p.Stats.TasksPosted != 3 {
-		t.Errorf("TasksPosted = %d, want 3", p.Stats.TasksPosted)
+	if got := mustPost(t, p, []Task{task, task}); len(got) != 2 || got[0].Task != task || got[1].Task != task {
+		t.Errorf("two-task batch answered %v", got)
 	}
-	if p.Stats.Rounds != 2 {
-		t.Errorf("Rounds = %d, want 2", p.Stats.Rounds)
+	if got := mustPost(t, p, []Task{task}); len(got) != 1 {
+		t.Errorf("one-task batch answered %d tasks", len(got))
+	}
+	if got := mustPost(t, p, nil); got != nil {
+		t.Errorf("empty batch answered %v", got)
 	}
 }
 

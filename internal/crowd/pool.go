@@ -38,8 +38,6 @@ type Pool struct {
 	// receive tasks.
 	MinAccuracy float64
 	Rng         *rand.Rand
-
-	Stats Stats
 }
 
 // NewPool builds a pool of n workers whose accuracies are drawn uniformly
@@ -84,9 +82,7 @@ func (p *Pool) Post(tasks []Task) ([]Answer, error) {
 	}
 	eligible := p.Eligible()
 	if len(eligible) == 0 {
-		err := fmt.Errorf("crowd: recruitment threshold %v leaves no eligible workers", p.MinAccuracy)
-		p.Stats.record(len(tasks), 0, err)
-		return nil, err
+		return nil, fmt.Errorf("crowd: recruitment threshold %v leaves no eligible workers", p.MinAccuracy)
 	}
 
 	votes := p.VotesPerTask
@@ -116,41 +112,15 @@ func (p *Pool) Post(tasks []Task) ([]Answer, error) {
 				w = eligible[v%len(eligible)]
 			}
 			w.Answered++
-			ans := p.workerAnswer(w, truth)
+			ans := workerAnswer(p.Rng, w.Accuracy, truth)
 			if v == 0 {
 				first = ans
 			}
 			counts[ans]++
 		}
-		best := first
-		for _, r := range []ctable.Rel{ctable.LT, ctable.EQ, ctable.GT} {
-			if counts[r] > counts[best] {
-				best = r
-			}
-		}
-		answers[i] = Answer{Task: task, Rel: best}
+		answers[i] = Answer{Task: task, Rel: majority(counts, first)}
 	}
-	p.Stats.record(len(tasks), len(answers), nil)
 	return answers, nil
-}
-
-// workerAnswer mirrors Simulated.workerAnswer for an individual worker.
-func (p *Pool) workerAnswer(w *Worker, truth ctable.Rel) ctable.Rel {
-	if w.Accuracy >= 1 {
-		return truth
-	}
-	if p.Rng.Float64() < w.Accuracy {
-		return truth
-	}
-	wrong := [2]ctable.Rel{}
-	k := 0
-	for _, r := range []ctable.Rel{ctable.LT, ctable.EQ, ctable.GT} {
-		if r != truth {
-			wrong[k] = r
-			k++
-		}
-	}
-	return wrong[p.Rng.Intn(2)]
 }
 
 // MeanEligibleAccuracy reports the average accuracy of the recruited

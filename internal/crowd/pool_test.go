@@ -92,20 +92,31 @@ func TestPoolStatsAndNoEligibleFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewPool(truthTable(), 10, 0.5, 0.7, rng)
 	task := Task{Expr: ctable.GTConst(ctable.Var{Obj: 1, Attr: 0}, 3)}
-	mustPost(t, p, []Task{task, task})
-	mustPost(t, p, nil)
-	if p.Stats.TasksPosted != 2 || p.Stats.TasksAnswered != 2 || p.Stats.Rounds != 1 {
-		t.Fatalf("stats = %+v", p.Stats)
+	votes := func() int {
+		sum := 0
+		for _, w := range p.Workers {
+			sum += w.Answered
+		}
+		return sum
+	}
+	if got := mustPost(t, p, []Task{task, task}); len(got) != 2 {
+		t.Fatalf("two-task batch answered %d tasks", len(got))
+	}
+	if got := mustPost(t, p, nil); got != nil {
+		t.Fatalf("empty batch answered %v", got)
+	}
+	if v := votes(); v != 2*p.VotesPerTask {
+		t.Fatalf("workers cast %d votes, want %d", v, 2*p.VotesPerTask)
 	}
 	// An over-tight recruitment threshold is a round-level failure, not a
-	// crash: no answers, an error, and a failed round on the books.
+	// crash: no answers, an error, and no worker asked.
 	p.MinAccuracy = 0.99
 	answers, err := p.Post([]Task{task})
 	if err == nil || len(answers) != 0 {
 		t.Fatalf("empty eligible set: answers=%v err=%v", answers, err)
 	}
-	if p.Stats.FailedRounds != 1 || p.Stats.TasksPosted != 3 {
-		t.Fatalf("stats after failed round = %+v", p.Stats)
+	if v := votes(); v != 2*p.VotesPerTask {
+		t.Fatalf("failed round cast votes: %d, want %d", v, 2*p.VotesPerTask)
 	}
 }
 

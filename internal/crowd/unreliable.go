@@ -62,9 +62,6 @@ type Unreliable struct {
 	// positive or the delay range spans more than one value.
 	Rng *rand.Rand
 
-	// Stats describes the rounds as the requester observed them through
-	// the unreliable channel (the inner platform keeps its own books).
-	Stats Stats
 	// Dropped, Spammed and Outages count the injected faults.
 	Dropped int
 	Spammed int
@@ -105,12 +102,10 @@ func (u *Unreliable) Post(tasks []Task) ([]Answer, error) {
 	if u.OutageProb > 0 && u.Rng.Float64() < u.OutageProb {
 		u.Outages++
 		u.Obs.Emit(obs.Event{Kind: obs.KindFaultOutage, N: len(tasks)})
-		u.Stats.record(len(tasks), 0, ErrOutage)
 		return nil, ErrOutage
 	}
 	answers, err := u.Inner.Post(tasks)
 	if err != nil {
-		u.Stats.record(len(tasks), len(answers), err)
 		return answers, err
 	}
 	kept := answers[:0]
@@ -139,7 +134,6 @@ func (u *Unreliable) Post(tasks []Task) ([]Answer, error) {
 		}
 		kept = append(kept, a)
 	}
-	u.Stats.record(len(tasks), len(kept), nil)
 	return kept, nil
 }
 

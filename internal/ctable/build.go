@@ -35,17 +35,11 @@ type BuildOptions struct {
 	// Baseline (Figure 2's comparator) instead of the sorted/bitwise
 	// index. The resulting c-table is identical.
 	Pairwise bool
-	// PerObject switches off the signature-group partitioning (see
-	// sortbuild.go) and derives every object's dominator set with its own
-	// DomIndex intersection — the pre-partitioning behaviour, kept
-	// selectable for equivalence tests and the build benchmark. The
-	// resulting c-table is identical.
-	PerObject bool
 	// Workers bounds the goroutines the dominator derivation and CNF
 	// construction fan out across: <= 0 means one per available CPU,
 	// 1 keeps the build fully sequential. Groups (objects, under
-	// PerObject or Pairwise) are independent and every result lands in
-	// its own slot, so the c-table is identical at any setting.
+	// Pairwise) are independent and every result lands in its own slot,
+	// so the c-table is identical at any setting.
 	Workers int
 }
 
@@ -55,10 +49,6 @@ func Build(d *dataset.Dataset, opt BuildOptions) *CTable {
 	n := d.Len()
 	ct := &CTable{Conds: make([]*Condition, n), DomSizes: make([]int, n), PrunedByAlpha: make([]bool, n)}
 
-	var ix *DomIndex
-	if !opt.Pairwise {
-		ix = NewDomIndex(d)
-	}
 	limit := -1
 	if opt.Alpha > 0 {
 		limit = int(opt.Alpha * float64(n))
@@ -66,10 +56,9 @@ func Build(d *dataset.Dataset, opt BuildOptions) *CTable {
 
 	// Default path: partition objects into signature groups and derive one
 	// dominator set per group (sortbuild.go) — near-linearithmic where the
-	// per-object scan below is quadratic. The per-object and pairwise
-	// paths remain selectable and produce identical tables.
-	if !opt.Pairwise && !opt.PerObject {
-		buildSorted(d, ix, opt, ct, limit)
+	// pairwise scan below is quadratic. Both produce identical tables.
+	if !opt.Pairwise {
+		buildSorted(d, NewDomIndex(d), opt, ct, limit)
 		for _, pruned := range ct.PrunedByAlpha {
 			if pruned {
 				ct.Pruned++
@@ -88,11 +77,7 @@ func Build(d *dataset.Dataset, opt BuildOptions) *CTable {
 	}
 	parallel.For(workers, n, func(w, o int) {
 		dom := doms[w]
-		if opt.Pairwise {
-			DominatorsPairwise(d, o, dom)
-		} else {
-			ix.Dominators(d, o, dom)
-		}
+		DominatorsPairwise(d, o, dom)
 		size := dom.Count()
 		ct.DomSizes[o] = size
 

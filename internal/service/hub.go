@@ -91,7 +91,6 @@ type openTask struct {
 // the register/resolve/expireOverdue/drain call trees, which is the
 // contract the bayeslint ledger analyzer pins down.
 type hub struct {
-	reg  *obs.Registry
 	sink TaskSink
 
 	mu       sync.Mutex
@@ -100,10 +99,8 @@ type hub struct {
 	nextTask int                   // guarded by mu
 	draining bool                  // guarded by mu
 
-	tasksPosted   int // guarded by mu; unique tasks ever opened
-	tasksAnswered int // guarded by mu
-	tasksExpired  int // guarded by mu
-
+	// cPosted, cAnswered and cExpired double as the lifetime tallies
+	// behind /v1/healthz; cPosted counts unique tasks ever opened.
 	cPosted, cDeduped, cAnswered, cExpired, cFailed *obs.Counter
 	cChargedMu, cRefundedMu                         *obs.Counter
 }
@@ -111,7 +108,6 @@ type hub struct {
 // newHub returns an empty hub writing its counters to reg.
 func newHub(reg *obs.Registry, sink TaskSink) *hub {
 	return &hub{
-		reg:  reg,
 		sink: sink,
 		open: map[taskKey]*openTask{},
 		byID: map[string]*openTask{},
@@ -167,7 +163,6 @@ func (h *hub) register(q *query, tasks []crowd.Task) (*roundWait, []PostedTask, 
 		}
 		h.open[key] = ot
 		h.byID[ot.id] = ot
-		h.tasksPosted++
 		h.cPosted.Add(1)
 		fresh = append(fresh, PostedTask{ID: ot.id, Dataset: key.dataset, Task: t})
 	}
@@ -196,7 +191,6 @@ func (h *hub) resolve(taskID string, rel ctable.Rel) ([]string, error) {
 	}
 	delete(h.byID, taskID)
 	delete(h.open, ot.key)
-	h.tasksAnswered++
 	h.cAnswered.Add(1)
 
 	k := len(ot.waiters)
@@ -215,7 +209,6 @@ func (h *hub) resolve(taskID string, rel ctable.Rel) ([]string, error) {
 		led.RefundedMu += int64(UnitMu) - c
 		h.cChargedMu.Add(c)
 		h.cRefundedMu.Add(int64(UnitMu) - c)
-		h.queryCounters(rw.q, c, int64(UnitMu)-c)
 		rw.rels[ot.key.expr] = rel
 		rw.pending--
 		if rw.pending == 0 {
@@ -224,13 +217,6 @@ func (h *hub) resolve(taskID string, rel ctable.Rel) ([]string, error) {
 		ids = append(ids, rw.q.id)
 	}
 	return ids, nil
-}
-
-// queryCounters mirrors a query's money movements into the metrics
-// registry so per-query ledgers are readable from /metrics.
-func (h *hub) queryCounters(q *query, charged, refunded int64) {
-	h.reg.Counter("service.query." + q.id + ".charged_mu").Add(charged)
-	h.reg.Counter("service.query." + q.id + ".refunded_mu").Add(refunded)
 }
 
 // settleLost resolves one task without an answer — expiry or drain —
@@ -242,7 +228,6 @@ func (h *hub) settleLost(ot *openTask, failed bool) {
 		led.InFlight--
 		led.RefundedMu += UnitMu
 		h.cRefundedMu.Add(UnitMu)
-		h.queryCounters(rw.q, 0, UnitMu)
 		if failed {
 			led.Failed++
 			rw.failed = true
@@ -267,7 +252,6 @@ func (h *hub) expireOverdue(cutoff time.Time) int {
 	for _, ot := range overdue {
 		delete(h.byID, ot.id)
 		delete(h.open, ot.key)
-		h.tasksExpired++
 		h.cExpired.Add(1)
 		h.settleLost(ot, false)
 	}
@@ -332,11 +316,11 @@ func (h *hub) openTasks() []TaskInfo {
 	return out
 }
 
-// stats snapshots the hub's lifetime tallies.
+// stats snapshots the hub's lifetime tallies and its open-task count.
 func (h *hub) stats() (posted, answered, expired, open int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.tasksPosted, h.tasksAnswered, h.tasksExpired, len(h.byID)
+	return int(h.cPosted.Value()), int(h.cAnswered.Value()), int(h.cExpired.Value()), len(h.byID)
 }
 
 // ledgerOf snapshots a query's ledger under the hub lock.

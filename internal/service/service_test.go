@@ -237,6 +237,68 @@ func TestServiceEquivalence(t *testing.T) {
 	}
 }
 
+// metricKeys snapshots the names /metrics currently serves.
+func metricKeys(t *testing.T, srv *Server) map[string]bool {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := srv.Registry().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatalf("decode metrics: %v: %s", err, buf.Bytes())
+	}
+	keys := map[string]bool{}
+	for section, entries := range snap {
+		for name := range entries {
+			keys[section+"/"+name] = true
+		}
+	}
+	return keys
+}
+
+// TestMetricsBoundedInQueries pins that /metrics names a fixed set of
+// series however many queries the daemon has served: a query's money
+// lives on its own ledger (GET /v1/queries/{id}), never in a per-query
+// registry entry.
+func TestMetricsBoundedInQueries(t *testing.T) {
+	incomplete, truth := makeData(7, 24, 4)
+	loop := NewLoopback(crowd.NewSimulated(truth, 1.0, nil), "")
+	srv := New(Config{Workers: 1, MaxConcurrent: 1, Sink: loop})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	loop.SetEndpoint(ts.URL)
+	loop.Start()
+	defer loop.Stop()
+
+	postJSON(t, ts.URL+"/v1/datasets", datasetReq("d", incomplete), http.StatusCreated, nil)
+	serve := func(seed int64) {
+		var st QueryStatus
+		req := QueryRequest{Dataset: "d", Budget: 20, Latency: 4, Strategy: "UBS", Seed: seed, Workers: 1}
+		postJSON(t, ts.URL+"/v1/queries", req, http.StatusAccepted, &st)
+		if st = waitDone(t, ts.URL, st.ID); st.State != StateDone || st.Ledger.Answered == 0 {
+			t.Fatalf("query %s: state %s, %d answered: %s", st.ID, st.State, st.Ledger.Answered, st.Error)
+		}
+	}
+
+	serve(1)
+	after1 := metricKeys(t, srv)
+	for seed := int64(2); seed <= 4; seed++ {
+		serve(seed)
+	}
+	after4 := metricKeys(t, srv)
+	for k := range after4 {
+		if !after1[k] {
+			t.Errorf("metric %s appeared after more queries were served", k)
+		}
+	}
+	for k := range after1 {
+		if !after4[k] {
+			t.Errorf("metric %s disappeared after more queries were served", k)
+		}
+	}
+}
+
 // TestDedupSharesTasksAndSplitsCharge drives two identical queries in
 // lockstep with manual answers: their rounds select the same tasks, the
 // hub opens each task once, and the unit price splits exactly between
