@@ -92,3 +92,89 @@ func TestCacheInvalidationWired(t *testing.T) {
 		t.Fatalf("run recorded no cache hits: %+v", res.Cache)
 	}
 }
+
+// TestSharedTierInvisible checks the model's shared cache tier is pure
+// speed: a run on a model whose tier earlier runs have warmed returns the
+// result of a run with no tier at all, bit for bit, and its own cache
+// holds and counts exactly what the tierless run's does — the tier only
+// turns some of those misses into SharedHits instead of solves.
+func TestSharedTierInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	truth := dataset.GenNBA(rng, 150)
+	d := truth.InjectMissing(rng, 0.2)
+	base, err := Preprocess(d, Options{MarginalsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(strat Strategy, seed int64) Options {
+		opt, err := Options{
+			Alpha: 0.05, Budget: 30, Latency: 5, Strategy: strat, M: 3,
+			Workers: 1, Rng: rand.New(rand.NewSource(seed)),
+		}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt
+	}
+	m := BuildModel(d, base, opts(UBS, 1))
+	bare := *m
+	bare.tier = nil
+	if m.tier == nil || m.tier.Len() == 0 {
+		t.Fatal("the initial fan-out left the model's tier empty")
+	}
+
+	for _, strat := range []Strategy{FBS, UBS, HHS} {
+		for seed := int64(1); seed <= 2; seed++ {
+			want, err := crowdPhase(d, &bare, base, crowd.NewSimulated(truth, 1.0, nil), opts(strat, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := crowdPhase(d, m, base, crowd.NewSimulated(truth, 1.0, nil), opts(strat, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cache.SharedHits == 0 {
+				t.Errorf("%v seed %d: no shared-tier hits on a warmed model: %+v", strat, seed, got.Cache)
+			}
+			if want.Cache.SharedHits != 0 {
+				t.Errorf("%v seed %d: tierless run reports shared hits: %+v", strat, seed, want.Cache)
+			}
+			gotCache := got.Cache
+			gotCache.SharedHits = 0
+			if gotCache != want.Cache {
+				t.Errorf("%v seed %d: run-tier counters differ with the tier\n got:  %+v\n want: %+v",
+					strat, seed, got.Cache, want.Cache)
+			}
+			if !reflect.DeepEqual(stripVolatile(got), stripVolatile(want)) {
+				t.Errorf("%v seed %d: result differs with the shared tier", strat, seed)
+			}
+		}
+	}
+}
+
+// TestRunModelChecksModelOptions checks that RunModel refuses a run whose
+// Alpha or ApproxThreshold differs from the model's: the model's c-table,
+// its Pr(φ) and its shared cache tier were all made under those values,
+// so such a run would silently answer a different query.
+func TestRunModelChecksModelOptions(t *testing.T) {
+	d := dataset.SampleMovies()
+	base, err := Preprocess(d, Options{MarginalsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := BuildModel(d, base, Options{Alpha: 0.1, Workers: 1})
+	run := func(opt Options) error {
+		opt.Budget, opt.Latency, opt.Workers = 4, 2, 1
+		_, err := RunModel(d, m, base, crowd.NewSimulated(sampleTruth(), 1.0, nil), opt)
+		return err
+	}
+	if err := run(Options{Alpha: 0.1}); err != nil {
+		t.Fatalf("RunModel with the model's options: %v", err)
+	}
+	for _, opt := range []Options{{Alpha: 0.2}, {Alpha: 0.1, ApproxThreshold: 3}} {
+		if err := run(opt); err == nil {
+			t.Errorf("RunModel accepted Alpha %v, ApproxThreshold %d on a model built at Alpha 0.1, ApproxThreshold 0",
+				opt.Alpha, opt.ApproxThreshold)
+		}
+	}
+}

@@ -111,13 +111,13 @@ type Options struct {
 
 	// NoCache disables the connected-component probability cache the
 	// crowdsourcing phase keeps across Pr(φ) evaluations (see
-	// prob.ComponentCache) — the cache ablation. Cached and uncached runs
-	// return bit-identical results; the cache changes only wall-clock
-	// time.
+	// prob.ComponentCache), and the model's shared tier with it — the
+	// cache ablation. Cached and uncached runs return bit-identical
+	// results; the cache changes only wall-clock time.
 	NoCache bool
 	// CacheSize bounds the component cache to at most this many memoized
-	// components; <= 0 (the zero value) selects prob.DefaultCacheSize.
-	// Ignored when NoCache is set.
+	// components, and a model's shared tier likewise; <= 0 (the zero
+	// value) selects prob.DefaultCacheSize. Ignored when NoCache is set.
 	CacheSize int
 
 	// Workers bounds the goroutines the framework fans independent work
@@ -270,16 +270,20 @@ type Result struct {
 	// condition the run's answers did not rewrite is shared with the
 	// Model the run started from (and with every other run on it).
 	CTable *ctable.CTable
-	// Cache reports the component cache's hit/miss/eviction/invalidation
-	// counters for the run (all zero under Options.NoCache); like
-	// ProbTime, it covers the initial fan-out only when the run built
-	// its own model.
+	// Cache reports the run's own component cache: its hit, miss,
+	// eviction and invalidation counters, which are those of a run
+	// without the model's shared tier, plus SharedHits, the misses that
+	// tier served instead of a solve (all zero under Options.NoCache).
+	// Like ProbTime, it covers the initial fan-out only when the run
+	// built its own model.
 	Cache prob.CacheStats
-	// ApproxComponents counts the connected components whose probability
-	// was estimated by the Monte Carlo fallback rather than counted
-	// exactly (always zero unless Options.ApproxThreshold is set). Like
-	// the cache counters, the count depends on scheduling when the
-	// component cache is shared — the estimated values themselves do not.
+	// ApproxComponents counts the Monte Carlo estimates of connected
+	// components the run performed instead of an exact count — the
+	// model's initial fan-out included — (always zero unless
+	// Options.ApproxThreshold is set). An estimate the model's shared
+	// cache tier served is not performed, so it is not counted. Like the
+	// cache counters, the count depends on scheduling and on what other
+	// runs left in the tier — the estimated values themselves do not.
 	ApproxComponents int64
 	// SelectTime and ProbTime break the crowdsourcing phase's wall time
 	// into its two model-counting bills: cumulative task selection (the

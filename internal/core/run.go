@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -66,10 +67,15 @@ func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platf
 // (Alpha, ApproxThreshold), never on the budget, latency, strategy or
 // seed, so one model can serve many crowd phases.
 //
-// A Model is read-only once BuildModel returns it, and safe to share
-// between concurrent runs: RunModel simplifies a private copy of the
-// condition list (Condition.Simplified copies on change) and keeps its
-// per-round probabilities in its own map.
+// A Model is read-only once BuildModel returns it, except for its
+// shared component-cache tier (prob.ComponentCache.Shared), and safe to
+// share between concurrent runs: RunModel simplifies a private copy of
+// the condition list (Condition.Simplified copies on change) and keeps
+// its per-round probabilities in its own map. The tier is internally
+// synchronised and value-pure: it holds only component values under
+// the base posteriors, each a pure function of its fingerprint, so the
+// runs filling it lazily never change what any run computes. It is
+// bounded by the model's CacheSize and absent under NoCache.
 type Model struct {
 	// CT is the c-table. Its conditions are shared with every run's
 	// Result.CTable until a run's answers rewrite them.
@@ -92,6 +98,14 @@ type Model struct {
 	// conditions mention, in Undecided order: the runs' map from an
 	// answered variable to the conditions it may rewrite.
 	varToObjs map[ctable.Var][]int
+	// alpha and approxThreshold are the options the model was built
+	// under; RunModel rejects a run whose values differ.
+	alpha           float64
+	approxThreshold int
+	// tier is the shared base-posterior component cache: the initial
+	// fan-out fills it and every run's cache falls through to it. nil
+	// under NoCache.
+	tier *prob.ComponentCache
 }
 
 // BuildModel runs the modeling phase: Get-CTable at opt.Alpha, then the
@@ -106,10 +120,17 @@ func BuildModel(d *dataset.Dataset, base prob.Dists, opt Options) *Model {
 }
 
 // modelOf computes the initial Pr(φ) over ct's undecided conditions. The
-// fan-out gets its own component cache: its hits come from inside the
-// fan-out, so a run starting with a cold cache loses nothing.
+// fan-out gets its own component cache, discarded afterwards, and
+// publishes everything it solves to the model's shared tier, where the
+// runs' round-1 scans and recomputations find it.
 func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
-	m := &Model{CT: ct, Undecided: ct.Undecided(), varToObjs: map[ctable.Var][]int{}}
+	m := &Model{
+		alpha: opt.Alpha, approxThreshold: opt.ApproxThreshold,
+		CT: ct, Undecided: ct.Undecided(), varToObjs: map[ctable.Var][]int{},
+	}
+	if !opt.NoCache {
+		m.tier = prob.NewComponentCache(opt.CacheSize)
+	}
 	conds := make([]*ctable.Condition, len(m.Undecided))
 	for i, o := range m.Undecided {
 		conds[i] = ct.Conds[o]
@@ -117,7 +138,7 @@ func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 			m.varToObjs[v] = append(m.varToObjs[v], o)
 		}
 	}
-	ev := newEvaluator(base, opt)
+	ev := newEvaluator(base, opt, m.tier)
 	//lint:ignore determinism timing observability only: the model's ProbTime reports wall-clock and never feeds a decision
 	start := time.Now()
 	m.Probs = ev.ProbAll(conds, opt.Workers)
@@ -134,33 +155,44 @@ func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 	reg.Counter("cache.hits").Add(int64(m.Cache.Hits))
 	reg.Counter("cache.misses").Add(int64(m.Cache.Misses))
 	reg.Counter("cache.evicted").Add(int64(m.Cache.Evicted))
+	reg.Counter("cache.shared_hits").Add(int64(m.Cache.SharedHits))
 	return m
 }
 
 // newEvaluator returns an evaluator over dists with the run's solver
-// options and, unless opt.NoCache, a fresh component cache.
-func newEvaluator(dists prob.Dists, opt Options) *prob.Evaluator {
+// options and, unless opt.NoCache, a fresh component cache falling
+// through to tier (which may be nil).
+func newEvaluator(dists prob.Dists, opt Options, tier *prob.ComponentCache) *prob.Evaluator {
 	ev := &prob.Evaluator{Dists: dists, Opt: prob.Options{
 		NoCache:         opt.NoCache,
 		ApproxThreshold: opt.ApproxThreshold,
 	}}
 	if !opt.NoCache {
 		ev.Cache = prob.NewComponentCache(opt.CacheSize)
+		ev.Cache.Shared = tier
 	}
 	return ev
 }
 
-// RunModel runs the crowdsourcing phase on a model, which it never
-// writes: the run simplifies its own shallow copy of m.CT.Conds and
-// keeps its own component cache, so concurrent runs may share m. The
-// Result's ProbTime and Cache cover this run's work only — the model's
-// initial fan-out is not included — while ApproxComponents counts the
-// model's estimated components too, since the answer rests on them.
-// The trace is the one a run building its own model emits.
+// RunModel runs the crowdsourcing phase on a model built from d and
+// base, which it never writes apart from the model's shared cache tier:
+// the run simplifies its own shallow copy of m.CT.Conds and keeps its
+// own component cache, so concurrent runs may share m. opt.Alpha and
+// opt.ApproxThreshold must be the values the model was built under —
+// they shape the c-table and every Pr(φ) the model holds — or RunModel
+// returns an error. The Result's ProbTime and Cache cover this run's
+// work only — the model's initial fan-out is not included — while
+// ApproxComponents counts the model's estimated components too, since
+// the answer rests on them. The trace is the one a run building its
+// own model emits.
 func RunModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if math.Float64bits(opt.Alpha) != math.Float64bits(m.alpha) || opt.ApproxThreshold != m.approxThreshold {
+		return nil, fmt.Errorf("core: run options (Alpha %v, ApproxThreshold %d) differ from the model's (Alpha %v, ApproxThreshold %d)",
+			opt.Alpha, opt.ApproxThreshold, m.alpha, m.approxThreshold)
 	}
 	return crowdPhase(d, m, base, platform, opt)
 }
@@ -177,6 +209,7 @@ func runOwnModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.P
 	res.Cache.Hits += m.Cache.Hits
 	res.Cache.Misses += m.Cache.Misses
 	res.Cache.Evicted += m.Cache.Evicted
+	res.Cache.SharedHits += m.Cache.SharedHits
 	return res, nil
 }
 
@@ -200,6 +233,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		cCacheHits   = reg.Counter("cache.hits")
 		cCacheMisses = reg.Counter("cache.misses")
 		cCacheEvict  = reg.Counter("cache.evicted")
+		cCacheShared = reg.Counter("cache.shared_hits")
 		cCacheInval  = reg.Counter("cache.invalidated")
 		cCacheInvalE = reg.Counter("cache.invalidated.entries")
 		cApprox      = reg.Counter("prob.approx.components")
@@ -226,8 +260,9 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	// The component cache persists across every Pr(φ) evaluation of the
 	// run — the UBS/HHS candidate scans and the cross-round stale
 	// recomputation — and is invalidated per-variable below, right where
-	// crowd answers renormalise distributions.
-	ev := newEvaluator(eff, opt)
+	// crowd answers renormalise distributions. It falls through to the
+	// model's shared tier for components still at their base posteriors.
+	ev := newEvaluator(eff, opt, m.tier)
 	// core is the single writer that owns the evaluator; it hands the
 	// recorder down so prob's sequential dispatch points (ProbAll,
 	// PlanSweeps, Invalidate) can trace their deterministic sizes.
@@ -521,6 +556,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 			cCacheHits.Add(int64(s.Hits - prevCache.Hits))
 			cCacheMisses.Add(int64(s.Misses - prevCache.Misses))
 			cCacheEvict.Add(int64(s.Evicted - prevCache.Evicted))
+			cCacheShared.Add(int64(s.SharedHits - prevCache.SharedHits))
 			cCacheInval.Add(int64(s.Invalidated - prevCache.Invalidated))
 			cCacheInvalE.Add(int64(s.InvalidatedEntries - prevCache.InvalidatedEntries))
 			prevCache = s
@@ -591,6 +627,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 			cCacheHits.Add(int64(result.Cache.Hits - prevCache.Hits))
 			cCacheMisses.Add(int64(result.Cache.Misses - prevCache.Misses))
 			cCacheEvict.Add(int64(result.Cache.Evicted - prevCache.Evicted))
+			cCacheShared.Add(int64(result.Cache.SharedHits - prevCache.SharedHits))
 			cCacheInval.Add(int64(result.Cache.Invalidated - prevCache.Invalidated))
 			cCacheInvalE.Add(int64(result.Cache.InvalidatedEntries - prevCache.InvalidatedEntries))
 		}

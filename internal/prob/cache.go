@@ -24,6 +24,10 @@ type CacheStats struct {
 	// Hits and Misses count fingerprint lookups during Pr(φ) evaluation.
 	// A hit replaces one branching model-counting run over the component.
 	Hits, Misses uint64
+	// SharedHits counts misses the shared tier (ComponentCache.Shared)
+	// served instead of a solve. Each is also one of Misses: the tier
+	// never changes what the cache itself holds or counts.
+	SharedHits uint64
 	// Evicted counts entries dropped by the size cap.
 	Evicted uint64
 	// Invalidated counts variables whose epoch was bumped by Invalidate —
@@ -53,7 +57,9 @@ type cacheEntry struct {
 	p   float64
 	vec []float64
 	// stamp is the cache epoch when the entry was computed; the entry is
-	// stale once any of its variables carries a newer epoch.
+	// stale once any of its variables carries a newer epoch. Shared-tier
+	// entries carry no vars: they are never invalidated, and the caller
+	// holds the component's variables for its own epoch check.
 	stamp uint64
 	vars  []ctable.Var
 }
@@ -88,8 +94,29 @@ type cacheShard struct {
 // different distributions: validity is tracked per variable, and two
 // Dists maps disagreeing about a variable would alias each other's
 // entries.
+//
+// Shared tier. Every run on one model starts from the same base
+// posteriors, so a component none of whose variables a run has
+// renormalised has the same value in every run. Shared, when set, is a
+// cache of exactly those base-posterior values that any number of
+// per-run caches fall through to. A run's cache consults it only after
+// its own miss, at a point where the run would otherwise solve, and only
+// for components whose variables are all still at epoch 0 — never
+// invalidated, hence still at their base distribution. A tier hit is
+// copied into the run's cache, so the run's contents and Hits/Misses
+// are those of a run without the tier; a fresh value over epoch-0
+// variables is published to the tier. Every value is a pure function of
+// its fingerprint and the base posteriors, so which run fills an entry
+// first is invisible. The tier itself is never invalidated, its entries
+// hold no variable lists, and its shard mutexes make it safe for
+// concurrent runs. It must be built over the same base posteriors and
+// solver options as every run using it.
 type ComponentCache struct {
 	shards [cacheShardCount]cacheShard
+
+	// Shared is the base-posterior tier this cache falls through to; nil
+	// means none. Set it before the first evaluation.
+	Shared *ComponentCache
 
 	// epoch and varEpoch are written only by Invalidate (single-writer,
 	// between fan-outs) and read lock-free during fan-outs.
@@ -98,7 +125,7 @@ type ComponentCache struct {
 	invalidated        uint64
 	invalidatedEntries uint64
 
-	hits, misses, evicted atomic.Uint64
+	hits, misses, evicted, sharedHits atomic.Uint64
 
 	// Obs, when non-nil, receives the cache's trace events. Only
 	// Invalidate emits — it runs in the single-writer gap and its
@@ -127,10 +154,10 @@ func NewComponentCache(maxEntries int) *ComponentCache {
 }
 
 // shardOf hashes a fingerprint to its shard (FNV-1a).
-func shardOf(key []byte) uint32 {
+func shardOf[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
 	}
 	return h & (cacheShardCount - 1)
 }
@@ -179,25 +206,66 @@ func (c *ComponentCache) lookupVec(key []byte) ([]float64, bool) {
 	return e.vec, ok
 }
 
-// store memoizes a component probability. key and vars may alias caller
-// scratch; both are copied.
-func (c *ComponentCache) store(key []byte, vars []ctable.Var, p float64) {
-	c.storeEntry(key, cacheEntry{p: p, vars: vars})
+// tierFor returns the shared tier when it may serve and receive the
+// component over vars — the cache has one, and none of vars was ever
+// invalidated here, so each still has its base distribution — and nil
+// otherwise. The caller checks once per miss and passes the result to
+// lookupTier and store.
+func (c *ComponentCache) tierFor(vars []ctable.Var) *ComponentCache {
+	if c.Shared == nil {
+		return nil
+	}
+	if len(c.varEpoch) > 0 {
+		for _, v := range vars {
+			if c.varEpoch[v] != 0 {
+				return nil
+			}
+		}
+	}
+	return c.Shared
 }
 
-// storeVec memoizes a joint marginal sweep vector. key and vars may alias
-// caller scratch (copied); vec is retained as given and must not be
-// mutated afterwards.
-func (c *ComponentCache) storeVec(key []byte, vars []ctable.Var, vec []float64) {
-	c.storeEntry(key, cacheEntry{vec: vec, vars: vars})
+// lookupTier consults tier (from tierFor; nil misses) after a miss of
+// this cache. A hit is copied into this cache, as if the caller had
+// computed and stored it. Call it only where the caller would otherwise
+// solve.
+func (c *ComponentCache) lookupTier(tier *ComponentCache, key []byte, vars []ctable.Var) (cacheEntry, bool) {
+	if tier == nil {
+		return cacheEntry{}, false
+	}
+	sh := &tier.shards[shardOf(key)]
+	sh.mu.Lock()
+	e, ok := sh.m[string(key)]
+	sh.mu.Unlock()
+	if !ok {
+		return cacheEntry{}, false
+	}
+	c.sharedHits.Add(1)
+	e.vars = vars
+	c.storeEntry(string(key), e)
+	return e, true
 }
 
-func (c *ComponentCache) storeEntry(key []byte, e cacheEntry) {
-	sh := &c.shards[shardOf(key)]
+// store memoizes a freshly computed entry — a component probability p or
+// a sweep vector vec — over the component's variables, and publishes it
+// to tier (from tierFor) unless that is nil. key and vars may alias
+// caller scratch; both are copied. A vec is retained as given and must
+// not be mutated afterwards.
+func (c *ComponentCache) store(key []byte, vars []ctable.Var, e cacheEntry, tier *ComponentCache) {
+	k := string(key)
+	if tier != nil {
+		tier.storeEntry(k, e)
+	}
+	e.vars = vars
+	c.storeEntry(k, e)
+}
+
+// storeEntry inserts e under k, copying e.vars.
+func (c *ComponentCache) storeEntry(k string, e cacheEntry) {
+	sh := &c.shards[shardOf(k)]
 	e.stamp = c.epoch
 	e.vars = append([]ctable.Var(nil), e.vars...)
 	sh.mu.Lock()
-	k := string(key)
 	if _, exists := sh.m[k]; !exists {
 		for len(sh.m) >= sh.cap && len(sh.fifo) > 0 {
 			old := sh.fifo[0]
@@ -286,6 +354,7 @@ func (c *ComponentCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:               c.hits.Load(),
 		Misses:             c.misses.Load(),
+		SharedHits:         c.sharedHits.Load(),
 		Evicted:            c.evicted.Load(),
 		Invalidated:        c.invalidated,
 		InvalidatedEntries: c.invalidatedEntries,

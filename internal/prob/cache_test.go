@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bayescrowd/internal/ctable"
@@ -191,22 +192,140 @@ func TestInvalidatePrecision(t *testing.T) {
 
 // TestStaleEntryServedNever checks the dangerous direction explicitly: a
 // lookup after Invalidate must not return the pre-invalidation value even
-// though the fingerprint is unchanged.
+// though the fingerprint is unchanged — neither from the cache itself nor
+// from a shared tier (ComponentCache.Shared) still holding the
+// base-posterior value — and nothing computed over an invalidated
+// variable may reach the tier. It then runs an evaluator over a tier a
+// second evaluator pre-filled: every value must be bit-equal to a run
+// without the tier, and at one worker the evaluator's own cache must hold
+// and count exactly what it would without the tier.
 func TestStaleEntryServedNever(t *testing.T) {
-	cond, dists, x1, x2 := twoComponentCondition()
-	cache := NewComponentCache(0)
-	ev := &Evaluator{Dists: dists, Cache: cache}
+	for _, withTier := range []bool{false, true} {
+		cond, dists, x1, x2 := twoComponentCondition()
+		base := Dists{}
+		for x, d := range dists {
+			base[x] = d
+		}
+		cache := NewComponentCache(0)
+		var tier *ComponentCache
+		if withTier {
+			tier = NewComponentCache(0)
+			filler := &Evaluator{Dists: base, Cache: NewComponentCache(0)}
+			filler.Cache.Shared = tier
+			filler.Prob(cond.Clone())
+			cache.Shared = tier
+		}
+		ev := &Evaluator{Dists: dists, Cache: cache}
 
-	before := ev.Prob(cond.Clone())
-	dists[x1] = []float64{0, 0, 0, 0.5, 0.5}
-	dists[x2] = []float64{0, 0, 0, 0, 0.5, 0.5}
-	cache.Invalidate(x1, x2)
-	after := ev.Prob(cond.Clone())
-	if after == before {
-		t.Fatalf("Prob unchanged (%v) after renormalising both components", after)
+		before := ev.Prob(cond.Clone())
+		dists[x1] = []float64{0, 0, 0, 0.5, 0.5}
+		dists[x2] = []float64{0, 0, 0, 0, 0.5, 0.5}
+		cache.Invalidate(x1, x2)
+		after := ev.Prob(cond.Clone())
+		if after == before {
+			t.Fatalf("tier=%v: Prob unchanged (%v) after renormalising both components", withTier, after)
+		}
+		if want := NewEvaluator(dists).Prob(cond.Clone()); after != want {
+			t.Fatalf("tier=%v: post-invalidation Prob = %v, want %v", withTier, after, want)
+		}
+		if !withTier {
+			continue
+		}
+		// Both components came from the tier before the answers, and
+		// neither after them.
+		if s := cache.Stats(); s.SharedHits != 2 {
+			t.Fatalf("shared hits %d, want 2 (both components before Invalidate, none after): %+v", s.SharedHits, s)
+		}
+		// A new component over an invalidated variable stays out of the
+		// tier too, even next to a variable still at epoch 0.
+		ev.Prob(ctable.FromClauses([][]ctable.Expr{
+			{ctable.GTConst(x1, 2)},
+			{ctable.GTVar(x1, v(1, 0))},
+		}))
+		if n := tier.Len(); n != 2 {
+			t.Fatalf("tier holds %d entries, want the 2 base-posterior components", n)
+		}
+		// The tier still serves the base-posterior values.
+		fresh := &Evaluator{Dists: base, Cache: NewComponentCache(0)}
+		fresh.Cache.Shared = tier
+		if got := fresh.Prob(cond.Clone()); got != before {
+			t.Fatalf("base-posterior Prob through the tier = %v, want %v", got, before)
+		}
+		if s := fresh.Cache.Stats(); s.SharedHits != 2 {
+			t.Fatalf("fresh run over the tier: %d shared hits, want 2", s.SharedHits)
+		}
 	}
-	if want := NewEvaluator(dists).Prob(cond.Clone()); after != want {
-		t.Fatalf("post-invalidation Prob = %v, want %v", after, want)
+
+	// An evaluator over a tier a second evaluator pre-filled, against one
+	// without a tier: the same Prob fan-outs and planned scans, before and
+	// after a batch of renormalised variables. The filler plans sweeps for
+	// every candidate; the measured runs plan at most two for odd
+	// conditions — below marginalsThreshold, where they re-solve instead,
+	// so a tier vector served there would change their path.
+	rng := rand.New(rand.NewSource(23))
+	base := Dists{}
+	conds := make([]*ctable.Condition, 40)
+	for i := range conds {
+		conds[i] = ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), base))
+	}
+	changed := map[ctable.Var][]float64{}
+	for x, d := range base {
+		if x.Obj%3 == 0 {
+			changed[x] = randomDist(rand.New(rand.NewSource(int64(x.Obj))), len(d))
+		}
+	}
+	session := func(tier *ComponentCache, fill bool) (*ComponentCache, []float64) {
+		dists := Dists{}
+		for x, d := range base {
+			dists[x] = d
+		}
+		ev := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
+		ev.Cache.Shared = tier
+		var out []float64
+		pass := func() {
+			probs := ev.ProbAll(conds, 1)
+			out = append(out, probs...)
+			for i, c := range conds {
+				scan := ev.NewCondScan(c, probs[i])
+				exprs := c.Exprs()
+				if !fill && i%2 == 1 && len(exprs) > 2 {
+					scan.PlanSweeps(exprs[:2])
+				} else {
+					scan.PlanSweeps(exprs)
+				}
+				for _, e := range exprs {
+					pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
+					out = append(out, pe, pPhi, pTrue, pFalse)
+				}
+			}
+		}
+		pass()
+		var bumped []ctable.Var
+		for x, d := range changed {
+			dists[x] = d
+			bumped = append(bumped, x)
+		}
+		ev.Cache.Invalidate(bumped...)
+		pass()
+		return ev.Cache, out
+	}
+	tier := NewComponentCache(0)
+	session(tier, true)
+	plain, want := session(nil, false)
+	tiered, got := session(tier, false)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d: %v over the tier, %v without", i, got[i], want[i])
+		}
+	}
+	gs, ws := tiered.Stats(), plain.Stats()
+	if gs.SharedHits == 0 {
+		t.Fatalf("no shared hits over a pre-filled tier: %+v", gs)
+	}
+	gs.SharedHits = 0
+	if gs != ws || tiered.Len() != plain.Len() {
+		t.Fatalf("own cache differs with the tier: %+v, %d entries; without: %+v, %d entries",
+			tiered.Stats(), tiered.Len(), ws, plain.Len())
 	}
 }
 
@@ -231,8 +350,10 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestCacheConcurrentProbAll exercises shared-cache lookups and stores
-// from a parallel fan-out (meaningful under -race) and checks the fanned
-// results match a sequential NoCache evaluation exactly.
+// from parallel fan-outs (meaningful under -race) — two evaluators at once,
+// each fanning out over its own cache, both falling through to one shared
+// tier — and checks the fanned results match a sequential NoCache
+// evaluation exactly.
 func TestCacheConcurrentProbAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dists := Dists{}
@@ -243,16 +364,35 @@ func TestCacheConcurrentProbAll(t *testing.T) {
 	plain := &Evaluator{Dists: dists, Opt: Options{NoCache: true}}
 	want := plain.ProbAll(conds, 1)
 
-	cached := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
-	for round := 0; round < 3; round++ {
-		got := cached.ProbAll(conds, 8)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d cond %d: cached %v vs uncached %v", round, i, got[i], want[i])
+	tier := NewComponentCache(0)
+	evs := make([]*Evaluator, 2)
+	for i := range evs {
+		evs[i] = &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
+		evs[i].Cache.Shared = tier
+	}
+	var wg sync.WaitGroup
+	for _, cached := range evs {
+		wg.Add(1)
+		go func(cached *Evaluator) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				got := cached.ProbAll(conds, 8)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("round %d cond %d: cached %v vs uncached %v", round, i, got[i], want[i])
+						return
+					}
+				}
 			}
+		}(cached)
+	}
+	wg.Wait()
+	for _, cached := range evs {
+		if s := cached.Cache.Stats(); s.Hits == 0 {
+			t.Fatalf("no cache hits across repeated fan-outs: %+v", s)
 		}
 	}
-	if s := cached.Cache.Stats(); s.Hits == 0 {
-		t.Fatalf("no cache hits across repeated fan-outs: %+v", s)
+	if tier.Len() == 0 {
+		t.Fatal("no fan-out published to the shared tier")
 	}
 }

@@ -118,8 +118,9 @@ type Evaluator struct {
 // evaluator was created. The probability values themselves are
 // deterministic (fingerprint-seeded); the invocation count is not when a
 // component cache is shared across workers — like cache hit statistics,
-// it depends on which worker reaches a component first — so treat it as
-// an observability figure, not a traced quantity.
+// it depends on which worker reaches a component first, and on what the
+// cache's shared tier already holds (a served estimate is not counted) —
+// so treat it as an observability figure, not a traced quantity.
 //
 // Error bound: each estimated component is the mean of 2000 independent
 // draws, so by Hoeffding's inequality it misses the component's exact

@@ -209,10 +209,10 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 
 // planComp serves or computes the marginal vectors of one component's
 // needed variables: cache lookups first, then — if any are missing and
-// the candidate count justifies it — a single stAllMarginals pass whose
-// vectors are stored for later scans and rounds. Vectors are computed on
-// the canonically-ordered component, so cache-served and freshly-computed
-// values are bit-identical.
+// the candidate count justifies it — the shared tier, then a single
+// stAllMarginals pass whose vectors are stored for later scans and
+// rounds. Vectors are computed on the canonically-ordered component, so
+// cache-served and freshly-computed values are bit-identical.
 func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	ev := cs.ev
 	s, interned := newSolverGroups(ev, [][][]ctable.Expr{cs.comps[g]}, nil)
@@ -246,6 +246,27 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		return
 	}
 
+	// Past the gate the run would compute, so the shared tier may serve:
+	// a vector another run left behind must never decide between the
+	// partial-sum and the re-solve path, only replace a computation.
+	var vars []ctable.Var
+	var tier *ComponentCache
+	if cache != nil {
+		vars = s.componentVars(interned)
+		tier = cache.tierFor(vars)
+		kept := miss[:0]
+		for _, x := range miss {
+			if e, ok := cache.lookupTier(tier, varKey(x), vars); ok {
+				cs.addSweep(x, e.vec)
+				continue
+			}
+			kept = append(kept, x)
+		}
+		if miss = kept; len(miss) == 0 {
+			return
+		}
+	}
+
 	for _, x := range miss {
 		id, _ := s.varID(x)
 		s.margNeed[id] = true
@@ -267,7 +288,7 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		}
 		cs.addSweep(x, vec)
 		if cache != nil {
-			cache.storeVec(varKey(x), s.componentVars(interned), vec)
+			cache.store(varKey(x), vars, cacheEntry{vec: vec}, tier)
 		}
 	}
 }

@@ -402,10 +402,11 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 }
 
 // componentProb returns Pr(comp) for one connected component, consulting
-// the cache for components that would need branching. Components decided
-// by the direct independence rule are recomputed every time: they cost as
-// little as fingerprinting them would, and caching them would crowd out
-// entries that save real branching work.
+// the cache — and, after a miss, its shared tier — for components that
+// would need branching. Components decided by the direct independence
+// rule are recomputed every time: they cost as little as fingerprinting
+// them would, and caching them would crowd out entries that save real
+// branching work.
 //
 // Branched components are solved exactly by the compiled bitset
 // clause-state engine (state.go). When Options.ApproxThreshold is set and
@@ -419,19 +420,30 @@ func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 		return p
 	}
 	key := s.fingerprint(comp, scalarKeyPrefix)
+	// The variables are gathered once per miss: the shared-tier epoch
+	// check, the approximation threshold and the store all read them.
+	var vars []ctable.Var
+	var tier *ComponentCache
 	if cache != nil {
 		if p, ok := cache.lookup(key); ok {
 			return p
 		}
+		vars = s.componentVars(comp)
+		tier = cache.tierFor(vars)
+		if e, ok := cache.lookupTier(tier, key, vars); ok {
+			return e.p
+		}
+	} else if s.opt.ApproxThreshold > 0 {
+		vars = s.componentVars(comp)
 	}
 	var p float64
-	if s.opt.ApproxThreshold > 0 && len(s.componentVars(comp)) > s.opt.ApproxThreshold {
+	if s.opt.ApproxThreshold > 0 && len(vars) > s.opt.ApproxThreshold {
 		p = s.approxComponent(comp, key)
 	} else {
 		p = s.stSolve(comp)
 	}
 	if cache != nil {
-		cache.store(key, s.componentVars(comp), p)
+		cache.store(key, vars, cacheEntry{p: p}, tier)
 	}
 	return p
 }

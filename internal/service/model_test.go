@@ -21,9 +21,9 @@ import (
 
 // TestModelSharedAcrossQueries checks the per-dataset model slot:
 // concurrent FBS/UBS/HHS queries on one (dataset, α) pair share one
-// model build, each returns the library's result and trace bit for bit,
-// none of them writes the shared model, and another α gets a fresh,
-// correct model in the one slot.
+// model build and its component-cache tier, each returns the library's
+// result and trace bit for bit, none of them writes the shared model,
+// and another α gets a fresh, correct model in the one slot.
 func TestModelSharedAcrossQueries(t *testing.T) {
 	incomplete, truth := makeData(31, 80, 4)
 	base, err := core.Preprocess(incomplete, core.Options{MarginalsOnly: true})
@@ -99,6 +99,11 @@ func TestModelSharedAcrossQueries(t *testing.T) {
 			}
 			if srv.sharedModel(t) != shared || modelHash(shared) != before {
 				t.Fatal("the queries replaced or wrote the shared model")
+			}
+			// The second batch found components the first batch and the
+			// build left in the model's shared cache tier.
+			if n := srv.Registry().Counter("cache.shared_hits").Value(); n <= 0 {
+				t.Fatalf("cache.shared_hits = %d after the second batch, want > 0", n)
 			}
 
 			// Another α replaces the slot with a fresh, correct model.
