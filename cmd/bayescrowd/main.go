@@ -413,7 +413,7 @@ func runStream(data *bayescrowd.Dataset, f streamFlags, platform *bayescrowd.Unr
 	if f.budget > 0 {
 		tot := eng.Totals()
 		fmt.Printf("crowd: posted %d tasks, absorbed %d answers (%d conflicts), spent %d/%d units (%d still reserved)\n",
-			tot.Posted, tot.Absorbed, tot.Conflicts, eng.Spent(), f.budget, eng.Reserved())
+			tot.Posted, tot.Absorbed, tot.Conflicts, tot.Charged, f.budget, tot.InFlight)
 		if lost := tot.Expired + tot.Stale + tot.Late + tot.PostFailed; lost > 0 {
 			fmt.Printf("crowd lag: %d tasks expired, %d answers stale, %d late, %d post failures (%d units refunded)\n",
 				tot.Expired, tot.Stale, tot.Late, tot.PostFailed, tot.Refunded)

@@ -28,9 +28,9 @@
 //   - lockcopy: copies of mutex-containing values (by-value receivers,
 //     parameters, dereference copies, by-value ranges) fork the lock
 //     state and are flagged.
-//   - ledger: the crowd accounting counters (stream.CrowdLedger,
-//     service.Ledger) may only be mutated inside the accounting helpers
-//     and the configured accounting call trees.
+//   - ledger: the crowd accounting counters (crowd.Ledger) may only be
+//     mutated inside the accounting helpers and the configured
+//     accounting call trees.
 //
 // Since PR 9 the driver computes an interprocedural facts layer before
 // the per-package passes run: a whole-module static call graph (static,

@@ -130,11 +130,8 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/ctable") + ".DynCTable.Cond",
 			p("internal/stream") + ".CrowdEngine.Tick",
 		},
-		DocPkgs: []string{modulePath},
-		LedgerTypes: []string{
-			p("internal/stream") + ".CrowdLedger",
-			p("internal/service") + ".Ledger",
-		},
+		DocPkgs:     []string{modulePath},
+		LedgerTypes: []string{p("internal/crowd") + ".Ledger"},
 		LedgerRoots: []string{
 			p("internal/stream") + ".CrowdEngine.Tick",
 			// The service hub's settlement paths are the only legal

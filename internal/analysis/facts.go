@@ -370,15 +370,7 @@ func computeLedgerFacts(prog *Program, cfg *Config, f *facts) {
 // types.
 func (f *facts) isLedgerMethod(fn *types.Func) bool {
 	named := recvNamed(fn)
-	if named == nil {
-		return false
-	}
-	for _, lt := range f.ledgerTypes {
-		if named.Obj() == lt.Obj() {
-			return true
-		}
-	}
-	return false
+	return named != nil && f.isLedgerType(named)
 }
 
 // isLedgerType reports whether t (pointers stripped) is a configured

@@ -6,15 +6,15 @@ import (
 )
 
 // LedgerAnalyzer enforces conservation of the crowdsourcing accounting
-// state. The configured ledger types (stream.CrowdLedger, service.Ledger)
-// hold the counters behind the paper's budget guarantee — Posted must
-// equal Charged + Refunded + reserved at every quiescent point — and
-// that identity only survives review if the set of mutation sites stays
-// auditable. The analyzer therefore restricts every counter write and
-// every mutating (pointer-receiver) method call on a ledger type to:
+// state. The configured ledger type (crowd.Ledger) holds the counters
+// behind the paper's budget guarantee — the laws Ledger.Conserved
+// checks — and those only survive review if the set of mutation sites
+// stays auditable. The analyzer therefore restricts every counter write
+// and every mutating (pointer-receiver) method call on a ledger type,
+// named directly or through an alias, to:
 //
 //   - the accounting helpers: methods declared on the ledger types
-//     themselves (CrowdLedger.add), and their call trees;
+//     themselves (Ledger.Reserve, Charge, Refund), and their call trees;
 //   - the configured accounting roots' call trees (CrowdEngine.Tick and
 //     the service hub's register/resolve/expireOverdue/drain), resolved
 //     interprocedurally over the call graph — including closures,
@@ -27,7 +27,7 @@ import (
 // the conservation check keeps meaning something.
 var LedgerAnalyzer = &Analyzer{
 	Name: "ledger",
-	Doc:  "ledger counters (CrowdLedger, service.Ledger) may only be mutated inside accounting helpers and the configured accounting call trees",
+	Doc:  "ledger counters (crowd.Ledger) may only be mutated inside accounting helpers and the configured accounting call trees",
 	Run:  runLedger,
 }
 
@@ -54,11 +54,8 @@ func runLedger(pass *Pass) {
 				if fn == nil || !f.isLedgerMethod(fn) {
 					return
 				}
-				sig, ok := fn.Type().(*types.Signature)
-				if !ok || sig.Recv() == nil {
-					return
-				}
-				if _, ptr := sig.Recv().Type().(*types.Pointer); !ptr {
+				recv := fn.Type().(*types.Signature).Recv() // a method, so never nil
+				if _, ptr := recv.Type().(*types.Pointer); !ptr {
 					return // value-receiver methods are reads
 				}
 				pass.Reportf(st.Pos(),
@@ -99,15 +96,5 @@ func checkLedgerWrite(pass *Pass, f *facts, n *cgNode, lhs ast.Expr) {
 	}
 	pass.Reportf(sel.Sel.Pos(),
 		"write to ledger counter %s outside the accounting call trees (in %s): mutate it through an accounting helper or a function reachable from the configured roots",
-		ledgerFieldDisplay(f, info, sel), n.rootName())
-}
-
-// ledgerFieldDisplay renders "Type.Field" for a ledger counter write.
-func ledgerFieldDisplay(f *facts, info *types.Info, sel *ast.SelectorExpr) string {
-	if tv, ok := info.Types[sel.X]; ok {
-		if named := namedOf(tv.Type); named != nil {
-			return named.Obj().Name() + "." + sel.Sel.Name
-		}
-	}
-	return sel.Sel.Name
+		namedOf(tv.Type).Obj().Name()+"."+sel.Sel.Name, n.rootName())
 }

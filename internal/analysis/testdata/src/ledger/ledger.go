@@ -57,5 +57,15 @@ func Rogue(l *Ledger, s *Stats) {
 	_ = n
 }
 
+// Alias names the ledger type under another name, as a package that
+// moved it keeps its old name.
+type Alias = Ledger
+
+// RogueAlias writes through the alias, outside the accounting tree: the
+// alias is the ledger type, so the write is a finding.
+func RogueAlias(l *Alias) {
+	l.Charged = 3 // want `write to ledger counter Ledger\.Charged outside the accounting call trees`
+}
+
 // Snapshot reads only: value receiver, no mutation, clean anywhere.
 func (l Ledger) Snapshot() Ledger { return l }

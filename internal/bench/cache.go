@@ -14,10 +14,10 @@ import (
 	"bayescrowd/internal/prob"
 )
 
-// minCacheSweeps is the fewest whole-sweep repeats the cache experiment
-// takes the median of: its gated ratios swing by a fifth between single
-// sweeps on a shared host.
-const minCacheSweeps = 5
+// minGatedRepeats is the fewest repeats the gated experiments (cache,
+// scale, stream) take the median of: their ratios swing by a fifth
+// between single runs on a shared host.
+const minGatedRepeats = 5
 
 // CacheExperiment — beyond the paper: the component-memoization ablation.
 // It runs the crowdsourcing phase with the connected-component probability
@@ -34,7 +34,7 @@ const minCacheSweeps = 5
 // the experiment re-verifies the answer sets match on every run and flags
 // any divergence in the table notes.
 //
-// The whole sweep repeats max(Scale.Reps, minCacheSweeps) times. Within
+// The whole sweep repeats max(Scale.Reps, minGatedRepeats) times. Within
 // a repeat each cell runs cache on and off back to back, alternating
 // which goes first, so drift on a shared host hits both sides alike;
 // cells report per-cell medians, and the gated metrics are the medians
@@ -68,7 +68,7 @@ func CacheExperiment(s Scale) ([]*Table, error) {
 		}
 	}
 
-	repeats := max(s.Reps, minCacheSweeps)
+	repeats := max(s.Reps, minGatedRepeats)
 	equal := true
 	var selRatios, phaseRatios []float64
 	for r := 0; r < repeats; r++ {
@@ -162,4 +162,33 @@ func medianDur(ds []time.Duration) time.Duration {
 func medianFloat(xs []float64) float64 {
 	sort.Float64s(xs)
 	return xs[len(xs)/2]
+}
+
+// alternate times a measured mode (0) and its comparator (1) back to
+// back, repeats times, alternating which goes first so drift on a
+// shared host hits both alike, and returns each mode's per-repeat
+// durations. run must collect garbage right before it starts its clock,
+// so neither mode pays for garbage the other left behind.
+func alternate(repeats int, run func(mode int) (time.Duration, error)) ([2][]time.Duration, error) {
+	var d [2][]time.Duration
+	for r := 0; r < repeats; r++ {
+		for _, mode := range [2][2]int{{0, 1}, {1, 0}}[r%2] {
+			t, err := run(mode)
+			if err != nil {
+				return d, err
+			}
+			d[mode] = append(d[mode], t)
+		}
+	}
+	return d, nil
+}
+
+// medianSpeedup returns the median over repeats of the comparator's
+// time over the measured mode's, each ratio taken within one repeat.
+func medianSpeedup(d [2][]time.Duration) float64 {
+	ratios := make([]float64, len(d[0]))
+	for r := range ratios {
+		ratios[r] = float64(d[1][r]) / float64(d[0][r])
+	}
+	return medianFloat(ratios)
 }

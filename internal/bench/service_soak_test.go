@@ -216,9 +216,9 @@ func TestServiceSoak(t *testing.T) {
 
 	var health service.HealthInfo
 	get(ts.URL+"/v1/healthz", &health)
-	if want := int64(service.UnitMu) * int64(health.TasksAnswered); totalCharged != want {
+	if want := int64(crowd.UnitMu) * int64(health.TasksAnswered); totalCharged != want {
 		t.Errorf("service books off: total charged %d mu, want %d (= %d answered tasks × %d mu)",
-			totalCharged, want, health.TasksAnswered, service.UnitMu)
+			totalCharged, want, health.TasksAnswered, crowd.UnitMu)
 	}
 	if health.TasksExpired == 0 {
 		t.Log("note: no task expired — fault schedule did not exercise the expiry path this run")

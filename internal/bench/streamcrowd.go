@@ -36,7 +36,7 @@ func StreamCrowdExperiment(s Scale) ([]*Table, error) {
 	type row struct {
 		label   string
 		elapsed time.Duration
-		tot     stream.CrowdLedger
+		tot     crowd.Ledger
 		f1      float64
 	}
 	run := func(label string, latency int, budget int) (row, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"time"
 
 	"bayescrowd/internal/dataset"
@@ -20,7 +21,9 @@ import (
 // re-evaluation) and through the rebuild-per-tick baseline (fresh batch
 // c-table and evaluator over the whole window every tick); the table
 // reports each mode's sustained objects/sec and their ratio, the metric
-// the CI regression gate holds at ≥3×.
+// the CI regression gate holds at ≥3×. The two modes run back to back
+// max(Scale.Reps, minGatedRepeats) times, interleaved (see alternate);
+// the table reports median times and the median per-repeat ratio.
 //
 // Before anything is timed, one untimed pass cross-checks the two modes
 // tick by tick: identical answer sets and rankings at every tick, or the
@@ -34,52 +37,39 @@ func StreamExperiment(s Scale) ([]*Table, error) {
 		return nil, err
 	}
 
-	reps := s.Reps
-	if reps < 2 {
-		reps = 2 // per-mode runs are seconds-scale; best-of-2 tames noise
-	}
+	repeats := max(s.Reps, minGatedRepeats)
 	sustained := s.StreamArrivals * s.StreamTicks
 
-	measure := func(rebuild bool) (time.Duration, error) {
-		best := time.Duration(1) << 62
-		for r := 0; r < reps; r++ {
-			e, err := stream.New(stream.Config{
-				Attrs:   attrs,
-				Window:  stream.Window{Count: s.StreamWindow},
-				Workers: s.Workers,
-				Rebuild: rebuild,
-			})
-			if err != nil {
-				return 0, err
-			}
-			e.Tick(0, fill) // warm-up: fill the window, untimed
-			start := time.Now()
-			for t, batch := range ticks {
-				e.Tick(int64(t+1), batch)
-			}
-			if elapsed := time.Since(start); elapsed < best {
-				best = elapsed
-			}
+	d, err := alternate(repeats, func(mode int) (time.Duration, error) {
+		e, err := stream.New(stream.Config{
+			Attrs:   attrs,
+			Window:  stream.Window{Count: s.StreamWindow},
+			Workers: s.Workers,
+			Rebuild: mode == 1,
+		})
+		if err != nil {
+			return 0, err
 		}
-		return best, nil
-	}
-
-	inc, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	reb, err := measure(true)
+		e.Tick(0, fill) // warm-up: fill the window, untimed
+		runtime.GC()
+		start := time.Now()
+		for t, batch := range ticks {
+			e.Tick(int64(t+1), batch)
+		}
+		return time.Since(start), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	rate := func(d time.Duration) float64 { return float64(sustained) / d.Seconds() }
-	speedup := float64(reb) / float64(inc)
+	speedup := medianSpeedup(d)
+	inc, reb := medianDur(d[0]), medianDur(d[1])
 
 	t := &Table{
 		Title: fmt.Sprintf(
-			"Stream: sustained throughput at steady state, window=%d, %d arrival(s)/tick, %d ticks (best of %d)",
-			s.StreamWindow, s.StreamArrivals, s.StreamTicks, reps),
+			"Stream: sustained throughput at steady state, window=%d, %d arrival(s)/tick, %d ticks (median of %d interleaved repeats)",
+			s.StreamWindow, s.StreamArrivals, s.StreamTicks, repeats),
 		Header: []string{"mode", "objects", "elapsed", "obj/s"},
 	}
 	t.AddRow("incremental", fmt.Sprintf("%d", sustained), fmtDur(inc), fmt.Sprintf("%.0f", rate(inc)))

@@ -152,21 +152,26 @@ func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 	reg := opt.Metrics
 	reg.Histogram("prob.duration").Observe(m.ProbTime)
 	reg.Counter("prob.approx.components").Add(m.ApproxComponents)
-	reg.Counter("cache.hits").Add(int64(m.Cache.Hits))
-	reg.Counter("cache.misses").Add(int64(m.Cache.Misses))
-	reg.Counter("cache.evicted").Add(int64(m.Cache.Evicted))
-	reg.Counter("cache.shared_hits").Add(int64(m.Cache.SharedHits))
+	publishCache(reg, prob.CacheStats{}, m.Cache)
 	return m
+}
+
+// publishCache adds the movement of a component cache's counters from
+// prev to cur to reg's cache.* counters.
+func publishCache(reg *obs.Registry, prev, cur prob.CacheStats) {
+	reg.Counter("cache.hits").Add(int64(cur.Hits - prev.Hits))
+	reg.Counter("cache.misses").Add(int64(cur.Misses - prev.Misses))
+	reg.Counter("cache.evicted").Add(int64(cur.Evicted - prev.Evicted))
+	reg.Counter("cache.shared_hits").Add(int64(cur.SharedHits - prev.SharedHits))
+	reg.Counter("cache.invalidated").Add(int64(cur.Invalidated - prev.Invalidated))
+	reg.Counter("cache.invalidated.entries").Add(int64(cur.InvalidatedEntries - prev.InvalidatedEntries))
 }
 
 // newEvaluator returns an evaluator over dists with the run's solver
 // options and, unless opt.NoCache, a fresh component cache falling
 // through to tier (which may be nil).
 func newEvaluator(dists prob.Dists, opt Options, tier *prob.ComponentCache) *prob.Evaluator {
-	ev := &prob.Evaluator{Dists: dists, Opt: prob.Options{
-		NoCache:         opt.NoCache,
-		ApproxThreshold: opt.ApproxThreshold,
-	}}
+	ev := &prob.Evaluator{Dists: dists, Opt: prob.Options{ApproxThreshold: opt.ApproxThreshold}}
 	if !opt.NoCache {
 		ev.Cache = prob.NewComponentCache(opt.CacheSize)
 		ev.Cache.Shared = tier
@@ -224,19 +229,13 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	reg := opt.Metrics
 	rec.Emit(obs.Event{Kind: obs.KindRunStart, N: opt.Budget, M: opt.Latency, Note: opt.Strategy.String()})
 	var (
-		hSelect      = reg.Histogram("select.duration")
-		hProb        = reg.Histogram("prob.duration")
-		hRound       = reg.Histogram("round.duration")
-		cRounds      = reg.Counter("rounds")
-		cPosted      = reg.Counter("tasks.posted")
-		cAnswered    = reg.Counter("tasks.answered")
-		cCacheHits   = reg.Counter("cache.hits")
-		cCacheMisses = reg.Counter("cache.misses")
-		cCacheEvict  = reg.Counter("cache.evicted")
-		cCacheShared = reg.Counter("cache.shared_hits")
-		cCacheInval  = reg.Counter("cache.invalidated")
-		cCacheInvalE = reg.Counter("cache.invalidated.entries")
-		cApprox      = reg.Counter("prob.approx.components")
+		hSelect   = reg.Histogram("select.duration")
+		hProb     = reg.Histogram("prob.duration")
+		hRound    = reg.Histogram("round.duration")
+		cRounds   = reg.Counter("rounds")
+		cPosted   = reg.Counter("tasks.posted")
+		cAnswered = reg.Counter("tasks.answered")
+		cApprox   = reg.Counter("prob.approx.components")
 	)
 	var prevCache prob.CacheStats
 	var prevApprox int64
@@ -553,12 +552,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		rec.Emit(obs.Event{Kind: obs.KindRoundEnd, N: charged, M: len(probs)})
 		if reg != nil && ev.Cache != nil {
 			s := ev.Cache.Stats()
-			cCacheHits.Add(int64(s.Hits - prevCache.Hits))
-			cCacheMisses.Add(int64(s.Misses - prevCache.Misses))
-			cCacheEvict.Add(int64(s.Evicted - prevCache.Evicted))
-			cCacheShared.Add(int64(s.SharedHits - prevCache.SharedHits))
-			cCacheInval.Add(int64(s.Invalidated - prevCache.Invalidated))
-			cCacheInvalE.Add(int64(s.InvalidatedEntries - prevCache.InvalidatedEntries))
+			publishCache(reg, prevCache, s)
 			prevCache = s
 		}
 		if reg != nil {
@@ -624,12 +618,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		if reg != nil {
 			// Publish whatever accrued since the last per-round delta
 			// (e.g. when the loop exited before a round completed).
-			cCacheHits.Add(int64(result.Cache.Hits - prevCache.Hits))
-			cCacheMisses.Add(int64(result.Cache.Misses - prevCache.Misses))
-			cCacheEvict.Add(int64(result.Cache.Evicted - prevCache.Evicted))
-			cCacheShared.Add(int64(result.Cache.SharedHits - prevCache.SharedHits))
-			cCacheInval.Add(int64(result.Cache.Invalidated - prevCache.Invalidated))
-			cCacheInvalE.Add(int64(result.Cache.InvalidatedEntries - prevCache.InvalidatedEntries))
+			publishCache(reg, prevCache, result.Cache)
 		}
 	}
 	result.ApproxComponents = m.ApproxComponents + ev.ApproxComponents()

@@ -137,7 +137,7 @@ func TestApproxFallbackDeterminism(t *testing.T) {
 	if len(conds) == 0 {
 		t.Fatal("no undecided conditions generated")
 	}
-	opt := Options{ApproxThreshold: 4, NoCache: true}
+	opt := Options{ApproxThreshold: 4}
 	ref := &Evaluator{Dists: dists, Opt: opt}
 	want := ref.ProbAll(conds, 1)
 	wantN := ref.ApproxComponents()

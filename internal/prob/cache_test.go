@@ -54,11 +54,11 @@ func TestCacheBitIdentical(t *testing.T) {
 		cond := ctable.FromClauses(clauses)
 
 		cached := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
-		plain := &Evaluator{Dists: dists, Opt: Options{NoCache: true}, Cache: cached.Cache}
+		plain := &Evaluator{Dists: dists, Cache: nil}
 
 		// Evaluate through the cached evaluator twice — the second run
 		// serves branched components from the cache — and through the
-		// NoCache evaluator; all three must agree bit for bit.
+		// cacheless evaluator; all three must agree bit for bit.
 		p1 := cached.Prob(cond.Clone())
 		p2 := cached.Prob(cond.Clone())
 		p0 := plain.Prob(cond.Clone())
@@ -96,7 +96,7 @@ func TestCondScanMatchesCondProbsWith(t *testing.T) {
 
 		for _, ev := range []*Evaluator{
 			{Dists: dists, Cache: NewComponentCache(0)},
-			{Dists: dists, Opt: Options{NoCache: true}},
+			{Dists: dists},
 		} {
 			pPhi := ev.Prob(cond.Clone())
 			scan := ev.NewCondScan(cond, pPhi)
@@ -113,8 +113,8 @@ func TestCondScanMatchesCondProbsWith(t *testing.T) {
 						}
 						for i, d := range drifts {
 							if math.Abs(d) > 1e-12 {
-								t.Fatalf("trial %d (NoCache=%v, planned=%v): scan vs full for %v: quantity %d drifts %v",
-									trial, ev.Opt.NoCache, cs == planned, e, i, d)
+								t.Fatalf("trial %d (cached=%v, planned=%v): scan vs full for %v: quantity %d drifts %v",
+									trial, ev.Cache != nil, cs == planned, e, i, d)
 							}
 						}
 					}
@@ -352,7 +352,7 @@ func TestCacheEviction(t *testing.T) {
 // TestCacheConcurrentProbAll exercises shared-cache lookups and stores
 // from parallel fan-outs (meaningful under -race) — two evaluators at once,
 // each fanning out over its own cache, both falling through to one shared
-// tier — and checks the fanned results match a sequential NoCache
+// tier — and checks the fanned results match a sequential cacheless
 // evaluation exactly.
 func TestCacheConcurrentProbAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -361,7 +361,7 @@ func TestCacheConcurrentProbAll(t *testing.T) {
 	for i := range conds {
 		conds[i] = ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), dists))
 	}
-	plain := &Evaluator{Dists: dists, Opt: Options{NoCache: true}}
+	plain := &Evaluator{Dists: dists}
 	want := plain.ProbAll(conds, 1)
 
 	tier := NewComponentCache(0)

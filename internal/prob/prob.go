@@ -58,13 +58,6 @@ type Options struct {
 	// BranchFirstVar branches on the first variable encountered instead
 	// of the most frequent one. Used by the ablation benchmark.
 	BranchFirstVar bool
-	// NoCache disables the component memoization cache even when
-	// Evaluator.Cache is set. Used by the cache ablation benchmark.
-	// Cached and uncached evaluation are bit-identical — both solve
-	// branched components in the same canonical order; the cache only
-	// decides whether a component's probability is looked up or
-	// recomputed.
-	NoCache bool
 	// ApproxThreshold, when > 0, caps the exact solver: a connected
 	// component with more than ApproxThreshold distinct variables is
 	// estimated by Monte Carlo sampling (2000 draws) instead of being
@@ -97,10 +90,13 @@ type Evaluator struct {
 	Dists Dists
 	Opt   Options
 	// Cache, when non-nil, memoizes connected-component probabilities
-	// across evaluations (see ComponentCache). Whoever mutates Dists must
-	// call Cache.Invalidate for every renormalised variable, or cached
-	// components will serve probabilities computed under the old
-	// distribution.
+	// across evaluations (see ComponentCache); nil is the cache ablation.
+	// Cached and uncached evaluation are bit-identical — both solve
+	// branched components in the same canonical order; the cache only
+	// decides whether a component's probability is looked up or
+	// recomputed. Whoever mutates Dists must call Cache.Invalidate for
+	// every renormalised variable, or cached components will serve
+	// probabilities computed under the old distribution.
 	Cache *ComponentCache
 	// Obs, when non-nil, receives the evaluator's trace events (fan-out
 	// and sweep-plan sizes). It is set by the single writer that owns the
@@ -228,12 +224,12 @@ func (ev *Evaluator) probGroups(groups [][][]ctable.Expr, unit *ctable.Expr) flo
 	return p
 }
 
-// activeCache returns the cache adpllTop should consult: nil when caching
-// is switched off (Options.NoCache) or structurally meaningless
+// activeCache returns the cache adpllTop should consult: nil when there
+// is none or when caching is structurally meaningless
 // (Options.NoComponents — without component decomposition there is
 // nothing to memoize).
 func (ev *Evaluator) activeCache() *ComponentCache {
-	if ev.Opt.NoCache || ev.Opt.NoComponents {
+	if ev.Opt.NoComponents {
 		return nil
 	}
 	return ev.Cache

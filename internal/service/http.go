@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/obs"
 )
@@ -124,7 +125,7 @@ type QueryStatus struct {
 	Undecided int `json:"undecided"`
 	// Ledger is the query's crowd-cost account; Ledger.Conserved holds
 	// after every hub operation.
-	Ledger Ledger `json:"ledger"`
+	Ledger crowd.Ledger `json:"ledger"`
 	// Result is set once State is "done"; Error once State is "failed".
 	Result *QueryResult `json:"result,omitempty"`
 	Error  string       `json:"error,omitempty"`

@@ -11,6 +11,14 @@ import (
 	"bayescrowd/internal/obs"
 )
 
+// UnitMu is crowd.UnitMu under its former service name, which e2ebench
+// still uses.
+const UnitMu = crowd.UnitMu
+
+// Ledger is crowd.Ledger under its former service name, which e2ebench
+// still uses.
+type Ledger = crowd.Ledger
+
 // taskKey identifies a crowd question across queries: the same missing
 // cell asked about over the same dataset is the same task, whoever
 // needs it.
@@ -43,14 +51,17 @@ type TaskSink interface {
 }
 
 // roundWait is one parked crowd round: the tasks a query posted, the
-// relations that have arrived for them, and the latch its goroutine
-// blocks on until every task is resolved.
+// hub task each one joined or opened, the relations that have arrived
+// for them, and the latch its goroutine blocks on until every task is
+// resolved.
 type roundWait struct {
 	q     *query
 	tasks []crowd.Task
-	// rels holds the answered relations; all writes happen under the
-	// hub mutex before done closes, so the post-wait read is ordered.
-	rels    map[ctable.Expr]ctable.Rel
+	ids   []string // hub task id per posted task
+	// rels holds the answered relations by hub task id; all writes
+	// happen under the hub mutex before done closes, so the post-wait
+	// read is ordered.
+	rels    map[string]ctable.Rel
 	pending int
 	failed  bool // drain resolved part of the round
 	done    chan struct{}
@@ -61,8 +72,8 @@ type roundWait struct {
 // when drain resolved any of the round's tasks.
 func (rw *roundWait) collect() ([]crowd.Answer, error) {
 	var answers []crowd.Answer
-	for _, t := range rw.tasks {
-		if rel, ok := rw.rels[t.Expr]; ok {
+	for i, t := range rw.tasks {
+		if rel, ok := rw.rels[rw.ids[i]]; ok {
 			answers = append(answers, crowd.Answer{Task: t, Rel: rel})
 		}
 	}
@@ -125,7 +136,9 @@ func newHub(reg *obs.Registry, sink TaskSink) *hub {
 // register books one crowd round into the hub: every task reserves a
 // full unit on the query's ledger and either joins an already-open task
 // (a dedup hit — the crowd is asked once, the price will be split) or
-// opens a fresh one. It returns the round's wait latch and the freshly
+// opens a fresh one. A repeat of a task earlier in the same round is a
+// re-ask copy and always opens its own task, so every copy gets its own
+// crowd answer. It returns the round's wait latch and the freshly
 // opened tasks for the sink; the caller notifies outside the lock.
 func (h *hub) register(q *query, tasks []crowd.Task) (*roundWait, []PostedTask, error) {
 	h.mu.Lock()
@@ -136,20 +149,23 @@ func (h *hub) register(q *query, tasks []crowd.Task) (*roundWait, []PostedTask, 
 	rw := &roundWait{
 		q:       q,
 		tasks:   tasks,
-		rels:    make(map[ctable.Expr]ctable.Rel, len(tasks)),
+		ids:     make([]string, len(tasks)),
+		rels:    make(map[string]ctable.Rel, len(tasks)),
 		pending: len(tasks),
 		done:    make(chan struct{}),
 	}
 	var fresh []PostedTask
-	for _, t := range tasks {
+	for i, t := range tasks {
 		key := taskKey{dataset: q.ds.name, expr: t.Expr}
-		q.ledger.Requested++
-		q.ledger.InFlight++
+		q.ledger.Reserve()
 		ot := h.open[key]
-		if ot != nil {
+		// This round already joined or opened the key's task: a copy.
+		copied := ot != nil && ot.waiters[len(ot.waiters)-1] == rw
+		if ot != nil && !copied {
 			q.ledger.Shared++
 			h.cDeduped.Add(1)
 			ot.waiters = append(ot.waiters, rw)
+			rw.ids[i] = ot.id
 			continue
 		}
 		h.nextTask++
@@ -161,8 +177,11 @@ func (h *hub) register(q *query, tasks []crowd.Task) (*roundWait, []PostedTask, 
 			postedAt: time.Now(),
 			waiters:  []*roundWait{rw},
 		}
-		h.open[key] = ot
+		if !copied {
+			h.open[key] = ot
+		}
 		h.byID[ot.id] = ot
+		rw.ids[i] = ot.id
 		h.cPosted.Add(1)
 		fresh = append(fresh, PostedTask{ID: ot.id, Dataset: key.dataset, Task: t})
 	}
@@ -189,27 +208,22 @@ func (h *hub) resolve(taskID string, rel ctable.Rel) ([]string, error) {
 	if ot == nil {
 		return nil, fmt.Errorf("no open task %q", taskID)
 	}
-	delete(h.byID, taskID)
-	delete(h.open, ot.key)
+	h.close(ot)
 	h.cAnswered.Add(1)
 
 	k := len(ot.waiters)
-	share := int64(UnitMu / k)
-	extra := UnitMu % k
+	share := int64(crowd.UnitMu / k)
+	extra := crowd.UnitMu % k
 	ids := make([]string, 0, k)
 	for i, rw := range ot.waiters {
 		c := share
 		if i < extra {
 			c++
 		}
-		led := &rw.q.ledger
-		led.Answered++
-		led.InFlight--
-		led.ChargedMu += c
-		led.RefundedMu += int64(UnitMu) - c
+		rw.q.ledger.Charge(c)
 		h.cChargedMu.Add(c)
-		h.cRefundedMu.Add(int64(UnitMu) - c)
-		rw.rels[ot.key.expr] = rel
+		h.cRefundedMu.Add(crowd.UnitMu - c)
+		rw.rels[ot.id] = rel
 		rw.pending--
 		if rw.pending == 0 {
 			close(rw.done)
@@ -222,17 +236,12 @@ func (h *hub) resolve(taskID string, rel ctable.Rel) ([]string, error) {
 // settleLost resolves one task without an answer — expiry or drain —
 // refunding every sharer's full reservation. The sharing rounds see the
 // task as dropped (expiry) or failed (drain).
-func (h *hub) settleLost(ot *openTask, failed bool) {
+func (h *hub) settleLost(ot *openTask, why crowd.Loss) {
 	for _, rw := range ot.waiters {
-		led := &rw.q.ledger
-		led.InFlight--
-		led.RefundedMu += UnitMu
-		h.cRefundedMu.Add(UnitMu)
-		if failed {
-			led.Failed++
+		rw.q.ledger.Refund(why)
+		h.cRefundedMu.Add(crowd.UnitMu)
+		if why == crowd.Failed {
 			rw.failed = true
-		} else {
-			led.Expired++
 		}
 		rw.pending--
 		if rw.pending == 0 {
@@ -250,12 +259,21 @@ func (h *hub) expireOverdue(cutoff time.Time) int {
 	defer h.mu.Unlock()
 	overdue := h.bySeqOrder(func(ot *openTask) bool { return !ot.postedAt.After(cutoff) })
 	for _, ot := range overdue {
-		delete(h.byID, ot.id)
-		delete(h.open, ot.key)
+		h.close(ot)
 		h.cExpired.Add(1)
-		h.settleLost(ot, false)
+		h.settleLost(ot, crowd.Expired)
 	}
 	return len(overdue)
+}
+
+// close removes a settled task from the open tables. The dedup entry
+// for its key goes only if it is this task's: a re-ask copy never holds
+// it. Callers hold mu.
+func (h *hub) close(ot *openTask) {
+	delete(h.byID, ot.id)
+	if h.open[ot.key] == ot {
+		delete(h.open, ot.key)
+	}
 }
 
 // bySeqOrder gathers the open tasks matching keep, ordered by the
@@ -286,10 +304,9 @@ func (h *hub) drain() {
 	defer h.mu.Unlock()
 	h.draining = true
 	for _, ot := range h.bySeqOrder(nil) {
-		delete(h.byID, ot.id)
-		delete(h.open, ot.key)
+		h.close(ot)
 		h.cFailed.Add(1)
-		h.settleLost(ot, true)
+		h.settleLost(ot, crowd.Failed)
 	}
 }
 
@@ -324,7 +341,7 @@ func (h *hub) stats() (posted, answered, expired, open int) {
 }
 
 // ledgerOf snapshots a query's ledger under the hub lock.
-func (h *hub) ledgerOf(q *query) Ledger {
+func (h *hub) ledgerOf(q *query) crowd.Ledger {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return q.ledger

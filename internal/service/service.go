@@ -23,7 +23,8 @@
 //     the cross-query dedup table keyed by (dataset, expression): two
 //     queries needing the same missing cell share one outstanding crowd
 //     task, and when the answer arrives its unit price is split exactly
-//     across the sharers (see Ledger). The posting query parks — the
+//     across the sharers (see crowd.Ledger); re-ask copies of one task
+//     within a round each open their own. The posting query parks — the
 //     goroutine blocks, holding no compute token — until every task of
 //     its round is resolved by an answer callback, a deadline expiry,
 //     or drain.
@@ -156,9 +157,9 @@ type query struct {
 	// write.
 	trace         *bytes.Buffer
 	traceTrunc    bool
-	ledger        Ledger // owned by the hub: read and written only under its mutex
-	roundsSeen    int    // guarded by mu; progress from OnRound
-	lastUndecided int    // guarded by mu
+	ledger        crowd.Ledger // owned by the hub: read and written only under its mutex
+	roundsSeen    int          // guarded by mu; progress from OnRound
+	lastUndecided int          // guarded by mu
 }
 
 // setState publishes a lifecycle transition.

@@ -229,8 +229,8 @@ func TestServiceEquivalence(t *testing.T) {
 				if !st.Ledger.Conserved() {
 					t.Errorf("%s: ledger not conserved: %+v", req.Strategy, st.Ledger)
 				}
-				if st.Ledger.Answered != want.TasksPosted {
-					t.Errorf("%s: ledger answered %d, want %d", req.Strategy, st.Ledger.Answered, want.TasksPosted)
+				if st.Ledger.Charged != want.TasksPosted {
+					t.Errorf("%s: ledger answered %d, want %d", req.Strategy, st.Ledger.Charged, want.TasksPosted)
 				}
 			}
 		})
@@ -276,8 +276,8 @@ func TestMetricsBoundedInQueries(t *testing.T) {
 		var st QueryStatus
 		req := QueryRequest{Dataset: "d", Budget: 20, Latency: 4, Strategy: "UBS", Seed: seed, Workers: 1}
 		postJSON(t, ts.URL+"/v1/queries", req, http.StatusAccepted, &st)
-		if st = waitDone(t, ts.URL, st.ID); st.State != StateDone || st.Ledger.Answered == 0 {
-			t.Fatalf("query %s: state %s, %d answered: %s", st.ID, st.State, st.Ledger.Answered, st.Error)
+		if st = waitDone(t, ts.URL, st.ID); st.State != StateDone || st.Ledger.Charged == 0 {
+			t.Fatalf("query %s: state %s, %d answered: %s", st.ID, st.State, st.Ledger.Charged, st.Error)
 		}
 	}
 
@@ -370,7 +370,7 @@ func TestDedupSharesTasksAndSplitsCharge(t *testing.T) {
 	// Dedup must have shared every task: the second query's requests all
 	// joined the first query's (or vice versa per round), so the crowd
 	// saw strictly fewer tasks than the queries requested.
-	totalRequested := sa.Ledger.Requested + sb.Ledger.Requested
+	totalRequested := sa.Ledger.Posted + sb.Ledger.Posted
 	if health.TasksPosted >= totalRequested {
 		t.Errorf("posted %d unique tasks for %d requests — dedup never shared", health.TasksPosted, totalRequested)
 	}
@@ -380,7 +380,7 @@ func TestDedupSharesTasksAndSplitsCharge(t *testing.T) {
 	// Money conservation across the whole service: every answered unique
 	// task was paid for exactly once, split across its sharers.
 	totalCharged := sa.Ledger.ChargedMu + sb.Ledger.ChargedMu
-	if want := int64(UnitMu) * int64(health.TasksAnswered); totalCharged != want {
+	if want := int64(crowd.UnitMu) * int64(health.TasksAnswered); totalCharged != want {
 		t.Errorf("total charged %d mu, want %d (= %d answered tasks)", totalCharged, want, health.TasksAnswered)
 	}
 	// Identical queries must return identical results.
@@ -439,7 +439,7 @@ func TestDrainDegradesAndRefunds(t *testing.T) {
 	if led.Failed == 0 || led.InFlight != 0 {
 		t.Errorf("drain settled nothing: %+v", led)
 	}
-	if led.ChargedMu != 0 || led.RefundedMu != int64(UnitMu)*int64(led.Requested) {
+	if led.ChargedMu != 0 || led.RefundedMu != int64(crowd.UnitMu)*int64(led.Posted) {
 		t.Errorf("reservations not fully refunded: %+v", led)
 	}
 
@@ -491,7 +491,7 @@ func TestExpiryRefundsAndRequeues(t *testing.T) {
 	if !led.Conserved() {
 		t.Errorf("ledger not conserved: %+v", led)
 	}
-	if led.Expired == 0 || led.Answered != 0 {
+	if led.Expired == 0 || led.Charged != 0 {
 		t.Errorf("expected pure-expiry ledger, got %+v", led)
 	}
 	if led.ChargedMu != 0 {

@@ -57,56 +57,17 @@ type CrowdConfig struct {
 	Rng *rand.Rand
 }
 
-// CrowdLedger is the per-tick staleness ledger — what the crowd loop
-// did and what the window's churn cost it. Totals accumulates the same
-// fields over the run.
-type CrowdLedger struct {
-	// Posted counts tasks shipped this tick; PostFailed counts
-	// round-level Post failures (the batch was not listed — the loop
-	// re-selects next tick rather than blocking or retrying in-tick).
-	Posted     int
-	PostFailed int
-	// Arrived counts answers delivered this tick, including the ones
-	// discarded below; Absorbed counts answers folded into the
-	// knowledge; Conflicts counts answers rejected for contradicting
-	// earlier knowledge (charged — the crowd did the work).
-	Arrived   int
-	Absorbed  int
-	Conflicts int
-	// Stale counts answers discarded because their object left the
-	// window first (refunded); Late counts answers for tasks that had
-	// already expired (their expiry already refunded them); Expired
-	// counts in-flight tasks retired overdue this tick (refunded).
-	Stale   int
-	Late    int
-	Expired int
-	// Charged and Refunded are the tick's budget movements in task
-	// units: Charged for ingested answers (absorbed or conflicting),
-	// Refunded for expired tasks and stale answers.
-	Charged  int
-	Refunded int
-}
-
-// add folds one tick's ledger into a running total.
-func (l *CrowdLedger) add(t CrowdLedger) {
-	l.Posted += t.Posted
-	l.PostFailed += t.PostFailed
-	l.Arrived += t.Arrived
-	l.Absorbed += t.Absorbed
-	l.Conflicts += t.Conflicts
-	l.Stale += t.Stale
-	l.Late += t.Late
-	l.Expired += t.Expired
-	l.Charged += t.Charged
-	l.Refunded += t.Refunded
-}
+// CrowdLedger is crowd.Ledger under its former stream name, which
+// e2ebench still uses.
+type CrowdLedger = crowd.Ledger
 
 // CrowdTickResult is a TickResult plus the tick's crowd ledger and the
 // loop's budget position at tick end.
 type CrowdTickResult struct {
 	TickResult
-	// Crowd is this tick's staleness ledger.
-	Crowd CrowdLedger
+	// Crowd is this tick's ledger delta: the running ledger minus its
+	// value at the start of the tick (InFlight may be negative).
+	Crowd crowd.Ledger
 	// InFlight is the number of tasks awaiting an answer at tick end.
 	InFlight int
 	// BudgetSpent and BudgetReserved are the cumulative charge and the
@@ -198,9 +159,9 @@ type CrowdEngine struct {
 	inflightExpr map[ctable.Expr]*inflightTask
 	mailbox      map[int][]scheduledAnswer // arrival tick -> answers, post order
 
-	spent    int
-	reserved int
-	totals   CrowdLedger
+	// totals is the running ledger; Charged and InFlight are the spent
+	// and reserved budget units.
+	totals crowd.Ledger
 
 	touched     map[ctable.Var]bool
 	distChanged map[ctable.Var]bool
@@ -302,14 +263,14 @@ func (c *CrowdEngine) Snapshot() []Ranked { return c.eng.Snapshot() }
 func (c *CrowdEngine) CacheStats() prob.CacheStats { return c.eng.CacheStats() }
 
 // Totals returns the run's accumulated crowd ledger.
-func (c *CrowdEngine) Totals() CrowdLedger { return c.totals }
+func (c *CrowdEngine) Totals() crowd.Ledger { return c.totals }
 
 // Spent reports the budget units charged for ingested answers so far.
-func (c *CrowdEngine) Spent() int { return c.spent }
+func (c *CrowdEngine) Spent() int { return c.totals.Charged }
 
 // Reserved reports the budget units held by in-flight tasks — refunded
 // if they expire or their answer arrives stale, charged otherwise.
-func (c *CrowdEngine) Reserved() int { return c.reserved }
+func (c *CrowdEngine) Reserved() int { return c.totals.InFlight }
 
 // InFlight returns the number of tasks awaiting an answer.
 func (c *CrowdEngine) InFlight() int { return len(c.inflightExpr) }
@@ -323,6 +284,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	e := c.eng
 	e.beginTick(now)
 	var res CrowdTickResult
+	start := c.totals
 	clear(c.touched)
 	clear(c.distChanged)
 
@@ -331,8 +293,8 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	// cannot be absorbed even if every later check were bypassed.
 	c.retire(res.Evicted, e.evictStep(now, len(arrivals), &res.TickResult))
 
-	c.expireTasks(&res.Crowd)
-	c.ingest(&res.Crowd)
+	c.expireTasks()
+	c.ingest()
 
 	e.insertStep(now, arrivals, &res.TickResult, func(id int, vars []ctable.Var) {
 		for _, v := range vars {
@@ -340,19 +302,19 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 		}
 	})
 
-	c.postStep(&res.Crowd)
+	c.postStep()
 	// A prompt crowd (delay 0) answers within the posting tick: drain
 	// what just landed so this tick's re-evaluation already reflects it.
-	c.ingest(&res.Crowd)
+	c.ingest()
 
 	c.reeval(&res.TickResult)
 	e.finish(&res.TickResult)
 
+	res.Crowd = c.totals.Sub(start)
 	res.InFlight = len(c.inflightExpr)
-	res.BudgetSpent = c.spent
-	res.BudgetReserved = c.reserved
+	res.BudgetSpent = c.totals.Charged
+	res.BudgetReserved = c.totals.InFlight
 	res.Lagging = res.Crowd.Expired+res.Crowd.Stale+res.Crowd.Late+res.Crowd.PostFailed > 0
-	c.totals.add(res.Crowd)
 	e.endTick(len(arrivals), &res.TickResult)
 	return res
 }
@@ -360,7 +322,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 // expireTasks retires overdue in-flight tasks and refunds their
 // reservations. The slice is in posting order, so the scan and its
 // events are deterministic.
-func (c *CrowdEngine) expireTasks(led *CrowdLedger) {
+func (c *CrowdEngine) expireTasks() {
 	keep := c.inflight[:0]
 	for _, p := range c.inflight {
 		if p.done {
@@ -372,9 +334,7 @@ func (c *CrowdEngine) expireTasks(led *CrowdLedger) {
 		}
 		p.done = true
 		delete(c.inflightExpr, p.task.Expr)
-		c.reserved--
-		led.Expired++
-		led.Refunded++
+		c.totals.Refund(crowd.Expired)
 		c.cExpired.Add(1)
 		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskExpire, Task: p.task.Expr.String(), N: p.posted, M: 1})
 	}
@@ -391,40 +351,34 @@ func (c *CrowdEngine) expireTasks(led *CrowdLedger) {
 // is the same, the answer is valid for it, and the still-slower second
 // answer is then discarded as late. A badly lagging crowd thus salvages
 // some work without double-charging.
-func (c *CrowdEngine) ingest(led *CrowdLedger) {
+func (c *CrowdEngine) ingest() {
 	due := c.mailbox[c.eng.tick]
 	if len(due) == 0 {
 		return
 	}
 	delete(c.mailbox, c.eng.tick)
 	for _, sa := range due {
-		led.Arrived++
+		c.totals.Arrived++
 		expr := sa.ans.Task.Expr
 		p, ok := c.inflightExpr[expr]
 		if !ok || p.done {
-			led.Late++
+			c.totals.Late++
 			c.cStale.Add(1)
 			c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskStale, Task: expr.String(), Note: "late", N: sa.posted})
 			continue
 		}
 		p.done = true
 		delete(c.inflightExpr, expr)
-		if !c.liveExpr(expr) {
-			c.reserved--
-			led.Stale++
-			led.Refunded++
-			c.cStale.Add(1)
-			c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskStale, Task: expr.String(), Note: "evicted", N: sa.posted, M: 1})
-			continue
+		// An evicted object makes the answer stale. The tombstone guard
+		// (ErrForgotten) is unreachable behind the liveness check, since
+		// ids are never reused, but it is the safety boundary.
+		var err error
+		live := c.liveExpr(expr)
+		if live {
+			err = c.ab.Absorb(expr, sa.ans.Rel)
 		}
-		err := c.ab.Absorb(expr, sa.ans.Rel)
-		if err != nil && errors.Is(err, ctable.ErrForgotten) {
-			// Unreachable behind the liveness check above (ids are never
-			// reused), but the tombstone guard is the safety boundary:
-			// treat it exactly like a detected stale answer.
-			c.reserved--
-			led.Stale++
-			led.Refunded++
+		if !live || errors.Is(err, ctable.ErrForgotten) {
+			c.totals.Refund(crowd.Stale)
 			c.cStale.Add(1)
 			c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskStale, Task: expr.String(), Note: "evicted", N: sa.posted, M: 1})
 			continue
@@ -432,16 +386,14 @@ func (c *CrowdEngine) ingest(led *CrowdLedger) {
 		// Charge-on-answer: the crowd did the work, so conflicting
 		// answers cost a unit too — only lost work (expiry, staleness)
 		// is refunded.
-		c.reserved--
-		c.spent++
-		led.Charged++
+		c.totals.Charge(crowd.UnitMu)
 		c.cAnswers.Add(1)
 		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskAnswer, Task: expr.String(), Rel: sa.ans.Rel.String(), N: sa.posted})
 		if err != nil { // *ConflictError — the only other Absorb failure
-			led.Conflicts++
+			c.totals.Conflicts++
 			continue
 		}
-		led.Absorbed++
+		c.totals.Absorbed++
 	}
 }
 
@@ -604,12 +556,12 @@ func (c *CrowdEngine) liveExpr(e ctable.Expr) bool {
 // against the in-flight set. Selection reads the conditions and
 // probabilities as of the previous re-evaluation — this tick's arrivals
 // become candidates next tick, which is the asynchrony doing its job.
-func (c *CrowdEngine) postStep(led *CrowdLedger) {
+func (c *CrowdEngine) postStep() {
 	if c.cfg.Budget <= 0 || c.cfg.Platform == nil {
 		return
 	}
 	k := c.cfg.TasksPerTick
-	if spendable := c.cfg.Budget - c.spent - c.reserved; k > spendable {
+	if spendable := c.cfg.Budget - c.totals.Charged - c.totals.InFlight; k > spendable {
 		k = spendable
 	}
 	if k <= 0 {
@@ -681,13 +633,12 @@ func (c *CrowdEngine) postStep(led *CrowdLedger) {
 		p := &inflightTask{task: t, posted: c.eng.tick}
 		c.inflight = append(c.inflight, p)
 		c.inflightExpr[t.Expr] = p
-		c.reserved++
-		led.Posted++
+		c.totals.Reserve()
 		c.cPosted.Add(1)
 		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskPost, Task: t.Expr.String(), N: c.eng.tick + c.cfg.TaskDeadline, M: 1})
 	}
 	if err != nil {
-		led.PostFailed++
+		c.totals.PostFailed++
 	}
 	for _, da := range answers {
 		delay := da.Delay

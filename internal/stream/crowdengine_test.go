@@ -49,8 +49,9 @@ func genCrowdScript(rng *rand.Rand, nTicks, perTick int, missRate float64) crowd
 // checkLedger asserts the budget-conservation invariants that must hold
 // after every tick: every posted unit is charged, refunded or still
 // reserved; the reservation count is the in-flight count; charges never
-// exceed the budget; and every arrived answer landed in exactly one of
-// the four outcome buckets.
+// exceed the budget; every arrived answer landed in exactly one of the
+// four outcome buckets; and crowd.Ledger's own laws hold on the run
+// totals and on the tick's delta.
 func checkLedger(t *testing.T, tag string, c *CrowdEngine, budget int, res CrowdTickResult) {
 	t.Helper()
 	tot := c.Totals()
@@ -74,7 +75,13 @@ func checkLedger(t *testing.T, tag string, c *CrowdEngine, budget int, res Crowd
 		t.Fatalf("%s: arrived %d != absorbed %d + conflicts %d + stale %d + late %d",
 			tag, tot.Arrived, tot.Absorbed, tot.Conflicts, tot.Stale, tot.Late)
 	}
+	if !tot.Conserved() {
+		t.Fatalf("%s: run ledger not conserved: %+v", tag, tot)
+	}
 	led := res.Crowd
+	if !led.Conserved() {
+		t.Fatalf("%s: tick ledger not conserved: %+v", tag, led)
+	}
 	if want := led.Expired+led.Stale+led.Late+led.PostFailed > 0; res.Lagging != want {
 		t.Fatalf("%s: Lagging = %v, ledger says %v (%+v)", tag, res.Lagging, want, led)
 	}
@@ -105,7 +112,7 @@ func TestCrowdBudgetZeroMatchesMachineEngine(t *testing.T) {
 			if !reflect.DeepEqual(ce.Snapshot(), me.Snapshot()) {
 				t.Fatalf("trial %d tick %d: budget-0 snapshot diverged", trial, tick)
 			}
-			if rc.Crowd != (CrowdLedger{}) || rc.InFlight != 0 || rc.BudgetSpent != 0 || rc.BudgetReserved != 0 || rc.Lagging {
+			if rc.Crowd != (crowd.Ledger{}) || rc.InFlight != 0 || rc.BudgetSpent != 0 || rc.BudgetReserved != 0 || rc.Lagging {
 				t.Fatalf("trial %d tick %d: budget-0 run moved the ledger: %+v", trial, tick, rc)
 			}
 		}

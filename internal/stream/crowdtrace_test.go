@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the checked-in gol
 // trace exercises the task lifecycle events (post, answer, expire,
 // stale) alongside the machine tick events. Everything that feeds an
 // event is seeded, so the bytes must not depend on the worker count.
-func goldenCrowdRun(t *testing.T, workers int) ([]byte, CrowdLedger) {
+func goldenCrowdRun(t *testing.T, workers int) ([]byte, crowd.Ledger) {
 	t.Helper()
 	sc := genCrowdScript(rand.New(rand.NewSource(71)), 25, 2, 0.4)
 

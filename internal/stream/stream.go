@@ -173,7 +173,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
 		e.ev = prob.NewEvaluator(prob.Dists{})
-		e.ev.Opt.NoCache = cfg.NoCache
 		if !cfg.NoCache {
 			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
 		}
@@ -342,7 +341,6 @@ func (e *Engine) tickRebuild(now int64, arrivals [][]dataset.Cell) TickResult {
 	}
 	ct := ctable.Build(w, ctable.BuildOptions{Alpha: 0, Workers: e.cfg.Workers})
 	ev := prob.NewEvaluator(dists)
-	ev.Opt.NoCache = e.cfg.NoCache
 	if !e.cfg.NoCache {
 		ev.Cache = prob.NewComponentCache(e.cfg.CacheSize)
 	}
