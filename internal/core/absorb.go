@@ -13,9 +13,11 @@ import (
 // through it, so an answer means exactly the same thing in either mode.
 //
 // The caller owns the surrounding single-writer discipline: Absorb
-// mutates Know and Eff, so it must only run in the sequential gaps
-// between Pr(φ) fan-outs, and any component cache must be invalidated
-// for the DistChanged variables before the next fan-out reads Eff.
+// mutates Know, Eff and Narrowed, so it must only run in the sequential
+// gaps between Pr(φ) fan-outs. An evaluator keyed on Narrowed needs
+// nothing more; a component cache under structural keys must be
+// invalidated for the DistChanged variables before the next fan-out
+// reads Eff.
 type Absorption struct {
 	// Know accumulates the answers.
 	Know *ctable.Knowledge
@@ -24,11 +26,15 @@ type Absorption struct {
 	// entries are never written through Eff).
 	Base prob.Dists
 	Eff  prob.Dists
+	// Narrowed, when non-nil, receives the interval each renormalised
+	// variable was narrowed to — the evaluator's prob.Evaluator.Narrowed,
+	// written beside Eff.
+	Narrowed map[ctable.Var]prob.Interval
 	// Touched collects every variable an absorbed answer mentioned —
 	// the conditions to re-simplify. DistChanged collects the subset
-	// whose effective distribution was renormalised — the cache epochs
-	// to bump and the probabilities to recompute even where the
-	// condition's structure did not change.
+	// whose effective distribution was renormalised — the probabilities
+	// to recompute even where the condition's structure did not change,
+	// and the cache epochs to bump under structural keys.
 	Touched     map[ctable.Var]bool
 	DistChanged map[ctable.Var]bool
 
@@ -53,6 +59,9 @@ func (ab *Absorption) Absorb(e ctable.Expr, rel ctable.Rel) error {
 		v := e.X
 		lo, hi := ab.Know.Bounds(v)
 		ab.Eff[v] = conditionDist(ab.Base[v], lo, hi)
+		if ab.Narrowed != nil {
+			ab.Narrowed[v] = prob.Interval{Lo: lo, Hi: hi}
+		}
 		ab.DistChanged[v] = true
 	}
 	return nil

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/dataset"
+	"bayescrowd/internal/obs"
 	"bayescrowd/internal/prob"
 )
 
@@ -69,92 +72,173 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationWired checks the run loop actually invalidates: a
-// run whose crowd answers renormalise distributions must report bumped
-// variables, and the final probabilities must match the uncached truth —
-// i.e. no stale component survived an answer (the dangerous failure mode
-// a cache can introduce).
-func TestCacheInvalidationWired(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	truth := dataset.GenNBA(rng, 200)
-	d := truth.InjectMissing(rng, 0.25)
-	res, err := Run(d, crowd.NewSimulated(truth, 1.0, nil), Options{
-		Alpha: 0.05, Budget: 40, Latency: 5, Strategy: UBS,
-		MarginalsOnly: true, Workers: 1, Rng: rand.New(rand.NewSource(2)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.Invalidated == 0 {
-		t.Fatalf("run absorbed %d tasks but invalidated no variables: %+v", res.TasksPosted, res.Cache)
-	}
-	if res.Cache.Hits == 0 {
-		t.Fatalf("run recorded no cache hits: %+v", res.Cache)
-	}
+// cycleSpec is one query of a spec cycle on one model.
+type cycleSpec struct {
+	strat Strategy
+	seed  int64
 }
 
-// TestSharedTierInvisible checks the model's shared cache tier is pure
-// speed: a run on a model whose tier earlier runs have warmed returns the
-// result of a run with no tier at all, bit for bit, and its own cache
-// holds and counts exactly what the tierless run's does — the tier only
-// turns some of those misses into SharedHits instead of solves.
-func TestSharedTierInvisible(t *testing.T) {
+// cycleSpecs is an FBS/UBS/HHS cycle of queries that differ in strategy
+// and seed but share a model.
+var cycleSpecs = []cycleSpec{{FBS, 1}, {UBS, 1}, {HHS, 1}, {UBS, 2}, {HHS, 2}, {FBS, 2}}
+
+// cycleEnv is the dataset, truth and posteriors a spec cycle runs on.
+func cycleEnv(t testing.TB) (d, truth *dataset.Dataset, base prob.Dists) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(4))
-	truth := dataset.GenNBA(rng, 150)
-	d := truth.InjectMissing(rng, 0.2)
+	truth = dataset.GenNBA(rng, 150)
+	d = truth.InjectMissing(rng, 0.2)
 	base, err := Preprocess(d, Options{MarginalsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := func(strat Strategy, seed int64) Options {
-		opt, err := Options{
-			Alpha: 0.05, Budget: 30, Latency: 5, Strategy: strat, M: 3,
-			Workers: 1, Rng: rand.New(rand.NewSource(seed)),
-		}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return opt
-	}
-	m := BuildModel(d, base, opts(UBS, 1))
-	bare := *m
-	bare.tier = nil
-	if m.tier == nil || m.tier.Len() == 0 {
-		t.Fatal("the initial fan-out left the model's tier empty")
-	}
+	return d, truth, base
+}
 
-	for _, strat := range []Strategy{FBS, UBS, HHS} {
-		for seed := int64(1); seed <= 2; seed++ {
-			want, err := crowdPhase(d, &bare, base, crowd.NewSimulated(truth, 1.0, nil), opts(strat, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := crowdPhase(d, m, base, crowd.NewSimulated(truth, 1.0, nil), opts(strat, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cache.SharedHits == 0 {
-				t.Errorf("%v seed %d: no shared-tier hits on a warmed model: %+v", strat, seed, got.Cache)
-			}
-			if want.Cache.SharedHits != 0 {
-				t.Errorf("%v seed %d: tierless run reports shared hits: %+v", strat, seed, want.Cache)
-			}
-			gotCache := got.Cache
-			gotCache.SharedHits = 0
-			if gotCache != want.Cache {
-				t.Errorf("%v seed %d: run-tier counters differ with the tier\n got:  %+v\n want: %+v",
-					strat, seed, got.Cache, want.Cache)
-			}
-			if !reflect.DeepEqual(stripVolatile(got), stripVolatile(want)) {
-				t.Errorf("%v seed %d: result differs with the shared tier", strat, seed)
+// cycleOpts are the run options of one spec of the cycle.
+func cycleOpts(sp cycleSpec, workers int) Options {
+	return Options{
+		Alpha: 0.05, Budget: 30, Latency: 5, Strategy: sp.strat, M: 3,
+		Workers: workers, Rng: rand.New(rand.NewSource(sp.seed)),
+	}
+}
+
+// tracedRun runs one spec on m and returns its result and trace bytes.
+func tracedRun(t *testing.T, d, truth *dataset.Dataset, m *Model, base prob.Dists, sp cycleSpec, workers int) (*Result, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := obs.NewTrace(&buf)
+	opt := cycleOpts(sp, workers)
+	opt.Trace = obs.NewRecorder(sink)
+	res, err := RunModel(d, m, base, crowd.NewSimulated(truth, 1.0, nil), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
+// TestModelCacheWarmMatchesCold checks that the model's cache is pure
+// speed: each spec of a cycle, run on a model whose cache the other
+// specs warmed — in forward and in reverse order, at one and at four
+// workers — returns what it returns on a cold model, bit for bit:
+// answers, final probabilities, counters and trace bytes.
+func TestModelCacheWarmMatchesCold(t *testing.T) {
+	d, truth, base := cycleEnv(t)
+	for _, workers := range []int{1, 4} {
+		type cold struct {
+			res   *Result
+			trace []byte
+		}
+		want := make([]cold, len(cycleSpecs))
+		var coldMisses, warmMisses uint64
+		for i, sp := range cycleSpecs {
+			m := BuildModel(d, base, cycleOpts(sp, workers))
+			res, trace := tracedRun(t, d, truth, m, base, sp, workers)
+			want[i] = cold{res, trace}
+			coldMisses += res.Cache.Misses
+		}
+		for _, reverse := range []bool{false, true} {
+			m := BuildModel(d, base, cycleOpts(cycleSpecs[0], workers))
+			for k := range cycleSpecs {
+				i := k
+				if reverse {
+					i = len(cycleSpecs) - 1 - k
+				}
+				sp := cycleSpecs[i]
+				got, trace := tracedRun(t, d, truth, m, base, sp, workers)
+				if !reverse {
+					warmMisses += got.Cache.Misses
+				}
+				w := want[i].res
+				if !reflect.DeepEqual(stripVolatile(got), stripVolatile(w)) {
+					t.Errorf("workers %d reverse %v %v seed %d: result differs on a warm model", workers, reverse, sp.strat, sp.seed)
+				}
+				for o, p := range w.Probs {
+					if math.Float64bits(got.Probs[o]) != math.Float64bits(p) {
+						t.Errorf("workers %d reverse %v %v seed %d: Pr(φ(o%d)) = %v warm, %v cold",
+							workers, reverse, sp.strat, sp.seed, o, got.Probs[o], p)
+					}
+				}
+				if !bytes.Equal(trace, want[i].trace) {
+					t.Errorf("workers %d reverse %v %v seed %d: trace differs on a warm model", workers, reverse, sp.strat, sp.seed)
+				}
 			}
 		}
+		if warmMisses >= coldMisses {
+			t.Errorf("workers %d: the cycle missed %d times on one model, %d times on cold models; want fewer", workers, warmMisses, coldMisses)
+		}
+	}
+}
+
+// TestModelCacheReuse checks that a run repeating an earlier run on the
+// same model finds every component it needs in the model's cache.
+func TestModelCacheReuse(t *testing.T) {
+	d, truth, base := cycleEnv(t)
+	for _, sp := range cycleSpecs[:3] {
+		m := BuildModel(d, base, cycleOpts(sp, 1))
+		first, _ := tracedRun(t, d, truth, m, base, sp, 1)
+		again, _ := tracedRun(t, d, truth, m, base, sp, 1)
+		if first.Cache.Misses == 0 || again.Cache.Hits == 0 {
+			t.Fatalf("%v: first run %+v, repeat %+v; want misses on the first and hits on the repeat", sp.strat, first.Cache, again.Cache)
+		}
+		if again.Cache.Misses != 0 {
+			t.Errorf("%v: the repeated run missed %d times, want 0", sp.strat, again.Cache.Misses)
+		}
+	}
+}
+
+// TestConcurrentRunsCountOwnLookups checks that a run's cache counters
+// cover its own lookups only: two runs on one model at the same time
+// move the registry's cache.hits and cache.misses by exactly the sum of
+// their Result.Cache counters.
+func TestConcurrentRunsCountOwnLookups(t *testing.T) {
+	d, truth, base := cycleEnv(t)
+	reg := obs.NewRegistry()
+	opt := cycleOpts(cycleSpecs[0], 2)
+	opt.Metrics = reg
+	m := BuildModel(d, base, opt)
+	hits0, misses0 := reg.Counter("cache.hits").Value(), reg.Counter("cache.misses").Value()
+
+	specs := []cycleSpec{{UBS, 1}, {HHS, 2}}
+	results := make([]*Result, len(specs))
+	var wg sync.WaitGroup
+	for i, sp := range specs {
+		wg.Add(1)
+		go func(i int, sp cycleSpec) {
+			defer wg.Done()
+			opt := cycleOpts(sp, 2)
+			opt.Metrics = reg
+			res, err := RunModel(d, m, base, crowd.NewSimulated(truth, 1.0, nil), opt)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}(i, sp)
+	}
+	wg.Wait()
+	var hits, misses int64
+	for _, res := range results {
+		if res == nil {
+			t.FailNow()
+		}
+		hits += int64(res.Cache.Hits)
+		misses += int64(res.Cache.Misses)
+	}
+	if got := reg.Counter("cache.hits").Value() - hits0; got != hits {
+		t.Errorf("cache.hits moved by %d, the runs report %d hits", got, hits)
+	}
+	if got := reg.Counter("cache.misses").Value() - misses0; got != misses {
+		t.Errorf("cache.misses moved by %d, the runs report %d misses", got, misses)
 	}
 }
 
 // TestRunModelChecksModelOptions checks that RunModel refuses a run whose
 // Alpha or ApproxThreshold differs from the model's: the model's c-table,
-// its Pr(φ) and its shared cache tier were all made under those values,
+// its Pr(φ) and its component cache were all made under those values,
 // so such a run would silently answer a different query.
 func TestRunModelChecksModelOptions(t *testing.T) {
 	d := dataset.SampleMovies()
@@ -177,4 +261,29 @@ func TestRunModelChecksModelOptions(t *testing.T) {
 				opt.Alpha, opt.ApproxThreshold)
 		}
 	}
+}
+
+// BenchmarkModelQueryCycle runs the spec cycle twice on one model per
+// iteration and reports the second pass's cache misses per iteration:
+// the work the model's cache leaves to a repeated query mix.
+func BenchmarkModelQueryCycle(b *testing.B) {
+	d, truth, base := cycleEnv(b)
+	var misses uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := BuildModel(d, base, cycleOpts(cycleSpecs[0], 1))
+		for pass := 0; pass < 2; pass++ {
+			for _, sp := range cycleSpecs {
+				res, err := RunModel(d, m, base, crowd.NewSimulated(truth, 1.0, nil), cycleOpts(sp, 1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pass == 1 {
+					misses += res.Cache.Misses
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/2nd-pass")
 }

@@ -109,15 +109,17 @@ type Options struct {
 	// 0 — the default — counts every component exactly.
 	ApproxThreshold int
 
-	// NoCache disables the connected-component probability cache the
-	// crowdsourcing phase keeps across Pr(φ) evaluations (see
-	// prob.ComponentCache), and the model's shared tier with it — the
-	// cache ablation. Cached and uncached runs return bit-identical
-	// results; the cache changes only wall-clock time.
+	// NoCache disables the connected-component probability cache a
+	// model keeps for every Pr(φ) evaluation on it (see
+	// prob.ComponentCache) — the cache ablation. It takes effect when the
+	// model is built; a run on a shared model uses the model's cache or
+	// its absence. Cached and uncached runs return identical answer sets;
+	// the cache changes only wall-clock time.
 	NoCache bool
-	// CacheSize bounds the component cache to at most this many memoized
-	// components, and a model's shared tier likewise; <= 0 (the zero
-	// value) selects prob.DefaultCacheSize. Ignored when NoCache is set.
+	// CacheSize bounds the model's component cache to at most this many
+	// memoized components; <= 0 (the zero value) selects
+	// prob.DefaultCacheSize. Like NoCache, it takes effect when the model
+	// is built. Ignored when NoCache is set.
 	CacheSize int
 
 	// Workers bounds the goroutines the framework fans independent work
@@ -270,20 +272,19 @@ type Result struct {
 	// condition the run's answers did not rewrite is shared with the
 	// Model the run started from (and with every other run on it).
 	CTable *ctable.CTable
-	// Cache reports the run's own component cache: its hit, miss,
-	// eviction and invalidation counters, which are those of a run
-	// without the model's shared tier, plus SharedHits, the misses that
-	// tier served instead of a solve (all zero under Options.NoCache).
+	// Cache reports the run's own lookups in the model's component cache:
+	// its hits, misses and the evictions its stores caused, never other
+	// runs' traffic on a shared model (all zero under Options.NoCache).
 	// Like ProbTime, it covers the initial fan-out only when the run
 	// built its own model.
 	Cache prob.CacheStats
 	// ApproxComponents counts the Monte Carlo estimates of connected
 	// components the run performed instead of an exact count — the
 	// model's initial fan-out included — (always zero unless
-	// Options.ApproxThreshold is set). An estimate the model's shared
-	// cache tier served is not performed, so it is not counted. Like the
-	// cache counters, the count depends on scheduling and on what other
-	// runs left in the tier — the estimated values themselves do not.
+	// Options.ApproxThreshold is set). An estimate the model's cache
+	// served is not performed, so it is not counted. Like the cache
+	// counters, the count depends on scheduling and on what other runs
+	// left in the cache — the estimated values themselves do not.
 	ApproxComponents int64
 	// SelectTime and ProbTime break the crowdsourcing phase's wall time
 	// into its two model-counting bills: cumulative task selection (the

@@ -68,14 +68,16 @@ func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platf
 // seed, so one model can serve many crowd phases.
 //
 // A Model is read-only once BuildModel returns it, except for its
-// shared component-cache tier (prob.ComponentCache.Shared), and safe to
-// share between concurrent runs: RunModel simplifies a private copy of
-// the condition list (Condition.Simplified copies on change) and keeps
-// its per-round probabilities in its own map. The tier is internally
-// synchronised and value-pure: it holds only component values under
-// the base posteriors, each a pure function of its fingerprint, so the
-// runs filling it lazily never change what any run computes. It is
-// bounded by the model's CacheSize and absent under NoCache.
+// component cache, and safe to share between concurrent runs: RunModel
+// simplifies a private copy of the condition list (Condition.Simplified
+// copies on change) and keeps its per-round probabilities in its own
+// map. The cache is internally synchronised and value-pure: its keys
+// carry how each variable was narrowed (prob.Evaluator.Narrowed), so
+// every entry is a pure function of its key and the base posteriors,
+// and the runs filling it never change what any run computes. It serves
+// the initial fan-out and every run on the model, in every round, with
+// no invalidation. It is bounded by the model's CacheSize and absent
+// under NoCache.
 type Model struct {
 	// CT is the c-table. Its conditions are shared with every run's
 	// Result.CTable until a run's answers rewrite them.
@@ -102,10 +104,9 @@ type Model struct {
 	// under; RunModel rejects a run whose values differ.
 	alpha           float64
 	approxThreshold int
-	// tier is the shared base-posterior component cache: the initial
-	// fan-out fills it and every run's cache falls through to it. nil
-	// under NoCache.
-	tier *prob.ComponentCache
+	// cache is the component cache every evaluation on the model reads
+	// and fills. nil under NoCache.
+	cache *prob.ComponentCache
 }
 
 // BuildModel runs the modeling phase: Get-CTable at opt.Alpha, then the
@@ -119,17 +120,16 @@ func BuildModel(d *dataset.Dataset, base prob.Dists, opt Options) *Model {
 	return modelOf(ct, base, opt)
 }
 
-// modelOf computes the initial Pr(φ) over ct's undecided conditions. The
-// fan-out gets its own component cache, discarded afterwards, and
-// publishes everything it solves to the model's shared tier, where the
-// runs' round-1 scans and recomputations find it.
+// modelOf computes the initial Pr(φ) over ct's undecided conditions,
+// filling the model's component cache, where the runs' round-1 scans and
+// recomputations find it.
 func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 	m := &Model{
 		alpha: opt.Alpha, approxThreshold: opt.ApproxThreshold,
 		CT: ct, Undecided: ct.Undecided(), varToObjs: map[ctable.Var][]int{},
 	}
 	if !opt.NoCache {
-		m.tier = prob.NewComponentCache(opt.CacheSize)
+		m.cache = prob.NewComponentCache(opt.CacheSize)
 	}
 	conds := make([]*ctable.Condition, len(m.Undecided))
 	for i, o := range m.Undecided {
@@ -138,15 +138,13 @@ func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 			m.varToObjs[v] = append(m.varToObjs[v], o)
 		}
 	}
-	ev := newEvaluator(base, opt, m.tier)
+	ev := newEvaluator(base, opt, m.cache)
 	//lint:ignore determinism timing observability only: the model's ProbTime reports wall-clock and never feeds a decision
 	start := time.Now()
 	m.Probs = ev.ProbAll(conds, opt.Workers)
 	m.ProbTime = time.Since(start)
 	m.ApproxComponents = ev.ApproxComponents()
-	if ev.Cache != nil {
-		m.Cache = ev.Cache.Stats()
-	}
+	m.Cache = ev.CacheStats()
 	// The registry books work where it happens: once per model, however
 	// many runs share it.
 	reg := opt.Metrics
@@ -156,40 +154,39 @@ func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 	return m
 }
 
-// publishCache adds the movement of a component cache's counters from
+// publishCache adds the movement of an evaluator's cache counters from
 // prev to cur to reg's cache.* counters.
 func publishCache(reg *obs.Registry, prev, cur prob.CacheStats) {
 	reg.Counter("cache.hits").Add(int64(cur.Hits - prev.Hits))
 	reg.Counter("cache.misses").Add(int64(cur.Misses - prev.Misses))
 	reg.Counter("cache.evicted").Add(int64(cur.Evicted - prev.Evicted))
-	reg.Counter("cache.shared_hits").Add(int64(cur.SharedHits - prev.SharedHits))
-	reg.Counter("cache.invalidated").Add(int64(cur.Invalidated - prev.Invalidated))
-	reg.Counter("cache.invalidated.entries").Add(int64(cur.InvalidatedEntries - prev.InvalidatedEntries))
 }
 
 // newEvaluator returns an evaluator over dists with the run's solver
-// options and, unless opt.NoCache, a fresh component cache falling
-// through to tier (which may be nil).
-func newEvaluator(dists prob.Dists, opt Options, tier *prob.ComponentCache) *prob.Evaluator {
-	ev := &prob.Evaluator{Dists: dists, Opt: prob.Options{ApproxThreshold: opt.ApproxThreshold}}
-	if !opt.NoCache {
-		ev.Cache = prob.NewComponentCache(opt.CacheSize)
-		ev.Cache.Shared = tier
+// options and the model's cache (nil under NoCache). Its keys carry each
+// variable's narrowing, which the run's Absorption records.
+func newEvaluator(dists prob.Dists, opt Options, cache *prob.ComponentCache) *prob.Evaluator {
+	return &prob.Evaluator{
+		Dists:    dists,
+		Narrowed: map[ctable.Var]prob.Interval{},
+		Opt:      prob.Options{ApproxThreshold: opt.ApproxThreshold},
+		Cache:    cache,
 	}
-	return ev
 }
 
 // RunModel runs the crowdsourcing phase on a model built from d and
-// base, which it never writes apart from the model's shared cache tier:
-// the run simplifies its own shallow copy of m.CT.Conds and keeps its
-// own component cache, so concurrent runs may share m. opt.Alpha and
+// base, which it never writes apart from the model's component cache:
+// the run simplifies its own shallow copy of m.CT.Conds, so concurrent
+// runs may share m. base must be the posteriors the model was built
+// over, since the cache's entries are computed from them. opt.Alpha and
 // opt.ApproxThreshold must be the values the model was built under —
 // they shape the c-table and every Pr(φ) the model holds — or RunModel
-// returns an error. The Result's ProbTime and Cache cover this run's
-// work only — the model's initial fan-out is not included — while
-// ApproxComponents counts the model's estimated components too, since
-// the answer rests on them. The trace is the one a run building its
-// own model emits.
+// returns an error. Under opt.NoCache the run leaves the model's cache
+// alone and evaluates uncached. The Result's ProbTime and Cache cover
+// this run's work only — the model's initial fan-out and other runs'
+// lookups are not included — while ApproxComponents counts the model's
+// estimated components too, since the answer rests on them. The trace
+// is the one a run building its own model emits.
 func RunModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -214,7 +211,6 @@ func runOwnModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.P
 	res.Cache.Hits += m.Cache.Hits
 	res.Cache.Misses += m.Cache.Misses
 	res.Cache.Evicted += m.Cache.Evicted
-	res.Cache.SharedHits += m.Cache.SharedHits
 	return res, nil
 }
 
@@ -256,19 +252,19 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	for v, dist := range base {
 		eff[v] = dist
 	}
-	// The component cache persists across every Pr(φ) evaluation of the
-	// run — the UBS/HHS candidate scans and the cross-round stale
-	// recomputation — and is invalidated per-variable below, right where
-	// crowd answers renormalise distributions. It falls through to the
-	// model's shared tier for components still at their base posteriors.
-	ev := newEvaluator(eff, opt, m.tier)
+	// Every Pr(φ) evaluation of the run — the UBS/HHS candidate scans and
+	// the cross-round stale recomputation — reads and fills the model's
+	// cache. Its keys carry the narrowing the absorption below records, so
+	// an answer needs no invalidation.
+	cache := m.cache
+	if opt.NoCache {
+		cache = nil
+	}
+	ev := newEvaluator(eff, opt, cache)
 	// core is the single writer that owns the evaluator; it hands the
 	// recorder down so prob's sequential dispatch points (ProbAll,
-	// PlanSweeps, Invalidate) can trace their deterministic sizes.
+	// PlanSweeps) can trace their deterministic sizes.
 	ev.Obs = rec
-	if ev.Cache != nil {
-		ev.Cache.Obs = rec
-	}
 
 	result := &Result{}
 	remaining := opt.Budget
@@ -293,7 +289,6 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	touched := map[ctable.Var]bool{}
 	distChanged := map[ctable.Var]bool{}
 	seen := map[int]bool{}
-	var changedVars []ctable.Var
 	var stale []int
 	var staleConds []*ctable.Condition
 
@@ -301,7 +296,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	// main-round answers and re-ask majorities both fold into the
 	// knowledge through it, marking the touched variables and
 	// renormalising the narrowed distributions.
-	ab := &Absorption{Know: know, Base: base, Eff: eff, Touched: touched, DistChanged: distChanged}
+	ab := &Absorption{Know: know, Base: base, Eff: eff, Narrowed: ev.Narrowed, Touched: touched, DistChanged: distChanged}
 	absorb := ab.Absorb
 
 	// pendingDropped tracks fault-dropped tasks across rounds: an expression
@@ -484,18 +479,11 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 			}
 		}
 
-		// A renormalised distribution stales every memoized component
-		// mentioning its variable. This is the single-writer gap between
-		// fan-outs, exactly where the cache's Invalidate contract wants
-		// the call; merely-rewritten conditions need no bump — their
-		// components' fingerprints change, so stale entries can't be hit.
+		// A renormalised distribution changes the key of every component
+		// mentioning its variable, so nothing is invalidated; the trace
+		// still records how many variables the round renormalised.
 		if ev.Cache != nil && len(distChanged) > 0 {
-			changedVars = changedVars[:0]
-			for v := range distChanged {
-				//lint:ignore determinism Invalidate bumps per-variable epochs; the bump set matters, its order does not
-				changedVars = append(changedVars, v)
-			}
-			ev.Cache.Invalidate(changedVars...)
+			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged)})
 		}
 
 		// Re-simplify exactly the conditions that mention a touched
@@ -551,7 +539,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		// deltas and wall time to the registry.
 		rec.Emit(obs.Event{Kind: obs.KindRoundEnd, N: charged, M: len(probs)})
 		if reg != nil && ev.Cache != nil {
-			s := ev.Cache.Stats()
+			s := ev.CacheStats()
 			publishCache(reg, prevCache, s)
 			prevCache = s
 		}
@@ -614,7 +602,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	result.Answers = answers
 	result.CTable = ct
 	if ev.Cache != nil {
-		result.Cache = ev.Cache.Stats()
+		result.Cache = ev.CacheStats()
 		if reg != nil {
 			// Publish whatever accrued since the last per-round delta
 			// (e.g. when the loop exited before a round completed).

@@ -2,10 +2,8 @@ package prob
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"bayescrowd/internal/ctable"
-	"bayescrowd/internal/obs"
 )
 
 // DefaultCacheSize bounds the component cache when the caller passes no
@@ -18,20 +16,20 @@ const DefaultCacheSize = 1 << 15
 // negligible at any realistic worker count without bloating the struct.
 const cacheShardCount = 16
 
-// CacheStats is a point-in-time snapshot of the component cache's
-// counters, surfaced through core.Result for observability.
+// CacheStats is a point-in-time snapshot of one evaluator's component
+// cache counters (Evaluator.CacheStats), surfaced through core.Result
+// for observability.
 type CacheStats struct {
-	// Hits and Misses count fingerprint lookups during Pr(φ) evaluation.
-	// A hit replaces one branching model-counting run over the component.
+	// Hits and Misses count the evaluator's fingerprint lookups during
+	// Pr(φ) evaluation. A hit replaces one branching model-counting run
+	// over the component. Lookups by other evaluators sharing the cache
+	// are not counted.
 	Hits, Misses uint64
-	// SharedHits counts misses the shared tier (ComponentCache.Shared)
-	// served instead of a solve. Each is also one of Misses: the tier
-	// never changes what the cache itself holds or counts.
-	SharedHits uint64
-	// Evicted counts entries dropped by the size cap.
+	// Evicted counts entries the size cap dropped to make room for the
+	// evaluator's stores.
 	Evicted uint64
-	// Invalidated counts variables whose epoch was bumped by Invalidate —
-	// one per renormalised distribution, not one per dead entry.
+	// Invalidated counts variables whose epoch the cache's Invalidate
+	// bumped — one per renormalised distribution, not one per dead entry.
 	Invalidated uint64
 	// InvalidatedEntries counts the memoized entries Invalidate evicted
 	// eagerly because they mentioned a bumped variable. The count is
@@ -57,9 +55,7 @@ type cacheEntry struct {
 	p   float64
 	vec []float64
 	// stamp is the cache epoch when the entry was computed; the entry is
-	// stale once any of its variables carries a newer epoch. Shared-tier
-	// entries carry no vars: they are never invalidated, and the caller
-	// holds the component's variables for its own epoch check.
+	// stale once any of its variables carries a newer epoch.
 	stamp uint64
 	vars  []ctable.Var
 }
@@ -75,48 +71,35 @@ type cacheShard struct {
 	cap  int
 }
 
-// ComponentCache memoizes two things under canonical fingerprints, both
-// invalidated per variable: the probability of connected clause
-// components, and joint marginal sweep vectors Pr(component ∧ x=a) keyed
-// by (component, swept variable) — the quantity that lets the UBS/HHS
-// candidate scan price every constant-comparison candidate on x with a
-// partial sum instead of a model-counting run. Together they turn
-// repeated Pr(φ) work — the candidate scan and the cross-round
-// recomputation fan-out — into lookups for everything an answer left
-// untouched.
+// ComponentCache memoizes two things under canonical fingerprints: the
+// probability of connected clause components, and joint marginal sweep
+// vectors Pr(component ∧ x=a) keyed by (component, swept variable) — the
+// quantity that lets the UBS/HHS candidate scan price every
+// constant-comparison candidate on x with a partial sum instead of a
+// model-counting run. Together they turn repeated Pr(φ) work — the
+// candidate scan and the cross-round recomputation fan-out — into
+// lookups.
+//
+// A cache serves in one of two modes, set by the evaluators using it
+// (Evaluator.Narrowed):
+//
+//   - Narrowing keys. Every key carries how each of the component's
+//     variables was narrowed, so an entry is a pure function of its key
+//     and the base distributions. Any number of evaluators over the same
+//     base distributions and solver options may share the cache, each
+//     narrowing its variables differently, and nothing is ever
+//     invalidated. core keeps one such cache per model.
+//   - Structural keys. A key is the clause structure alone, so the cache
+//     must belong to one evaluator, and whoever renormalises a variable
+//     of its distributions must call Invalidate — the streaming engine.
 //
 // Concurrency follows the Evaluator's single-writer contract: lookups and
-// stores are safe from any number of workers during a parallel fan-out
-// (shards are mutex-guarded, counters atomic), while Invalidate — like
-// the distribution renormalisation it mirrors — must run strictly between
-// fan-outs; the pool join publishes its epoch bumps to the next fan-out's
-// workers. A cache must not be shared between evaluators holding
-// different distributions: validity is tracked per variable, and two
-// Dists maps disagreeing about a variable would alias each other's
-// entries.
-//
-// Shared tier. Every run on one model starts from the same base
-// posteriors, so a component none of whose variables a run has
-// renormalised has the same value in every run. Shared, when set, is a
-// cache of exactly those base-posterior values that any number of
-// per-run caches fall through to. A run's cache consults it only after
-// its own miss, at a point where the run would otherwise solve, and only
-// for components whose variables are all still at epoch 0 — never
-// invalidated, hence still at their base distribution. A tier hit is
-// copied into the run's cache, so the run's contents and Hits/Misses
-// are those of a run without the tier; a fresh value over epoch-0
-// variables is published to the tier. Every value is a pure function of
-// its fingerprint and the base posteriors, so which run fills an entry
-// first is invisible. The tier itself is never invalidated, its entries
-// hold no variable lists, and its shard mutexes make it safe for
-// concurrent runs. It must be built over the same base posteriors and
-// solver options as every run using it.
+// stores are safe from any number of workers and evaluators at once
+// (shards are mutex-guarded), while Invalidate — like the distribution
+// renormalisation it mirrors — must run strictly between fan-outs; the
+// pool join publishes its epoch bumps to the next fan-out's workers.
 type ComponentCache struct {
 	shards [cacheShardCount]cacheShard
-
-	// Shared is the base-posterior tier this cache falls through to; nil
-	// means none. Set it before the first evaluation.
-	Shared *ComponentCache
 
 	// epoch and varEpoch are written only by Invalidate (single-writer,
 	// between fan-outs) and read lock-free during fan-outs.
@@ -124,14 +107,6 @@ type ComponentCache struct {
 	varEpoch           map[ctable.Var]uint64
 	invalidated        uint64
 	invalidatedEntries uint64
-
-	hits, misses, evicted, sharedHits atomic.Uint64
-
-	// Obs, when non-nil, receives the cache's trace events. Only
-	// Invalidate emits — it runs in the single-writer gap and its
-	// variable count is deterministic; hits, misses and evictions are
-	// scheduling-dependent and surface as registry counters instead.
-	Obs *obs.Recorder
 }
 
 // NewComponentCache returns a cache bounded to at most maxEntries
@@ -162,10 +137,11 @@ func shardOf[K string | []byte](key K) uint32 {
 	return h & (cacheShardCount - 1)
 }
 
-// lookupEntry returns the live entry for the fingerprint, if present and
-// not invalidated by a newer variable epoch. Stale entries are deleted on
-// sight so their slots free up before FIFO eviction reaches them.
-func (c *ComponentCache) lookupEntry(key []byte) (cacheEntry, bool) {
+// lookup returns the live entry for the fingerprint, if present and not
+// invalidated by a newer variable epoch. Stale entries are deleted on
+// sight so their slots free up before FIFO eviction reaches them. An
+// entry's vec is shared: callers must treat it as read-only.
+func (c *ComponentCache) lookup(key []byte) (cacheEntry, bool) {
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
 	e, ok := sh.m[string(key)]
@@ -179,7 +155,6 @@ func (c *ComponentCache) lookupEntry(key []byte) (cacheEntry, bool) {
 			}
 		}
 		if !stale {
-			c.hits.Add(1)
 			return e, true
 		}
 		sh.mu.Lock()
@@ -188,83 +163,20 @@ func (c *ComponentCache) lookupEntry(key []byte) (cacheEntry, bool) {
 		}
 		sh.mu.Unlock()
 	}
-	c.misses.Add(1)
 	return cacheEntry{}, false
 }
 
-// lookup returns the memoized probability for a component fingerprint.
-func (c *ComponentCache) lookup(key []byte) (float64, bool) {
-	e, ok := c.lookupEntry(key)
-	return e.p, ok
-}
-
-// lookupVec returns the memoized joint marginal sweep vector for a
-// (component, swept variable) fingerprint. The returned slice is shared:
-// callers must treat it as read-only.
-func (c *ComponentCache) lookupVec(key []byte) ([]float64, bool) {
-	e, ok := c.lookupEntry(key)
-	return e.vec, ok
-}
-
-// tierFor returns the shared tier when it may serve and receive the
-// component over vars — the cache has one, and none of vars was ever
-// invalidated here, so each still has its base distribution — and nil
-// otherwise. The caller checks once per miss and passes the result to
-// lookupTier and store.
-func (c *ComponentCache) tierFor(vars []ctable.Var) *ComponentCache {
-	if c.Shared == nil {
-		return nil
-	}
-	if len(c.varEpoch) > 0 {
-		for _, v := range vars {
-			if c.varEpoch[v] != 0 {
-				return nil
-			}
-		}
-	}
-	return c.Shared
-}
-
-// lookupTier consults tier (from tierFor; nil misses) after a miss of
-// this cache. A hit is copied into this cache, as if the caller had
-// computed and stored it. Call it only where the caller would otherwise
-// solve.
-func (c *ComponentCache) lookupTier(tier *ComponentCache, key []byte, vars []ctable.Var) (cacheEntry, bool) {
-	if tier == nil {
-		return cacheEntry{}, false
-	}
-	sh := &tier.shards[shardOf(key)]
-	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
-	sh.mu.Unlock()
-	if !ok {
-		return cacheEntry{}, false
-	}
-	c.sharedHits.Add(1)
-	e.vars = vars
-	c.storeEntry(string(key), e)
-	return e, true
-}
-
 // store memoizes a freshly computed entry — a component probability p or
-// a sweep vector vec — over the component's variables, and publishes it
-// to tier (from tierFor) unless that is nil. key and vars may alias
+// a sweep vector vec — over the component's variables, and returns how
+// many entries the size cap evicted to make room. key and vars may alias
 // caller scratch; both are copied. A vec is retained as given and must
 // not be mutated afterwards.
-func (c *ComponentCache) store(key []byte, vars []ctable.Var, e cacheEntry, tier *ComponentCache) {
+func (c *ComponentCache) store(key []byte, vars []ctable.Var, e cacheEntry) int {
 	k := string(key)
-	if tier != nil {
-		tier.storeEntry(k, e)
-	}
-	e.vars = vars
-	c.storeEntry(k, e)
-}
-
-// storeEntry inserts e under k, copying e.vars.
-func (c *ComponentCache) storeEntry(k string, e cacheEntry) {
 	sh := &c.shards[shardOf(k)]
 	e.stamp = c.epoch
-	e.vars = append([]ctable.Var(nil), e.vars...)
+	e.vars = append([]ctable.Var(nil), vars...)
+	evicted := 0
 	sh.mu.Lock()
 	if _, exists := sh.m[k]; !exists {
 		for len(sh.m) >= sh.cap && len(sh.fifo) > 0 {
@@ -272,7 +184,7 @@ func (c *ComponentCache) storeEntry(k string, e cacheEntry) {
 			sh.fifo = sh.fifo[1:]
 			if _, live := sh.m[old]; live {
 				delete(sh.m, old)
-				c.evicted.Add(1)
+				evicted++
 			}
 		}
 		sh.fifo = append(sh.fifo, k)
@@ -282,6 +194,7 @@ func (c *ComponentCache) storeEntry(k string, e cacheEntry) {
 	}
 	sh.m[k] = e
 	sh.mu.Unlock()
+	return evicted
 }
 
 // compactFIFO rebuilds the eviction queue from the keys still live in the
@@ -300,13 +213,14 @@ func (sh *cacheShard) compactFIFO() {
 }
 
 // Invalidate marks every memoized component mentioning one of the given
-// variables stale and returns how many entries it evicted. The framework
-// calls it when a crowd answer renormalises a variable's distribution
-// (conditions whose clauses were merely rewritten need no bump — their
-// fingerprints change, so the old entries can never be hit again); the
-// streaming engine calls it with the variables of evicted objects, whose
-// fingerprints can never recur and would otherwise pin dead entries
-// until FIFO eviction reached them.
+// variables stale and returns how many entries it evicted. It serves a
+// cache under structural keys: the streaming crowd loop calls it when a
+// crowd answer renormalises a variable's distribution (conditions whose
+// clauses were merely rewritten need no bump — their fingerprints
+// change, so the old entries can never be hit again), and the streaming
+// engine with the variables of evicted objects, whose fingerprints can
+// never recur and would otherwise pin dead entries until FIFO eviction
+// reached them. A cache under narrowing keys never needs it.
 //
 // Dead entries are dropped eagerly here — one scan of the shards per
 // call, so batch the variables of a round (or a window tick) into one
@@ -345,20 +259,7 @@ func (c *ComponentCache) Invalidate(vars ...ctable.Var) int {
 	}
 	c.invalidated += uint64(len(vars))
 	c.invalidatedEntries += uint64(evicted)
-	c.Obs.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(vars)})
 	return evicted
-}
-
-// Stats snapshots the cache counters.
-func (c *ComponentCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:               c.hits.Load(),
-		Misses:             c.misses.Load(),
-		SharedHits:         c.sharedHits.Load(),
-		Evicted:            c.evicted.Load(),
-		Invalidated:        c.invalidated,
-		InvalidatedEntries: c.invalidatedEntries,
-	}
 }
 
 // Len returns the number of live entries across all shards.

@@ -152,13 +152,13 @@ func TestInvalidatePrecision(t *testing.T) {
 	ev := &Evaluator{Dists: dists, Cache: cache}
 
 	ev.Prob(cond.Clone())
-	s := cache.Stats()
+	s := ev.CacheStats()
 	if s.Misses != 2 || s.Hits != 0 {
 		t.Fatalf("first evaluation: stats %+v, want 2 misses (one per branched component)", s)
 	}
 
 	ev.Prob(cond.Clone())
-	s = cache.Stats()
+	s = ev.CacheStats()
 	if s.Hits != 2 || s.Misses != 2 {
 		t.Fatalf("second evaluation: stats %+v, want 2 hits", s)
 	}
@@ -169,7 +169,7 @@ func TestInvalidatePrecision(t *testing.T) {
 	cache.Invalidate(x1)
 
 	got := ev.Prob(cond.Clone())
-	s = cache.Stats()
+	s = ev.CacheStats()
 	if s.Hits != 3 || s.Misses != 3 {
 		t.Fatalf("post-invalidation evaluation: stats %+v, want exactly one new hit and one new miss", s)
 	}
@@ -185,147 +185,154 @@ func TestInvalidatePrecision(t *testing.T) {
 	// The recomputed entry must be live again: one more evaluation is all
 	// hits.
 	ev.Prob(cond.Clone())
-	if s = cache.Stats(); s.Hits != 5 || s.Misses != 3 {
+	if s = ev.CacheStats(); s.Hits != 5 || s.Misses != 3 {
 		t.Fatalf("re-cached evaluation: stats %+v, want two new hits", s)
 	}
 }
 
-// TestStaleEntryServedNever checks the dangerous direction explicitly: a
-// lookup after Invalidate must not return the pre-invalidation value even
-// though the fingerprint is unchanged — neither from the cache itself nor
-// from a shared tier (ComponentCache.Shared) still holding the
-// base-posterior value — and nothing computed over an invalidated
-// variable may reach the tier. It then runs an evaluator over a tier a
-// second evaluator pre-filled: every value must be bit-equal to a run
-// without the tier, and at one worker the evaluator's own cache must hold
-// and count exactly what it would without the tier.
+// TestStaleEntryServedNever checks the dangerous direction of a cache
+// under structural keys explicitly: a lookup after Invalidate must not
+// return the pre-invalidation value even though the fingerprint is
+// unchanged.
 func TestStaleEntryServedNever(t *testing.T) {
-	for _, withTier := range []bool{false, true} {
-		cond, dists, x1, x2 := twoComponentCondition()
+	cond, dists, x1, x2 := twoComponentCondition()
+	ev := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
+
+	before := ev.Prob(cond.Clone())
+	dists[x1] = []float64{0, 0, 0, 0.5, 0.5}
+	dists[x2] = []float64{0, 0, 0, 0, 0.5, 0.5}
+	ev.Cache.Invalidate(x1, x2)
+	after := ev.Prob(cond.Clone())
+	if after == before {
+		t.Fatalf("Prob unchanged (%v) after renormalising both components", after)
+	}
+	if want := NewEvaluator(dists).Prob(cond.Clone()); after != want {
+		t.Fatalf("post-invalidation Prob = %v, want %v", after, want)
+	}
+}
+
+// narrowTo renormalises base over [iv.Lo, iv.Hi], as a crowd answer
+// narrowing the variable does.
+func narrowTo(base []float64, iv Interval) []float64 {
+	out := make([]float64, len(base))
+	sum := 0.0
+	for a := iv.Lo; a <= iv.Hi; a++ {
+		sum += base[a]
+	}
+	for a := iv.Lo; a <= iv.Hi; a++ {
+		out[a] = base[a] / sum
+	}
+	return out
+}
+
+// narrowedEvaluator returns an evaluator keyed on narrowing over base
+// with the given variables narrowed, sharing cache (nil for none).
+func narrowedEvaluator(base Dists, narrowed map[ctable.Var]Interval, cache *ComponentCache) *Evaluator {
+	dists := Dists{}
+	for x, d := range base {
+		dists[x] = d
+	}
+	for x, iv := range narrowed {
+		dists[x] = narrowTo(base[x], iv)
+	}
+	return &Evaluator{Dists: dists, Narrowed: narrowed, Cache: cache}
+}
+
+// TestNarrowingKeysPure checks that a cache under narrowing keys is a
+// pure function of its keys: evaluators sharing one cache narrow one
+// variable to different intervals — including the whole domain, whose
+// renormalised slice need not equal the base slice — and each returns,
+// bit for bit, what an uncached evaluator over its distributions does,
+// for Prob and for planned scans, whatever order they run in.
+func TestNarrowingKeysPure(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
 		base := Dists{}
-		for x, d := range dists {
-			base[x] = d
+		cond := ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), base))
+		exprs := cond.Exprs()
+		x := exprs[0].X
+		n := len(base[x])
+		settings := []map[ctable.Var]Interval{
+			{},
+			{x: {Lo: 0, Hi: n - 1}},
+			{x: {Lo: 1, Hi: n - 1}},
+			{x: {Lo: 0, Hi: n / 2}},
+		}
+		values := func(ev *Evaluator) []float64 {
+			p := ev.Prob(cond.Clone())
+			out := []float64{p}
+			scan := ev.NewCondScan(cond, p)
+			scan.PlanSweeps(exprs)
+			for _, e := range exprs {
+				pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
+				out = append(out, pe, pPhi, pTrue, pFalse)
+			}
+			return out
+		}
+		want := make([][]float64, len(settings))
+		for i, nw := range settings {
+			want[i] = values(narrowedEvaluator(base, nw, nil))
 		}
 		cache := NewComponentCache(0)
-		var tier *ComponentCache
-		if withTier {
-			tier = NewComponentCache(0)
-			filler := &Evaluator{Dists: base, Cache: NewComponentCache(0)}
-			filler.Cache.Shared = tier
-			filler.Prob(cond.Clone())
-			cache.Shared = tier
-		}
-		ev := &Evaluator{Dists: dists, Cache: cache}
-
-		before := ev.Prob(cond.Clone())
-		dists[x1] = []float64{0, 0, 0, 0.5, 0.5}
-		dists[x2] = []float64{0, 0, 0, 0, 0.5, 0.5}
-		cache.Invalidate(x1, x2)
-		after := ev.Prob(cond.Clone())
-		if after == before {
-			t.Fatalf("tier=%v: Prob unchanged (%v) after renormalising both components", withTier, after)
-		}
-		if want := NewEvaluator(dists).Prob(cond.Clone()); after != want {
-			t.Fatalf("tier=%v: post-invalidation Prob = %v, want %v", withTier, after, want)
-		}
-		if !withTier {
-			continue
-		}
-		// Both components came from the tier before the answers, and
-		// neither after them.
-		if s := cache.Stats(); s.SharedHits != 2 {
-			t.Fatalf("shared hits %d, want 2 (both components before Invalidate, none after): %+v", s.SharedHits, s)
-		}
-		// A new component over an invalidated variable stays out of the
-		// tier too, even next to a variable still at epoch 0.
-		ev.Prob(ctable.FromClauses([][]ctable.Expr{
-			{ctable.GTConst(x1, 2)},
-			{ctable.GTVar(x1, v(1, 0))},
-		}))
-		if n := tier.Len(); n != 2 {
-			t.Fatalf("tier holds %d entries, want the 2 base-posterior components", n)
-		}
-		// The tier still serves the base-posterior values.
-		fresh := &Evaluator{Dists: base, Cache: NewComponentCache(0)}
-		fresh.Cache.Shared = tier
-		if got := fresh.Prob(cond.Clone()); got != before {
-			t.Fatalf("base-posterior Prob through the tier = %v, want %v", got, before)
-		}
-		if s := fresh.Cache.Stats(); s.SharedHits != 2 {
-			t.Fatalf("fresh run over the tier: %d shared hits, want 2", s.SharedHits)
+		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}} {
+			for _, i := range order {
+				got := values(narrowedEvaluator(base, settings[i], cache))
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("trial %d, narrowing %v, value %d: %v on the shared cache, %v uncached",
+							trial, settings[i], j, got[j], want[i][j])
+					}
+				}
+			}
 		}
 	}
+}
 
-	// An evaluator over a tier a second evaluator pre-filled, against one
-	// without a tier: the same Prob fan-outs and planned scans, before and
-	// after a batch of renormalised variables. The filler plans sweeps for
-	// every candidate; the measured runs plan at most two for odd
-	// conditions — below marginalsThreshold, where they re-solve instead,
-	// so a tier vector served there would change their path.
-	rng := rand.New(rand.NewSource(23))
+// TestSweepRuleOwnPlansOnly checks the sweep-path rule of a shared
+// cache: below marginalsThreshold a scan prices candidates by partial
+// sums only over vectors its own evaluator planned, never over vectors
+// another evaluator left in the cache, since the partial-sum and the
+// re-solve path agree only within 1e-12. An evaluator on a cache another
+// evaluator swept runs a sequence of scans — below the gate, past it,
+// below it again — and every value matches, bit for bit, the same
+// sequence on a cold cache.
+func TestSweepRuleOwnPlansOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
 	base := Dists{}
 	conds := make([]*ctable.Condition, 40)
 	for i := range conds {
 		conds[i] = ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), base))
 	}
-	changed := map[ctable.Var][]float64{}
-	for x, d := range base {
-		if x.Obj%3 == 0 {
-			changed[x] = randomDist(rand.New(rand.NewSource(int64(x.Obj))), len(d))
-		}
-	}
-	session := func(tier *ComponentCache, fill bool) (*ComponentCache, []float64) {
-		dists := Dists{}
-		for x, d := range base {
-			dists[x] = d
-		}
-		ev := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
-		ev.Cache.Shared = tier
+	session := func(cache *ComponentCache) []float64 {
+		ev := narrowedEvaluator(base, map[ctable.Var]Interval{}, cache)
 		var out []float64
-		pass := func() {
-			probs := ev.ProbAll(conds, 1)
-			out = append(out, probs...)
-			for i, c := range conds {
-				scan := ev.NewCondScan(c, probs[i])
-				exprs := c.Exprs()
-				if !fill && i%2 == 1 && len(exprs) > 2 {
-					scan.PlanSweeps(exprs[:2])
-				} else {
-					scan.PlanSweeps(exprs)
-				}
+		for _, c := range conds {
+			p := ev.Prob(c)
+			exprs := c.Exprs()
+			few := exprs[:min(len(exprs), marginalsThreshold-1)]
+			for _, plan := range [][]ctable.Expr{few, exprs, few} {
+				scan := ev.NewCondScan(c, p)
+				scan.PlanSweeps(plan)
 				for _, e := range exprs {
 					pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
 					out = append(out, pe, pPhi, pTrue, pFalse)
 				}
 			}
 		}
-		pass()
-		var bumped []ctable.Var
-		for x, d := range changed {
-			dists[x] = d
-			bumped = append(bumped, x)
-		}
-		ev.Cache.Invalidate(bumped...)
-		pass()
-		return ev.Cache, out
+		return out
 	}
-	tier := NewComponentCache(0)
-	session(tier, true)
-	plain, want := session(nil, false)
-	tiered, got := session(tier, false)
+	want := session(NewComponentCache(0))
+
+	swept := NewComponentCache(0)
+	filler := narrowedEvaluator(base, map[ctable.Var]Interval{}, swept)
+	for _, c := range conds {
+		filler.NewCondScan(c, filler.Prob(c)).PlanSweeps(c.Exprs())
+	}
+	got := session(swept)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("value %d: %v over the tier, %v without", i, got[i], want[i])
+			t.Fatalf("value %d: %v on the swept cache, %v on a cold one", i, got[i], want[i])
 		}
-	}
-	gs, ws := tiered.Stats(), plain.Stats()
-	if gs.SharedHits == 0 {
-		t.Fatalf("no shared hits over a pre-filled tier: %+v", gs)
-	}
-	gs.SharedHits = 0
-	if gs != ws || tiered.Len() != plain.Len() {
-		t.Fatalf("own cache differs with the tier: %+v, %d entries; without: %+v, %d entries",
-			tiered.Stats(), tiered.Len(), ws, plain.Len())
 	}
 }
 
@@ -344,39 +351,44 @@ func TestCacheEviction(t *testing.T) {
 	if n := cache.Len(); n > 32 {
 		t.Fatalf("cache holds %d entries, cap 32", n)
 	}
-	if s := cache.Stats(); s.Evicted == 0 {
+	if s := ev.CacheStats(); s.Evicted == 0 {
 		t.Fatalf("no evictions after 300 distinct conditions: %+v", s)
 	}
 }
 
 // TestCacheConcurrentProbAll exercises shared-cache lookups and stores
-// from parallel fan-outs (meaningful under -race) — two evaluators at once,
-// each fanning out over its own cache, both falling through to one shared
-// tier — and checks the fanned results match a sequential cacheless
-// evaluation exactly.
+// from parallel fan-outs (meaningful under -race): two evaluators at
+// once, each fanning out over one cache under narrowing keys, one at the
+// base distributions and one with a third of the variables narrowed,
+// must each match a sequential cacheless evaluation exactly.
 func TestCacheConcurrentProbAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	dists := Dists{}
+	base := Dists{}
 	conds := make([]*ctable.Condition, 60)
 	for i := range conds {
-		conds[i] = ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), dists))
+		conds[i] = ctable.FromClauses(randClauses(rng, 5+rng.Intn(6), base))
 	}
-	plain := &Evaluator{Dists: dists}
-	want := plain.ProbAll(conds, 1)
+	narrowed := map[ctable.Var]Interval{}
+	for x, d := range base {
+		if x.Obj%3 == 0 {
+			narrowed[x] = Interval{Lo: 1, Hi: len(d) - 1}
+		}
+	}
+	settings := []map[ctable.Var]Interval{{}, narrowed}
 
-	tier := NewComponentCache(0)
-	evs := make([]*Evaluator, 2)
-	for i := range evs {
-		evs[i] = &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
-		evs[i].Cache.Shared = tier
+	cache := NewComponentCache(0)
+	evs := make([]*Evaluator, len(settings))
+	for i, nw := range settings {
+		evs[i] = narrowedEvaluator(base, nw, cache)
 	}
 	var wg sync.WaitGroup
-	for _, cached := range evs {
+	for _, ev := range evs {
 		wg.Add(1)
-		go func(cached *Evaluator) {
+		go func(ev *Evaluator) {
 			defer wg.Done()
+			want := (&Evaluator{Dists: ev.Dists}).ProbAll(conds, 1)
 			for round := 0; round < 3; round++ {
-				got := cached.ProbAll(conds, 8)
+				got := ev.ProbAll(conds, 8)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Errorf("round %d cond %d: cached %v vs uncached %v", round, i, got[i], want[i])
@@ -384,15 +396,12 @@ func TestCacheConcurrentProbAll(t *testing.T) {
 					}
 				}
 			}
-		}(cached)
+		}(ev)
 	}
 	wg.Wait()
-	for _, cached := range evs {
-		if s := cached.Cache.Stats(); s.Hits == 0 {
+	for _, ev := range evs {
+		if s := ev.CacheStats(); s.Hits == 0 {
 			t.Fatalf("no cache hits across repeated fan-outs: %+v", s)
 		}
-	}
-	if tier.Len() == 0 {
-		t.Fatal("no fan-out published to the shared tier")
 	}
 }

@@ -17,8 +17,18 @@ import (
 // canonical order and the solver branches on exactly the clause order the
 // key describes — the memoized value is a pure function of the key, bit
 // for bit, regardless of the clause order this particular occurrence
-// arrived in. Distribution changes are not part of the key; they are
-// tracked by the cache's per-variable epochs (ComponentCache.Invalidate).
+// arrived in.
+//
+// The distributions enter the key only under Evaluator.Narrowed: after
+// the structural key comes one mark per variable, in the canonical
+// component's first-appearance order — narrowMarkBase for a variable at
+// its base distribution, or narrowMarkInterval and the interval it was
+// renormalised to. The two marks stay distinct even for an interval
+// spanning the whole domain, whose renormalised slice need not be
+// bit-equal to the base. Every entry is then a pure function of its key
+// and the base distributions. Without Narrowed the key is structural and
+// distribution changes are tracked by the cache's per-variable epochs
+// (ComponentCache.Invalidate).
 
 // realExpr reconstructs the caller-level expression of an interned one,
 // using the solver's reverse variable table.
@@ -51,26 +61,45 @@ const (
 	sweepKeyPrefix  = 'S'
 )
 
+// Narrowing marks of the key suffix.
+const (
+	narrowMarkBase     = 0
+	narrowMarkInterval = 1
+)
+
 // fingerprint sorts the component into canonical order (in place — the
 // clause slices are newSolverGroups' per-evaluation interned copies,
-// never caller-owned conditions)
-// and returns its cache key under the given domain prefix. The key
+// never caller-owned conditions) and returns its cache key under the
+// given domain prefix, with the narrowing suffix when the evaluator
+// keys on it. key[:structLen] is the structural key alone. The key
 // aliases solver scratch: it is valid until the next fingerprint call and
 // must be copied to be retained (ComponentCache does so on store).
-func (s *solver) fingerprint(comp [][]cexpr, prefix byte) []byte {
+func (s *solver) fingerprint(comp [][]cexpr, prefix byte) (key []byte, structLen int) {
 	for _, cl := range comp {
 		slices.SortFunc(cl, s.cmpExpr)
 	}
 	slices.SortFunc(comp, s.cmpClause)
-	key := append(s.keyBuf[:0], prefix)
+	key = append(s.keyBuf[:0], prefix)
 	for _, cl := range comp {
 		key = binary.AppendUvarint(key, uint64(len(cl)))
 		for _, e := range cl {
 			key = s.realExpr(e).AppendKey(key)
 		}
 	}
+	structLen = len(key)
+	if s.keyed {
+		for _, id := range s.firstVars(comp) {
+			if !s.narrowed[id] {
+				key = append(key, narrowMarkBase)
+				continue
+			}
+			key = append(key, narrowMarkInterval)
+			key = binary.AppendVarint(key, int64(s.narrow[id].Lo))
+			key = binary.AppendVarint(key, int64(s.narrow[id].Hi))
+		}
+	}
 	s.keyBuf = key
-	return key
+	return key, structLen
 }
 
 // firstVars returns the distinct variables of the clauses in order of

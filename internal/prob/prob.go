@@ -35,6 +35,7 @@ package prob
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"bayescrowd/internal/ctable"
@@ -71,32 +72,46 @@ type Options struct {
 	ApproxThreshold int
 }
 
+// Interval is an inclusive range [Lo, Hi] of attribute codes: the values
+// crowd answers still allow a variable.
+type Interval struct{ Lo, Hi int }
+
 // Evaluator computes condition probabilities against a fixed set of
 // variable distributions.
 //
 // Concurrency: the evaluator is safe for concurrent use by multiple
-// goroutines provided none of them mutates Dists (or the distribution
-// slices it holds) while evaluations are in flight — every method only
-// reads the map, and solver scratch is per-call (pooled, never shared
-// between in-flight evaluations). The framework is single-writer: crowd
-// answers renormalise distributions strictly between parallel fan-outs,
-// and the pool join inside ProbAll / parallel.For publishes those writes
-// to the workers of the next fan-out (a happens-before edge). Callers
-// adding their own concurrency must preserve that discipline. The
-// component cache follows the same contract: lookups and stores are safe
-// during fan-outs, ComponentCache.Invalidate belongs in the single-writer
-// gaps, right next to the distribution writes it tracks.
+// goroutines provided none of them mutates Dists or Narrowed (or the
+// distribution slices Dists holds) while evaluations are in flight —
+// evaluation only reads them, and solver scratch is per-call (pooled,
+// never shared between in-flight evaluations). The framework is
+// single-writer: crowd answers renormalise distributions strictly between
+// parallel fan-outs, and the pool join inside ProbAll / parallel.For
+// publishes those writes to the workers of the next fan-out (a
+// happens-before edge). Callers adding their own concurrency must
+// preserve that discipline. The component cache follows the same
+// contract: lookups and stores are safe during fan-outs,
+// ComponentCache.Invalidate belongs in the single-writer gaps, right next
+// to the distribution writes it tracks.
 type Evaluator struct {
 	Dists Dists
-	Opt   Options
+	// Narrowed, when non-nil, says how Dists was derived from base
+	// distributions the caller holds: a variable it lists maps to its base
+	// distribution renormalised to that interval, every other variable to
+	// its base distribution. Component keys then carry each variable's
+	// narrowing, so evaluators over the same base distributions and
+	// Options may share one Cache, which never needs invalidating.
+	// Whoever renormalises a variable records its interval here, in the
+	// same single-writer gap. nil keeps keys structural: Cache must then
+	// be private to this evaluator and invalidated per renormalised
+	// variable.
+	Narrowed map[ctable.Var]Interval
+	Opt      Options
 	// Cache, when non-nil, memoizes connected-component probabilities
 	// across evaluations (see ComponentCache); nil is the cache ablation.
 	// Cached and uncached evaluation are bit-identical — both solve
 	// branched components in the same canonical order; the cache only
 	// decides whether a component's probability is looked up or
-	// recomputed. Whoever mutates Dists must call Cache.Invalidate for
-	// every renormalised variable, or cached components will serve
-	// probabilities computed under the old distribution.
+	// recomputed.
 	Cache *ComponentCache
 	// Obs, when non-nil, receives the evaluator's trace events (fan-out
 	// and sweep-plan sizes). It is set by the single writer that owns the
@@ -105,18 +120,62 @@ type Evaluator struct {
 	// fan-out — so the trace stays deterministic at any worker count.
 	Obs *obs.Recorder
 	// approxN counts connected components resolved by the ApproxThreshold
-	// fallback. Atomic because evaluations run inside parallel fan-outs.
-	approxN atomic.Int64
+	// fallback; hits, misses and evicted count this evaluator's cache
+	// traffic. Atomic because evaluations run inside parallel fan-outs.
+	approxN               atomic.Int64
+	hits, misses, evicted atomic.Uint64
+	// planned holds the sweep vectors this evaluator's scans planned,
+	// by key, when it shares its cache under narrowing keys: only these
+	// may price a candidate below marginalsThreshold (CondScan.planComp).
+	planned   map[string][]float64 // guarded by plannedMu
+	plannedMu sync.Mutex
+}
+
+// CacheStats reports this evaluator's component-cache traffic — its
+// hits, misses and the evictions its stores caused — and the cache's
+// invalidation counters. Zero without a cache.
+func (ev *Evaluator) CacheStats() CacheStats {
+	if ev.Cache == nil {
+		return CacheStats{}
+	}
+	return CacheStats{
+		Hits:               ev.hits.Load(),
+		Misses:             ev.misses.Load(),
+		Evicted:            ev.evicted.Load(),
+		Invalidated:        ev.Cache.invalidated,
+		InvalidatedEntries: ev.Cache.invalidatedEntries,
+	}
+}
+
+// plannedVec returns the sweep vector this evaluator planned under key.
+func (ev *Evaluator) plannedVec(key []byte) ([]float64, bool) {
+	ev.plannedMu.Lock()
+	defer ev.plannedMu.Unlock()
+	vec, ok := ev.planned[string(key)]
+	return vec, ok
+}
+
+// plan records a sweep vector this evaluator planned under key, which
+// may alias solver scratch.
+func (ev *Evaluator) plan(key []byte, vec []float64) {
+	ev.plannedMu.Lock()
+	defer ev.plannedMu.Unlock()
+	if ev.planned == nil {
+		//lint:ignore hotalloc once per evaluator: the set lives as long as the evaluator and only grows
+		ev.planned = map[string][]float64{}
+	}
+	ev.planned[string(key)] = vec
 }
 
 // ApproxComponents returns how many connected-component solves fell back
 // to the approximate estimator (Options.ApproxThreshold) since the
 // evaluator was created. The probability values themselves are
 // deterministic (fingerprint-seeded); the invocation count is not when a
-// component cache is shared across workers — like cache hit statistics,
-// it depends on which worker reaches a component first, and on what the
-// cache's shared tier already holds (a served estimate is not counted) —
-// so treat it as an observability figure, not a traced quantity.
+// component cache is shared across workers or evaluators — like cache
+// hit statistics, it depends on which worker reaches a component first,
+// and on what other evaluators left in the cache (a served estimate is
+// not counted) — so treat it as an observability figure, not a traced
+// quantity.
 //
 // Error bound: each estimated component is the mean of 2000 independent
 // draws, so by Hoeffding's inequality it misses the component's exact
@@ -197,17 +256,29 @@ func (ev *Evaluator) Prob(c *ctable.Condition) float64 {
 func (ev *Evaluator) probClauses(clauses [][]ctable.Expr) float64 {
 	s, interned := newSolver(ev, clauses)
 	p := s.adpllTop(interned, ev.activeCache())
-	ev.drainApprox(s)
+	ev.drain(s)
 	s.release()
 	return p
 }
 
-// drainApprox moves the solver's approximate-fallback count onto the
-// evaluator's atomic counter before the solver returns to the pool.
-func (ev *Evaluator) drainApprox(s *solver) {
+// drain moves the solver's approximate-fallback and cache counts onto
+// the evaluator's atomic counters before the solver returns to the pool.
+func (ev *Evaluator) drain(s *solver) {
 	if s.nApprox > 0 {
 		ev.approxN.Add(int64(s.nApprox))
 		s.nApprox = 0
+	}
+	if s.hits > 0 {
+		ev.hits.Add(s.hits)
+		s.hits = 0
+	}
+	if s.misses > 0 {
+		ev.misses.Add(s.misses)
+		s.misses = 0
+	}
+	if s.evicted > 0 {
+		ev.evicted.Add(s.evicted)
+		s.evicted = 0
 	}
 }
 
@@ -219,7 +290,7 @@ func (ev *Evaluator) drainApprox(s *solver) {
 func (ev *Evaluator) probGroups(groups [][][]ctable.Expr, unit *ctable.Expr) float64 {
 	s, interned := newSolverGroups(ev, groups, unit)
 	p := s.adpllTop(interned, ev.activeCache())
-	ev.drainApprox(s)
+	ev.drain(s)
 	s.release()
 	return p
 }

@@ -169,9 +169,10 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 
 // PlanSweeps inspects the candidate set the scan is about to price and
 // materialises joint marginal vectors Pr(comp ∧ x=a) for the variables
-// carrying constant-comparison candidates. Cached vectors from an earlier
-// scan or round are picked up for free; the rest are computed — when the
-// component's candidate load clears marginalsThreshold — by one
+// carrying constant-comparison candidates. Vectors the evaluator planned
+// in an earlier scan or round are picked up for free; the rest are
+// served from the cache or computed — when the component's candidate
+// load clears marginalsThreshold — by one
 // all-variable marginal pass per component (stAllMarginals), which costs a
 // small constant factor over a single solve however many variables it
 // reports. Call it once, before probing — wholesale scorers like the UBS
@@ -208,16 +209,27 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 }
 
 // planComp serves or computes the marginal vectors of one component's
-// needed variables: cache lookups first, then — if any are missing and
-// the candidate count justifies it — the shared tier, then a single
+// needed variables: served vectors first, then — if any are missing and
+// the candidate count justifies it — cache lookups, then a single
 // stAllMarginals pass whose vectors are stored for later scans and
 // rounds. Vectors are computed on the canonically-ordered component, so
-// cache-served and freshly-computed values are bit-identical.
+// served and freshly-computed values are bit-identical.
+//
+// Which vectors may serve below marginalsThreshold decides between the
+// partial-sum and the re-solve path, which agree only within 1e-12. A
+// cache under structural keys belongs to this evaluator, so all of its
+// vectors are this evaluator's own plans. A cache under narrowing keys
+// may hold vectors other evaluators planned; there only the vectors in
+// the evaluator's own planned set serve below the gate, and the shared
+// cache only replaces a computation past it. The planned set keeps its
+// vectors, so eviction from the shared cache cannot change the path
+// either.
 func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	ev := cs.ev
 	s, interned := newSolverGroups(ev, [][][]ctable.Expr{cs.comps[g]}, nil)
 	defer s.release()
-	key := s.fingerprint(interned, sweepKeyPrefix)
+	defer ev.drain(s)
+	key, _ := s.fingerprint(interned, sweepKeyPrefix)
 	base := len(key)
 	varKey := func(x ctable.Var) []byte {
 		key = key[:base]
@@ -228,14 +240,20 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	}
 
 	cache := ev.activeCache()
+	shared := cache != nil && ev.Narrowed != nil
 	var miss []ctable.Var
 	for x := range needed {
 		if cs.byVar[x] != g {
 			continue
 		}
-		if cache != nil {
-			if vec, ok := cache.lookupVec(varKey(x)); ok {
+		if shared {
+			if vec, ok := ev.plannedVec(varKey(x)); ok {
 				cs.addSweep(x, vec)
+				continue
+			}
+		} else if cache != nil {
+			if e, ok := s.lookup(cache, varKey(x)); ok {
+				cs.addSweep(x, e.vec)
 				continue
 			}
 		}
@@ -246,18 +264,16 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		return
 	}
 
-	// Past the gate the run would compute, so the shared tier may serve:
-	// a vector another run left behind must never decide between the
-	// partial-sum and the re-solve path, only replace a computation.
 	var vars []ctable.Var
-	var tier *ComponentCache
 	if cache != nil {
 		vars = s.componentVars(interned)
-		tier = cache.tierFor(vars)
+	}
+	if shared {
 		kept := miss[:0]
 		for _, x := range miss {
-			if e, ok := cache.lookupTier(tier, varKey(x), vars); ok {
+			if e, ok := s.lookup(cache, varKey(x)); ok {
 				cs.addSweep(x, e.vec)
+				ev.plan(varKey(x), e.vec)
 				continue
 			}
 			kept = append(kept, x)
@@ -288,7 +304,10 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		}
 		cs.addSweep(x, vec)
 		if cache != nil {
-			cache.store(varKey(x), vars, cacheEntry{vec: vec}, tier)
+			s.store(cache, varKey(x), vars, cacheEntry{vec: vec})
+		}
+		if shared {
+			ev.plan(varKey(x), vec)
 		}
 	}
 }

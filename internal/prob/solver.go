@@ -39,6 +39,12 @@ type solver struct {
 	itabLive  int
 	dists     [][]float64  // per var id
 	vars      []ctable.Var // per var id: the real variable, for fingerprints
+	// keyed reports whether component keys carry each variable's
+	// narrowing (Evaluator.Narrowed non-nil); narrow and narrowed hold it
+	// per var id.
+	keyed    bool
+	narrow   []Interval
+	narrowed []bool
 	// assign[v] is the branched value of var v, or -1.
 	assign []int32
 	// Scratch epochs avoid clearing per-var arrays on every recursion.
@@ -75,9 +81,11 @@ type solver struct {
 	satClauses [][]cexpr
 	satCounts  []float64
 	// nApprox counts the connected components this evaluation resolved
-	// through the approximate estimator (Options.ApproxThreshold); the
-	// public entry points drain it into the evaluator's counter.
-	nApprox int
+	// through the approximate estimator (Options.ApproxThreshold), and
+	// hits, misses and evicted its cache traffic; the public entry points
+	// drain them into the evaluator's counters.
+	nApprox               int
+	hits, misses, evicted uint64
 
 	// Bitset clause-state engine scratch (state.go). componentProb
 	// compiles the component into a flat literal arena once; the recursion
@@ -134,6 +142,9 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 	s.opt = ev.Opt
 	s.dists = s.dists[:0]
 	s.vars = s.vars[:0]
+	s.keyed = ev.Narrowed != nil
+	s.narrow = s.narrow[:0]
+	s.narrowed = s.narrowed[:0]
 	s.nApprox = 0
 	// One increment invalidates every intern slot left over from earlier
 	// evaluations; see grow for why epoch stamping makes that sound.
@@ -228,6 +239,11 @@ func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
 			s.itabLive++
 			s.dists = append(s.dists, ev.dist(v))
 			s.vars = append(s.vars, v)
+			if s.keyed {
+				iv, ok := ev.Narrowed[v]
+				s.narrow = append(s.narrow, iv)
+				s.narrowed = append(s.narrowed, ok)
+			}
 			if 4*s.itabLive >= 3*len(s.itabKeys) {
 				s.itabGrow()
 			}
@@ -402,50 +418,60 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 }
 
 // componentProb returns Pr(comp) for one connected component, consulting
-// the cache — and, after a miss, its shared tier — for components that
-// would need branching. Components decided by the direct independence
-// rule are recomputed every time: they cost as little as fingerprinting
-// them would, and caching them would crowd out entries that save real
-// branching work.
+// the cache for components that would need branching. Components decided
+// by the direct independence rule are recomputed every time: they cost
+// as little as fingerprinting them would, and caching them would crowd
+// out entries that save real branching work.
 //
 // Branched components are solved exactly by the compiled bitset
 // clause-state engine (state.go). When Options.ApproxThreshold is set and
 // the component holds more distinct variables than the threshold, the
 // exact count is replaced by a Monte Carlo estimate (approxComponent)
-// seeded from the component's canonical fingerprint — the decision and
-// the estimate are pure functions of the component, so results stay
+// seeded from the component's canonical structural key — the decision
+// and the estimate are pure functions of the component, so results stay
 // deterministic at any worker count, schedule, and cache state.
 func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 	if p, ok := s.directProb(comp); ok {
 		return p
 	}
-	key := s.fingerprint(comp, scalarKeyPrefix)
-	// The variables are gathered once per miss: the shared-tier epoch
-	// check, the approximation threshold and the store all read them.
-	var vars []ctable.Var
-	var tier *ComponentCache
+	key, structLen := s.fingerprint(comp, scalarKeyPrefix)
 	if cache != nil {
-		if p, ok := cache.lookup(key); ok {
-			return p
-		}
-		vars = s.componentVars(comp)
-		tier = cache.tierFor(vars)
-		if e, ok := cache.lookupTier(tier, key, vars); ok {
+		if e, ok := s.lookup(cache, key); ok {
 			return e.p
 		}
-	} else if s.opt.ApproxThreshold > 0 {
+	}
+	// The variables are gathered once per miss: the approximation
+	// threshold and the store both read them.
+	var vars []ctable.Var
+	if cache != nil || s.opt.ApproxThreshold > 0 {
 		vars = s.componentVars(comp)
 	}
 	var p float64
 	if s.opt.ApproxThreshold > 0 && len(vars) > s.opt.ApproxThreshold {
-		p = s.approxComponent(comp, key)
+		p = s.approxComponent(comp, key[:structLen])
 	} else {
 		p = s.stSolve(comp)
 	}
 	if cache != nil {
-		cache.store(key, vars, cacheEntry{p: p}, tier)
+		s.store(cache, key, vars, cacheEntry{p: p})
 	}
 	return p
+}
+
+// lookup consults the cache, counting the outcome for the evaluator.
+func (s *solver) lookup(cache *ComponentCache, key []byte) (cacheEntry, bool) {
+	e, ok := cache.lookup(key)
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	return e, ok
+}
+
+// store memoizes e, counting the evictions it caused for the evaluator.
+func (s *solver) store(cache *ComponentCache, key []byte, vars []ctable.Var, e cacheEntry) {
+	s.evicted += uint64(cache.store(key, vars, e))
 }
 
 // litHolds evaluates a literal with its variables at values x and y (y

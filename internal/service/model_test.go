@@ -21,8 +21,9 @@ import (
 
 // TestModelSharedAcrossQueries checks the per-dataset model slot:
 // concurrent FBS/UBS/HHS queries on one (dataset, α) pair share one
-// model build and its component-cache tier, each returns the library's
+// model build and its component cache, each returns the library's
 // result and trace bit for bit, none of them writes the shared model,
+// a batch repeating an earlier one finds every component in the cache,
 // and another α gets a fresh, correct model in the one slot.
 func TestModelSharedAcrossQueries(t *testing.T) {
 	incomplete, truth := makeData(31, 80, 4)
@@ -70,7 +71,7 @@ func TestModelSharedAcrossQueries(t *testing.T) {
 						t.Errorf("α=%v %s: posted %d tasks, %d objects left undecided; want both positive",
 							req.Alpha, req.Strategy, got.TasksPosted, len(got.Probs))
 					}
-					if !reflect.DeepEqual(withoutTimings(got), withoutTimings(want)) {
+					if !reflect.DeepEqual(got, retained(want)) {
 						t.Errorf("α=%v %s: daemon result differs from the library's\n got:  %+v\n want: %+v",
 							req.Alpha, req.Strategy, got.Answers, want.Answers)
 					}
@@ -100,10 +101,16 @@ func TestModelSharedAcrossQueries(t *testing.T) {
 			if srv.sharedModel(t) != shared || modelHash(shared) != before {
 				t.Fatal("the queries replaced or wrote the shared model")
 			}
-			// The second batch found components the first batch and the
-			// build left in the model's shared cache tier.
-			if n := srv.Registry().Counter("cache.shared_hits").Value(); n <= 0 {
-				t.Fatalf("cache.shared_hits = %d after the second batch, want > 0", n)
+			// Repeating the first batch, each query finds every component
+			// it needs where the first batch left it in the model's cache.
+			hits, misses := srv.Registry().Counter("cache.hits"), srv.Registry().Counter("cache.misses")
+			hits0, misses0 := hits.Value(), misses.Value()
+			run(batch(0.3, 11))
+			if builds.Value() != 1 || reuses.Value() != 8 {
+				t.Fatalf("repeated batch: %d builds, %d reuses; want 1 and 8", builds.Value(), reuses.Value())
+			}
+			if n := misses.Value() - misses0; n != 0 || hits.Value() == hits0 {
+				t.Fatalf("repeated batch: %d cache misses, %d hits; want none and some", n, hits.Value()-hits0)
 			}
 
 			// Another α replaces the slot with a fresh, correct model.
@@ -146,15 +153,6 @@ func tracedRefRun(t *testing.T, incomplete, truth *dataset.Dataset, base prob.Di
 		t.Fatalf("reference trace: %v", err)
 	}
 	return res, buf.Bytes()
-}
-
-// withoutTimings returns a copy of r without its wall times and cache
-// counters: those are observability, not results, and a daemon query on
-// a shared model leaves the model's initial fan-out out of both.
-func withoutTimings(r *core.Result) core.Result {
-	c := *r
-	c.Cache, c.SelectTime, c.ProbTime = prob.CacheStats{}, 0, 0
-	return c
 }
 
 // result returns a finished query's library result.

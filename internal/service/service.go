@@ -146,7 +146,7 @@ type query struct {
 
 	mu       sync.Mutex
 	state    State        // guarded by mu
-	result   *core.Result // guarded by mu; set once on completion
+	result   *core.Result // guarded by mu; set once on completion, to retained(res)
 	err      error        // guarded by mu; set once on failure
 	created  time.Time
 	finished time.Time // guarded by mu
@@ -463,7 +463,7 @@ func (s *Server) runQuery(q *query) {
 		q.err = err
 	} else {
 		q.state = StateDone
-		q.result = res
+		q.result = retained(res)
 	}
 	q.mu.Unlock()
 	if err != nil {
@@ -473,6 +473,22 @@ func (s *Server) runQuery(q *query) {
 	s.cDone.Add(1)
 	if res.Degraded {
 		s.cDegraded.Add(1)
+	}
+}
+
+// retained is what a finished query keeps of its run's result: the
+// fields its status reports. Dropping the rest releases the run's
+// c-table — its copy of the condition list and every condition it
+// rewrote — as soon as the query finishes.
+func retained(res *core.Result) *core.Result {
+	return &core.Result{
+		Answers:        res.Answers,
+		Probs:          res.Probs,
+		TasksPosted:    res.TasksPosted,
+		Rounds:         res.Rounds,
+		BudgetSpent:    res.BudgetSpent,
+		Degraded:       res.Degraded,
+		DegradedReason: res.DegradedReason,
 	}
 }
 
@@ -503,8 +519,12 @@ func (s *Server) model(q *query) *core.Model {
 	e.slot = slot
 	e.mu.Unlock()
 
+	// The model always keeps a cache: it serves every later query on the
+	// slot, and a noCache query runs without it (core.RunModel).
+	opt := q.opt
+	opt.NoCache = false
 	start := time.Now()
-	slot.m = core.BuildModel(e.data, e.base, q.opt)
+	slot.m = core.BuildModel(e.data, e.base, opt)
 	s.hModelBuild.Observe(time.Since(start))
 	s.cModelBuilds.Add(1)
 	close(slot.ready)

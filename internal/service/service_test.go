@@ -539,6 +539,63 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestFinishedQueryRetainsNoCTable checks that a finished query keeps
+// only the part of its result its status reports: no c-table is
+// retained, and GET /v1/queries/{id} serves the same body it serves when
+// the query holds the library's whole result.
+func TestFinishedQueryRetainsNoCTable(t *testing.T) {
+	incomplete, truth := makeData(57, 24, 4)
+	loop := NewLoopback(crowd.NewSimulated(truth, 1.0, nil), "")
+	srv := New(Config{Workers: 1, MaxConcurrent: 1, Sink: loop})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	loop.SetEndpoint(ts.URL)
+	loop.Start()
+	defer loop.Stop()
+
+	postJSON(t, ts.URL+"/v1/datasets", datasetReq("d", incomplete), http.StatusCreated, nil)
+	req := QueryRequest{Dataset: "d", Budget: 20, Latency: 4, Strategy: "UBS", Seed: 5, Workers: 1}
+	var st QueryStatus
+	postJSON(t, ts.URL+"/v1/queries", req, http.StatusAccepted, &st)
+	if final := waitDone(t, ts.URL, st.ID); final.State != StateDone {
+		t.Fatalf("query failed: %s", final.Error)
+	}
+	kept := srv.result(t, st.ID)
+	if kept.CTable != nil {
+		t.Fatal("a finished query retains its c-table")
+	}
+	full := refRun(t, incomplete, truth, req, 1)
+	if full.CTable == nil || len(full.Probs) == 0 {
+		t.Fatalf("the reference run has no c-table or no undecided objects: %d probabilities", len(full.Probs))
+	}
+
+	body := func() []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/queries/" + st.ID)
+		if err != nil {
+			t.Fatalf("GET query: %v", err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); cerr != nil {
+			t.Fatalf("close body: %v", cerr)
+		}
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET query: status %d, %v: %s", resp.StatusCode, err, data)
+		}
+		return data
+	}
+	got := body()
+	srv.mu.Lock()
+	q := srv.queries[st.ID]
+	srv.mu.Unlock()
+	q.mu.Lock()
+	q.result = full
+	q.mu.Unlock()
+	if want := body(); !bytes.Equal(got, want) {
+		t.Fatalf("status body differs from the whole result's\n got:  %s\n want: %s", got, want)
+	}
+}
+
 // TestHTTPErrors walks the error envelope: bad bodies, unknown
 // resources, duplicate registration.
 func TestHTTPErrors(t *testing.T) {

@@ -400,5 +400,5 @@ func (e *Engine) CacheStats() prob.CacheStats {
 	if e.ev == nil || e.ev.Cache == nil {
 		return prob.CacheStats{}
 	}
-	return e.ev.Cache.Stats()
+	return e.ev.CacheStats()
 }
