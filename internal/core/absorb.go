@@ -13,23 +13,20 @@ import (
 // through it, so an answer means exactly the same thing in either mode.
 //
 // The caller owns the surrounding single-writer discipline: Absorb
-// mutates Know, Eff and Narrowed, so it must only run in the sequential
-// gaps between Pr(φ) fan-outs. An evaluator keyed on Narrowed needs
+// mutates Know and Ev's distributions, so it must only run in the
+// sequential gaps between Pr(φ) fan-outs. A keyed evaluator needs
 // nothing more; a component cache under structural keys must be
 // invalidated for the DistChanged variables before the next fan-out
-// reads Eff.
+// reads them.
 type Absorption struct {
 	// Know accumulates the answers.
 	Know *ctable.Knowledge
-	// Base holds the immutable prior distributions; Eff receives their
-	// renormalised forms (conditionDist allocates a fresh slice, so Base
-	// entries are never written through Eff).
+	// Base holds the immutable prior distributions; Ev receives their
+	// renormalised forms and the intervals they were narrowed to
+	// (prob.Evaluator.Renormalise; conditionDist allocates a fresh slice,
+	// so Base entries are never written through Ev).
 	Base prob.Dists
-	Eff  prob.Dists
-	// Narrowed, when non-nil, receives the interval each renormalised
-	// variable was narrowed to — the evaluator's prob.Evaluator.Narrowed,
-	// written beside Eff.
-	Narrowed map[ctable.Var]prob.Interval
+	Ev   *prob.Evaluator
 	// Touched collects every variable an absorbed answer mentioned —
 	// the conditions to re-simplify. DistChanged collects the subset
 	// whose effective distribution was renormalised — the probabilities
@@ -48,21 +45,32 @@ type Absorption struct {
 // conflicts, forgotten variables — pass through from Knowledge.Absorb
 // with nothing marked.
 func (ab *Absorption) Absorb(e ctable.Expr, rel ctable.Rel) error {
-	if err := ab.Know.Absorb(e, rel); err != nil {
+	renormalised, err := ab.absorb(e, rel)
+	if err != nil {
 		return err
 	}
 	ab.buf = e.Vars(ab.buf[:0])
 	for _, v := range ab.buf {
 		ab.Touched[v] = true
 	}
-	if e.Kind != ctable.VarGTVar && !ab.Know.NoInference {
-		v := e.X
-		lo, hi := ab.Know.Bounds(v)
-		ab.Eff[v] = conditionDist(ab.Base[v], lo, hi)
-		if ab.Narrowed != nil {
-			ab.Narrowed[v] = prob.Interval{Lo: lo, Hi: hi}
-		}
-		ab.DistChanged[v] = true
+	if renormalised {
+		ab.DistChanged[e.X] = true
 	}
 	return nil
+}
+
+// absorb is Absorb without the marking: it folds the answer into the
+// knowledge and reports whether it renormalised e.X's distribution. The
+// batch crowd phase marks its own id-indexed sets instead.
+func (ab *Absorption) absorb(e ctable.Expr, rel ctable.Rel) (renormalised bool, err error) {
+	if err := ab.Know.Absorb(e, rel); err != nil {
+		return false, err
+	}
+	if e.Kind == ctable.VarGTVar || ab.Know.NoInference {
+		return false, nil
+	}
+	v := e.X
+	lo, hi := ab.Know.Bounds(v)
+	ab.Ev.Renormalise(v, conditionDist(ab.Base[v], lo, hi), prob.Interval{Lo: lo, Hi: hi})
+	return true, nil
 }

@@ -96,10 +96,17 @@ type Model struct {
 	ProbTime time.Duration
 	Cache    prob.CacheStats
 
-	// varToObjs indexes the undecided objects by the variables their
-	// conditions mention, in Undecided order: the runs' map from an
-	// answered variable to the conditions it may rewrite.
-	varToObjs map[ctable.Var][]int
+	// ids numbers the variables the undecided conditions mention, in
+	// (Obj, Attr) order, and base[id] is each one's base posterior: a run
+	// keeps its per-variable state in slices indexed by id (crowdPhase).
+	ids  *ctable.VarIDs
+	base [][]float64
+	// objsOff and objs index the undecided objects by the variables their
+	// conditions mention, in Undecided order: the objects of variable id
+	// are objs[objsOff[id]:objsOff[id+1]], the conditions an answer on it
+	// may rewrite.
+	objsOff []int32
+	objs    []int32
 	// alpha and approxThreshold are the options the model was built
 	// under; RunModel rejects a run whose values differ.
 	alpha           float64
@@ -126,19 +133,42 @@ func BuildModel(d *dataset.Dataset, base prob.Dists, opt Options) *Model {
 func modelOf(ct *ctable.CTable, base prob.Dists, opt Options) *Model {
 	m := &Model{
 		alpha: opt.Alpha, approxThreshold: opt.ApproxThreshold,
-		CT: ct, Undecided: ct.Undecided(), varToObjs: map[ctable.Var][]int{},
+		CT: ct, Undecided: ct.Undecided(),
 	}
 	if !opt.NoCache {
 		m.cache = prob.NewComponentCache(opt.CacheSize)
 	}
 	conds := make([]*ctable.Condition, len(m.Undecided))
+	condVars := make([][]ctable.Var, len(m.Undecided))
+	var all []ctable.Var
 	for i, o := range m.Undecided {
 		conds[i] = ct.Conds[o]
-		for _, v := range conds[i].Vars() {
-			m.varToObjs[v] = append(m.varToObjs[v], o)
+		condVars[i] = conds[i].Vars()
+		all = append(all, condVars[i]...)
+	}
+	m.ids = ctable.NewVarIDs(all)
+	m.base = make([][]float64, m.ids.Len())
+	m.objsOff = make([]int32, m.ids.Len()+1)
+	for _, vs := range condVars {
+		for _, v := range vs {
+			id, _ := m.ids.ID(v)
+			m.base[id] = base[v]
+			m.objsOff[id+1]++
 		}
 	}
-	ev := newEvaluator(base, opt, m.cache)
+	for id := range m.base {
+		m.objsOff[id+1] += m.objsOff[id]
+	}
+	m.objs = make([]int32, m.objsOff[len(m.base)])
+	fill := append([]int32(nil), m.objsOff[:len(m.base)]...)
+	for i, vs := range condVars {
+		for _, v := range vs {
+			id, _ := m.ids.ID(v)
+			m.objs[fill[id]] = int32(m.Undecided[i])
+			fill[id]++
+		}
+	}
+	ev := m.newEvaluator(opt, m.cache)
 	//lint:ignore determinism timing observability only: the model's ProbTime reports wall-clock and never feeds a decision
 	start := time.Now()
 	m.Probs = ev.ProbAll(conds, opt.Workers)
@@ -162,15 +192,23 @@ func publishCache(reg *obs.Registry, prev, cur prob.CacheStats) {
 	reg.Counter("cache.evicted").Add(int64(cur.Evicted - prev.Evicted))
 }
 
-// newEvaluator returns an evaluator over dists with the run's solver
-// options and the model's cache (nil under NoCache). Its keys carry each
-// variable's narrowing, which the run's Absorption records.
-func newEvaluator(dists prob.Dists, opt Options, cache *prob.ComponentCache) *prob.Evaluator {
+// newEvaluator returns an evaluator over the model's numbered variables,
+// each at its base posterior, with the run's solver options and the
+// model's cache (nil under NoCache). Its Vars are the run's own: one
+// slot per numbered variable, where the run's Absorption records each
+// renormalised distribution and its narrowing, which the keys carry.
+// Every variable a run can evaluate is numbered, so Dists starts empty.
+func (m *Model) newEvaluator(opt Options, cache *prob.ComponentCache) *prob.Evaluator {
+	vars := make([]prob.VarState, len(m.base))
+	for id, d := range m.base {
+		vars[id].Dist = d
+	}
 	return &prob.Evaluator{
-		Dists:    dists,
-		Narrowed: map[ctable.Var]prob.Interval{},
-		Opt:      prob.Options{ApproxThreshold: opt.ApproxThreshold},
-		Cache:    cache,
+		Dists: prob.Dists{},
+		IDs:   m.ids,
+		Vars:  vars,
+		Opt:   prob.Options{ApproxThreshold: opt.ApproxThreshold},
+		Cache: cache,
 	}
 }
 
@@ -236,7 +274,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	var prevCache prob.CacheStats
 	var prevApprox int64
 
-	know := ctable.NewKnowledge(d)
+	know := ctable.NewKnowledgeIDs(d, m.ids)
 	know.NoInference = opt.NoInference
 
 	// The run's own c-table: a shallow copy of the model's, whose
@@ -246,12 +284,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	*ct = *m.CT
 	ct.Conds = append([]*ctable.Condition(nil), m.CT.Conds...)
 
-	// Effective distributions: the base posteriors, renormalised by what
-	// the crowd has revealed so far.
-	eff := make(prob.Dists, len(base))
-	for v, dist := range base {
-		eff[v] = dist
-	}
+	// The evaluator's Vars hold the run's effective distributions: the
+	// base posteriors, renormalised by what the crowd has revealed so far.
 	// Every Pr(φ) evaluation of the run — the UBS/HHS candidate scans and
 	// the cross-round stale recomputation — reads and fills the model's
 	// cache. Its keys carry the narrowing the absorption below records, so
@@ -260,7 +294,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	if opt.NoCache {
 		cache = nil
 	}
-	ev := newEvaluator(eff, opt, cache)
+	ev := m.newEvaluator(opt, cache)
 	// core is the single writer that owns the evaluator; it hands the
 	// recorder down so prob's sequential dispatch points (ProbAll,
 	// PlanSweeps) can trace their deterministic sizes.
@@ -284,20 +318,39 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	}
 
 	// Per-round scratch, hoisted out of the loop and cleared in place each
-	// round instead of reallocated — the round count times the map sizes
-	// adds up at paper scale.
-	touched := map[ctable.Var]bool{}
-	distChanged := map[ctable.Var]bool{}
-	seen := map[int]bool{}
+	// round instead of reallocated — the round count times the set sizes
+	// adds up at paper scale. The variable sets are indexed by model id;
+	// seen stamps each object with the last round that visited it.
+	touched := newIDSet(m.ids.Len())
+	distChanged := newIDSet(m.ids.Len())
+	seen := make([]int32, len(ct.Conds))
+	answeredExpr := map[ctable.Expr]bool{}
 	var stale []int
 	var staleConds []*ctable.Condition
+	var sel Selection
 
 	// The absorption path is shared with the streaming crowd loop:
 	// main-round answers and re-ask majorities both fold into the
-	// knowledge through it, marking the touched variables and
-	// renormalising the narrowed distributions.
-	ab := &Absorption{Know: know, Base: base, Eff: eff, Narrowed: ev.Narrowed, Touched: touched, DistChanged: distChanged}
-	absorb := ab.Absorb
+	// knowledge through it, renormalising the narrowed distributions;
+	// absorb marks the touched variables by id.
+	ab := &Absorption{Know: know, Base: base, Ev: ev}
+	var varBuf []ctable.Var
+	absorb := func(e ctable.Expr, rel ctable.Rel) error {
+		renormalised, err := ab.absorb(e, rel)
+		if err != nil {
+			return err
+		}
+		varBuf = e.Vars(varBuf[:0])
+		for _, v := range varBuf {
+			if id, ok := m.ids.ID(v); ok {
+				touched.add(id)
+			}
+		}
+		if id, ok := m.ids.ID(e.X); renormalised && ok {
+			distChanged.add(id)
+		}
+		return nil
+	}
 
 	// pendingDropped tracks fault-dropped tasks across rounds: an expression
 	// goes in when its answer is lost, comes out when a later answer for it
@@ -326,7 +379,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		rec.Emit(obs.Event{Kind: obs.KindRoundStart, N: k, M: remaining})
 		//lint:ignore determinism timing observability only: SelectTime reports wall-clock and never feeds a decision
 		selectStart := time.Now()
-		tasks := selectBatch(opt, ct, ev, probs, k)
+		tasks := sel.selectBatch(opt, ct, ev, probs, k)
 		selectDur := time.Since(selectStart)
 		result.SelectTime += selectDur
 		hSelect.Observe(selectDur)
@@ -356,8 +409,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 			cRounds.Add(1)
 		}
 
-		clear(touched)
-		clear(distChanged)
+		touched.reset()
+		distChanged.reset()
 		var conflicted []crowd.Task
 		var conflictSeen map[ctable.Expr]bool
 		for _, a := range answers {
@@ -394,7 +447,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		// with variable task prices the round is charged its actual
 		// accumulated cost when that exceeds the allowance).
 		answeredCost := 0
-		answeredExpr := make(map[ctable.Expr]bool, len(answers))
+		clear(answeredExpr)
 		for _, a := range answers {
 			answeredCost += taskCost(opt, a.Task)
 			answeredExpr[a.Task.Expr] = true
@@ -482,8 +535,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		// A renormalised distribution changes the key of every component
 		// mentioning its variable, so nothing is invalidated; the trace
 		// still records how many variables the round renormalised.
-		if ev.Cache != nil && len(distChanged) > 0 {
-			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged)})
+		if ev.Cache != nil && len(distChanged.ids) > 0 {
+			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged.ids)})
 		}
 
 		// Re-simplify exactly the conditions that mention a touched
@@ -493,14 +546,14 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 		// independent Pr recomputations fan out, and the pool join inside
 		// ProbAll publishes this round's mutations to every worker before
 		// any solver reads them (the Evaluator's single-writer contract).
-		clear(seen)
 		stale = stale[:0]
-		for v := range touched {
-			for _, o := range m.varToObjs[v] {
-				if seen[o] {
+		for _, id := range touched.ids {
+			for _, o32 := range m.objs[m.objsOff[id]:m.objsOff[id+1]] {
+				o := int(o32)
+				if seen[o] == int32(round) {
 					continue
 				}
-				seen[o] = true
+				seen[o] = int32(round)
 				if _, tracked := probs[o]; !tracked {
 					continue
 				}
@@ -511,15 +564,16 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 					delete(probs, o)
 					continue
 				}
-				recompute := cond != prev || (len(distChanged) > 0 && mentionsAny(cond, distChanged))
+				recompute := cond != prev || (len(distChanged.ids) > 0 && mentionsAny(cond, m.ids, distChanged))
 				if recompute {
 					stale = append(stale, o)
 				}
 			}
 		}
-		// touched is a map, so the gather order above is nondeterministic;
-		// sorting fixes the fan-out schedule (the values themselves are
-		// order-independent — one object, one worker, one write).
+		// The gather above follows answer order; the fan-out runs in object
+		// order, as every earlier version of this loop did (the values
+		// themselves are order-independent — one object, one worker, one
+		// write).
 		sort.Ints(stale)
 		staleConds = staleConds[:0]
 		for _, o := range stale {
@@ -618,17 +672,46 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 }
 
 // mentionsAny reports whether a literal of cond mentions a variable in
-// vars — a scan of the literals in place, where Condition.Vars would
-// allocate the distinct set first.
-func mentionsAny(cond *ctable.Condition, vars map[ctable.Var]bool) bool {
+// vars, a set of ids — a scan of the literals in place, where
+// Condition.Vars would allocate the distinct set first.
+func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *idSet) bool {
 	for _, cl := range cond.Clauses {
 		for _, e := range cl {
-			if vars[e.X] || (e.Kind == ctable.VarGTVar && vars[e.Y]) {
+			if vars.hasVar(ids, e.X) || (e.Kind == ctable.VarGTVar && vars.hasVar(ids, e.Y)) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// idSet is a set of model variable ids: membership by index, members
+// listed in insertion order, cleared in time proportional to them.
+type idSet struct {
+	in  []bool
+	ids []int32
+}
+
+func newIDSet(n int) *idSet { return &idSet{in: make([]bool, n)} }
+
+func (s *idSet) add(id int32) {
+	if !s.in[id] {
+		s.in[id] = true
+		s.ids = append(s.ids, id)
+	}
+}
+
+// hasVar reports whether v has an id in the set.
+func (s *idSet) hasVar(ids *ctable.VarIDs, v ctable.Var) bool {
+	id, ok := ids.ID(v)
+	return ok && s.in[id]
+}
+
+func (s *idSet) reset() {
+	for _, id := range s.ids {
+		s.in[id] = false
+	}
+	s.ids = s.ids[:0]
 }
 
 // postWithRetry posts one round's batch, retrying round-level failures up

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/ctable"
@@ -10,10 +10,36 @@ import (
 	"bayescrowd/internal/prob"
 )
 
+// Selection is the scratch of one crowd loop's task selection, reused
+// from round to round: the batch's conflict set, the top-k expression
+// frequencies and the sort buffers, cleared in place by each SelectTasks
+// call. The zero value is ready for use; a Selection serves one loop,
+// one call at a time.
+type Selection struct {
+	used   map[ctable.Var]bool
+	freq   map[ctable.Expr]int
+	hs     []float64
+	cands  []candidate
+	ranked []rankedExpr
+}
+
+// candidate is an object SelectTasks ranks by the entropy h of its
+// Pr(φ).
+type candidate struct {
+	obj int
+	h   float64
+}
+
+// rankedExpr is an expression pickExpr ranks by its frequency.
+type rankedExpr struct {
+	e    ctable.Expr
+	freq int
+}
+
 // selectBatch implements one iteration of the two-step task selection
 // (§6.2) over a batch c-table; see SelectTasks for the mechanics.
-func selectBatch(opt Options, ct *ctable.CTable, ev *prob.Evaluator, probs map[int]float64, k int) []crowd.Task {
-	return SelectTasks(opt, ct.Undecided(), func(o int) *ctable.Condition { return ct.Conds[o] }, ev, probs, k, nil)
+func (sel *Selection) selectBatch(opt Options, ct *ctable.CTable, ev *prob.Evaluator, probs map[int]float64, k int) []crowd.Task {
+	return sel.SelectTasks(opt, ct.Undecided(), func(o int) *ctable.Condition { return ct.Conds[o] }, ev, probs, k, nil)
 }
 
 // SelectTasks implements one iteration of the two-step task selection
@@ -32,29 +58,36 @@ func selectBatch(opt Options, ct *ctable.CTable, ev *prob.Evaluator, probs map[i
 // in-flight tasks so a question is never posted twice concurrently.
 // Only opt's selection knobs are consulted (Strategy, M, Workers, Rng,
 // TaskCost, NoCache, Trace); opt.Rng must be non-nil.
-func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *prob.Evaluator, probs map[int]float64, k int, busy map[ctable.Var]bool) []crowd.Task {
-	type candidate struct {
-		obj int
-		h   float64
-	}
+func (sel *Selection) SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *prob.Evaluator, probs map[int]float64, k int, busy map[ctable.Var]bool) []crowd.Task {
 	// Entropy scoring fans out across the pool (concurrent map reads of
 	// probs are safe — nothing writes during selection); candidates are
 	// then collected sequentially in index order, exactly as before.
-	hs := make([]float64, len(objs))
+	hs := slices.Grow(sel.hs[:0], len(objs))[:len(objs)]
+	sel.hs = hs
 	parallel.For(opt.Workers, len(objs), func(_, i int) {
 		hs[i] = Entropy(probs[objs[i]])
 	})
-	var cands []candidate
+	cands := sel.cands[:0]
 	for i, o := range objs {
 		if cond(o).NumExprs() == 0 {
 			continue
 		}
 		cands = append(cands, candidate{obj: o, h: hs[i]})
 	}
+	sel.cands = cands
 	if len(cands) == 0 || k <= 0 {
 		return nil
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].h > cands[b].h })
+	// Descending entropy, ties kept in objs order.
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.h > b.h:
+			return -1
+		case b.h > a.h:
+			return 1
+		}
+		return 0
+	})
 
 	// Expression frequencies across the conditions of the chosen top-k
 	// objects (the FBS ranking key and the HHS visiting order).
@@ -62,11 +95,14 @@ func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *
 	if len(top) > k {
 		top = top[:k]
 	}
-	freq := map[ctable.Expr]int{}
+	if sel.freq == nil {
+		sel.freq = map[ctable.Expr]int{}
+	}
+	clear(sel.freq)
 	for _, c := range top {
 		for _, cl := range cond(c.obj).Clauses {
 			for _, e := range cl {
-				freq[e]++
+				sel.freq[e]++
 			}
 		}
 	}
@@ -79,9 +115,12 @@ func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *
 		}
 	}
 
-	used := make(map[ctable.Var]bool, len(busy))
+	if sel.used == nil {
+		sel.used = map[ctable.Var]bool{}
+	}
+	clear(sel.used)
 	for v := range busy {
-		used[v] = true
+		sel.used[v] = true
 	}
 	var tasks []crowd.Task
 	var varBuf []ctable.Var
@@ -90,7 +129,7 @@ func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *
 		if spent >= k {
 			break
 		}
-		e, ok := pickExpr(opt, ev, cond(c.obj), probs[c.obj], freq, used)
+		e, ok := sel.pickExpr(opt, ev, cond(c.obj), probs[c.obj])
 		if !ok {
 			continue // every expression conflicts with this batch
 		}
@@ -109,7 +148,7 @@ func SelectTasks(opt Options, objs []int, cond func(int) *ctable.Condition, ev *
 		spent += cost
 		varBuf = e.Vars(varBuf[:0])
 		for _, v := range varBuf {
-			used[v] = true
+			sel.used[v] = true
 		}
 	}
 	return tasks
@@ -130,19 +169,27 @@ func taskCost(opt Options, t crowd.Task) int {
 }
 
 // pickExpr chooses one expression of the condition per the strategy,
-// avoiding variables already used in the batch. ok is false when no
-// conflict-free expression exists.
-func pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi float64, freq map[ctable.Expr]int, used map[ctable.Var]bool) (ctable.Expr, bool) {
-	avail := availableExprs(cond, used)
+// avoiding the variables sel.used holds, ranked by sel.freq. ok is false
+// when no conflict-free expression exists.
+func (sel *Selection) pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi float64) (ctable.Expr, bool) {
+	avail := availableExprs(cond, sel.used)
 	if len(avail) == 0 {
 		return ctable.Expr{}, false
 	}
 
 	// Random permutation first, then a stable sort by frequency: ties are
 	// broken randomly, as the paper prescribes, but reproducibly via the
-	// seeded Rng.
+	// seeded Rng. Each frequency is looked up once, before the sort.
 	opt.Rng.Shuffle(len(avail), func(i, j int) { avail[i], avail[j] = avail[j], avail[i] })
-	sort.SliceStable(avail, func(a, b int) bool { return freq[avail[a]] > freq[avail[b]] })
+	ranked := sel.ranked[:0]
+	for _, e := range avail {
+		ranked = append(ranked, rankedExpr{e: e, freq: sel.freq[e]})
+	}
+	sel.ranked = ranked
+	slices.SortStableFunc(ranked, func(a, b rankedExpr) int { return b.freq - a.freq })
+	for i, r := range ranked {
+		avail[i] = r.e
+	}
 
 	switch opt.Strategy {
 	case FBS:

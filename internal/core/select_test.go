@@ -49,7 +49,7 @@ func TestFBSPicksMostFrequentExpression(t *testing.T) {
 	}
 	// The shared expression appears twice across the top-k conditions;
 	// the first chosen object must pick it.
-	tasks := selectBatch(opt, ct, ev, probs, 2)
+	tasks := new(Selection).selectBatch(opt, ct, ev, probs, 2)
 	if len(tasks) == 0 {
 		t.Fatal("no tasks selected")
 	}
@@ -65,7 +65,7 @@ func TestBatchRespectsConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := selectBatch(opt, ct, ev, probs, 2)
+	tasks := new(Selection).selectBatch(opt, ct, ev, probs, 2)
 	// Both conditions prefer the shared expression on x, but the second
 	// task must avoid x and fall back to its private expression.
 	if len(tasks) != 2 {
@@ -95,7 +95,7 @@ func TestUBSPicksHighestUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := pickExpr(opt, ev, cond, ev.Prob(cond), map[ctable.Expr]int{}, map[ctable.Var]bool{})
+	e, ok := new(Selection).pickExpr(opt, ev, cond, ev.Prob(cond))
 	if !ok {
 		t.Fatal("no expression picked")
 	}
@@ -112,7 +112,7 @@ func TestHHSEarlyStopLimitsEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := pickExpr(opt, ev, ct.Conds[0], probs[0], map[ctable.Expr]int{}, map[ctable.Var]bool{})
+	e, ok := new(Selection).pickExpr(opt, ev, ct.Conds[0], probs[0])
 	if !ok {
 		t.Fatal("no expression picked")
 	}
@@ -137,7 +137,7 @@ func TestPickExprAllConflicting(t *testing.T) {
 		{Obj: 0, Attr: 0}: true,
 		{Obj: 1, Attr: 0}: true,
 	}
-	if _, ok := pickExpr(opt, ev, ct.Conds[0], probs[0], map[ctable.Expr]int{}, used); ok {
+	if _, ok := (&Selection{used: used}).pickExpr(opt, ev, ct.Conds[0], probs[0]); ok {
 		t.Fatal("picked an expression despite every variable being used")
 	}
 }

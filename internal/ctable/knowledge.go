@@ -18,8 +18,14 @@ import (
 // expressions that were never asked.
 type Knowledge struct {
 	levels []int // per attribute
-	lo, hi map[Var]int
-	rel    map[[2]Var]Rel // key ordered by variable identity; value oriented as key[0] REL key[1]
+	// ids, when non-nil, numbers the variables whose intervals live in
+	// byID; every other variable's interval lives in spans (spanOf).
+	// bounded counts the intervals recorded either way.
+	ids     *VarIDs
+	byID    []span
+	spans   map[Var]*span
+	bounded int
+	rel     map[[2]Var]Rel // key ordered by variable identity; value oriented as key[0] REL key[1]
 
 	// NoInference disables all cross-expression reasoning: an answer
 	// decides only the literally asked expression, the way a system
@@ -45,20 +51,51 @@ type Knowledge struct {
 	Conflicts int
 }
 
+// span is one variable's recorded interval of still-possible values;
+// set is false until an answer narrows it.
+type span struct {
+	lo, hi int32
+	set    bool
+}
+
 // NewKnowledge returns empty knowledge over the dataset's attribute
 // domains.
-func NewKnowledge(d *dataset.Dataset) *Knowledge {
+func NewKnowledge(d *dataset.Dataset) *Knowledge { return NewKnowledgeIDs(d, nil) }
+
+// NewKnowledgeIDs is NewKnowledge keeping the intervals of the variables
+// ids numbers in a slice indexed by id, so Bounds and Eval on them hash
+// nothing. Other variables keep their intervals in a map, as under
+// NewKnowledge; what the knowledge decides is the same either way.
+func NewKnowledgeIDs(d *dataset.Dataset, ids *VarIDs) *Knowledge {
 	levels := make([]int, d.NumAttrs())
 	for j, a := range d.Attrs {
 		levels[j] = a.Levels
 	}
 	return &Knowledge{
-		levels: levels,
-		lo:     map[Var]int{}, hi: map[Var]int{},
+		levels:    levels,
+		ids:       ids,
+		byID:      make([]span, ids.Len()),
+		spans:     map[Var]*span{},
 		rel:       map[[2]Var]Rel{},
 		exprTruth: map[Expr]bool{},
 		forgotten: map[Var]bool{},
 	}
+}
+
+// spanOf returns x's interval slot: by id for a numbered variable, from
+// the map otherwise, where a missing slot is created when create is set
+// and reported as nil when not. It is the one place a variable's
+// interval is looked up.
+func (k *Knowledge) spanOf(x Var, create bool) *span {
+	if id, ok := k.ids.ID(x); ok {
+		return &k.byID[id]
+	}
+	sp := k.spans[x]
+	if sp == nil && create {
+		sp = &span{}
+		k.spans[x] = sp
+	}
+	return sp
 }
 
 // Empty reports whether the knowledge currently records nothing: no
@@ -69,17 +106,14 @@ func NewKnowledge(d *dataset.Dataset) *Knowledge {
 // skip condition simplification entirely until the first answer lands,
 // keeping the no-crowd path bit-identical to the machine-only engine.
 func (k *Knowledge) Empty() bool {
-	return len(k.lo) == 0 && len(k.hi) == 0 && len(k.rel) == 0 && len(k.exprTruth) == 0
+	return k.bounded == 0 && len(k.rel) == 0 && len(k.exprTruth) == 0
 }
 
 // Bounds returns the inclusive interval of values still possible for x.
 func (k *Knowledge) Bounds(x Var) (lo, hi int) {
 	lo, hi = 0, k.levels[x.Attr]-1
-	if l, ok := k.lo[x]; ok && l > lo {
-		lo = l
-	}
-	if h, ok := k.hi[x]; ok && h < hi {
-		hi = h
+	if sp := k.spanOf(x, false); sp != nil && sp.set {
+		lo, hi = max(lo, int(sp.lo)), min(hi, int(sp.hi))
 	}
 	return lo, hi
 }
@@ -204,7 +238,11 @@ func (k *Knowledge) Absorb(e Expr, rel Rel) error {
 			k.Conflicts++
 			return &ConflictError{Expr: e, Rel: rel, Lo: lo, Hi: hi}
 		}
-		k.lo[e.X], k.hi[e.X] = nlo, nhi
+		sp := k.spanOf(e.X, true)
+		if !sp.set {
+			k.bounded++
+		}
+		*sp = span{lo: int32(nlo), hi: int32(nhi), set: true}
 		return nil
 	case VarGTVar:
 		key, oriented := pairKey(e.X, e.Y, rel)
@@ -271,8 +309,11 @@ func (k *Knowledge) Forget(vars ...Var) {
 	for _, v := range vars {
 		gone[v] = true
 		k.forgotten[v] = true
-		delete(k.lo, v)
-		delete(k.hi, v)
+		if sp := k.spanOf(v, false); sp != nil && sp.set {
+			*sp = span{}
+			k.bounded--
+		}
+		delete(k.spans, v)
 	}
 	for key := range k.rel {
 		if gone[key[0]] || gone[key[1]] {
@@ -288,6 +329,9 @@ func (k *Knowledge) Forget(vars ...Var) {
 
 // relation returns the stored relation x REL y, if any.
 func (k *Knowledge) relation(x, y Var) (Rel, bool) {
+	if len(k.rel) == 0 {
+		return 0, false
+	}
 	key, _ := pairKey(x, y, EQ)
 	r, ok := k.rel[key]
 	if !ok {

@@ -1,0 +1,127 @@
+package ctable
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"bayescrowd/internal/dataset"
+)
+
+// randomMask draws the missing cells of a random dataset shape. Object 0
+// has no missing cell and object 1 has every cell missing; attribute
+// counts reach past 64 so that masks span several words.
+func randomMask(rng *rand.Rand) (objects, attrs int, missing []Var) {
+	objects, attrs = 2+rng.Intn(40), 1+rng.Intn(140)
+	for o := 1; o < objects; o++ {
+		for a := 0; a < attrs; a++ {
+			if o == 1 || rng.Intn(4) == 0 {
+				missing = append(missing, Var{Obj: o, Attr: a})
+			}
+		}
+	}
+	rng.Shuffle(len(missing), func(i, j int) { missing[i], missing[j] = missing[j], missing[i] })
+	return objects, attrs, missing
+}
+
+// TestVarIDsOrder checks the invariant bit-identity on the id path rests
+// on: ids are dense, and id(a) < id(b) exactly when (a.Obj, a.Attr) <
+// (b.Obj, b.Attr), whatever order the variables were listed in.
+// Variables outside the set have no id.
+func TestVarIDsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 200; trial++ {
+		objects, attrs, missing := randomMask(rng)
+		ids := NewVarIDs(append(missing, missing[:len(missing)/3]...))
+		if ids.Len() != len(missing) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, ids.Len(), len(missing))
+		}
+		numbered := map[Var]bool{}
+		used := make([]bool, len(missing))
+		for _, x := range missing {
+			numbered[x] = true
+			id, ok := ids.ID(x)
+			if !ok || id < 0 || int(id) >= len(missing) || used[id] {
+				t.Fatalf("trial %d: ID(%v) = %d, %v: not a fresh id below %d", trial, x, id, ok, len(missing))
+			}
+			used[id] = true
+		}
+		for i := 0; i < 400; i++ {
+			a, b := missing[rng.Intn(len(missing))], missing[rng.Intn(len(missing))]
+			ia, _ := ids.ID(a)
+			ib, _ := ids.ID(b)
+			if less := a.Obj < b.Obj || a.Obj == b.Obj && a.Attr < b.Attr; (ia < ib) != less {
+				t.Fatalf("trial %d: ids %d, %d for %v, %v break (Obj, Attr) order", trial, ia, ib, a, b)
+			}
+		}
+		for o := -1; o <= objects; o++ {
+			for a := -1; a <= attrs+64; a++ {
+				x := Var{Obj: o, Attr: a}
+				if _, ok := ids.ID(x); ok != numbered[x] {
+					t.Fatalf("trial %d: ID(%v) reports %v, numbered %v", trial, x, ok, numbered[x])
+				}
+			}
+		}
+	}
+	var none *VarIDs
+	if _, ok := none.ID(Var{}); ok || none.Len() != 0 {
+		t.Fatal("a nil table numbers something")
+	}
+}
+
+// TestKnowledgeIDsMatchMaps drives random Absorb/Forget sequences through
+// knowledge keeping its intervals by id and knowledge keeping them in
+// maps, and checks that both return the same errors and report the same
+// Bounds, Eval, Conflicts and Empty throughout. One variable stays
+// outside the id space, so the id form's map path runs too.
+func TestKnowledgeIDsMatchMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const levels = 6
+	attrs := []dataset.Attribute{{Name: "a", Levels: levels}, {Name: "b", Levels: levels}, {Name: "c", Levels: levels}}
+	vars := []Var{v(0, 0), v(0, 2), v(1, 1), v(2, 0), v(2, 1), v(4, 2)}
+	for trial := 0; trial < 200; trial++ {
+		outside := rng.Intn(len(vars))
+		var numbered []Var
+		for i, x := range vars {
+			if i != outside {
+				numbered = append(numbered, x)
+			}
+		}
+		byMap := NewKnowledge(dataset.New(attrs))
+		byID := NewKnowledgeIDs(dataset.New(attrs), NewVarIDs(numbered))
+		probes := make([]Expr, 30)
+		for i := range probes {
+			probes[i] = randomExpr(rng, vars, levels)
+		}
+		for step := 0; step < 60; step++ {
+			if rng.Intn(6) == 0 {
+				x := vars[rng.Intn(len(vars))]
+				byMap.Forget(x)
+				byID.Forget(x)
+			} else {
+				e, rel := randomExpr(rng, vars, levels), Rel(rng.Intn(3))
+				errMap, errID := byMap.Absorb(e, rel), byID.Absorb(e, rel)
+				if (errMap == nil) != (errID == nil) || errMap != nil && errMap.Error() != errID.Error() ||
+					errors.Is(errMap, ErrConflict) != errors.Is(errID, ErrConflict) {
+					t.Fatalf("trial %d step %d: Absorb(%v, %v) = %v by map, %v by id", trial, step, e, rel, errMap, errID)
+				}
+			}
+			if byMap.Conflicts != byID.Conflicts || byMap.Empty() != byID.Empty() {
+				t.Fatalf("trial %d step %d: conflicts %d/%d, empty %v/%v by map/id",
+					trial, step, byMap.Conflicts, byID.Conflicts, byMap.Empty(), byID.Empty())
+			}
+			for _, x := range vars {
+				lo, hi := byMap.Bounds(x)
+				if l, h := byID.Bounds(x); l != lo || h != hi {
+					t.Fatalf("trial %d step %d: Bounds(%v) = [%d,%d] by map, [%d,%d] by id", trial, step, x, lo, hi, l, h)
+				}
+			}
+			for _, e := range probes {
+				val, dec := byMap.Eval(e)
+				if v, d := byID.Eval(e); v != val || d != dec {
+					t.Fatalf("trial %d step %d: Eval(%v) = %v,%v by map, %v,%v by id", trial, step, e, val, dec, v, d)
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package prob
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -284,6 +286,175 @@ func TestNarrowingKeysPure(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// idEvaluator is ev on the id path: every variable ev has a distribution
+// for gets a model id, except outside, which stays in the maps; each
+// numbered variable's distribution and narrowing move to Vars.
+func idEvaluator(ev *Evaluator, outside ctable.Var, cache *ComponentCache) *Evaluator {
+	var numbered []ctable.Var
+	for x := range ev.Dists {
+		if x != outside {
+			numbered = append(numbered, x)
+		}
+	}
+	ids := ctable.NewVarIDs(numbered)
+	out := &Evaluator{
+		Dists: Dists{outside: ev.Dists[outside]}, Narrowed: map[ctable.Var]Interval{},
+		IDs: ids, Vars: make([]VarState, ids.Len()), Opt: ev.Opt, Cache: cache,
+	}
+	if iv, ok := ev.Narrowed[outside]; ok {
+		out.Narrowed[outside] = iv
+	}
+	for _, x := range numbered {
+		id, _ := ids.ID(x)
+		iv, ok := ev.Narrowed[x]
+		out.Vars[id] = VarState{Dist: ev.Dists[x], Narrowed: ok, Interval: iv}
+	}
+	return out
+}
+
+// TestIDPathMatchesMapPath checks that numbering the variables
+// (Evaluator.IDs) changes nothing an evaluator computes: on random
+// conditions with some variables narrowed and one variable outside the
+// id space, an evaluator on ids and one on maps give bit-identical Prob,
+// CondScan.CondProbs and PlanSweeps vectors — uncached, on its own
+// cache, on a cache the map evaluator filled, which holds only if their
+// keys mean the same, and on one an id evaluator filled without
+// narrowing. The
+// ApproxThreshold estimate, seeded from the structural key, is covered
+// too.
+func TestIDPathMatchesMapPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 300; trial++ {
+		var conds []*ctable.Condition
+		base := Dists{}
+		for len(conds) < 4 {
+			cond, dists := randomCondition(rng)
+			if _, decided := cond.Decided(); decided {
+				continue
+			}
+			for x, d := range dists {
+				if _, ok := base[x]; !ok {
+					base[x] = d
+				}
+			}
+			conds = append(conds, cond)
+		}
+		// The conditions share variables; each keeps the distribution
+		// drawn for it first.
+		var vars []ctable.Var
+		for x := range base {
+			vars = append(vars, x)
+		}
+		slices.SortFunc(vars, func(a, b ctable.Var) int { return cmp.Or(a.Obj-b.Obj, a.Attr-b.Attr) })
+		narrowed := map[ctable.Var]Interval{}
+		for _, x := range vars {
+			if n := len(base[x]); rng.Intn(3) == 0 {
+				lo := rng.Intn(n)
+				narrowed[x] = Interval{Lo: lo, Hi: lo + rng.Intn(n-lo)}
+			}
+		}
+		outside := vars[rng.Intn(len(vars))]
+		opt := Options{}
+		if trial%3 == 0 {
+			opt.ApproxThreshold = 2
+		}
+		values := func(ev *Evaluator) []float64 {
+			var out []float64
+			for _, c := range conds {
+				p := ev.Prob(c.Clone())
+				out = append(out, p)
+				exprs := c.Exprs()
+				scan := ev.NewCondScan(c, p)
+				scan.PlanSweeps(exprs)
+				for _, e := range exprs {
+					pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
+					out = append(out, pe, pPhi, pTrue, pFalse)
+				}
+				for _, e := range exprs {
+					out = append(out, scan.sweeps[e.X]...)
+				}
+			}
+			return out
+		}
+		mapEv := func(narrowed map[ctable.Var]Interval, cache *ComponentCache) *Evaluator {
+			ev := narrowedEvaluator(base, narrowed, cache)
+			ev.Opt = opt
+			return ev
+		}
+		shared := NewComponentCache(0)
+		want := values(mapEv(narrowed, shared))
+		// A cache filled on ids at the base distributions must not serve
+		// a narrowed component: the keys carry each numbered variable's
+		// narrowing too.
+		baseFilled := NewComponentCache(0)
+		values(idEvaluator(mapEv(map[ctable.Var]Interval{}, nil), outside, baseFilled))
+		for name, ev := range map[string]*Evaluator{
+			"uncached":          idEvaluator(mapEv(narrowed, nil), outside, nil),
+			"own cache":         idEvaluator(mapEv(narrowed, nil), outside, NewComponentCache(0)),
+			"map-filled cache":  idEvaluator(mapEv(narrowed, nil), outside, shared),
+			"base-filled cache": idEvaluator(mapEv(narrowed, nil), outside, baseFilled),
+		} {
+			got := values(ev)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d, %s: %d values on ids, %d on maps", trial, name, len(got), len(want))
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("trial %d, %s, value %d: %v on ids, %v on maps", trial, name, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestDenseCompareMatchesExprCompare checks the comparison the canonical
+// sort runs on model ids: for random expression pairs over a random id
+// table, its sign is the sign of ctable.Expr.Compare.
+func TestDenseCompareMatchesExprCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 100; trial++ {
+		var pool []ctable.Var
+		for o := 0; o < 12; o++ {
+			for a := 0; a < 4; a++ {
+				if rng.Intn(2) == 0 {
+					pool = append(pool, v(o, a))
+				}
+			}
+		}
+		if len(pool) < 2 {
+			continue
+		}
+		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		ids := ctable.NewVarIDs(pool)
+		ev := &Evaluator{IDs: ids, Vars: make([]VarState, ids.Len())}
+		for i := range ev.Vars {
+			ev.Vars[i].Dist = []float64{0.5, 0.5}
+		}
+		expr := func() ctable.Expr {
+			x, y := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			switch rng.Intn(3) {
+			case 0:
+				return ctable.LTConst(x, rng.Intn(3))
+			case 1:
+				return ctable.GTConst(x, rng.Intn(3))
+			}
+			return ctable.GTVar(x, y)
+		}
+		for i := 0; i < 50; i++ {
+			a, b := expr(), expr()
+			s, interned := newSolverGroups(ev, [][][]ctable.Expr{{{a}, {b}}}, nil)
+			if !s.dense {
+				t.Fatal("an evaluation over numbered variables is not dense")
+			}
+			got, want := s.cmpExpr(interned[0][0], interned[1][0]), a.Compare(b)
+			if (got < 0) != (want < 0) || (got > 0) != (want > 0) {
+				t.Fatalf("trial %d: compare(%v, %v) = %d on ids, %d on expressions", trial, a, b, got, want)
+			}
+			s.release()
 		}
 	}
 }

@@ -19,14 +19,21 @@ import (
 // for bit, regardless of the clause order this particular occurrence
 // arrived in.
 //
-// The distributions enter the key only under Evaluator.Narrowed: after
-// the structural key comes one mark per variable, in the canonical
-// component's first-appearance order — narrowMarkBase for a variable at
-// its base distribution, or narrowMarkInterval and the interval it was
+// When every variable of the evaluation has a model id
+// (Evaluator.IDs), the sort compares ids instead of rebuilding
+// ctable.Exprs. Ids follow (Obj, Attr) order, so each comparison has the
+// sign Expr.Compare gives, the sort permutes the clauses exactly as the
+// Expr sort would, and the keys and the branching order are unchanged.
+//
+// The distributions enter the key only on a keyed evaluator
+// (Evaluator.Narrowed or Evaluator.IDs set): after the structural key
+// comes one mark per variable, in the canonical component's
+// first-appearance order — narrowMarkBase for a variable at its base
+// distribution, or narrowMarkInterval and the interval it was
 // renormalised to. The two marks stay distinct even for an interval
 // spanning the whole domain, whose renormalised slice need not be
 // bit-equal to the base. Every entry is then a pure function of its key
-// and the base distributions. Without Narrowed the key is structural and
+// and the base distributions. Otherwise the key is structural and
 // distribution changes are tracked by the cache's per-variable epochs
 // (ComponentCache.Invalidate).
 
@@ -39,8 +46,22 @@ func (s *solver) realExpr(e cexpr) ctable.Expr {
 	return ctable.Expr{Kind: e.kind, X: s.vars[e.x], C: int(e.c)}
 }
 
+// cmpExpr orders interned expressions as ctable.Expr.Compare orders
+// their real forms: by model id when the evaluation is dense.
 func (s *solver) cmpExpr(a, b cexpr) int {
-	return s.realExpr(a).Compare(s.realExpr(b))
+	if !s.dense {
+		return s.realExpr(a).Compare(s.realExpr(b))
+	}
+	if a.kind != b.kind {
+		return int(a.kind) - int(b.kind)
+	}
+	if d := s.gids[a.x] - s.gids[b.x]; d != 0 {
+		return int(d)
+	}
+	if a.kind == ctable.VarGTVar {
+		return int(s.gids[a.y] - s.gids[b.y])
+	}
+	return int(a.c) - int(b.c)
 }
 
 func (s *solver) cmpClause(a, b []cexpr) int {

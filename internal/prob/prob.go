@@ -76,24 +76,45 @@ type Options struct {
 // crowd answers still allow a variable.
 type Interval struct{ Lo, Hi int }
 
+// VarState is what an evaluator knows of one numbered variable
+// (Evaluator.Vars): its effective distribution and, once crowd answers
+// renormalised it, the interval it was narrowed to.
+type VarState struct {
+	Dist []float64
+	// Narrowed reports that Dist is the base distribution renormalised
+	// to Interval; false means Dist is the base distribution.
+	Narrowed bool
+	Interval Interval
+}
+
 // Evaluator computes condition probabilities against a fixed set of
 // variable distributions.
 //
 // Concurrency: the evaluator is safe for concurrent use by multiple
-// goroutines provided none of them mutates Dists or Narrowed (or the
-// distribution slices Dists holds) while evaluations are in flight —
+// goroutines provided none of them mutates Dists, Narrowed or Vars (or
+// the distribution slices they hold) while evaluations are in flight —
 // evaluation only reads them, and solver scratch is per-call (pooled,
 // never shared between in-flight evaluations). The framework is
-// single-writer: crowd answers renormalise distributions strictly between
-// parallel fan-outs, and the pool join inside ProbAll / parallel.For
-// publishes those writes to the workers of the next fan-out (a
-// happens-before edge). Callers adding their own concurrency must
+// single-writer: crowd answers renormalise distributions (Renormalise)
+// strictly between parallel fan-outs, and the pool join inside ProbAll /
+// parallel.For publishes those writes to the workers of the next fan-out
+// (a happens-before edge). Callers adding their own concurrency must
 // preserve that discipline. The component cache follows the same
 // contract: lookups and stores are safe during fan-outs,
 // ComponentCache.Invalidate belongs in the single-writer gaps, right next
 // to the distribution writes it tracks.
 type Evaluator struct {
+	// Dists holds the distributions of the variables IDs does not number
+	// (all of them when IDs is nil).
 	Dists Dists
+	// IDs, when non-nil, numbers the variables: a numbered variable's
+	// effective distribution and narrowing are Vars[id], read by index
+	// where Dists and Narrowed would hash, and component keys carry every
+	// variable's narrowing as they do under a non-nil Narrowed. Because
+	// ids follow (Obj, Attr) order, the canonical clause sort compares
+	// ids and every key and float is what the map form gives.
+	IDs  *ctable.VarIDs
+	Vars []VarState
 	// Narrowed, when non-nil, says how Dists was derived from base
 	// distributions the caller holds: a variable it lists maps to its base
 	// distribution renormalised to that interval, every other variable to
@@ -103,7 +124,7 @@ type Evaluator struct {
 	// Whoever renormalises a variable records its interval here, in the
 	// same single-writer gap. nil keeps keys structural: Cache must then
 	// be private to this evaluator and invalidated per renormalised
-	// variable.
+	// variable (unless IDs is set).
 	Narrowed map[ctable.Var]Interval
 	Opt      Options
 	// Cache, when non-nil, memoizes connected-component probabilities
@@ -190,12 +211,45 @@ func (ev *Evaluator) ApproxComponents() int64 { return ev.approxN.Load() }
 // default options.
 func NewEvaluator(dists Dists) *Evaluator { return &Evaluator{Dists: dists} }
 
-func (ev *Evaluator) dist(v ctable.Var) []float64 {
+// keyed reports whether component keys carry each variable's narrowing.
+func (ev *Evaluator) keyed() bool { return ev.IDs != nil || ev.Narrowed != nil }
+
+// varState returns v's effective distribution and narrowing: Vars[id]
+// when id >= 0 is v's id, Dists and Narrowed otherwise. It is the one
+// place a variable without an id is looked up in the maps.
+func (ev *Evaluator) varState(v ctable.Var, id int32) VarState {
+	if id >= 0 {
+		if st := ev.Vars[id]; st.Dist != nil {
+			return st
+		}
+		panic(fmt.Sprintf("prob: no distribution for %v", v))
+	}
 	d, ok := ev.Dists[v]
 	if !ok {
 		panic(fmt.Sprintf("prob: no distribution for %v", v))
 	}
-	return d
+	iv, narrowed := ev.Narrowed[v]
+	return VarState{Dist: d, Narrowed: narrowed, Interval: iv}
+}
+
+func (ev *Evaluator) dist(v ctable.Var) []float64 {
+	id, _ := ev.IDs.ID(v)
+	return ev.varState(v, id).Dist
+}
+
+// Renormalise records that v's effective distribution is now dist, its
+// base distribution renormalised to iv: in Vars when IDs numbers v,
+// otherwise in Dists and, when it is non-nil, Narrowed. Like every
+// distribution write it belongs in a single-writer gap.
+func (ev *Evaluator) Renormalise(v ctable.Var, dist []float64, iv Interval) {
+	if id, ok := ev.IDs.ID(v); ok {
+		ev.Vars[id] = VarState{Dist: dist, Narrowed: true, Interval: iv}
+		return
+	}
+	ev.Dists[v] = dist
+	if ev.Narrowed != nil {
+		ev.Narrowed[v] = iv
+	}
 }
 
 // ExprProb returns Pr(e) under the variable distributions: the mass of

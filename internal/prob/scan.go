@@ -240,7 +240,7 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	}
 
 	cache := ev.activeCache()
-	shared := cache != nil && ev.Narrowed != nil
+	shared := cache != nil && ev.keyed()
 	var miss []ctable.Var
 	for x := range needed {
 		if cs.byVar[x] != g {
@@ -284,12 +284,12 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	}
 
 	for _, x := range miss {
-		id, _ := s.varID(x)
+		id, _ := s.varID(ev, x)
 		s.margNeed[id] = true
 	}
 	total, m := s.marginals(interned)
 	for _, x := range miss {
-		id, _ := s.varID(x)
+		id, _ := s.varID(ev, x)
 		vec := m[id]
 		if vec == nil {
 			// The component collapsed before constraining x (or has zero

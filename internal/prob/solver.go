@@ -26,12 +26,14 @@ type cexpr struct {
 
 type solver struct {
 	opt Options
-	// Variable interning: an open-addressed, linear-probed hash table
-	// mapping packed (Obj,Attr) keys to dense ids. Slots are epoch-stamped
-	// so "clearing" the table between evaluations is one integer
-	// increment, and probing is a few flat array reads — this replaced a
-	// per-call map[ctable.Var]int32 whose hashing and clearing dominated
-	// the small-condition profile of the UBS/HHS candidate loop.
+	// Variable interning assigns per-evaluation var ids in order of first
+	// sight. A variable the evaluator's IDs number is interned through
+	// idEp/idLocal, indexed by its model id; any other through an
+	// open-addressed, linear-probed hash table mapping packed (Obj,Attr)
+	// keys to var ids. Both are epoch-stamped, so "clearing" them between
+	// evaluations is one increment of itabEpoch.
+	idEp      []uint64
+	idLocal   []int32
 	itabKeys  []uint64
 	itabIDs   []int32
 	itabEp    []uint64
@@ -39,9 +41,13 @@ type solver struct {
 	itabLive  int
 	dists     [][]float64  // per var id
 	vars      []ctable.Var // per var id: the real variable, for fingerprints
+	// gids holds each var id's model id (-1 without one); dense reports
+	// that every interned variable has one, so the canonical sort may
+	// compare model ids (fingerprint).
+	gids  []int32
+	dense bool
 	// keyed reports whether component keys carry each variable's
-	// narrowing (Evaluator.Narrowed non-nil); narrow and narrowed hold it
-	// per var id.
+	// narrowing (Evaluator.keyed); narrow and narrowed hold it per var id.
 	keyed    bool
 	narrow   []Interval
 	narrowed []bool
@@ -53,6 +59,12 @@ type solver struct {
 	counts  []int
 	ownerEp []int // components bookkeeping
 	owner   []int
+	// Union-find, group and output scratch of components.
+	compParent  []int
+	compGroup   []int
+	compSize    []int
+	compClauses [][]cexpr
+	compOut     [][][]cexpr
 	// ceArena and clArena back the interned clause set of one evaluation:
 	// all literals live in one flat buffer and the clause headers in one
 	// reused slice, so a Pr(φ∧e) probe interns its condition — augmenting
@@ -142,7 +154,9 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 	s.opt = ev.Opt
 	s.dists = s.dists[:0]
 	s.vars = s.vars[:0]
-	s.keyed = ev.Narrowed != nil
+	s.gids = s.gids[:0]
+	s.dense = ev.IDs != nil
+	s.keyed = ev.keyed()
 	s.narrow = s.narrow[:0]
 	s.narrowed = s.narrowed[:0]
 	s.nApprox = 0
@@ -155,6 +169,11 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 		s.itabKeys = make([]uint64, initialSlots)
 		s.itabIDs = make([]int32, initialSlots)
 		s.itabEp = make([]uint64, initialSlots)
+	}
+	if n := ev.IDs.Len(); len(s.idEp) < n {
+		// Fresh stamps are 0, below every live epoch.
+		s.idEp = make([]uint64, n)
+		s.idLocal = make([]int32, n)
 	}
 	n, lits := 0, 0
 	for _, g := range groups {
@@ -227,23 +246,24 @@ func itabHash(key uint64) uint64 {
 }
 
 func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
+	if gid, ok := ev.IDs.ID(v); ok {
+		if s.idEp[gid] == s.itabEpoch {
+			return s.idLocal[gid]
+		}
+		s.idEp[gid] = s.itabEpoch
+		s.idLocal[gid] = s.addVar(ev, v, gid)
+		return s.idLocal[gid]
+	}
 	key := packVar(v)
 	mask := uint64(len(s.itabKeys) - 1)
 	i := itabHash(key) & mask
 	for {
 		if s.itabEp[i] != s.itabEpoch {
-			id := int32(len(s.dists))
+			id := s.addVar(ev, v, -1)
 			s.itabEp[i] = s.itabEpoch
 			s.itabKeys[i] = key
 			s.itabIDs[i] = id
 			s.itabLive++
-			s.dists = append(s.dists, ev.dist(v))
-			s.vars = append(s.vars, v)
-			if s.keyed {
-				iv, ok := ev.Narrowed[v]
-				s.narrow = append(s.narrow, iv)
-				s.narrowed = append(s.narrowed, ok)
-			}
 			if 4*s.itabLive >= 3*len(s.itabKeys) {
 				s.itabGrow()
 			}
@@ -256,8 +276,27 @@ func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
 	}
 }
 
+// addVar gives a variable seen for the first time the next var id and
+// captures its distribution and narrowing; gid is its model id, or -1.
+func (s *solver) addVar(ev *Evaluator, v ctable.Var, gid int32) int32 {
+	id := int32(len(s.dists))
+	st := ev.varState(v, gid)
+	s.dists = append(s.dists, st.Dist)
+	s.vars = append(s.vars, v)
+	s.gids = append(s.gids, gid)
+	s.dense = s.dense && gid >= 0
+	if s.keyed {
+		s.narrow = append(s.narrow, st.Interval)
+		s.narrowed = append(s.narrowed, st.Narrowed)
+	}
+	return id
+}
+
 // varID returns the interned id of an already-interned variable.
-func (s *solver) varID(v ctable.Var) (int32, bool) {
+func (s *solver) varID(ev *Evaluator, v ctable.Var) (int32, bool) {
+	if gid, ok := ev.IDs.ID(v); ok {
+		return s.idLocal[gid], s.idEp[gid] == s.itabEpoch
+	}
 	key := packVar(v)
 	mask := uint64(len(s.itabKeys) - 1)
 	i := itabHash(key) & mask
@@ -517,14 +556,17 @@ func (s *solver) directProb(clauses [][]cexpr) (p float64, ok bool) {
 }
 
 // components groups clauses into connected components of the clause-
-// variable incidence graph using an epoch-versioned owner table.
+// variable incidence graph using an epoch-versioned owner table. The
+// groups list their clauses in input order. The result lives in solver
+// scratch, valid until the next call.
 func (s *solver) components(clauses [][]cexpr) [][][]cexpr {
-	parent := make([]int, len(clauses))
+	n := len(clauses)
+	parent := resizeInts(s.compParent, n)
+	s.compParent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -556,30 +598,56 @@ func (s *solver) components(clauses [][]cexpr) [][][]cexpr {
 	// Single component fast path.
 	root := find(0)
 	single := true
-	for i := 1; i < len(clauses); i++ {
+	for i := 1; i < n; i++ {
 		if find(i) != root {
 			single = false
 			break
 		}
 	}
 	if single {
-		return [][][]cexpr{clauses}
+		s.compOut = append(s.compOut[:0], clauses)
+		return s.compOut
 	}
 
-	// Compact the root ids into group indices without map hashing.
-	groupOf := make([]int, len(clauses))
+	// Compact the root ids into group indices without map hashing, count
+	// each group's clauses, and carve the groups from one clause buffer.
+	groupOf := resizeInts(s.compGroup, n)
+	s.compGroup = groupOf
 	nGroups := 0
 	for i := range clauses {
-		r := find(i)
-		if r == i {
+		if find(i) == i {
 			groupOf[i] = nGroups
 			nGroups++
 		}
 	}
-	out := make([][][]cexpr, nGroups)
-	for i, cl := range clauses {
-		g := groupOf[find(i)]
-		out[g] = append(out[g], cl)
+	sizes := resizeInts(s.compSize, nGroups)
+	s.compSize = sizes
+	clear(sizes)
+	for i := range clauses {
+		groupOf[i] = groupOf[find(i)]
+		sizes[groupOf[i]]++
 	}
+	if cap(s.compClauses) < n {
+		s.compClauses = make([][]cexpr, n)
+	}
+	out := s.compOut[:0]
+	off := 0
+	for _, size := range sizes {
+		out = append(out, s.compClauses[off:off:off+size])
+		off += size
+	}
+	for i, cl := range clauses {
+		out[groupOf[i]] = append(out[groupOf[i]], cl)
+	}
+	s.compOut = out
 	return out
+}
+
+// resizeInts returns w resized to n, reallocating only when it is too
+// short; the contents are unspecified.
+func resizeInts(w []int, n int) []int {
+	if cap(w) < n {
+		return make([]int, n)
+	}
+	return w[:n]
 }

@@ -126,7 +126,8 @@ type scheduledAnswer struct {
 type CrowdEngine struct {
 	eng *Engine
 	cfg CrowdConfig
-	opt core.Options // selection knobs for core.SelectTasks
+	opt core.Options // selection knobs for core.Selection.SelectTasks
+	sel core.Selection
 
 	know *ctable.Knowledge
 	ab   *core.Absorption
@@ -232,7 +233,7 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		inOld:           map[int]bool{},
 	}
 	c.ab = &core.Absorption{
-		Know: c.know, Base: c.base, Eff: eng.ev.Dists,
+		Know: c.know, Base: c.base, Ev: eng.ev,
 		Touched: c.touched, DistChanged: c.distChanged,
 	}
 	c.opt = core.Options{
@@ -601,7 +602,7 @@ func (c *CrowdEngine) postStep() {
 			busy[v] = true
 		}
 	}
-	tasks := core.SelectTasks(c.opt, objs, func(id int) *ctable.Condition { return c.conds[id] },
+	tasks := c.sel.SelectTasks(c.opt, objs, func(id int) *ctable.Condition { return c.conds[id] },
 		c.eng.ev, c.eng.probs, k, busy)
 	// Selection reads last tick's conditions, which may still reference
 	// an object this tick just evicted (they refresh at the re-evaluate
