@@ -107,7 +107,8 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/ctable") + ".Condition",
 		},
 		MutatingMethods: []string{
-			p("internal/prob") + ".ComponentCache.Invalidate",
+			p("internal/prob") + ".ComponentCache.Drop",
+			p("internal/prob") + ".Evaluator.Drop",
 			p("internal/ctable") + ".Knowledge.Absorb",
 			p("internal/ctable") + ".Knowledge.Forget",
 		},

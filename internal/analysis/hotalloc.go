@@ -20,7 +20,7 @@ import (
 // callees (obs counters, stdlib) own their allocation policy.
 //
 // Deliberate allocations stay, visibly: the marginal-sweep result sets
-// (the caller owns them), rare amortized cache compaction, and per-scan
+// (the caller owns them), the evaluator's planned-sweep set, and per-scan
 // — not per-probe — setup each carry a //lint:ignore hotalloc with the
 // reason, so every exception is a reviewed decision rather than drift.
 var HotAllocAnalyzer = &Analyzer{

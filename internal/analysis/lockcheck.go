@@ -20,8 +20,8 @@ import (
 // each statement (Lock/Unlock pairs, defer Unlock, branch
 // intersection), and a fixpoint over the call graph computes the locks
 // held on entry of every function as the intersection over its call
-// sites — so a helper only ever called with the shard mutex held (the
-// cache's compactFIFO pattern) needs no annotation of its own, while a
+// sites — so a helper only ever called with a mutex held needs no
+// annotation of its own, while a
 // new lock-free call site of that helper immediately turns every
 // guarded access inside it into a finding. Thunks handed to the worker
 // pool, go statements and deferred calls enter with no locks held: a

@@ -7,8 +7,8 @@ import (
 )
 
 // SingleWriterAnalyzer enforces the Evaluator/ComponentCache mutation
-// contract (prob.go, cache.go): distributions are renormalised and the
-// cache invalidated only in the single-writer gaps between parallel
+// contract (prob.go, cache.go): distributions are renormalised and dead
+// cache entries dropped only in the single-writer gaps between parallel
 // fan-outs, and only by the documented owners — internal/core's crowd
 // phase and internal/prob itself. Any other package writing a guarded
 // type's fields, storing into its maps, or calling its mutating methods
@@ -70,7 +70,7 @@ func checkGuardedWrite(pass *Pass, info *types.Info, lhs ast.Expr, owners string
 }
 
 // checkMutatingCall flags calls to configured mutating methods of
-// guarded types (e.g. ComponentCache.Invalidate) from non-owners.
+// guarded types (e.g. ComponentCache.Drop) from non-owners.
 func checkMutatingCall(pass *Pass, info *types.Info, call *ast.CallExpr, owners string) {
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -84,7 +84,7 @@ func checkMutatingCall(pass *Pass, info *types.Info, call *ast.CallExpr, owners 
 	for _, m := range pass.Cfg.MutatingMethods {
 		if m == ref {
 			pass.Reportf(call.Pos(),
-				"call to mutating method %s.%s.%s outside its single-writer owners (%s): invalidation belongs next to the distribution writes it tracks",
+				"call to mutating method %s.%s.%s outside its single-writer owners (%s): it belongs in the gaps between parallel fan-outs, in the owning package",
 				named.Obj().Pkg().Name(), named.Obj().Name(), fn.Name(), owners)
 			return
 		}

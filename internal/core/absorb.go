@@ -14,10 +14,10 @@ import (
 //
 // The caller owns the surrounding single-writer discipline: Absorb
 // mutates Know and Ev's distributions, so it must only run in the
-// sequential gaps between Pr(φ) fan-outs. A keyed evaluator needs
-// nothing more; a component cache under structural keys must be
-// invalidated for the DistChanged variables before the next fan-out
-// reads them.
+// sequential gaps between Pr(φ) fan-outs. Ev records each narrowing, so
+// its cache keys follow and no cache entry can go stale; a caller that
+// wants the entries keyed on a superseded narrowing reclaimed early
+// passes DistChanged to prob.Evaluator.Drop.
 type Absorption struct {
 	// Know accumulates the answers.
 	Know *ctable.Knowledge
@@ -31,7 +31,7 @@ type Absorption struct {
 	// the conditions to re-simplify. DistChanged collects the subset
 	// whose effective distribution was renormalised — the probabilities
 	// to recompute even where the condition's structure did not change,
-	// and the cache epochs to bump under structural keys.
+	// and the variables whose cache entries are now dead weight.
 	Touched     map[ctable.Var]bool
 	DistChanged map[ctable.Var]bool
 

@@ -7,9 +7,9 @@ import (
 )
 
 // DefaultCacheSize bounds the component cache when the caller passes no
-// explicit capacity. Entries are small — a float, an epoch stamp, a short
-// variable list and the fingerprint string — so the default costs a few
-// megabytes at paper scale.
+// explicit capacity. Entries are small — a float, a short variable list
+// and the fingerprint string — so the default costs a few megabytes at
+// paper scale.
 const DefaultCacheSize = 1 << 15
 
 // cacheShardCount must be a power of two; 16 shards keep lock contention
@@ -28,11 +28,8 @@ type CacheStats struct {
 	// Evicted counts entries the size cap dropped to make room for the
 	// evaluator's stores.
 	Evicted uint64
-	// Invalidated counts variables whose epoch the cache's Invalidate
-	// bumped — one per renormalised distribution, not one per dead entry.
-	Invalidated uint64
-	// InvalidatedEntries counts the memoized entries Invalidate evicted
-	// eagerly because they mentioned a bumped variable. The count is
+	// InvalidatedEntries counts the memoized entries the cache's Drop
+	// removed because they mentioned a dead variable. The count is
 	// scheduling-dependent (which components were cached depends on the
 	// preceding fan-out's schedule), so it surfaces as a metrics counter,
 	// never on the trace.
@@ -54,19 +51,17 @@ type cacheEntry struct {
 	// always identifies which field is meaningful.
 	p   float64
 	vec []float64
-	// stamp is the cache epoch when the entry was computed; the entry is
-	// stale once any of its variables carries a newer epoch.
-	stamp uint64
-	vars  []ctable.Var
+	// vars lists the component's variables, for Drop. It is read-only
+	// and may be shared with other entries of the same component.
+	vars []ctable.Var
 }
 
 type cacheShard struct {
 	mu sync.Mutex
 	m  map[string]cacheEntry // guarded by mu
-	// fifo holds insertion order for eviction. It may briefly contain
-	// keys already deleted by lazy invalidation (the eviction loop skips
-	// them) or duplicates from re-insertion after a stale drop; it is
-	// compacted when it outgrows the live map.
+	// fifo holds exactly the keys of m, in insertion order: store appends
+	// a new key, the size cap evicts from the front, and Drop filters it
+	// in place.
 	fifo []string // guarded by mu
 	cap  int
 }
@@ -80,33 +75,25 @@ type cacheShard struct {
 // candidate scan and the cross-round recomputation fan-out — into
 // lookups.
 //
-// A cache serves in one of two modes, set by the evaluators using it
-// (Evaluator.Narrowed):
-//
-//   - Narrowing keys. Every key carries how each of the component's
-//     variables was narrowed, so an entry is a pure function of its key
-//     and the base distributions. Any number of evaluators over the same
-//     base distributions and solver options may share the cache, each
-//     narrowing its variables differently, and nothing is ever
-//     invalidated. core keeps one such cache per model.
-//   - Structural keys. A key is the clause structure alone, so the cache
-//     must belong to one evaluator, and whoever renormalises a variable
-//     of its distributions must call Invalidate — the streaming engine.
+// Every key carries how each of the component's variables was narrowed
+// (fingerprint), so an entry is a pure function of its key and the base
+// distributions, and no distribution change can make it wrong. Any
+// number of evaluators over the same base distributions and solver
+// options may share the cache, each narrowing its variables differently:
+// core keeps one per model. An entry whose variable is renormalised or
+// retired is merely unreachable; Drop reclaims such entries early, the
+// size cap eventually.
 //
 // Concurrency follows the Evaluator's single-writer contract: lookups and
 // stores are safe from any number of workers and evaluators at once
-// (shards are mutex-guarded), while Invalidate — like the distribution
-// renormalisation it mirrors — must run strictly between fan-outs; the
-// pool join publishes its epoch bumps to the next fan-out's workers.
+// (shards are mutex-guarded), while Drop — like the distribution writes
+// that make entries dead — runs strictly between fan-outs.
 type ComponentCache struct {
 	shards [cacheShardCount]cacheShard
 
-	// epoch and varEpoch are written only by Invalidate (single-writer,
-	// between fan-outs) and read lock-free during fan-outs.
-	epoch              uint64
-	varEpoch           map[ctable.Var]uint64
-	invalidated        uint64
-	invalidatedEntries uint64
+	// dropped counts the entries Drop removed; written only by Drop
+	// (single-writer, between fan-outs).
+	dropped uint64
 }
 
 // NewComponentCache returns a cache bounded to at most maxEntries
@@ -119,7 +106,7 @@ func NewComponentCache(maxEntries int) *ComponentCache {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &ComponentCache{varEpoch: map[ctable.Var]uint64{}}
+	c := &ComponentCache{}
 	for i := range c.shards {
 		//lint:ignore lockcheck construction: the cache has not escaped yet, no other goroutine can observe the shards
 		c.shards[i].m = make(map[string]cacheEntry)
@@ -137,129 +124,85 @@ func shardOf[K string | []byte](key K) uint32 {
 	return h & (cacheShardCount - 1)
 }
 
-// lookup returns the live entry for the fingerprint, if present and not
-// invalidated by a newer variable epoch. Stale entries are deleted on
-// sight so their slots free up before FIFO eviction reaches them. An
-// entry's vec is shared: callers must treat it as read-only.
+// lookup returns the entry for the fingerprint, if present. An entry's
+// vec and vars are shared: callers must treat them as read-only.
 func (c *ComponentCache) lookup(key []byte) (cacheEntry, bool) {
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
 	e, ok := sh.m[string(key)]
 	sh.mu.Unlock()
-	if ok {
-		stale := false
-		for _, v := range e.vars {
-			if c.varEpoch[v] > e.stamp {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			return e, true
-		}
-		sh.mu.Lock()
-		if cur, live := sh.m[string(key)]; live && cur.stamp == e.stamp {
-			delete(sh.m, string(key))
-		}
-		sh.mu.Unlock()
-	}
-	return cacheEntry{}, false
+	return e, ok
 }
 
 // store memoizes a freshly computed entry — a component probability p or
-// a sweep vector vec — over the component's variables, and returns how
-// many entries the size cap evicted to make room. key and vars may alias
-// caller scratch; both are copied. A vec is retained as given and must
-// not be mutated afterwards.
-func (c *ComponentCache) store(key []byte, vars []ctable.Var, e cacheEntry) int {
+// a sweep vector vec, over the component's variables vars — and returns
+// how many entries the size cap evicted to make room. key may alias
+// caller scratch and is copied; vec and vars are retained as given and
+// must not be mutated afterwards.
+func (c *ComponentCache) store(key []byte, e cacheEntry) int {
 	k := string(key)
 	sh := &c.shards[shardOf(k)]
-	e.stamp = c.epoch
-	e.vars = append([]ctable.Var(nil), vars...)
 	evicted := 0
 	sh.mu.Lock()
 	if _, exists := sh.m[k]; !exists {
-		for len(sh.m) >= sh.cap && len(sh.fifo) > 0 {
-			old := sh.fifo[0]
+		for len(sh.m) >= sh.cap {
+			delete(sh.m, sh.fifo[0])
+			sh.fifo[0] = ""
 			sh.fifo = sh.fifo[1:]
-			if _, live := sh.m[old]; live {
-				delete(sh.m, old)
-				evicted++
-			}
+			evicted++
 		}
 		sh.fifo = append(sh.fifo, k)
-		if len(sh.fifo) > 2*sh.cap+16 {
-			sh.compactFIFO()
-		}
 	}
 	sh.m[k] = e
 	sh.mu.Unlock()
 	return evicted
 }
 
-// compactFIFO rebuilds the eviction queue from the keys still live in the
-// map, preserving order and dropping duplicates. Called with mu held.
-func (sh *cacheShard) compactFIFO() {
-	kept := make([]string, 0, len(sh.m))
-	//lint:ignore hotalloc compaction is rare and amortized over many stores; the dedup set is not per-evaluation
-	seen := make(map[string]bool, len(sh.m))
-	for _, k := range sh.fifo {
-		if _, live := sh.m[k]; live && !seen[k] {
-			seen[k] = true
-			kept = append(kept, k)
-		}
-	}
-	sh.fifo = kept
-}
-
-// Invalidate marks every memoized component mentioning one of the given
-// variables stale and returns how many entries it evicted. It serves a
-// cache under structural keys: the streaming crowd loop calls it when a
-// crowd answer renormalises a variable's distribution (conditions whose
-// clauses were merely rewritten need no bump — their fingerprints
-// change, so the old entries can never be hit again), and the streaming
-// engine with the variables of evicted objects, whose fingerprints can
-// never recur and would otherwise pin dead entries until FIFO eviction
-// reached them. A cache under narrowing keys never needs it.
+// Drop removes every entry that mentions a variable in dead and returns
+// how many it removed. Call it with the variables whose entries can no
+// longer be hit — retired by an eviction, or renormalised, which moves
+// every key mentioning the variable — batched per window tick or crowd
+// round, since each call scans every shard. It only reclaims memory: a
+// missed Drop leaves dead entries to the size cap, never a wrong
+// probability. The returned count is scheduling-dependent (which
+// components got cached depends on the preceding fan-out's schedule):
+// surface it as a metrics counter, never on the trace.
 //
-// Dead entries are dropped eagerly here — one scan of the shards per
-// call, so batch the variables of a round (or a window tick) into one
-// Invalidate — and the per-variable epoch bump remains as a backstop.
-// The returned count is scheduling-dependent (which components got
-// cached depends on the preceding fan-out's schedule): surface it as a
-// metrics counter, never on the trace.
-//
-// Single-writer: Invalidate must not run concurrently with lookups, i.e.
-// only between parallel fan-outs, matching when the Evaluator's Dists may
-// be mutated.
-func (c *ComponentCache) Invalidate(vars ...ctable.Var) int {
-	if len(vars) == 0 {
+// Single-writer: Drop must not run concurrently with lookups, i.e. only
+// between parallel fan-outs.
+func (c *ComponentCache) Drop(dead map[ctable.Var]bool) int {
+	if len(dead) == 0 {
 		return 0
 	}
-	c.epoch++
-	bumped := make(map[ctable.Var]bool, len(vars))
-	for _, v := range vars {
-		c.varEpoch[v] = c.epoch
-		bumped[v] = true
-	}
-	evicted := 0
+	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for key, e := range sh.m {
-			for _, v := range e.vars {
-				if bumped[v] {
-					delete(sh.m, key)
-					evicted++
-					break
-				}
+		kept := sh.fifo[:0]
+		for _, k := range sh.fifo {
+			if mentions(sh.m[k].vars, dead) {
+				delete(sh.m, k)
+				n++
+				continue
 			}
+			kept = append(kept, k)
 		}
+		clear(sh.fifo[len(kept):])
+		sh.fifo = kept
 		sh.mu.Unlock()
 	}
-	c.invalidated += uint64(len(vars))
-	c.invalidatedEntries += uint64(evicted)
-	return evicted
+	c.dropped += uint64(n)
+	return n
+}
+
+// mentions reports whether any of vars is in dead.
+func mentions(vars []ctable.Var, dead map[ctable.Var]bool) bool {
+	for _, v := range vars {
+		if dead[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of live entries across all shards.

@@ -143,73 +143,100 @@ func twoComponentCondition() (*ctable.Condition, Dists, ctable.Var, ctable.Var) 
 	return cond, dists, x1, x2
 }
 
-// TestInvalidatePrecision checks that Invalidate kills exactly the
-// components mentioning the bumped variable: after invalidating one of two
-// cached components, re-evaluation hits the untouched component and
-// recomputes only the stale one — with the correct value under the new
-// distribution.
-func TestInvalidatePrecision(t *testing.T) {
-	cond, dists, x1, _ := twoComponentCondition()
-	cache := NewComponentCache(0)
-	ev := &Evaluator{Dists: dists, Cache: cache}
-
-	ev.Prob(cond.Clone())
-	s := ev.CacheStats()
-	if s.Misses != 2 || s.Hits != 0 {
-		t.Fatalf("first evaluation: stats %+v, want 2 misses (one per branched component)", s)
+// checkQueue asserts that every shard's eviction queue holds exactly the
+// shard's live keys, each once.
+func checkQueue(t *testing.T, c *ComponentCache) {
+	t.Helper()
+	queued := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		seen := map[string]bool{}
+		for _, k := range sh.fifo {
+			if _, live := sh.m[k]; !live || seen[k] {
+				t.Fatalf("shard %d queues %q: live %v, repeated %v", i, k, live, seen[k])
+			}
+			seen[k] = true
+		}
+		queued += len(sh.fifo)
 	}
-
-	ev.Prob(cond.Clone())
-	s = ev.CacheStats()
-	if s.Hits != 2 || s.Misses != 2 {
-		t.Fatalf("second evaluation: stats %+v, want 2 hits", s)
-	}
-
-	// A crowd answer narrows x1's interval: renormalise its distribution
-	// and invalidate. Only the x1 component may be recomputed.
-	dists[x1] = []float64{0, 0.25, 0.25, 0.25, 0.25}
-	cache.Invalidate(x1)
-
-	got := ev.Prob(cond.Clone())
-	s = ev.CacheStats()
-	if s.Hits != 3 || s.Misses != 3 {
-		t.Fatalf("post-invalidation evaluation: stats %+v, want exactly one new hit and one new miss", s)
-	}
-	if s.Invalidated != 1 {
-		t.Fatalf("Invalidated = %d, want 1", s.Invalidated)
-	}
-
-	fresh := NewEvaluator(dists)
-	if want := fresh.Prob(cond.Clone()); got != want {
-		t.Fatalf("post-invalidation Prob = %v, want %v (fresh evaluation)", got, want)
-	}
-
-	// The recomputed entry must be live again: one more evaluation is all
-	// hits.
-	ev.Prob(cond.Clone())
-	if s = ev.CacheStats(); s.Hits != 5 || s.Misses != 3 {
-		t.Fatalf("re-cached evaluation: stats %+v, want two new hits", s)
+	if n := c.Len(); queued != n {
+		t.Fatalf("%d keys queued, %d entries live", queued, n)
 	}
 }
 
-// TestStaleEntryServedNever checks the dangerous direction of a cache
-// under structural keys explicitly: a lookup after Invalidate must not
-// return the pre-invalidation value even though the fingerprint is
-// unchanged.
+// TestDropPrecision checks that Drop removes exactly the entries
+// mentioning a dead variable: with both components of a condition
+// cached and swept, dropping one component's variable removes its
+// scalar and sweep entries and its planned vector, and nothing else —
+// re-evaluation still hits the other component.
+func TestDropPrecision(t *testing.T) {
+	cond, dists, x1, x2 := twoComponentCondition()
+	cache := NewComponentCache(0)
+	ev := &Evaluator{Dists: dists, Cache: cache}
+
+	p := ev.Prob(cond.Clone())
+	// Three constant-comparison candidates per component clear
+	// marginalsThreshold, so both components get a planned sweep vector.
+	scan := ev.NewCondScan(cond, p)
+	scan.PlanSweeps([]ctable.Expr{
+		ctable.GTConst(x1, 0), ctable.GTConst(x1, 1), ctable.LTConst(x1, 3),
+		ctable.GTConst(x2, 0), ctable.GTConst(x2, 2), ctable.LTConst(x2, 4),
+	})
+	if n := cache.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries, want 4 (a scalar and a sweep vector per component)", n)
+	}
+	if n := len(ev.planned); n != 2 {
+		t.Fatalf("%d planned vectors, want 2", n)
+	}
+
+	if n := ev.Drop(map[ctable.Var]bool{x1: true}); n != 2 {
+		t.Fatalf("Drop removed %d entries, want 2", n)
+	}
+	checkQueue(t, cache)
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("cache holds %d entries after Drop, want 2", n)
+	}
+	if s := ev.CacheStats(); s.InvalidatedEntries != 2 {
+		t.Fatalf("InvalidatedEntries = %d, want 2", s.InvalidatedEntries)
+	}
+	for k, e := range ev.planned {
+		if mentions(e.vars, map[ctable.Var]bool{x1: true}) {
+			t.Fatalf("planned vector %q mentions the dropped variable", k)
+		}
+	}
+	if n := len(ev.planned); n != 1 {
+		t.Fatalf("%d planned vectors after Drop, want 1", n)
+	}
+
+	before := ev.CacheStats()
+	if got := ev.Prob(cond.Clone()); got != p {
+		t.Fatalf("Prob after Drop = %v, want %v", got, p)
+	}
+	s := ev.CacheStats()
+	if s.Hits-before.Hits != 1 || s.Misses-before.Misses != 1 {
+		t.Fatalf("evaluation after Drop: %d hits, %d misses, want one of each",
+			s.Hits-before.Hits, s.Misses-before.Misses)
+	}
+}
+
+// TestStaleEntryServedNever checks the dangerous direction explicitly:
+// after Renormalise changes both components' distributions, with no Drop
+// call, a lookup must not return the old value even though the clause
+// structure is unchanged — the keys carry the narrowing.
 func TestStaleEntryServedNever(t *testing.T) {
 	cond, dists, x1, x2 := twoComponentCondition()
+	base := Dists{x1: dists[x1], x2: dists[x2]}
 	ev := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
 
 	before := ev.Prob(cond.Clone())
-	dists[x1] = []float64{0, 0, 0, 0.5, 0.5}
-	dists[x2] = []float64{0, 0, 0, 0, 0.5, 0.5}
-	ev.Cache.Invalidate(x1, x2)
+	ev.Renormalise(x1, narrowTo(base[x1], Interval{Lo: 3, Hi: 4}), Interval{Lo: 3, Hi: 4})
+	ev.Renormalise(x2, narrowTo(base[x2], Interval{Lo: 4, Hi: 5}), Interval{Lo: 4, Hi: 5})
 	after := ev.Prob(cond.Clone())
 	if after == before {
 		t.Fatalf("Prob unchanged (%v) after renormalising both components", after)
 	}
-	if want := NewEvaluator(dists).Prob(cond.Clone()); after != want {
-		t.Fatalf("post-invalidation Prob = %v, want %v", after, want)
+	if want := NewEvaluator(ev.Dists).Prob(cond.Clone()); after != want {
+		t.Fatalf("post-renormalisation Prob = %v, want %v", after, want)
 	}
 }
 
@@ -508,8 +535,8 @@ func TestSweepRuleOwnPlansOnly(t *testing.T) {
 }
 
 // TestCacheEviction checks the size bound: a capped cache never exceeds
-// its per-shard budget and reports evictions once distinct components
-// outnumber the cap.
+// its per-shard budget, reports evictions once distinct components
+// outnumber the cap, and queues exactly its live keys.
 func TestCacheEviction(t *testing.T) {
 	cache := NewComponentCache(32)
 	dists := Dists{}
@@ -525,6 +552,7 @@ func TestCacheEviction(t *testing.T) {
 	if s := ev.CacheStats(); s.Evicted == 0 {
 		t.Fatalf("no evictions after 300 distinct conditions: %+v", s)
 	}
+	checkQueue(t, cache)
 }
 
 // TestCacheConcurrentProbAll exercises shared-cache lookups and stores

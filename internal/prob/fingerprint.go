@@ -25,17 +25,14 @@ import (
 // sign Expr.Compare gives, the sort permutes the clauses exactly as the
 // Expr sort would, and the keys and the branching order are unchanged.
 //
-// The distributions enter the key only on a keyed evaluator
-// (Evaluator.Narrowed or Evaluator.IDs set): after the structural key
-// comes one mark per variable, in the canonical component's
-// first-appearance order — narrowMarkBase for a variable at its base
-// distribution, or narrowMarkInterval and the interval it was
-// renormalised to. The two marks stay distinct even for an interval
-// spanning the whole domain, whose renormalised slice need not be
-// bit-equal to the base. Every entry is then a pure function of its key
-// and the base distributions. Otherwise the key is structural and
-// distribution changes are tracked by the cache's per-variable epochs
-// (ComponentCache.Invalidate).
+// The distributions enter the key as their narrowing: after the
+// structural key comes one mark per variable, in the canonical
+// component's first-appearance order — narrowMarkBase for a variable at
+// its base distribution, or narrowMarkInterval and the interval it was
+// renormalised to (Evaluator.Narrowed, VarState). The two marks stay
+// distinct even for an interval spanning the whole domain, whose
+// renormalised slice need not be bit-equal to the base. Every entry is
+// then a pure function of its key and the base distributions.
 
 // realExpr reconstructs the caller-level expression of an interned one,
 // using the solver's reverse variable table.
@@ -91,8 +88,8 @@ const (
 // fingerprint sorts the component into canonical order (in place — the
 // clause slices are newSolverGroups' per-evaluation interned copies,
 // never caller-owned conditions) and returns its cache key under the
-// given domain prefix, with the narrowing suffix when the evaluator
-// keys on it. key[:structLen] is the structural key alone. The key
+// given domain prefix, with the narrowing suffix. key[:structLen] is the
+// structural key alone. The key
 // aliases solver scratch: it is valid until the next fingerprint call and
 // must be copied to be retained (ComponentCache does so on store).
 func (s *solver) fingerprint(comp [][]cexpr, prefix byte) (key []byte, structLen int) {
@@ -108,16 +105,14 @@ func (s *solver) fingerprint(comp [][]cexpr, prefix byte) (key []byte, structLen
 		}
 	}
 	structLen = len(key)
-	if s.keyed {
-		for _, id := range s.firstVars(comp) {
-			if !s.narrowed[id] {
-				key = append(key, narrowMarkBase)
-				continue
-			}
-			key = append(key, narrowMarkInterval)
-			key = binary.AppendVarint(key, int64(s.narrow[id].Lo))
-			key = binary.AppendVarint(key, int64(s.narrow[id].Hi))
+	for _, id := range s.firstVars(comp) {
+		if !s.narrowed[id] {
+			key = append(key, narrowMarkBase)
+			continue
 		}
+		key = append(key, narrowMarkInterval)
+		key = binary.AppendVarint(key, int64(s.narrow[id].Lo))
+		key = binary.AppendVarint(key, int64(s.narrow[id].Hi))
 	}
 	s.keyBuf = key
 	return key, structLen
@@ -145,8 +140,8 @@ func (s *solver) firstVars(clauses [][]cexpr) []int32 {
 }
 
 // componentVars returns the distinct variables of the component in
-// order of first appearance, in scratch reused across calls
-// (ComponentCache.store copies).
+// order of first appearance, in scratch reused across calls: clone it to
+// retain it.
 func (s *solver) componentVars(comp [][]cexpr) []ctable.Var {
 	out := s.varsBuf[:0]
 	for _, id := range s.firstVars(comp) {

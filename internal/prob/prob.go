@@ -100,31 +100,26 @@ type VarState struct {
 // parallel.For publishes those writes to the workers of the next fan-out
 // (a happens-before edge). Callers adding their own concurrency must
 // preserve that discipline. The component cache follows the same
-// contract: lookups and stores are safe during fan-outs,
-// ComponentCache.Invalidate belongs in the single-writer gaps, right next
-// to the distribution writes it tracks.
+// contract: lookups and stores are safe during fan-outs, Drop belongs in
+// the single-writer gaps.
 type Evaluator struct {
 	// Dists holds the distributions of the variables IDs does not number
 	// (all of them when IDs is nil).
 	Dists Dists
 	// IDs, when non-nil, numbers the variables: a numbered variable's
 	// effective distribution and narrowing are Vars[id], read by index
-	// where Dists and Narrowed would hash, and component keys carry every
-	// variable's narrowing as they do under a non-nil Narrowed. Because
-	// ids follow (Obj, Attr) order, the canonical clause sort compares
-	// ids and every key and float is what the map form gives.
+	// where Dists and Narrowed would hash. Because ids follow (Obj, Attr)
+	// order, the canonical clause sort compares ids and every key and
+	// float is what the map form gives.
 	IDs  *ctable.VarIDs
 	Vars []VarState
-	// Narrowed, when non-nil, says how Dists was derived from base
-	// distributions the caller holds: a variable it lists maps to its base
-	// distribution renormalised to that interval, every other variable to
-	// its base distribution. Component keys then carry each variable's
-	// narrowing, so evaluators over the same base distributions and
-	// Options may share one Cache, which never needs invalidating.
-	// Whoever renormalises a variable records its interval here, in the
-	// same single-writer gap. nil keeps keys structural: Cache must then
-	// be private to this evaluator and invalidated per renormalised
-	// variable (unless IDs is set).
+	// Narrowed says how Dists was derived from base distributions the
+	// caller holds: a variable it lists maps to its base distribution
+	// renormalised to that interval, every other variable to its base
+	// distribution (nil: none is narrowed). Component keys carry each
+	// variable's narrowing, so evaluators over the same base
+	// distributions and Options may share one Cache. Renormalise records
+	// the interval here.
 	Narrowed map[ctable.Var]Interval
 	Opt      Options
 	// Cache, when non-nil, memoizes connected-component probabilities
@@ -145,16 +140,16 @@ type Evaluator struct {
 	// traffic. Atomic because evaluations run inside parallel fan-outs.
 	approxN               atomic.Int64
 	hits, misses, evicted atomic.Uint64
-	// planned holds the sweep vectors this evaluator's scans planned,
-	// by key, when it shares its cache under narrowing keys: only these
+	// planned holds the sweep vectors this evaluator's scans planned on
+	// its cache, by key, with their component's variables: only these
 	// may price a candidate below marginalsThreshold (CondScan.planComp).
-	planned   map[string][]float64 // guarded by plannedMu
+	planned   map[string]cacheEntry // guarded by plannedMu
 	plannedMu sync.Mutex
 }
 
 // CacheStats reports this evaluator's component-cache traffic — its
-// hits, misses and the evictions its stores caused — and the cache's
-// invalidation counters. Zero without a cache.
+// hits, misses and the evictions its stores caused — and the entries
+// the cache's Drop removed. Zero without a cache.
 func (ev *Evaluator) CacheStats() CacheStats {
 	if ev.Cache == nil {
 		return CacheStats{}
@@ -163,8 +158,7 @@ func (ev *Evaluator) CacheStats() CacheStats {
 		Hits:               ev.hits.Load(),
 		Misses:             ev.misses.Load(),
 		Evicted:            ev.evicted.Load(),
-		Invalidated:        ev.Cache.invalidated,
-		InvalidatedEntries: ev.Cache.invalidatedEntries,
+		InvalidatedEntries: ev.Cache.dropped,
 	}
 }
 
@@ -172,20 +166,40 @@ func (ev *Evaluator) CacheStats() CacheStats {
 func (ev *Evaluator) plannedVec(key []byte) ([]float64, bool) {
 	ev.plannedMu.Lock()
 	defer ev.plannedMu.Unlock()
-	vec, ok := ev.planned[string(key)]
-	return vec, ok
+	e, ok := ev.planned[string(key)]
+	return e.vec, ok
 }
 
-// plan records a sweep vector this evaluator planned under key, which
-// may alias solver scratch.
-func (ev *Evaluator) plan(key []byte, vec []float64) {
+// plan records a sweep vector e.vec this evaluator planned under key,
+// which may alias solver scratch; e.vars is retained for Drop.
+func (ev *Evaluator) plan(key []byte, e cacheEntry) {
 	ev.plannedMu.Lock()
 	defer ev.plannedMu.Unlock()
 	if ev.planned == nil {
-		//lint:ignore hotalloc once per evaluator: the set lives as long as the evaluator and only grows
-		ev.planned = map[string][]float64{}
+		//lint:ignore hotalloc once per evaluator: the set lives as long as the evaluator and Drop prunes it
+		ev.planned = map[string]cacheEntry{}
 	}
-	ev.planned[string(key)] = vec
+	ev.planned[string(key)] = e
+}
+
+// Drop removes from the cache and from the planned sweep set every entry
+// that mentions a variable in dead, and returns how many cache entries
+// it removed (ComponentCache.Drop). The streaming engine calls it with
+// the variables a tick retired or renormalised, whose entries can never
+// be hit again. Like every distribution write it belongs in a
+// single-writer gap.
+func (ev *Evaluator) Drop(dead map[ctable.Var]bool) int {
+	if ev.Cache == nil || len(dead) == 0 {
+		return 0
+	}
+	ev.plannedMu.Lock()
+	for k, e := range ev.planned {
+		if mentions(e.vars, dead) {
+			delete(ev.planned, k)
+		}
+	}
+	ev.plannedMu.Unlock()
+	return ev.Cache.Drop(dead)
 }
 
 // ApproxComponents returns how many connected-component solves fell back
@@ -210,9 +224,6 @@ func (ev *Evaluator) ApproxComponents() int64 { return ev.approxN.Load() }
 // NewEvaluator returns an evaluator over the given distributions with
 // default options.
 func NewEvaluator(dists Dists) *Evaluator { return &Evaluator{Dists: dists} }
-
-// keyed reports whether component keys carry each variable's narrowing.
-func (ev *Evaluator) keyed() bool { return ev.IDs != nil || ev.Narrowed != nil }
 
 // varState returns v's effective distribution and narrowing: Vars[id]
 // when id >= 0 is v's id, Dists and Narrowed otherwise. It is the one
@@ -239,17 +250,18 @@ func (ev *Evaluator) dist(v ctable.Var) []float64 {
 
 // Renormalise records that v's effective distribution is now dist, its
 // base distribution renormalised to iv: in Vars when IDs numbers v,
-// otherwise in Dists and, when it is non-nil, Narrowed. Like every
-// distribution write it belongs in a single-writer gap.
+// otherwise in Dists and Narrowed. Like every distribution write it
+// belongs in a single-writer gap.
 func (ev *Evaluator) Renormalise(v ctable.Var, dist []float64, iv Interval) {
 	if id, ok := ev.IDs.ID(v); ok {
 		ev.Vars[id] = VarState{Dist: dist, Narrowed: true, Interval: iv}
 		return
 	}
 	ev.Dists[v] = dist
-	if ev.Narrowed != nil {
-		ev.Narrowed[v] = iv
+	if ev.Narrowed == nil {
+		ev.Narrowed = map[ctable.Var]Interval{}
 	}
+	ev.Narrowed[v] = iv
 }
 
 // ExprProb returns Pr(e) under the variable distributions: the mass of

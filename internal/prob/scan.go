@@ -2,6 +2,7 @@ package prob
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/obs"
@@ -209,21 +210,18 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 }
 
 // planComp serves or computes the marginal vectors of one component's
-// needed variables: served vectors first, then — if any are missing and
-// the candidate count justifies it — cache lookups, then a single
-// stAllMarginals pass whose vectors are stored for later scans and
-// rounds. Vectors are computed on the canonically-ordered component, so
-// served and freshly-computed values are bit-identical.
+// needed variables: vectors this evaluator planned first, then — if any
+// are missing and the candidate count justifies it — cache lookups, then
+// a single stAllMarginals pass whose vectors are stored for later scans
+// and rounds. Vectors are computed on the canonically-ordered component,
+// so served and freshly-computed values are bit-identical.
 //
 // Which vectors may serve below marginalsThreshold decides between the
-// partial-sum and the re-solve path, which agree only within 1e-12. A
-// cache under structural keys belongs to this evaluator, so all of its
-// vectors are this evaluator's own plans. A cache under narrowing keys
-// may hold vectors other evaluators planned; there only the vectors in
-// the evaluator's own planned set serve below the gate, and the shared
-// cache only replaces a computation past it. The planned set keeps its
-// vectors, so eviction from the shared cache cannot change the path
-// either.
+// partial-sum and the re-solve path, which agree only within 1e-12. The
+// cache may hold vectors other evaluators planned, so only the vectors
+// in the evaluator's own planned set serve below the gate, and the cache
+// only replaces a computation past it. The planned set keeps its
+// vectors, so eviction from the cache cannot change the path either.
 func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	ev := cs.ev
 	s, interned := newSolverGroups(ev, [][][]ctable.Expr{cs.comps[g]}, nil)
@@ -239,23 +237,14 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		return key
 	}
 
-	cache := ev.activeCache()
-	shared := cache != nil && ev.keyed()
 	var miss []ctable.Var
 	for x := range needed {
 		if cs.byVar[x] != g {
 			continue
 		}
-		if shared {
-			if vec, ok := ev.plannedVec(varKey(x)); ok {
-				cs.addSweep(x, vec)
-				continue
-			}
-		} else if cache != nil {
-			if e, ok := s.lookup(cache, varKey(x)); ok {
-				cs.addSweep(x, e.vec)
-				continue
-			}
+		if vec, ok := ev.plannedVec(varKey(x)); ok {
+			cs.addSweep(x, vec)
+			continue
 		}
 		//lint:ignore determinism miss feeds a need-set and per-variable map stores; vectors are computed on the canonical component order, so gather order cannot reach a result
 		miss = append(miss, x)
@@ -264,16 +253,14 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		return
 	}
 
+	cache := ev.activeCache()
 	var vars []ctable.Var
 	if cache != nil {
-		vars = s.componentVars(interned)
-	}
-	if shared {
 		kept := miss[:0]
 		for _, x := range miss {
 			if e, ok := s.lookup(cache, varKey(x)); ok {
 				cs.addSweep(x, e.vec)
-				ev.plan(varKey(x), e.vec)
+				ev.plan(varKey(x), e)
 				continue
 			}
 			kept = append(kept, x)
@@ -281,6 +268,7 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		if miss = kept; len(miss) == 0 {
 			return
 		}
+		vars = slices.Clone(s.componentVars(interned))
 	}
 
 	for _, x := range miss {
@@ -304,10 +292,9 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		}
 		cs.addSweep(x, vec)
 		if cache != nil {
-			s.store(cache, varKey(x), vars, cacheEntry{vec: vec})
-		}
-		if shared {
-			ev.plan(varKey(x), vec)
+			e := cacheEntry{vec: vec, vars: vars}
+			s.store(cache, varKey(x), e)
+			ev.plan(varKey(x), e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bayescrowd/internal/ctable"
@@ -46,9 +47,7 @@ type solver struct {
 	// compare model ids (fingerprint).
 	gids  []int32
 	dense bool
-	// keyed reports whether component keys carry each variable's
-	// narrowing (Evaluator.keyed); narrow and narrowed hold it per var id.
-	keyed    bool
+	// narrow and narrowed hold each var id's narrowing, for fingerprint.
 	narrow   []Interval
 	narrowed []bool
 	// assign[v] is the branched value of var v, or -1.
@@ -156,7 +155,6 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 	s.vars = s.vars[:0]
 	s.gids = s.gids[:0]
 	s.dense = ev.IDs != nil
-	s.keyed = ev.keyed()
 	s.narrow = s.narrow[:0]
 	s.narrowed = s.narrowed[:0]
 	s.nApprox = 0
@@ -285,10 +283,8 @@ func (s *solver) addVar(ev *Evaluator, v ctable.Var, gid int32) int32 {
 	s.vars = append(s.vars, v)
 	s.gids = append(s.gids, gid)
 	s.dense = s.dense && gid >= 0
-	if s.keyed {
-		s.narrow = append(s.narrow, st.Interval)
-		s.narrowed = append(s.narrowed, st.Narrowed)
-	}
+	s.narrow = append(s.narrow, st.Interval)
+	s.narrowed = append(s.narrowed, st.Narrowed)
 	return id
 }
 
@@ -492,7 +488,7 @@ func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
 		p = s.stSolve(comp)
 	}
 	if cache != nil {
-		s.store(cache, key, vars, cacheEntry{p: p})
+		s.store(cache, key, cacheEntry{p: p, vars: slices.Clone(vars)})
 	}
 	return p
 }
@@ -509,8 +505,8 @@ func (s *solver) lookup(cache *ComponentCache, key []byte) (cacheEntry, bool) {
 }
 
 // store memoizes e, counting the evictions it caused for the evaluator.
-func (s *solver) store(cache *ComponentCache, key []byte, vars []ctable.Var, e cacheEntry) {
-	s.evicted += uint64(cache.store(key, vars, e))
+func (s *solver) store(cache *ComponentCache, key []byte, e cacheEntry) {
+	s.evicted += uint64(cache.store(key, e))
 }
 
 // litHolds evaluates a literal with its variables at values x and y (y

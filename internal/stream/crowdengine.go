@@ -113,13 +113,15 @@ type scheduledAnswer struct {
 // expire at their deadline. Determinism follows the engine's logical
 // clock — the platform's delays, the selection tie-breaks and the trace
 // are all pure functions of the seeds, byte-identical at any worker
-// count. The one worker-sensitive observable is
-// TickResult.InvalidatedEntries: UBS/HHS scoring at workers > 1
-// precomputes utilities speculatively, warming the component cache with
-// entries a sequential run never solves, so invalidation drops a
-// different entry count. Probabilities, answers, ledgers and trace
-// events are unaffected — the counter reports cache occupancy, not
-// results.
+// count. The evaluator records every narrowing an answer makes, so its
+// cache keys follow each renormalisation and selection never reads an
+// entry computed under a superseded distribution. The one
+// worker-sensitive observable is TickResult.InvalidatedEntries: UBS/HHS
+// scoring at workers > 1 precomputes utilities speculatively, warming
+// the component cache with entries a sequential run never solves, so
+// Drop removes a different entry count. Probabilities, answers, ledgers
+// and trace events are unaffected — the counter reports cache
+// occupancy, not results.
 //
 // CrowdEngine is single-writer like Engine: Tick and the accessors must
 // not be called concurrently.
@@ -132,7 +134,8 @@ type CrowdEngine struct {
 	know *ctable.Knowledge
 	ab   *core.Absorption
 	// base snapshots each variable's prior so absorption can renormalise
-	// the effective distribution (in eng.ev.Dists) without losing it.
+	// the effective distribution (in eng.ev.Dists, its interval in
+	// eng.ev.Narrowed) without losing it.
 	base prob.Dists
 	// conds caches each live object's simplified condition, refreshed at
 	// the re-evaluate step; task selection reads it one step earlier, so
@@ -696,16 +699,11 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	}
 	sort.Ints(stale)
 
-	// Renormalised distributions stale their cached components; bump the
-	// epochs in this single-writer gap, before the fan-out reads them.
-	if e.ev.Cache != nil && len(c.distChanged) > 0 {
-		vars := make([]ctable.Var, 0, len(c.distChanged))
-		for v := range c.distChanged {
-			//lint:ignore determinism Invalidate bumps per-variable epochs; the bump set matters, its order does not
-			vars = append(vars, v)
-		}
-		res.InvalidatedEntries += e.ev.Cache.Invalidate(vars...)
-	}
+	// A renormalised variable's narrowing is in every key that mentions
+	// it, so the entries keyed on its previous narrowing can never be hit
+	// again. Drop reclaims them in this single-writer gap, along with any
+	// entry this tick's selection already keyed on the new narrowing.
+	res.InvalidatedEntries += e.ev.Drop(c.distChanged)
 
 	conds := make([]*ctable.Condition, len(stale))
 	knowEmpty := c.know.Empty()

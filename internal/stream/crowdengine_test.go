@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"bayescrowd/internal/core"
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/dataset"
+	"bayescrowd/internal/prob"
 )
 
 // crowdScript is an arrival schedule plus the hidden complete dataset
@@ -354,6 +356,75 @@ func TestCrowdWorkerInvariance(t *testing.T) {
 	}
 	if seq.Totals() != par.Totals() {
 		t.Fatalf("run ledgers differ: %+v vs %+v", seq.Totals(), par.Totals())
+	}
+}
+
+// probePlatform is an asynchronous platform that runs check before
+// every post, whichever channel the engine posts through.
+type probePlatform struct {
+	*crowd.Unreliable
+	check func()
+}
+
+func (p *probePlatform) Post(tasks []crowd.Task) ([]crowd.Answer, error) {
+	p.check()
+	return p.Unreliable.Post(tasks)
+}
+
+func (p *probePlatform) PostAsync(tasks []crowd.Task) ([]crowd.DelayedAnswer, error) {
+	p.check()
+	return p.Unreliable.PostAsync(tasks)
+}
+
+// TestSelectionReadsNoStaleCache checks what task selection reads: at
+// every post — after the tick's answers renormalised distributions, and
+// before re-evaluation — every cached live, undecided condition's Pr(φ)
+// through the engine's cached evaluator is bit-identical to an uncached
+// evaluation over the same distributions and narrowings. Answers land
+// one to three ticks after posting, so renormalisations keep arriving
+// between re-evaluations.
+func TestSelectionReadsNoStaleCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	sc := genCrowdScript(rng, 60, 3, 0.5)
+	inner := crowd.NewUnreliable(crowd.NewSimulated(sc.truth, 1, nil), 0, 0, 0, rand.New(rand.NewSource(41)))
+	inner.MinDelay, inner.MaxDelay = 1, 3
+	platform := &probePlatform{Unreliable: inner}
+	ce, err := NewCrowd(CrowdConfig{
+		Config:       Config{Attrs: sc.attrs, Window: Window{Count: 100}},
+		Platform:     platform,
+		Budget:       200,
+		TasksPerTick: 2,
+		TaskDeadline: 3,
+		Strategy:     core.UBS,
+		Rng:          rand.New(rand.NewSource(43)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, mismatches, worst := 0, 0, 0.0
+	platform.check = func() {
+		ev := ce.eng.ev
+		plain := &prob.Evaluator{Dists: ev.Dists, Narrowed: ev.Narrowed}
+		for id, cond := range ce.conds {
+			if _, decided := cond.Decided(); decided || ce.gone[id] {
+				continue
+			}
+			reads++
+			got, want := ev.Prob(cond), plain.Prob(cond)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				mismatches++
+				worst = max(worst, math.Abs(got-want))
+			}
+		}
+	}
+	for tick, batch := range sc.ticks {
+		ce.Tick(int64(tick), batch)
+	}
+	if tot := ce.Totals(); reads == 0 || tot.Absorbed == 0 {
+		t.Fatalf("vacuous run: %d reads, ledger %+v", reads, tot)
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d of %d cached reads differ from an uncached evaluation, the largest by %v", mismatches, reads, worst)
 	}
 }
 

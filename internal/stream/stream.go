@@ -106,8 +106,10 @@ type TickResult struct {
 	// Recomputed counts the conditions whose probability was re-solved
 	// this tick (every live condition in Rebuild mode).
 	Recomputed int
-	// InvalidatedEntries counts the cached components the tick's
-	// evictions dropped (0 in Rebuild mode, whose cache is per-tick).
+	// InvalidatedEntries counts the cache entries the tick dropped
+	// (Evaluator.Drop) because they mention a variable it evicted or, in
+	// the crowd loop, renormalised (0 in Rebuild mode, whose cache is
+	// per-tick).
 	InvalidatedEntries int
 	// Answers holds the live ids with Pr(φ) > 0.5 — the paper's answer
 	// threshold — ascending.
@@ -140,9 +142,11 @@ type Engine struct {
 	// incrementally, rebuilt whole under Config.Rebuild.
 	probs map[int]float64
 
-	// Incremental mode state; nil under Config.Rebuild.
-	tbl *ctable.DynCTable
-	ev  *prob.Evaluator
+	// Incremental mode state; nil under Config.Rebuild. dead is
+	// evictStep's scratch: the variables the tick retired.
+	tbl  *ctable.DynCTable
+	ev   *prob.Evaluator
+	dead map[ctable.Var]bool
 
 	cTicks, cInserts, cEvicts, cRecomp, cInvalEntries *obs.Counter
 }
@@ -173,6 +177,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
 		e.ev = prob.NewEvaluator(prob.Dists{})
+		e.dead = map[ctable.Var]bool{}
 		if !cfg.NoCache {
 			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
 		}
@@ -250,31 +255,32 @@ func (e *Engine) tickIncremental(now int64, arrivals [][]dataset.Cell) TickResul
 }
 
 // evictStep retires what the window policy expires: the objects leave
-// the table, their distributions and cached probabilities are dropped,
-// and their dead cache components are invalidated in one batch. It
-// returns the retired variables so the crowd loop can retract the
-// knowledge recorded about them.
+// the table, their distributions, narrowings and cached probabilities
+// are dropped, and so are their cache entries, in one batch. It returns
+// the retired variables so the crowd loop can retract the knowledge
+// recorded about them.
 func (e *Engine) evictStep(now int64, arriving int, res *TickResult) []ctable.Var {
 	// Retire first — the policy is applied as if the arrivals were
 	// already in, so a count-bound window never transiently exceeds its
 	// capacity and both modes expire the same ids.
+	clear(e.dead)
 	var evictedVars []ctable.Var
 	for _, en := range e.expire(now, arriving) {
 		vars := e.tbl.Evict(en.id)
 		for _, v := range vars {
 			delete(e.ev.Dists, v)
+			delete(e.ev.Narrowed, v)
+			e.dead[v] = true
 		}
 		evictedVars = append(evictedVars, vars...)
 		delete(e.probs, en.id)
 		res.Evicted = append(res.Evicted, en.id)
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamEvict, N: en.id, M: len(vars)})
 	}
-	// One batched invalidation per tick: the retired variables can never
-	// recur (ids are never reused), so their cached components are dead
-	// weight the FIFO would otherwise evict one live entry at a time.
-	if e.ev.Cache != nil && len(evictedVars) > 0 {
-		res.InvalidatedEntries = e.ev.Cache.Invalidate(evictedVars...)
-	}
+	// One batched Drop per tick: the retired variables can never recur
+	// (ids are never reused), so their cache entries are dead weight the
+	// size cap would otherwise evict one live entry at a time.
+	res.InvalidatedEntries = e.ev.Drop(e.dead)
 	return evictedVars
 }
 
