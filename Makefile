@@ -1,12 +1,12 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race cover bench bench-smoke fuzz examples figures figures-paper ci fmt-check lint docs-check
+.PHONY: all build test race cover bench bench-smoke fuzz examples figures figures-paper ci fmt-check lint docs-check e2ebench
 
 all: build test
 
 # ci mirrors .github/workflows/ci.yml exactly (plus the gofmt gate), so a
 # local `make ci` reproduces what the pipeline enforces.
-ci: fmt-check lint docs-check build test race
+ci: fmt-check lint docs-check build test e2ebench race
 
 # lint runs the repo's own invariant analyzers (cmd/bayeslint): the
 # determinism, single-writer, error-handling, goroutine-hygiene,
@@ -33,6 +33,12 @@ build:
 
 test:
 	go test ./...
+
+# e2ebench builds and tests the end-to-end benchmark module, which
+# imports internal packages through a replace directive but sits
+# outside ./... — so an internal API change cannot break it unseen.
+e2ebench:
+	cd e2ebench && go vet . && go test .
 
 race:
 	go test -race ./...

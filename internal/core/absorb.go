@@ -29,9 +29,10 @@ type Absorption struct {
 	Ev   *prob.Evaluator
 	// Touched collects every variable an absorbed answer mentioned —
 	// the conditions to re-simplify. DistChanged collects the subset
-	// whose effective distribution was renormalised — the probabilities
-	// to recompute even where the condition's structure did not change,
-	// and the variables whose cache entries are now dead weight.
+	// whose bounds the answer moved, and with them the effective
+	// distribution — the probabilities to recompute even where the
+	// condition's structure did not change, and the variables whose
+	// cache entries are now dead weight.
 	Touched     map[ctable.Var]bool
 	DistChanged map[ctable.Var]bool
 
@@ -41,10 +42,13 @@ type Absorption struct {
 // Absorb folds one answer into the knowledge and marks the variables it
 // touched. Only constant-comparison answers narrow a variable's
 // interval (and hence its distribution); var-vs-var answers record a
-// pairwise relation and leave distributions untouched. Errors —
-// conflicts, forgotten variables — pass through from Knowledge.Absorb
-// with nothing marked.
+// pairwise relation and leave distributions untouched. An answer that
+// leaves the bounds where they were (a repeated one, say) records the
+// same narrowing again, so no cache key changes and e.X is not marked
+// in DistChanged. Errors — conflicts, forgotten variables — pass
+// through from Knowledge.Absorb with nothing marked.
 func (ab *Absorption) Absorb(e ctable.Expr, rel ctable.Rel) error {
+	lo, hi := ab.Know.Bounds(e.X)
 	renormalised, err := ab.absorb(e, rel)
 	if err != nil {
 		return err
@@ -53,7 +57,7 @@ func (ab *Absorption) Absorb(e ctable.Expr, rel ctable.Rel) error {
 	for _, v := range ab.buf {
 		ab.Touched[v] = true
 	}
-	if renormalised {
+	if nlo, nhi := ab.Know.Bounds(e.X); renormalised && (nlo != lo || nhi != hi) {
 		ab.DistChanged[e.X] = true
 	}
 	return nil

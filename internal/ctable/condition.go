@@ -78,6 +78,20 @@ func (c *Condition) Vars() []Var {
 	return out
 }
 
+// Mentions reports whether a literal of the condition mentions a
+// variable in — a scan of the literals in place, where Vars would
+// allocate the distinct set first. A decided condition mentions nothing.
+func (c *Condition) Mentions(in func(Var) bool) bool {
+	for _, cl := range c.Clauses {
+		for _, e := range cl {
+			if in(e.X) || (e.Kind == VarGTVar && in(e.Y)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NumExprs returns the total number of expressions across clauses.
 func (c *Condition) NumExprs() int {
 	n := 0

@@ -94,6 +94,29 @@ func TestConditionVarsAndExprs(t *testing.T) {
 	}
 }
 
+// TestConditionMentions checks Mentions against Vars: a variable is
+// mentioned exactly when Vars lists it, the right operand of a
+// var-vs-var literal included, and a decided condition mentions nothing.
+func TestConditionMentions(t *testing.T) {
+	c := FromClauses([][]Expr{
+		{LTConst(v(4, 1), 2), GTVar(v(4, 1), v(1, 1))},
+		{GTConst(v(4, 2), 3)},
+	})
+	in := map[Var]bool{}
+	for _, x := range c.Vars() {
+		in[x] = true
+	}
+	for _, x := range []Var{v(4, 1), v(1, 1), v(4, 2), v(1, 2), v(4, 0)} {
+		if got := c.Mentions(func(y Var) bool { return y == x }); got != in[x] {
+			t.Fatalf("Mentions(%v) = %v, Vars says %v", x, got, in[x])
+		}
+	}
+	all := func(Var) bool { return true }
+	if True().Mentions(all) || False().Mentions(all) {
+		t.Fatal("a decided condition mentions a variable")
+	}
+}
+
 func TestConditionClone(t *testing.T) {
 	c := FromClauses([][]Expr{{LTConst(v(0, 0), 2)}})
 	cl := c.Clone()

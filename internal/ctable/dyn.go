@@ -18,9 +18,9 @@ import (
 // stream id, and its c-table variables are numbered Var{id, attr}. Ids
 // are never reused, so a variable's identity survives any interleaving
 // of inserts and evictions — which is what lets a prob.ComponentCache's
-// per-variable epochs and a Knowledge's intervals ride across edits
-// without aliasing. Internally objects occupy recycled *slots* of a
-// DynDomIndex bit universe; slots are invisible to callers.
+// keys and a Knowledge's intervals ride across edits without aliasing.
+// Internally objects occupy recycled *slots* of a DynDomIndex bit
+// universe; slots are invisible to callers.
 //
 // Maintenance: Insert(cells) derives the new object's dominator set with
 // one d-way AND over the live per-dimension index (the updatable form of
@@ -227,8 +227,7 @@ func (t *DynCTable) Evict(id int) (vars []Var) {
 	slot := t.mustSlot(id)
 	s := &t.slots[slot]
 
-	t.idx.Dominatees(s.cells, t.rev)
-	t.rev.Clear(slot) // the reverse query still sees the departing object
+	t.dominatees(slot)
 	t.rev.ForEach(func(q int) bool {
 		qs := &t.slots[q]
 		wasFalse := qs.empty > 0
@@ -258,6 +257,29 @@ func (t *DynCTable) Evict(id int) (vars []Var) {
 	t.free = append(t.free, slot)
 	t.live--
 	return vars
+}
+
+// Dominatees appends to dst the ids of the live objects that the live
+// object id possibly dominates, in no particular order, and returns it.
+// They are exactly the objects whose condition carries a clause for id,
+// so with id itself they are the only ones whose condition can mention
+// id's variables. Like Insert and Evict it reuses the table's query
+// scratch, so it must not run concurrently with them or with itself.
+func (t *DynCTable) Dominatees(id int, dst []int) []int {
+	t.dominatees(t.mustSlot(id))
+	t.rev.ForEach(func(q int) bool {
+		dst = append(dst, t.slots[q].id)
+		return true
+	})
+	return dst
+}
+
+// dominatees leaves in t.rev the live slots the object in slot possibly
+// dominates; the reverse query still sees the object itself, so its own
+// slot is cleared.
+func (t *DynCTable) dominatees(slot int) {
+	t.idx.Dominatees(t.slots[slot].cells, t.rev)
+	t.rev.Clear(slot)
 }
 
 // Cond materialises the current condition φ(o) of a live object: decided

@@ -3,6 +3,7 @@ package ctable
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bayescrowd/internal/bitset"
@@ -163,6 +164,61 @@ func TestDynCTableDirtyTracking(t *testing.T) {
 	// Drain is destructive: a second call reports nothing.
 	if got := dt.DrainDirty(); got != nil {
 		t.Fatalf("second drain = %v, want nil", got)
+	}
+}
+
+// TestDynCTableDominatees checks Dominatees against a brute-force scan
+// of the clause lists under insert/evict churn: for every live object,
+// the live ids whose condition has a clause for it (empty or not). A
+// small capacity exercises Grow, and evictions recycle slots.
+func TestDynCTableDominatees(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	attrs := []dataset.Attribute{{Name: "a1", Levels: 4}, {Name: "a2", Levels: 3}, {Name: "a3", Levels: 5}}
+	dt := NewDynCTable(attrs, 4)
+	var live []int
+	reused, checked := 0, 0
+	for step := 0; step < 200; step++ {
+		if len(live) > 0 && rng.Float64() < 0.4 {
+			k := rng.Intn(len(live))
+			dt.Evict(live[k])
+			live = append(live[:k], live[k+1:]...)
+		} else {
+			free := len(dt.free)
+			id, _ := dt.Insert(randCells(rng, attrs, 0.25))
+			if free > 0 {
+				reused++
+			}
+			live = append(live, id)
+		}
+		for _, id := range live {
+			got := dt.Dominatees(id, []int{-1})
+			if got[0] != -1 {
+				t.Fatalf("step %d: Dominatees(%d) overwrote dst", step, id)
+			}
+			got = got[1:]
+			sort.Ints(got)
+			want := []int{}
+			for q := range dt.slots {
+				qs := &dt.slots[q]
+				if !qs.live || qs.id == id {
+					continue
+				}
+				for _, cl := range qs.clauses {
+					if cl.dom == id {
+						want = append(want, qs.id)
+						break
+					}
+				}
+			}
+			sort.Ints(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Dominatees(%d) = %v, clause scan %v", step, id, got, want)
+			}
+			checked += len(want)
+		}
+	}
+	if reused == 0 || checked == 0 {
+		t.Fatalf("vacuous run: %d reused slots, %d dominatees checked", reused, checked)
 	}
 }
 

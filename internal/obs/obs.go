@@ -86,8 +86,10 @@ const (
 	// KindFaultSpam reports an injected spammer answer: Task =
 	// expression, Rel = the random relation substituted.
 	KindFaultSpam Kind = "fault.spam"
-	// KindCacheInvalidate reports a component-cache invalidation in the
-	// single-writer gap: N = variables whose epoch was bumped.
+	// KindCacheInvalidate reports, for a crowd round with a component
+	// cache, the variables the round's answers renormalised: N = their
+	// count. Their narrowings are in the cache keys, so the entries
+	// keyed on the old ones are never hit again.
 	KindCacheInvalidate Kind = "cache.invalidate"
 	// KindProbFanout reports a Pr(φ) evaluation fan-out: N = conditions
 	// evaluated.

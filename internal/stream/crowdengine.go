@@ -142,21 +142,10 @@ type CrowdEngine struct {
 	// a tick's selection sees the window as of the previous
 	// re-evaluation.
 	conds map[int]*ctable.Condition
-	// byVar indexes conds by variable: byVar[c.key(v)] holds the list (by
-	// pointer, so appending costs one map lookup) of every id whose cached
-	// condition mentions v, in no particular order — one entry per
-	// variable occurrence of a cached condition. It is exact
-	// at tick end: a refreshed condition moves its entries by a diff
-	// against the one it replaces, an evicted object's entries leave with
-	// its condition, and an evicted variable's list is dropped whole. It
-	// makes both per-tick lookups cost what changed: the conditions an
-	// answer touched, and the ones an eviction left mentioning a dead
-	// variable.
-	byVar map[int]*[]int
 	// gone holds the cached ids whose condition mentions a variable
-	// evicted this tick, collected from byVar at eviction time. Their
-	// conditions are dirty, so re-evaluation refreshes them; until then
-	// selection skips them.
+	// evicted this tick, found among the conditions the evictions
+	// dirtied. Re-evaluation refreshes them; until then selection skips
+	// them.
 	gone map[int]bool
 
 	inflight     []*inflightTask
@@ -170,17 +159,15 @@ type CrowdEngine struct {
 	touched     map[ctable.Var]bool
 	distChanged map[ctable.Var]bool
 
-	// Per-tick scratch maps, reused across ticks (Tick is a hot-loop
-	// root): the in-flight variable set for selection, the answered-task
-	// set of a post round, and the re-evaluation's stale-id set.
+	// Per-tick scratch, reused across ticks (Tick is a hot-loop root):
+	// the in-flight variable set for selection, the answered-task set of
+	// a post round, the tick's stale-id set (filled by retire and
+	// reeval), and the ids whose condition may mention a touched
+	// variable.
 	busyScratch     map[ctable.Var]bool
 	answeredScratch map[ctable.Expr]bool
 	staleScratch    map[int]bool
-	// reindex's scratch: the index keys of the replaced and the new
-	// condition, and the replaced one's keys, true until the new
-	// condition is seen to keep them.
-	oldKeys, curKeys []int
-	inOld            map[int]bool
+	candScratch     []int
 
 	cPosted, cExpired, cAnswers, cStale *obs.Counter
 }
@@ -226,14 +213,11 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		mailbox:      map[int][]scheduledAnswer{},
 		touched:      map[ctable.Var]bool{},
 		distChanged:  map[ctable.Var]bool{},
-
-		byVar: map[int]*[]int{},
-		gone:  map[int]bool{},
+		gone:         map[int]bool{},
 
 		busyScratch:     map[ctable.Var]bool{},
 		answeredScratch: map[ctable.Expr]bool{},
 		staleScratch:    map[int]bool{},
-		inOld:           map[int]bool{},
 	}
 	c.ab = &core.Absorption{
 		Know: c.know, Base: c.base, Ev: eng.ev,
@@ -290,7 +274,6 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	var res CrowdTickResult
 	start := c.totals
 	clear(c.touched)
-	clear(c.distChanged)
 
 	// Evict, then retract: the knowledge recorded about the retired
 	// variables is tombstoned, so a stale answer racing this eviction
@@ -298,7 +281,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	c.retire(res.Evicted, e.evictStep(now, len(arrivals), &res.TickResult))
 
 	c.expireTasks()
-	c.ingest()
+	c.ingest(&res.TickResult)
 
 	e.insertStep(now, arrivals, &res.TickResult, func(id int, vars []ctable.Var) {
 		for _, v := range vars {
@@ -309,7 +292,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	c.postStep()
 	// A prompt crowd (delay 0) answers within the posting tick: drain
 	// what just landed so this tick's re-evaluation already reflects it.
-	c.ingest()
+	c.ingest(&res.TickResult)
 
 	c.reeval(&res.TickResult)
 	e.finish(&res.TickResult)
@@ -355,7 +338,12 @@ func (c *CrowdEngine) expireTasks() {
 // is the same, the answer is valid for it, and the still-slower second
 // answer is then discarded as late. A badly lagging crowd thus salvages
 // some work without double-charging.
-func (c *CrowdEngine) ingest() {
+//
+// A renormalised variable's narrowing is in every cache key that
+// mentions it, so the entries keyed on its previous narrowing can never
+// be hit again. The drain ends by dropping them, in this single-writer
+// gap and before anything is keyed on the new narrowing.
+func (c *CrowdEngine) ingest(res *TickResult) {
 	due := c.mailbox[c.eng.tick]
 	if len(due) == 0 {
 		return
@@ -399,147 +387,37 @@ func (c *CrowdEngine) ingest() {
 		}
 		c.totals.Absorbed++
 	}
+	res.InvalidatedEntries += c.eng.ev.Drop(c.distChanged)
+	clear(c.distChanged)
 }
 
 // retire forgets what the tick's evictions took: the knowledge and
 // priors of the evicted variables, and the evicted objects' cached
-// conditions with their index entries. It first collects into gone the
-// surviving cached conditions that mention an evicted variable — read
-// from the variables' index lists, which are then dropped whole.
+// conditions. It then drains the conditions the evictions dirtied into
+// the tick's stale set and collects into gone those whose cached
+// condition mentions an evicted object. That finds every such
+// condition: one can mention another object's variables only through
+// that object's clause, whose retraction marks it dirty, unless it was
+// false and stays false — and a condition cached false mentions
+// nothing.
 func (c *CrowdEngine) retire(ids []int, vars []ctable.Var) {
 	clear(c.gone)
+	clear(c.staleScratch)
 	if len(vars) > 0 {
 		c.know.Forget(vars...)
 	}
 	for _, v := range vars {
 		delete(c.base, v)
-		k := c.key(v)
-		for _, id := range c.mentioning(k) {
-			c.gone[id] = true
-		}
-		delete(c.byVar, k)
 	}
 	for _, id := range ids {
-		if cond, ok := c.conds[id]; ok {
-			c.reindex(id, cond, nil)
-			delete(c.conds, id)
+		delete(c.conds, id)
+	}
+	tbl := c.eng.tbl
+	for _, id := range tbl.DrainDirty() {
+		c.staleScratch[id] = true
+		if len(vars) > 0 && c.conds[id].Mentions(func(v ctable.Var) bool { return !tbl.Live(v.Obj) }) {
+			c.gone[id] = true
 		}
-		delete(c.gone, id)
-	}
-}
-
-// reindex moves id's index entries from the variables old mentions to
-// the ones cur mentions (nil: no condition), touching only the
-// difference: a variable both mention keeps its entry, and a new object
-// (old nil) is indexed in one pass over its literals. A variable's list
-// gains id at its end, so a repeat within cur is caught by the list's
-// last entry; only old's variables need the scratch set.
-func (c *CrowdEngine) reindex(id int, old, cur *ctable.Condition) {
-	if old == cur {
-		return
-	}
-	c.curKeys = c.keysOf(c.curKeys[:0], id, cur)
-	if old == nil {
-		for _, k := range c.curKeys {
-			c.link(id, k)
-		}
-		return
-	}
-	c.oldKeys = c.keysOf(c.oldKeys[:0], id, old)
-	inOld := c.inOld
-	clear(inOld)
-	for _, k := range c.oldKeys {
-		inOld[k] = true
-	}
-	for _, k := range c.curKeys {
-		if _, had := inOld[k]; had {
-			inOld[k] = false // kept
-			continue
-		}
-		c.link(id, k)
-	}
-	for _, k := range c.oldKeys {
-		if inOld[k] {
-			inOld[k] = false
-			c.unlink(id, k)
-		}
-	}
-}
-
-// keysOf appends to dst the index keys of the variables cond's literals
-// mention (none for nil). An object's own variables recur across the
-// clauses of its condition, so those are listed once each; other
-// repeats are left to the callers, which tolerate them.
-func (c *CrowdEngine) keysOf(dst []int, id int, cond *ctable.Condition) []int {
-	if cond == nil {
-		return dst
-	}
-	var own uint64 // own variables listed, by attribute (the first 64)
-	add := func(v ctable.Var) {
-		if v.Obj == id && v.Attr < 64 {
-			if own&(1<<v.Attr) != 0 {
-				return
-			}
-			own |= 1 << v.Attr
-		}
-		dst = append(dst, c.key(v))
-	}
-	for _, cl := range cond.Clauses {
-		for i := range cl {
-			add(cl[i].X)
-			if cl[i].Kind == ctable.VarGTVar {
-				add(cl[i].Y)
-			}
-		}
-	}
-	return dst
-}
-
-// key packs a variable into byVar's key: an int keys the map's fast
-// path, where the two-int Var would hash as a generic struct.
-func (c *CrowdEngine) key(v ctable.Var) int { return v.Obj*len(c.cfg.Attrs) + v.Attr }
-
-// mentioning returns the ids whose cached condition mentions the
-// variable keyed k.
-func (c *CrowdEngine) mentioning(k int) []int {
-	if p := c.byVar[k]; p != nil {
-		return *p
-	}
-	return nil
-}
-
-// link appends id to the list of the variable keyed k, unless this pass
-// already did. A new list starts with room for a few ids, which spares
-// the window fill most of its regrowths.
-func (c *CrowdEngine) link(id, k int) {
-	p := c.byVar[k]
-	if p == nil {
-		ids := make([]int, 0, 4)
-		p = &ids
-		c.byVar[k] = p
-	}
-	if n := len(*p); n > 0 && (*p)[n-1] == id {
-		return
-	}
-	*p = append(*p, id)
-}
-
-// unlink drops id from the list of the variable keyed k, deleting an
-// emptied list. A list dropped whole at eviction stays dropped.
-func (c *CrowdEngine) unlink(id, k int) {
-	ids := c.mentioning(k)
-	for i, x := range ids {
-		if x != id {
-			continue
-		}
-		last := len(ids) - 1
-		ids[i] = ids[last]
-		if last == 0 {
-			delete(c.byVar, k)
-		} else {
-			*c.byVar[k] = ids[:last]
-		}
-		return
 	}
 }
 
@@ -657,10 +535,12 @@ func (c *CrowdEngine) postStep() {
 // reeval refreshes the conditions the tick's edits and answers touched
 // and re-solves their probabilities: the table's dirty set (structure
 // changes from inserts and evictions) plus every cached condition that
-// mentions a variable an absorbed answer narrowed, read from the index.
-// With an empty knowledge the step is exactly the machine engine's —
-// same dirty set, no simplification — so a zero-budget run is
-// bit-identical to Engine.
+// mentions a variable an absorbed answer touched. Only a variable's own
+// object and the objects it possibly dominates can mention it, so those
+// are the only ones checked. A touched variable's object is live, since
+// ingest checks liveness after the tick's evictions. With an empty
+// knowledge the step is exactly the machine engine's — same dirty set,
+// no simplification — so a zero-budget run is bit-identical to Engine.
 //
 // A dirty condition is rebuilt from the table. One stale only because
 // an answer touched it is re-simplified from its cached, already
@@ -680,15 +560,16 @@ func (c *CrowdEngine) postStep() {
 // knowledge would.
 func (c *CrowdEngine) reeval(res *TickResult) {
 	e := c.eng
-	// staleSet maps each stale id to whether it is dirty.
+	// staleSet maps each stale id to whether it is dirty; retire already
+	// put the ids the evictions dirtied in it.
 	staleSet := c.staleScratch
-	clear(staleSet)
 	for _, id := range e.tbl.DrainDirty() {
 		staleSet[id] = true
 	}
 	for v := range c.touched {
-		for _, id := range c.mentioning(c.key(v)) {
-			if _, ok := staleSet[id]; !ok {
+		c.candScratch = e.tbl.Dominatees(v.Obj, append(c.candScratch[:0], v.Obj))
+		for _, id := range c.candScratch {
+			if _, ok := staleSet[id]; !ok && c.conds[id].Mentions(func(x ctable.Var) bool { return x == v }) {
 				staleSet[id] = false
 			}
 		}
@@ -699,26 +580,18 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	}
 	sort.Ints(stale)
 
-	// A renormalised variable's narrowing is in every key that mentions
-	// it, so the entries keyed on its previous narrowing can never be hit
-	// again. Drop reclaims them in this single-writer gap, along with any
-	// entry this tick's selection already keyed on the new narrowing.
-	res.InvalidatedEntries += e.ev.Drop(c.distChanged)
-
 	conds := make([]*ctable.Condition, len(stale))
 	knowEmpty := c.know.Empty()
 	for i, id := range stale {
-		prev := c.conds[id]
 		var cond *ctable.Condition
 		switch {
 		case !staleSet[id]:
-			cond = prev.Simplified(c.know)
+			cond = c.conds[id].Simplified(c.know)
 		case knowEmpty:
 			cond = e.tbl.Cond(id)
 		default:
 			cond = e.tbl.Cond(id).Simplified(c.know)
 		}
-		c.reindex(id, prev, cond)
 		c.conds[id] = cond
 		conds[i] = cond
 	}
