@@ -57,6 +57,7 @@ bench-smoke:
 fuzz:
 	go test -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	go test -fuzz FuzzReadJSON -fuzztime 30s ./internal/bayesnet/
+	go test -fuzz FuzzRequestBodies -fuzztime 30s ./internal/service/
 
 examples:
 	go run ./examples/quickstart

@@ -109,6 +109,7 @@ func RepoConfig(modulePath string) *Config {
 		MutatingMethods: []string{
 			p("internal/prob") + ".ComponentCache.Drop",
 			p("internal/prob") + ".Evaluator.Drop",
+			p("internal/prob") + ".Evaluator.Narrow",
 			p("internal/ctable") + ".Knowledge.Absorb",
 			p("internal/ctable") + ".Knowledge.Forget",
 		},

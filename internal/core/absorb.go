@@ -14,18 +14,14 @@ import (
 //
 // The caller owns the surrounding single-writer discipline: Absorb
 // mutates Know and Ev's distributions, so it must only run in the
-// sequential gaps between Pr(φ) fan-outs. Ev records each narrowing, so
+// sequential gaps between Pr(φ) fan-outs. Ev narrows each distribution
+// from its base and records the narrowing (prob.Evaluator.Narrow), so
 // its cache keys follow and no cache entry can go stale; a caller that
 // wants the entries keyed on a superseded narrowing reclaimed early
 // passes DistChanged to prob.Evaluator.Drop.
 type Absorption struct {
-	// Know accumulates the answers.
+	// Know accumulates the answers; Ev narrows the distributions.
 	Know *ctable.Knowledge
-	// Base holds the immutable prior distributions; Ev receives their
-	// renormalised forms and the intervals they were narrowed to
-	// (prob.Evaluator.Renormalise; conditionDist allocates a fresh slice,
-	// so Base entries are never written through Ev).
-	Base prob.Dists
 	Ev   *prob.Evaluator
 	// Touched collects every variable an absorbed answer mentioned —
 	// the conditions to re-simplify. DistChanged collects the subset
@@ -73,8 +69,7 @@ func (ab *Absorption) absorb(e ctable.Expr, rel ctable.Rel) (renormalised bool, 
 	if e.Kind == ctable.VarGTVar || ab.Know.NoInference {
 		return false, nil
 	}
-	v := e.X
-	lo, hi := ab.Know.Bounds(v)
-	ab.Ev.Renormalise(v, conditionDist(ab.Base[v], lo, hi), prob.Interval{Lo: lo, Hi: hi})
+	lo, hi := ab.Know.Bounds(e.X)
+	ab.Ev.Narrow(e.X, prob.Interval{Lo: lo, Hi: hi})
 	return true, nil
 }

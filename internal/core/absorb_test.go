@@ -17,10 +17,8 @@ func TestAbsorbMarksDistChangedOnlyWhenBoundsMove(t *testing.T) {
 	attrs := []dataset.Attribute{{Name: "a", Levels: 5}}
 	x, y := ctable.Var{Obj: 0, Attr: 0}, ctable.Var{Obj: 1, Attr: 0}
 	uniform := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
-	base := prob.Dists{x: uniform, y: uniform}
 	ab := &Absorption{
 		Know: ctable.NewKnowledge(dataset.New(attrs)),
-		Base: base,
 		Ev:   prob.NewEvaluator(prob.Dists{x: uniform, y: uniform}),
 	}
 	steps := []struct {

@@ -53,10 +53,7 @@ func TestProbabilityCacheFreshness(t *testing.T) {
 		// Rebuild the final knowledge and effective distributions from
 		// the answer log, exactly as crowdPhase absorbs them.
 		know := ctable.NewKnowledge(incomplete)
-		eff := make(prob.Dists, len(base))
-		for v, dist := range base {
-			eff[v] = dist
-		}
+		ev := prob.NewEvaluator(base)
 		for _, a := range log.answers {
 			if err := know.Absorb(a.Task.Expr, a.Rel); err != nil {
 				continue // conflicting answer, discarded by the run too
@@ -64,11 +61,10 @@ func TestProbabilityCacheFreshness(t *testing.T) {
 			if a.Task.Expr.Kind != ctable.VarGTVar {
 				v := a.Task.Expr.X
 				lo, hi := know.Bounds(v)
-				eff[v] = conditionDist(base[v], lo, hi)
+				ev.Narrow(v, prob.Interval{Lo: lo, Hi: hi})
 			}
 		}
 
-		ev := prob.NewEvaluator(eff)
 		for o, cached := range res.Probs {
 			fresh := ev.Prob(res.CTable.Conds[o])
 			if math.Abs(fresh-cached) > 1e-9 {

@@ -194,27 +194,3 @@ func marginalDists(d *dataset.Dataset) prob.Dists {
 	}
 	return dists
 }
-
-// conditionDist renormalises a base posterior over the interval of values
-// the knowledge still allows for the variable; answers outside the
-// interval carry probability zero.
-func conditionDist(base []float64, lo, hi int) []float64 {
-	out := make([]float64, len(base))
-	sum := 0.0
-	for v := lo; v <= hi && v < len(base); v++ {
-		sum += base[v]
-	}
-	if sum <= 0 {
-		// The posterior gave zero mass to every remaining value; fall
-		// back to uniform over the interval so the framework can proceed.
-		width := hi - lo + 1
-		for v := lo; v <= hi && v < len(base); v++ {
-			out[v] = 1 / float64(width)
-		}
-		return out
-	}
-	for v := lo; v <= hi && v < len(base); v++ {
-		out[v] = base[v] / sum
-	}
-	return out
-}

@@ -132,29 +132,6 @@ func TestPreprocessFallsBackWithFewCompleteRows(t *testing.T) {
 	}
 }
 
-func TestConditionDist(t *testing.T) {
-	base := []float64{0.1, 0.2, 0.3, 0.4}
-	got := conditionDist(base, 1, 2)
-	want := []float64{0, 0.4, 0.6, 0}
-	for v := range want {
-		if math.Abs(got[v]-want[v]) > 1e-12 {
-			t.Fatalf("conditionDist = %v, want %v", got, want)
-		}
-	}
-	// Full interval is a no-op renormalisation.
-	full := conditionDist(base, 0, 3)
-	for v := range base {
-		if math.Abs(full[v]-base[v]) > 1e-12 {
-			t.Fatalf("full-interval conditionDist = %v", full)
-		}
-	}
-	// Zero-mass interval falls back to uniform over the interval.
-	zero := conditionDist([]float64{0.5, 0.5, 0, 0}, 2, 3)
-	if math.Abs(zero[2]-0.5) > 1e-12 || math.Abs(zero[3]-0.5) > 1e-12 {
-		t.Fatalf("zero-mass conditionDist = %v", zero)
-	}
-}
-
 func TestPosteriorCacheConsistency(t *testing.T) {
 	// Objects with identical observed profiles must share identical
 	// posterior slices (cache hit), and different profiles must differ.

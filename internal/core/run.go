@@ -29,7 +29,7 @@ func Run(d *dataset.Dataset, platform crowd.Platform, opt Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return runOwnModel(d, BuildModel(d, base, opt), base, platform, opt)
+	return runOwnModel(d, BuildModel(d, base, opt), platform, opt)
 }
 
 // RunWithDists runs the modeling and crowdsourcing phases against
@@ -43,7 +43,7 @@ func RunWithDists(d *dataset.Dataset, base prob.Dists, platform crowd.Platform, 
 	if err != nil {
 		return nil, err
 	}
-	return runOwnModel(d, BuildModel(d, base, opt), base, platform, opt)
+	return runOwnModel(d, BuildModel(d, base, opt), platform, opt)
 }
 
 // RunCrowdPhase runs the crowdsourcing phase against an already-built
@@ -57,7 +57,7 @@ func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platf
 	if err != nil {
 		return nil, err
 	}
-	return runOwnModel(d, modelOf(ct, base, opt), base, platform, opt)
+	return runOwnModel(d, modelOf(ct, base, opt), platform, opt)
 }
 
 // Model is the query-independent half of a run — the paper's modeling
@@ -72,7 +72,7 @@ func RunCrowdPhase(d *dataset.Dataset, ct *ctable.CTable, base prob.Dists, platf
 // simplifies a private copy of the condition list (Condition.Simplified
 // copies on change) and keeps its per-round probabilities in its own
 // map. The cache is internally synchronised and value-pure: its keys
-// carry how each variable was narrowed (prob.Evaluator.Narrowed), so
+// carry how each variable was narrowed (prob.Evaluator.Narrow), so
 // every entry is a pure function of its key and the base posteriors,
 // and the runs filling it never change what any run computes. It serves
 // the initial fan-out and every run on the model, in every round, with
@@ -195,16 +195,14 @@ func publishCache(reg *obs.Registry, prev, cur prob.CacheStats) {
 // newEvaluator returns an evaluator over the model's numbered variables,
 // each at its base posterior, with the run's solver options and the
 // model's cache (nil under NoCache). Its Vars are the run's own: one
-// slot per numbered variable, where the run's Absorption records each
-// renormalised distribution and its narrowing, which the keys carry.
-// Every variable a run can evaluate is numbered, so Dists starts empty.
+// slot per numbered variable, which the run's Absorption narrows and the
+// keys carry. Every variable a run can evaluate is numbered.
 func (m *Model) newEvaluator(opt Options, cache *prob.ComponentCache) *prob.Evaluator {
 	vars := make([]prob.VarState, len(m.base))
 	for id, d := range m.base {
-		vars[id].Dist = d
+		vars[id] = prob.VarState{Base: d, Dist: d}
 	}
 	return &prob.Evaluator{
-		Dists: prob.Dists{},
 		IDs:   m.ids,
 		Vars:  vars,
 		Opt:   prob.Options{ApproxThreshold: opt.ApproxThreshold},
@@ -216,7 +214,8 @@ func (m *Model) newEvaluator(opt Options, cache *prob.ComponentCache) *prob.Eval
 // base, which it never writes apart from the model's component cache:
 // the run simplifies its own shallow copy of m.CT.Conds, so concurrent
 // runs may share m. base must be the posteriors the model was built
-// over, since the cache's entries are computed from them. opt.Alpha and
+// over; the run reads them through m, which holds each numbered
+// variable's. opt.Alpha and
 // opt.ApproxThreshold must be the values the model was built under —
 // they shape the c-table and every Pr(φ) the model holds — or RunModel
 // returns an error. Under opt.NoCache the run leaves the model's cache
@@ -234,14 +233,14 @@ func RunModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Plat
 		return nil, fmt.Errorf("core: run options (Alpha %v, ApproxThreshold %d) differ from the model's (Alpha %v, ApproxThreshold %d)",
 			opt.Alpha, opt.ApproxThreshold, m.alpha, m.approxThreshold)
 	}
-	return crowdPhase(d, m, base, platform, opt)
+	return crowdPhase(d, m, platform, opt)
 }
 
 // runOwnModel runs a model built for this run alone, so the run also
 // owns the model's initial fan-out: its wall time and cache counters
 // join the Result.
-func runOwnModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
-	res, err := crowdPhase(d, m, base, platform, opt)
+func runOwnModel(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Options) (*Result, error) {
+	res, err := crowdPhase(d, m, platform, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -252,9 +251,9 @@ func runOwnModel(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.P
 	return res, nil
 }
 
-// crowdPhase runs the crowdsourcing loop on a model and base posteriors.
-// Exposed within the package so tests can run it on validated options.
-func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Platform, opt Options) (*Result, error) {
+// crowdPhase runs the crowdsourcing loop on a model. Exposed within the
+// package so tests can run it on validated options.
+func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Options) (*Result, error) {
 	// The recorder and registry are the run's two observability channels:
 	// deterministic events to rec (single-writer sections only), and
 	// scheduling-dependent numbers — durations, cache deltas — to reg.
@@ -333,7 +332,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, base prob.Dists, platform crowd.Pl
 	// main-round answers and re-ask majorities both fold into the
 	// knowledge through it, renormalising the narrowed distributions;
 	// absorb marks the touched variables by id.
-	ab := &Absorption{Know: know, Base: base, Ev: ev}
+	ab := &Absorption{Know: know, Ev: ev}
 	var varBuf []ctable.Var
 	absorb := func(e ctable.Expr, rel ctable.Rel) error {
 		renormalised, err := ab.absorb(e, rel)

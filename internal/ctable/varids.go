@@ -1,23 +1,32 @@
 package ctable
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
-// VarIDs numbers a fixed set of variables densely, 0 to Len()-1, in
+// VarIDs numbers a set of variables densely, 0 to Len()-1, in
 // (Obj, Attr) order: a variable's id is its rank in the set. Per-variable
 // state can then live in slices indexed by id instead of maps keyed by
 // Var, and comparing two ids compares the variables the way
 // Expr.Compare does, which is what lets canonical sorts run on ids.
 //
-// The table holds no hash: per object, a bitmask of its numbered
-// attributes and the id of its first numbered variable (a prefix
-// count), so an id is one popcount away and the table costs three words
-// per object. A nil *VarIDs numbers nothing. It is immutable once built
-// and safe for concurrent use.
+// The table holds no hash: per object from the smallest numbered one
+// to the largest, a bitmask of its numbered attributes and the id of its
+// first numbered variable (a prefix count), so an id is one popcount
+// away and the table costs three words per object of that span — a
+// stream window numbers its live objects, not every id the stream has
+// issued. A nil *VarIDs numbers nothing. Renumber aside, the table is
+// read-only and safe for concurrent use.
 type VarIDs struct {
-	// start[o] is the id of object o's first numbered variable; start has
-	// one more entry than there are objects, the last holding Len().
+	// off is the smallest numbered object; rows start there.
+	off int
+	// start[o-off] is the id of object o's first numbered variable; start
+	// has one more entry than the span has objects, the last holding
+	// Len().
 	start []int32
-	// mask[o*words+w] has bit b set when Var{o, 64w+b} is numbered.
+	// mask[(o-off)*words+w] has bit b set when Var{o, 64w+b} is numbered.
 	mask  []uint64
 	words int
 }
@@ -25,19 +34,35 @@ type VarIDs struct {
 // NewVarIDs numbers the distinct variables among vars, which may come in
 // any order and repeat. Variables with a negative index are skipped.
 func NewVarIDs(vars []Var) *VarIDs {
-	objects, attrs := 0, 0
-	for _, v := range vars {
-		objects = max(objects, v.Obj+1)
-		attrs = max(attrs, v.Attr+1)
-	}
-	t := &VarIDs{words: (attrs + 63) / 64}
-	t.mask = make([]uint64, objects*t.words)
+	t := &VarIDs{}
+	t.Renumber(vars)
+	return t
+}
+
+// Renumber numbers vars afresh, as NewVarIDs does, reusing the table's
+// buffers. It writes the table, so it must not run concurrently with
+// its readers.
+func (t *VarIDs) Renumber(vars []Var) {
+	lo, hi, attrs := math.MaxInt, -1, 0
 	for _, v := range vars {
 		if v.Obj >= 0 && v.Attr >= 0 {
-			t.mask[v.Obj*t.words+v.Attr/64] |= 1 << (v.Attr % 64)
+			lo, hi = min(lo, v.Obj), max(hi, v.Obj)
+			attrs = max(attrs, v.Attr+1)
 		}
 	}
-	t.start = make([]int32, objects+1)
+	if hi < 0 {
+		lo = 0
+	}
+	objects := hi - lo + 1
+	t.off, t.words = lo, (attrs+63)/64
+	t.mask = slices.Grow(t.mask[:0], objects*t.words)[:objects*t.words]
+	clear(t.mask)
+	for _, v := range vars {
+		if v.Obj >= 0 && v.Attr >= 0 {
+			t.mask[(v.Obj-lo)*t.words+v.Attr/64] |= 1 << (v.Attr % 64)
+		}
+	}
+	t.start = slices.Grow(t.start[:0], objects+1)[:objects+1]
 	n := int32(0)
 	for o := 0; o < objects; o++ {
 		t.start[o] = n
@@ -46,7 +71,6 @@ func NewVarIDs(vars []Var) *VarIDs {
 		}
 	}
 	t.start[objects] = n
-	return t
 }
 
 // Len returns how many variables the table numbers.
@@ -59,16 +83,20 @@ func (t *VarIDs) Len() int {
 
 // ID returns v's id, or false when the table does not number v.
 func (t *VarIDs) ID(v Var) (int32, bool) {
-	if t == nil || uint(v.Obj) >= uint(len(t.start)-1) || uint(v.Attr) >= uint(64*t.words) {
+	if t == nil {
 		return -1, false
 	}
-	row := v.Obj * t.words
+	o := v.Obj - t.off
+	if uint(o) >= uint(len(t.start)-1) || uint(v.Attr) >= uint(64*t.words) {
+		return -1, false
+	}
+	row := o * t.words
 	w := row + v.Attr/64
 	bit := uint64(1) << (v.Attr % 64)
 	if t.mask[w]&bit == 0 {
 		return -1, false
 	}
-	id := t.start[v.Obj] + int32(bits.OnesCount64(t.mask[w]&(bit-1)))
+	id := t.start[o] + int32(bits.OnesCount64(t.mask[w]&(bit-1)))
 	for _, m := range t.mask[row:w] {
 		id += int32(bits.OnesCount64(m))
 	}

@@ -27,9 +27,13 @@ func randomMask(rng *rand.Rand) (objects, attrs int, missing []Var) {
 // TestVarIDsOrder checks the invariant bit-identity on the id path rests
 // on: ids are dense, and id(a) < id(b) exactly when (a.Obj, a.Attr) <
 // (b.Obj, b.Attr), whatever order the variables were listed in.
-// Variables outside the set have no id.
+// Variables outside the set have no id. The same set moved far from
+// object 0, as a stream window's is, gets the same ids from a table
+// whose rows span its objects only, whether built fresh or renumbered
+// in reused buffers.
 func TestVarIDsOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
+	reused := NewVarIDs(nil)
 	for trial := 0; trial < 200; trial++ {
 		objects, attrs, missing := randomMask(rng)
 		ids := NewVarIDs(append(missing, missing[:len(missing)/3]...))
@@ -59,6 +63,32 @@ func TestVarIDsOrder(t *testing.T) {
 				x := Var{Obj: o, Attr: a}
 				if _, ok := ids.ID(x); ok != numbered[x] {
 					t.Fatalf("trial %d: ID(%v) reports %v, numbered %v", trial, x, ok, numbered[x])
+				}
+			}
+		}
+
+		const far = 5_000_000
+		moved := make([]Var, len(missing))
+		for i, x := range missing {
+			moved[i] = Var{Obj: x.Obj + far, Attr: x.Attr}
+		}
+		fresh := NewVarIDs(moved)
+		reused.Renumber(moved)
+		// Object 1 is the smallest with a missing cell.
+		last := 0
+		for _, x := range missing {
+			last = max(last, x.Obj)
+		}
+		if span := last * fresh.words; len(fresh.mask) != span || len(reused.mask) != span {
+			t.Fatalf("trial %d: masks of %d and %d words for %d objects", trial, len(fresh.mask), len(reused.mask), last)
+		}
+		for o := -1; o <= objects; o++ {
+			for a := -1; a <= attrs; a++ {
+				want, wok := ids.ID(Var{Obj: o, Attr: a})
+				for _, tbl := range []*VarIDs{fresh, reused} {
+					if id, ok := tbl.ID(Var{Obj: o + far, Attr: a}); id != want || ok != wok {
+						t.Fatalf("trial %d: moved ID(%v) = %d, %v, want %d, %v", trial, Var{Obj: o, Attr: a}, id, ok, want, wok)
+					}
 				}
 			}
 		}

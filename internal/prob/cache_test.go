@@ -1,10 +1,8 @@
 package prob
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -220,51 +218,34 @@ func TestDropPrecision(t *testing.T) {
 }
 
 // TestStaleEntryServedNever checks the dangerous direction explicitly:
-// after Renormalise changes both components' distributions, with no Drop
+// after Narrow changes both components' distributions, with no Drop
 // call, a lookup must not return the old value even though the clause
 // structure is unchanged — the keys carry the narrowing.
 func TestStaleEntryServedNever(t *testing.T) {
 	cond, dists, x1, x2 := twoComponentCondition()
-	base := Dists{x1: dists[x1], x2: dists[x2]}
 	ev := &Evaluator{Dists: dists, Cache: NewComponentCache(0)}
 
 	before := ev.Prob(cond.Clone())
-	ev.Renormalise(x1, narrowTo(base[x1], Interval{Lo: 3, Hi: 4}), Interval{Lo: 3, Hi: 4})
-	ev.Renormalise(x2, narrowTo(base[x2], Interval{Lo: 4, Hi: 5}), Interval{Lo: 4, Hi: 5})
+	ev.Narrow(x1, Interval{Lo: 3, Hi: 4})
+	ev.Narrow(x2, Interval{Lo: 4, Hi: 5})
 	after := ev.Prob(cond.Clone())
 	if after == before {
 		t.Fatalf("Prob unchanged (%v) after renormalising both components", after)
 	}
-	if want := NewEvaluator(ev.Dists).Prob(cond.Clone()); after != want {
+	if want := (&Evaluator{IDs: ev.IDs, Vars: ev.Vars}).Prob(cond.Clone()); after != want {
 		t.Fatalf("post-renormalisation Prob = %v, want %v", after, want)
 	}
 }
 
-// narrowTo renormalises base over [iv.Lo, iv.Hi], as a crowd answer
-// narrowing the variable does.
-func narrowTo(base []float64, iv Interval) []float64 {
-	out := make([]float64, len(base))
-	sum := 0.0
-	for a := iv.Lo; a <= iv.Hi; a++ {
-		sum += base[a]
-	}
-	for a := iv.Lo; a <= iv.Hi; a++ {
-		out[a] = base[a] / sum
-	}
-	return out
-}
-
-// narrowedEvaluator returns an evaluator keyed on narrowing over base
-// with the given variables narrowed, sharing cache (nil for none).
+// narrowedEvaluator returns an evaluator over base, numbered, with the
+// given variables narrowed, sharing cache (nil for none).
 func narrowedEvaluator(base Dists, narrowed map[ctable.Var]Interval, cache *ComponentCache) *Evaluator {
-	dists := Dists{}
-	for x, d := range base {
-		dists[x] = d
-	}
+	ev := &Evaluator{Dists: base, Cache: cache}
+	ev.number()
 	for x, iv := range narrowed {
-		dists[x] = narrowTo(base[x], iv)
+		ev.Narrow(x, iv)
 	}
-	return &Evaluator{Dists: dists, Narrowed: narrowed, Cache: cache}
+	return ev
 }
 
 // TestNarrowingKeysPure checks that a cache under narrowing keys is a
@@ -317,127 +298,6 @@ func TestNarrowingKeysPure(t *testing.T) {
 	}
 }
 
-// idEvaluator is ev on the id path: every variable ev has a distribution
-// for gets a model id, except outside, which stays in the maps; each
-// numbered variable's distribution and narrowing move to Vars.
-func idEvaluator(ev *Evaluator, outside ctable.Var, cache *ComponentCache) *Evaluator {
-	var numbered []ctable.Var
-	for x := range ev.Dists {
-		if x != outside {
-			numbered = append(numbered, x)
-		}
-	}
-	ids := ctable.NewVarIDs(numbered)
-	out := &Evaluator{
-		Dists: Dists{outside: ev.Dists[outside]}, Narrowed: map[ctable.Var]Interval{},
-		IDs: ids, Vars: make([]VarState, ids.Len()), Opt: ev.Opt, Cache: cache,
-	}
-	if iv, ok := ev.Narrowed[outside]; ok {
-		out.Narrowed[outside] = iv
-	}
-	for _, x := range numbered {
-		id, _ := ids.ID(x)
-		iv, ok := ev.Narrowed[x]
-		out.Vars[id] = VarState{Dist: ev.Dists[x], Narrowed: ok, Interval: iv}
-	}
-	return out
-}
-
-// TestIDPathMatchesMapPath checks that numbering the variables
-// (Evaluator.IDs) changes nothing an evaluator computes: on random
-// conditions with some variables narrowed and one variable outside the
-// id space, an evaluator on ids and one on maps give bit-identical Prob,
-// CondScan.CondProbs and PlanSweeps vectors — uncached, on its own
-// cache, on a cache the map evaluator filled, which holds only if their
-// keys mean the same, and on one an id evaluator filled without
-// narrowing. The
-// ApproxThreshold estimate, seeded from the structural key, is covered
-// too.
-func TestIDPathMatchesMapPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 300; trial++ {
-		var conds []*ctable.Condition
-		base := Dists{}
-		for len(conds) < 4 {
-			cond, dists := randomCondition(rng)
-			if _, decided := cond.Decided(); decided {
-				continue
-			}
-			for x, d := range dists {
-				if _, ok := base[x]; !ok {
-					base[x] = d
-				}
-			}
-			conds = append(conds, cond)
-		}
-		// The conditions share variables; each keeps the distribution
-		// drawn for it first.
-		var vars []ctable.Var
-		for x := range base {
-			vars = append(vars, x)
-		}
-		slices.SortFunc(vars, func(a, b ctable.Var) int { return cmp.Or(a.Obj-b.Obj, a.Attr-b.Attr) })
-		narrowed := map[ctable.Var]Interval{}
-		for _, x := range vars {
-			if n := len(base[x]); rng.Intn(3) == 0 {
-				lo := rng.Intn(n)
-				narrowed[x] = Interval{Lo: lo, Hi: lo + rng.Intn(n-lo)}
-			}
-		}
-		outside := vars[rng.Intn(len(vars))]
-		opt := Options{}
-		if trial%3 == 0 {
-			opt.ApproxThreshold = 2
-		}
-		values := func(ev *Evaluator) []float64 {
-			var out []float64
-			for _, c := range conds {
-				p := ev.Prob(c.Clone())
-				out = append(out, p)
-				exprs := c.Exprs()
-				scan := ev.NewCondScan(c, p)
-				scan.PlanSweeps(exprs)
-				for _, e := range exprs {
-					pe, pPhi, pTrue, pFalse := scan.CondProbs(e)
-					out = append(out, pe, pPhi, pTrue, pFalse)
-				}
-				for _, e := range exprs {
-					out = append(out, scan.sweeps[e.X]...)
-				}
-			}
-			return out
-		}
-		mapEv := func(narrowed map[ctable.Var]Interval, cache *ComponentCache) *Evaluator {
-			ev := narrowedEvaluator(base, narrowed, cache)
-			ev.Opt = opt
-			return ev
-		}
-		shared := NewComponentCache(0)
-		want := values(mapEv(narrowed, shared))
-		// A cache filled on ids at the base distributions must not serve
-		// a narrowed component: the keys carry each numbered variable's
-		// narrowing too.
-		baseFilled := NewComponentCache(0)
-		values(idEvaluator(mapEv(map[ctable.Var]Interval{}, nil), outside, baseFilled))
-		for name, ev := range map[string]*Evaluator{
-			"uncached":          idEvaluator(mapEv(narrowed, nil), outside, nil),
-			"own cache":         idEvaluator(mapEv(narrowed, nil), outside, NewComponentCache(0)),
-			"map-filled cache":  idEvaluator(mapEv(narrowed, nil), outside, shared),
-			"base-filled cache": idEvaluator(mapEv(narrowed, nil), outside, baseFilled),
-		} {
-			got := values(ev)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d, %s: %d values on ids, %d on maps", trial, name, len(got), len(want))
-			}
-			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("trial %d, %s, value %d: %v on ids, %v on maps", trial, name, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestDenseCompareMatchesExprCompare checks the comparison the canonical
 // sort runs on model ids: for random expression pairs over a random id
 // table, its sign is the sign of ctable.Expr.Compare.
@@ -474,9 +334,6 @@ func TestDenseCompareMatchesExprCompare(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			a, b := expr(), expr()
 			s, interned := newSolverGroups(ev, [][][]ctable.Expr{{{a}, {b}}}, nil)
-			if !s.dense {
-				t.Fatal("an evaluation over numbered variables is not dense")
-			}
 			got, want := s.cmpExpr(interned[0][0], interned[1][0]), a.Compare(b)
 			if (got < 0) != (want < 0) || (got > 0) != (want > 0) {
 				t.Fatalf("trial %d: compare(%v, %v) = %d on ids, %d on expressions", trial, a, b, got, want)
@@ -540,10 +397,13 @@ func TestSweepRuleOwnPlansOnly(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	cache := NewComponentCache(32)
 	dists := Dists{}
-	ev := &Evaluator{Dists: dists, Cache: cache}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		cond := ctable.FromClauses(randClauses(rng, 4, dists))
+	conds := make([]*ctable.Condition, 300)
+	for i := range conds {
+		conds[i] = ctable.FromClauses(randClauses(rng, 4, dists))
+	}
+	ev := &Evaluator{Dists: dists, Cache: cache}
+	for _, cond := range conds {
 		ev.Prob(cond)
 	}
 	if n := cache.Len(); n > 32 {
@@ -585,7 +445,7 @@ func TestCacheConcurrentProbAll(t *testing.T) {
 		wg.Add(1)
 		go func(ev *Evaluator) {
 			defer wg.Done()
-			want := (&Evaluator{Dists: ev.Dists}).ProbAll(conds, 1)
+			want := (&Evaluator{IDs: ev.IDs, Vars: ev.Vars}).ProbAll(conds, 1)
 			for round := 0; round < 3; round++ {
 				got := ev.ProbAll(conds, 8)
 				for i := range got {

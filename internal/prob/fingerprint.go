@@ -19,17 +19,16 @@ import (
 // for bit, regardless of the clause order this particular occurrence
 // arrived in.
 //
-// When every variable of the evaluation has a model id
-// (Evaluator.IDs), the sort compares ids instead of rebuilding
-// ctable.Exprs. Ids follow (Obj, Attr) order, so each comparison has the
-// sign Expr.Compare gives, the sort permutes the clauses exactly as the
-// Expr sort would, and the keys and the branching order are unchanged.
+// The sort compares the variables' evaluator ids (Evaluator.IDs) instead
+// of rebuilding ctable.Exprs. Ids follow (Obj, Attr) order, so each
+// comparison has the sign Expr.Compare gives, and the sort permutes the
+// clauses exactly as an Expr sort would.
 //
 // The distributions enter the key as their narrowing: after the
 // structural key comes one mark per variable, in the canonical
 // component's first-appearance order — narrowMarkBase for a variable at
 // its base distribution, or narrowMarkInterval and the interval it was
-// renormalised to (Evaluator.Narrowed, VarState). The two marks stay
+// narrowed to (Evaluator.Narrow, VarState). The two marks stay
 // distinct even for an interval spanning the whole domain, whose
 // renormalised slice need not be bit-equal to the base. Every entry is
 // then a pure function of its key and the base distributions.
@@ -44,11 +43,8 @@ func (s *solver) realExpr(e cexpr) ctable.Expr {
 }
 
 // cmpExpr orders interned expressions as ctable.Expr.Compare orders
-// their real forms: by model id when the evaluation is dense.
+// their real forms, comparing evaluator ids.
 func (s *solver) cmpExpr(a, b cexpr) int {
-	if !s.dense {
-		return s.realExpr(a).Compare(s.realExpr(b))
-	}
 	if a.kind != b.kind {
 		return int(a.kind) - int(b.kind)
 	}

@@ -27,7 +27,7 @@
 //     off the exact path.
 //
 // Variables carry independent discrete distributions (their Bayesian-
-// network posteriors, possibly renormalised by crowd answers); following
+// network posteriors, possibly narrowed by crowd answers); following
 // the paper, the ADPLL recursion multiplies the branch weights p(v_a)
 // independently.
 package prob
@@ -35,6 +35,7 @@ package prob
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,9 +45,9 @@ import (
 )
 
 // Dists maps every variable appearing in the conditions under evaluation
-// to its probability distribution over the attribute's codes. Slices must
-// be normalised (they are renormalised posteriors when crowd answers have
-// narrowed a variable's interval: impossible values carry probability 0).
+// to its base probability distribution over the attribute's codes, a
+// normalised slice (Evaluator.Narrow renormalises it as crowd answers
+// narrow the variable's interval).
 type Dists map[ctable.Var][]float64
 
 // Options tunes the ADPLL solver; the zero value is the recommended
@@ -77,12 +78,13 @@ type Options struct {
 type Interval struct{ Lo, Hi int }
 
 // VarState is what an evaluator knows of one numbered variable
-// (Evaluator.Vars): its effective distribution and, once crowd answers
-// renormalised it, the interval it was narrowed to.
+// (Evaluator.Vars): its base distribution, its effective one and, once
+// crowd answers narrowed it (Evaluator.Narrow), the interval it was
+// narrowed to.
 type VarState struct {
-	Dist []float64
-	// Narrowed reports that Dist is the base distribution renormalised
-	// to Interval; false means Dist is the base distribution.
+	Base, Dist []float64
+	// Narrowed reports that Dist is Base renormalised to Interval; false
+	// means Dist is Base.
 	Narrowed bool
 	Interval Interval
 }
@@ -91,37 +93,30 @@ type VarState struct {
 // variable distributions.
 //
 // Concurrency: the evaluator is safe for concurrent use by multiple
-// goroutines provided none of them mutates Dists, Narrowed or Vars (or
-// the distribution slices they hold) while evaluations are in flight —
+// goroutines provided none of them mutates IDs or Vars (or the
+// distribution slices they hold) while evaluations are in flight —
 // evaluation only reads them, and solver scratch is per-call (pooled,
 // never shared between in-flight evaluations). The framework is
-// single-writer: crowd answers renormalise distributions (Renormalise)
-// strictly between parallel fan-outs, and the pool join inside ProbAll /
+// single-writer: crowd answers narrow distributions (Narrow) strictly
+// between parallel fan-outs, and the pool join inside ProbAll /
 // parallel.For publishes those writes to the workers of the next fan-out
 // (a happens-before edge). Callers adding their own concurrency must
 // preserve that discipline. The component cache follows the same
 // contract: lookups and stores are safe during fan-outs, Drop belongs in
 // the single-writer gaps.
 type Evaluator struct {
-	// Dists holds the distributions of the variables IDs does not number
-	// (all of them when IDs is nil).
+	// Dists holds the distributions of an evaluator whose caller numbers
+	// nothing (IDs nil). The evaluator numbers them on first use, each at
+	// its base distribution, and never reads Dists again.
 	Dists Dists
-	// IDs, when non-nil, numbers the variables: a numbered variable's
-	// effective distribution and narrowing are Vars[id], read by index
-	// where Dists and Narrowed would hash. Because ids follow (Obj, Attr)
-	// order, the canonical clause sort compares ids and every key and
-	// float is what the map form gives.
+	// IDs numbers the variables, and Vars[id] is each one's state. Ids
+	// follow (Obj, Attr) order, so the canonical clause sort compares ids
+	// with the sign Expr.Compare gives. Component keys carry each
+	// variable's narrowing, so evaluators over the same base
+	// distributions and Options may share one Cache.
 	IDs  *ctable.VarIDs
 	Vars []VarState
-	// Narrowed says how Dists was derived from base distributions the
-	// caller holds: a variable it lists maps to its base distribution
-	// renormalised to that interval, every other variable to its base
-	// distribution (nil: none is narrowed). Component keys carry each
-	// variable's narrowing, so evaluators over the same base
-	// distributions and Options may share one Cache. Renormalise records
-	// the interval here.
-	Narrowed map[ctable.Var]Interval
-	Opt      Options
+	Opt  Options
 	// Cache, when non-nil, memoizes connected-component probabilities
 	// across evaluations (see ComponentCache); nil is the cache ablation.
 	// Cached and uncached evaluation are bit-identical — both solve
@@ -135,6 +130,8 @@ type Evaluator struct {
 	// (ProbAll's dispatch, CondScan.PlanSweeps) — never from inside a
 	// fan-out — so the trace stays deterministic at any worker count.
 	Obs *obs.Recorder
+	// numbered numbers Dists once, on first use (number).
+	numbered sync.Once
 	// approxN counts connected components resolved by the ApproxThreshold
 	// fallback; hits, misses and evicted count this evaluator's cache
 	// traffic. Atomic because evaluations run inside parallel fan-outs.
@@ -225,43 +222,71 @@ func (ev *Evaluator) ApproxComponents() int64 { return ev.approxN.Load() }
 // default options.
 func NewEvaluator(dists Dists) *Evaluator { return &Evaluator{Dists: dists} }
 
-// varState returns v's effective distribution and narrowing: Vars[id]
-// when id >= 0 is v's id, Dists and Narrowed otherwise. It is the one
-// place a variable without an id is looked up in the maps.
-func (ev *Evaluator) varState(v ctable.Var, id int32) VarState {
-	if id >= 0 {
-		if st := ev.Vars[id]; st.Dist != nil {
-			return st
+// number numbers Dists when the caller numbered nothing. Every read of
+// IDs or Vars goes through it first.
+func (ev *Evaluator) number() {
+	ev.numbered.Do(func() {
+		if ev.IDs != nil {
+			return
 		}
-		panic(fmt.Sprintf("prob: no distribution for %v", v))
-	}
-	d, ok := ev.Dists[v]
-	if !ok {
-		panic(fmt.Sprintf("prob: no distribution for %v", v))
-	}
-	iv, narrowed := ev.Narrowed[v]
-	return VarState{Dist: d, Narrowed: narrowed, Interval: iv}
+		// Sorting the packed keys puts the variables in (Obj, Attr) order,
+		// so the i-th one gets id i.
+		keys := make([]uint64, 0, len(ev.Dists))
+		for v := range ev.Dists {
+			if v.Obj >= 0 && v.Attr >= 0 {
+				keys = append(keys, uint64(v.Obj)<<32|uint64(v.Attr))
+			}
+		}
+		slices.Sort(keys)
+		vars := make([]ctable.Var, len(keys))
+		ev.Vars = make([]VarState, len(keys))
+		for i, k := range keys {
+			vars[i] = ctable.Var{Obj: int(k >> 32), Attr: int(uint32(k))}
+			ev.Vars[i] = VarState{Base: ev.Dists[vars[i]], Dist: ev.Dists[vars[i]]}
+		}
+		ev.IDs = ctable.NewVarIDs(vars)
+	})
 }
 
-func (ev *Evaluator) dist(v ctable.Var) []float64 {
-	id, _ := ev.IDs.ID(v)
-	return ev.varState(v, id).Dist
+// state returns the state of the variable v, panicking when the
+// evaluator has no distribution for it.
+func (ev *Evaluator) state(v ctable.Var) *VarState {
+	ev.number()
+	if id, ok := ev.IDs.ID(v); ok && ev.Vars[id].Dist != nil {
+		return &ev.Vars[id]
+	}
+	panic(fmt.Sprintf("prob: no distribution for %v", v))
 }
 
-// Renormalise records that v's effective distribution is now dist, its
-// base distribution renormalised to iv: in Vars when IDs numbers v,
-// otherwise in Dists and Narrowed. Like every distribution write it
-// belongs in a single-writer gap.
-func (ev *Evaluator) Renormalise(v ctable.Var, dist []float64, iv Interval) {
-	if id, ok := ev.IDs.ID(v); ok {
-		ev.Vars[id] = VarState{Dist: dist, Narrowed: true, Interval: iv}
-		return
+// Narrow renormalises v's base distribution over iv, the values crowd
+// answers still allow it, and records the narrowing, which the
+// component keys carry. Like every distribution write it belongs in a
+// single-writer gap.
+func (ev *Evaluator) Narrow(v ctable.Var, iv Interval) {
+	st := ev.state(v)
+	st.Dist, st.Narrowed, st.Interval = narrow(st.Base, iv), true, iv
+}
+
+// narrow renormalises base over iv; values outside it carry probability
+// zero. A base with no mass in iv gives the uniform distribution over
+// it, so the framework can proceed.
+func narrow(base []float64, iv Interval) []float64 {
+	out := make([]float64, len(base))
+	sum := 0.0
+	for v := iv.Lo; v <= iv.Hi && v < len(base); v++ {
+		sum += base[v]
 	}
-	ev.Dists[v] = dist
-	if ev.Narrowed == nil {
-		ev.Narrowed = map[ctable.Var]Interval{}
+	if sum <= 0 {
+		width := iv.Hi - iv.Lo + 1
+		for v := iv.Lo; v <= iv.Hi && v < len(base); v++ {
+			out[v] = 1 / float64(width)
+		}
+		return out
 	}
-	ev.Narrowed[v] = iv
+	for v := iv.Lo; v <= iv.Hi && v < len(base); v++ {
+		out[v] = base[v] / sum
+	}
+	return out
 }
 
 // ExprProb returns Pr(e) under the variable distributions: the mass of
@@ -270,14 +295,14 @@ func (ev *Evaluator) Renormalise(v ctable.Var, dist []float64, iv Interval) {
 func (ev *Evaluator) ExprProb(e ctable.Expr) float64 {
 	switch e.Kind {
 	case ctable.VarLTConst:
-		d := ev.dist(e.X)
+		d := ev.state(e.X).Dist
 		p := 0.0
 		for v := 0; v < len(d) && v < e.C; v++ {
 			p += d[v]
 		}
 		return p
 	case ctable.VarGTConst:
-		d := ev.dist(e.X)
+		d := ev.state(e.X).Dist
 		p := 0.0
 		// Hoist the v >= 0 clamp out of the loop: a negative constant
 		// just starts the scan at 0.
@@ -290,7 +315,7 @@ func (ev *Evaluator) ExprProb(e ctable.Expr) float64 {
 		}
 		return p
 	case ctable.VarGTVar:
-		dx, dy := ev.dist(e.X), ev.dist(e.Y)
+		dx, dy := ev.state(e.X).Dist, ev.state(e.Y).Dist
 		// Pr(X > Y) = Σ_a dx[a] · CDF_Y(a-1).
 		p, cdf := 0.0, 0.0
 		for a := 0; a < len(dx); a++ {
@@ -415,7 +440,7 @@ func (ev *Evaluator) Naive(c *ctable.Condition) float64 {
 		}
 		v := vars[i]
 		total := 0.0
-		for a, pa := range ev.dist(v) {
+		for a, pa := range ev.state(v).Dist {
 			if pa == 0 {
 				continue
 			}
@@ -437,7 +462,7 @@ func (ev *Evaluator) StateSpace(c *ctable.Condition) float64 {
 	}
 	space := 1.0
 	for _, v := range c.Vars() {
-		space *= float64(len(ev.dist(v)))
+		space *= float64(len(ev.state(v).Dist))
 	}
 	return space
 }

@@ -316,3 +316,36 @@ func BenchmarkNaiveExample3(b *testing.B) {
 		ev.Naive(cond)
 	}
 }
+
+// TestNarrow checks the renormalisation Narrow applies: mass outside the
+// interval goes to zero, the whole domain leaves the base as it was, and
+// an interval the base gives no mass falls back to uniform over it.
+// Each narrowing starts from the base, which stays unwritten.
+func TestNarrow(t *testing.T) {
+	x, y := v(0, 0), v(1, 0)
+	base := []float64{0.1, 0.2, 0.3, 0.4}
+	ev := NewEvaluator(Dists{x: base, y: {0.5, 0.5, 0, 0}})
+	for _, c := range []struct {
+		x    ctable.Var
+		iv   Interval
+		want []float64
+	}{
+		{x, Interval{Lo: 1, Hi: 2}, []float64{0, 0.4, 0.6, 0}},
+		{x, Interval{Lo: 0, Hi: 3}, base},
+		{y, Interval{Lo: 2, Hi: 3}, []float64{0, 0, 0.5, 0.5}},
+	} {
+		ev.Narrow(c.x, c.iv)
+		st := ev.state(c.x)
+		if !st.Narrowed || st.Interval != c.iv {
+			t.Fatalf("Narrow(%v, %v) records narrowed %v at %v", c.x, c.iv, st.Narrowed, st.Interval)
+		}
+		for a := range c.want {
+			if math.Abs(st.Dist[a]-c.want[a]) > 1e-12 {
+				t.Fatalf("Narrow(%v, %v) = %v, want %v", c.x, c.iv, st.Dist, c.want)
+			}
+		}
+	}
+	if got := ev.state(x).Base; &got[0] != &base[0] || base[0] != 0.1 {
+		t.Fatalf("the base of %v moved or was written: %v", x, got)
+	}
+}

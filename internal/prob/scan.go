@@ -272,17 +272,15 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	}
 
 	for _, x := range miss {
-		id, _ := s.varID(ev, x)
-		s.margNeed[id] = true
+		s.margNeed[s.varID(ev, x)] = true
 	}
 	total, m := s.marginals(interned)
 	for _, x := range miss {
-		id, _ := s.varID(ev, x)
-		vec := m[id]
+		vec := m[s.varID(ev, x)]
 		if vec == nil {
 			// The component collapsed before constraining x (or has zero
 			// probability): the joint is the independent product.
-			d := ev.dist(x)
+			d := ev.state(x).Dist
 			vec = make([]float64, len(d))
 			if total != 0 {
 				for b, pb := range d {

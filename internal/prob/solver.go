@@ -28,25 +28,17 @@ type cexpr struct {
 type solver struct {
 	opt Options
 	// Variable interning assigns per-evaluation var ids in order of first
-	// sight. A variable the evaluator's IDs number is interned through
-	// idEp/idLocal, indexed by its model id; any other through an
-	// open-addressed, linear-probed hash table mapping packed (Obj,Attr)
-	// keys to var ids. Both are epoch-stamped, so "clearing" them between
-	// evaluations is one increment of itabEpoch.
-	idEp      []uint64
-	idLocal   []int32
-	itabKeys  []uint64
-	itabIDs   []int32
-	itabEp    []uint64
-	itabEpoch uint64
-	itabLive  int
-	dists     [][]float64  // per var id
-	vars      []ctable.Var // per var id: the real variable, for fingerprints
-	// gids holds each var id's model id (-1 without one); dense reports
-	// that every interned variable has one, so the canonical sort may
-	// compare model ids (fingerprint).
-	gids  []int32
-	dense bool
+	// sight, through idEp/idLocal, indexed by the evaluator's id
+	// (Evaluator.IDs). The slots are epoch-stamped, so "clearing" them
+	// between evaluations is one increment of internEpoch.
+	idEp        []uint64
+	idLocal     []int32
+	internEpoch uint64
+	dists       [][]float64  // per var id
+	vars        []ctable.Var // per var id: the real variable, for fingerprints
+	// gids holds each var id's evaluator id, which the canonical sort
+	// compares (fingerprint).
+	gids []int32
 	// narrow and narrowed hold each var id's narrowing, for fingerprint.
 	narrow   []Interval
 	narrowed []bool
@@ -154,20 +146,13 @@ func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr)
 	s.dists = s.dists[:0]
 	s.vars = s.vars[:0]
 	s.gids = s.gids[:0]
-	s.dense = ev.IDs != nil
 	s.narrow = s.narrow[:0]
 	s.narrowed = s.narrowed[:0]
 	s.nApprox = 0
 	// One increment invalidates every intern slot left over from earlier
 	// evaluations; see grow for why epoch stamping makes that sound.
-	s.itabEpoch++
-	s.itabLive = 0
-	if len(s.itabKeys) == 0 {
-		const initialSlots = 64
-		s.itabKeys = make([]uint64, initialSlots)
-		s.itabIDs = make([]int32, initialSlots)
-		s.itabEp = make([]uint64, initialSlots)
-	}
+	s.internEpoch++
+	ev.number()
 	if n := ev.IDs.Len(); len(s.idEp) < n {
 		// Fresh stamps are 0, below every live epoch.
 		s.idEp = make([]uint64, n)
@@ -229,106 +214,34 @@ func (s *solver) intern(ev *Evaluator, e ctable.Expr) cexpr {
 	}
 }
 
-// packVar folds a variable into one intern-table key. Object and
-// attribute indices are non-negative ints well inside 32 bits, so the
-// packing is injective.
-func packVar(v ctable.Var) uint64 {
-	return uint64(uint32(v.Obj))<<32 | uint64(uint32(v.Attr))
-}
-
-// itabHash spreads a packed key across the table. Fibonacci multiply plus
-// a fold of the high bits; the table masks the result to its size.
-func itabHash(key uint64) uint64 {
-	h := key * 0x9e3779b97f4a7c15
-	return h ^ h>>33
-}
-
+// internVar returns v's var id, assigning the next one on first sight
+// and capturing v's distribution and narrowing.
 func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
-	if gid, ok := ev.IDs.ID(v); ok {
-		if s.idEp[gid] == s.itabEpoch {
-			return s.idLocal[gid]
-		}
-		s.idEp[gid] = s.itabEpoch
-		s.idLocal[gid] = s.addVar(ev, v, gid)
+	gid, ok := ev.IDs.ID(v)
+	if !ok {
+		panic(fmt.Sprintf("prob: no distribution for %v", v))
+	}
+	if s.idEp[gid] == s.internEpoch {
 		return s.idLocal[gid]
 	}
-	key := packVar(v)
-	mask := uint64(len(s.itabKeys) - 1)
-	i := itabHash(key) & mask
-	for {
-		if s.itabEp[i] != s.itabEpoch {
-			id := s.addVar(ev, v, -1)
-			s.itabEp[i] = s.itabEpoch
-			s.itabKeys[i] = key
-			s.itabIDs[i] = id
-			s.itabLive++
-			if 4*s.itabLive >= 3*len(s.itabKeys) {
-				s.itabGrow()
-			}
-			return id
-		}
-		if s.itabKeys[i] == key {
-			return s.itabIDs[i]
-		}
-		i = (i + 1) & mask
+	st := ev.Vars[gid]
+	if st.Dist == nil {
+		panic(fmt.Sprintf("prob: no distribution for %v", v))
 	}
-}
-
-// addVar gives a variable seen for the first time the next var id and
-// captures its distribution and narrowing; gid is its model id, or -1.
-func (s *solver) addVar(ev *Evaluator, v ctable.Var, gid int32) int32 {
 	id := int32(len(s.dists))
-	st := ev.varState(v, gid)
+	s.idEp[gid], s.idLocal[gid] = s.internEpoch, id
 	s.dists = append(s.dists, st.Dist)
 	s.vars = append(s.vars, v)
 	s.gids = append(s.gids, gid)
-	s.dense = s.dense && gid >= 0
 	s.narrow = append(s.narrow, st.Interval)
 	s.narrowed = append(s.narrowed, st.Narrowed)
 	return id
 }
 
-// varID returns the interned id of an already-interned variable.
-func (s *solver) varID(ev *Evaluator, v ctable.Var) (int32, bool) {
-	if gid, ok := ev.IDs.ID(v); ok {
-		return s.idLocal[gid], s.idEp[gid] == s.itabEpoch
-	}
-	key := packVar(v)
-	mask := uint64(len(s.itabKeys) - 1)
-	i := itabHash(key) & mask
-	for {
-		if s.itabEp[i] != s.itabEpoch {
-			return 0, false
-		}
-		if s.itabKeys[i] == key {
-			return s.itabIDs[i], true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// itabGrow doubles the intern table and rehashes the live slots. Ids are
-// stored in the slots, so growth preserves first-sight id order.
-func (s *solver) itabGrow() {
-	oldKeys, oldIDs, oldEp := s.itabKeys, s.itabIDs, s.itabEp
-	n := 2 * len(oldKeys)
-	s.itabKeys = make([]uint64, n)
-	s.itabIDs = make([]int32, n)
-	s.itabEp = make([]uint64, n)
-	mask := uint64(n - 1)
-	for j, ep := range oldEp {
-		if ep != s.itabEpoch {
-			continue
-		}
-		key := oldKeys[j]
-		i := itabHash(key) & mask
-		for s.itabEp[i] == s.itabEpoch {
-			i = (i + 1) & mask
-		}
-		s.itabEp[i] = s.itabEpoch
-		s.itabKeys[i] = key
-		s.itabIDs[i] = oldIDs[j]
-	}
+// varID returns the interned id of a variable the evaluation interned.
+func (s *solver) varID(ev *Evaluator, v ctable.Var) int32 {
+	gid, _ := ev.IDs.ID(v)
+	return s.idLocal[gid]
 }
 
 // grow sizes the per-variable scratch for n interned variables. The epoch

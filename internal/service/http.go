@@ -25,7 +25,7 @@ type AttrSpec struct {
 	// Name labels the attribute; it must be non-empty.
 	Name string `json:"name"`
 	// Levels is the attribute's domain size; values are 0..Levels-1 and
-	// Levels must be >= 2.
+	// Levels must be 2 to MaxLevels.
 	Levels int `json:"levels"`
 }
 
@@ -71,8 +71,8 @@ type QueryRequest struct {
 	// required positive for HHS and ignored otherwise.
 	Strategy string `json:"strategy,omitempty"`
 	M        int    `json:"m,omitempty"`
-	// Workers overrides the daemon's per-query worker count; <= 0
-	// inherits the daemon default.
+	// Workers lowers the daemon's per-query worker count; <= 0, or a
+	// count above the daemon's, gets the daemon's.
 	Workers int `json:"workers,omitempty"`
 	// MaxRetries, ChargeOnPost and ReaskConflicts tune the fault-path
 	// exactly as the library options of the same names.

@@ -71,8 +71,8 @@ var ErrDraining = errors.New("service: server draining")
 
 // Config assembles a Server.
 type Config struct {
-	// Workers is the per-query default worker count for the shared
-	// parallel pool (a query request may override it); <= 0 means one
+	// Workers is the per-query worker count for the shared parallel
+	// pool, and its cap (a query request may lower it); <= 0 means one
 	// worker per CPU.
 	Workers int
 	// MaxConcurrent is the number of compute tokens: how many queries
@@ -275,6 +275,12 @@ func (s *Server) ExpireOverdue(cutoff time.Time) int {
 	return s.hub.expireOverdue(cutoff)
 }
 
+// MaxLevels caps an attribute's domain size. Preprocessing allocates a
+// marginal of levels floats per attribute and, learning a network with
+// up to three parents, a count table of levels^4 float64s per node: at
+// 32 levels that is 32^4 × 8 B = 8 MiB.
+const MaxLevels = 32
+
 // RegisterDataset parses, validates and preprocesses a dataset, then
 // publishes it for queries. Preprocessing (Bayesian-network learning
 // or the marginals fallback) runs exactly once here; every query over
@@ -288,8 +294,8 @@ func (s *Server) RegisterDataset(req DatasetRequest) (*DatasetInfo, error) {
 	}
 	attrs := make([]dataset.Attribute, len(req.Attrs))
 	for i, a := range req.Attrs {
-		if a.Name == "" || a.Levels < 2 {
-			return nil, fmt.Errorf("attribute %d needs a name and >= 2 levels", i)
+		if a.Name == "" || a.Levels < 2 || a.Levels > MaxLevels {
+			return nil, fmt.Errorf("attribute %d needs a name and 2 to %d levels", i, MaxLevels)
 		}
 		attrs[i] = dataset.Attribute{Name: a.Name, Levels: a.Levels}
 	}
@@ -388,9 +394,12 @@ func (s *Server) SubmitQuery(req QueryRequest) (*QueryStatus, error) {
 		state:   StatePending,
 		created: time.Now(),
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	// A query may use fewer workers than the daemon's default, never
+	// more: -maxconcurrent × -workers bounds the daemon's CPU fan-out.
+	// Results are bit-identical at any worker count.
+	workers := parallel.Workers(s.cfg.Workers)
+	if req.Workers > 0 && req.Workers < workers {
+		workers = req.Workers
 	}
 	q.opt = core.Options{
 		Alpha:          req.Alpha,

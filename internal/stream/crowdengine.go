@@ -133,10 +133,6 @@ type CrowdEngine struct {
 
 	know *ctable.Knowledge
 	ab   *core.Absorption
-	// base snapshots each variable's prior so absorption can renormalise
-	// the effective distribution (in eng.ev.Dists, its interval in
-	// eng.ev.Narrowed) without losing it.
-	base prob.Dists
 	// conds caches each live object's simplified condition, refreshed at
 	// the re-evaluate step; task selection reads it one step earlier, so
 	// a tick's selection sees the window as of the previous
@@ -207,7 +203,6 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		eng:          eng,
 		cfg:          cfg,
 		know:         ctable.NewKnowledge(dataset.New(cfg.Attrs)),
-		base:         prob.Dists{},
 		conds:        map[int]*ctable.Condition{},
 		inflightExpr: map[ctable.Expr]*inflightTask{},
 		mailbox:      map[int][]scheduledAnswer{},
@@ -220,7 +215,7 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		staleScratch:    map[int]bool{},
 	}
 	c.ab = &core.Absorption{
-		Know: c.know, Base: c.base, Ev: eng.ev,
+		Know: c.know, Ev: eng.ev,
 		Touched: c.touched, DistChanged: c.distChanged,
 	}
 	c.opt = core.Options{
@@ -283,11 +278,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	c.expireTasks()
 	c.ingest(&res.TickResult)
 
-	e.insertStep(now, arrivals, &res.TickResult, func(id int, vars []ctable.Var) {
-		for _, v := range vars {
-			c.base[v] = e.ev.Dists[v]
-		}
-	})
+	e.insertStep(now, arrivals, &res.TickResult)
 
 	c.postStep()
 	// A prompt crowd (delay 0) answers within the posting tick: drain
@@ -391,23 +382,19 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 	clear(c.distChanged)
 }
 
-// retire forgets what the tick's evictions took: the knowledge and
-// priors of the evicted variables, and the evicted objects' cached
-// conditions. It then drains the conditions the evictions dirtied into
-// the tick's stale set and collects into gone those whose cached
-// condition mentions an evicted object. That finds every such
-// condition: one can mention another object's variables only through
-// that object's clause, whose retraction marks it dirty, unless it was
-// false and stays false — and a condition cached false mentions
-// nothing.
+// retire forgets what the tick's evictions took: the knowledge of the
+// evicted variables and the evicted objects' cached conditions. It then
+// drains the conditions the evictions dirtied into the tick's stale set
+// and collects into gone those whose cached condition mentions an
+// evicted object. That finds every such condition: one can mention
+// another object's variables only through that object's clause, whose
+// retraction marks it dirty, unless it was false and stays false — and
+// a condition cached false mentions nothing.
 func (c *CrowdEngine) retire(ids []int, vars []ctable.Var) {
 	clear(c.gone)
 	clear(c.staleScratch)
 	if len(vars) > 0 {
 		c.know.Forget(vars...)
-	}
-	for _, v := range vars {
-		delete(c.base, v)
 	}
 	for _, id := range ids {
 		delete(c.conds, id)

@@ -404,7 +404,7 @@ func TestSelectionReadsNoStaleCache(t *testing.T) {
 	reads, mismatches, worst := 0, 0, 0.0
 	platform.check = func() {
 		ev := ce.eng.ev
-		plain := &prob.Evaluator{Dists: ev.Dists, Narrowed: ev.Narrowed}
+		plain := &prob.Evaluator{IDs: ev.IDs, Vars: ev.Vars}
 		for id, cond := range ce.conds {
 			if _, decided := cond.Decided(); decided || ce.gone[id] {
 				continue

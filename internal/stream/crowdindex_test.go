@@ -13,6 +13,7 @@ import (
 	"bayescrowd/internal/crowd"
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/dataset"
+	"bayescrowd/internal/prob"
 )
 
 // TestCrowdIndexInvariants checks the sets the crowd loop derives from
@@ -28,7 +29,10 @@ import (
 //     plus the live ids whose pre-tick cached condition mentions a
 //     variable an answer touched;
 //   - every cached condition is clause-for-clause the table's condition
-//     simplified under the current knowledge.
+//     simplified under the current knowledge;
+//   - the evaluator numbers exactly the live variables, in (Obj, Attr)
+//     order, each at its prior unless an answer narrowed it to its
+//     knowledge bounds (checkNumbering).
 func TestCrowdIndexInvariants(t *testing.T) {
 	for _, strat := range []core.Strategy{core.UBS, core.HHS} {
 		for _, workers := range []int{1, 4} {
@@ -41,6 +45,7 @@ func TestCrowdIndexInvariants(t *testing.T) {
 
 func checkIndexRun(t *testing.T, strat core.Strategy, workers int) {
 	const deadline = 3
+	priors := priorLog{}
 	sc := genCrowdScript(rand.New(rand.NewSource(97)), 60, 2, 0.45)
 	sim := crowd.NewSimulated(sc.truth, 0.85, rand.New(rand.NewSource(41)))
 	platform := crowd.NewUnreliable(sim, 0.1, 0.05, 0.1, rand.New(rand.NewSource(42)))
@@ -48,7 +53,7 @@ func checkIndexRun(t *testing.T, strat core.Strategy, workers int) {
 	// ticks: delays up to 6 outlive both it and the deadline.
 	platform.MinDelay, platform.MaxDelay = 0, 6
 	ce, err := NewCrowd(CrowdConfig{
-		Config:       Config{Attrs: sc.attrs, Window: Window{Count: 8}, Workers: workers},
+		Config:       Config{Attrs: sc.attrs, Window: Window{Count: 8}, Workers: workers, Dist: priors.dist},
 		Platform:     platform,
 		Budget:       200,
 		TasksPerTick: 3,
@@ -60,7 +65,11 @@ func checkIndexRun(t *testing.T, strat core.Strategy, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var excluded, answerStale, absorbed, stale, expired int
+	var rows [][]dataset.Cell
+	for _, batch := range sc.ticks {
+		rows = append(rows, batch...)
+	}
+	var excluded, answerStale, absorbed, stale, expired, narrowed int
 	for tick, batch := range sc.ticks {
 		pre := maps.Clone(ce.conds)
 		res := ce.Tick(int64(tick), batch)
@@ -71,14 +80,15 @@ func checkIndexRun(t *testing.T, strat core.Strategy, workers int) {
 		}
 		answerStale += checkStaleSet(t, tag, ce, pre, res)
 		checkCondsSimplified(t, tag, ce)
+		narrowed += checkNumbering(t, tag, ce, rows, priors)
 		excluded += len(want)
 		absorbed += res.Crowd.Absorbed
 		stale += res.Crowd.Stale + res.Crowd.Late
 		expired += res.Crowd.Expired
 	}
-	if excluded == 0 || answerStale == 0 || absorbed == 0 || stale == 0 || expired == 0 {
-		t.Fatalf("vacuous run: %d excluded candidates, %d stale only through answers, %d absorbed, %d stale or late, %d expired",
-			excluded, answerStale, absorbed, stale, expired)
+	if excluded == 0 || answerStale == 0 || absorbed == 0 || stale == 0 || expired == 0 || narrowed == 0 {
+		t.Fatalf("vacuous run: %d excluded candidates, %d stale only through answers, %d absorbed, %d stale or late, %d expired, %d narrowed variable-ticks",
+			excluded, answerStale, absorbed, stale, expired, narrowed)
 	}
 }
 
@@ -162,6 +172,57 @@ func checkCondsSimplified(t *testing.T, tag string, ce *CrowdEngine) {
 			t.Fatalf("%s: cached condition of %d is %v, the table's simplified is %v", tag, id, cond, ref)
 		}
 	}
+}
+
+// priorLog is a Uniform DistFunc that keeps every prior it hands out,
+// so a test can tell which variable's prior a state holds.
+type priorLog map[ctable.Var][]float64
+
+func (l priorLog) dist(id, attr, levels int) []float64 {
+	d := Uniform(id, attr, levels)
+	l[ctable.Var{Obj: id, Attr: attr}] = d
+	return d
+}
+
+// checkNumbering asserts the evaluator's window numbering: ev.IDs numbers
+// exactly the live objects' variables (rows[id] holds object id's
+// cells), densely in (Obj, Attr) order, and each one's state holds its
+// own prior from priors as Base, narrowed to its knowledge bounds when
+// an answer bounded it and the prior itself otherwise.
+// It returns how many live variables are narrowed.
+func checkNumbering(t *testing.T, tag string, ce *CrowdEngine, rows [][]dataset.Cell, priors priorLog) int {
+	t.Helper()
+	ev := ce.eng.ev
+	var live []ctable.Var
+	for _, en := range ce.eng.queue {
+		live = ctable.MissingVars(en.id, rows[en.id], live)
+	}
+	if ev.IDs.Len() != len(live) || len(ev.Vars) != len(live) {
+		t.Fatalf("%s: %d ids and %d states for %d live variables", tag, ev.IDs.Len(), len(ev.Vars), len(live))
+	}
+	narrowed := 0
+	for i, v := range live {
+		if id, ok := ev.IDs.ID(v); !ok || int(id) != i {
+			t.Fatalf("%s: %v has id %d, %v; its (Obj, Attr) rank is %d", tag, v, id, ok, i)
+		}
+		levels, prior := ce.cfg.Attrs[v.Attr].Levels, priors[v]
+		st := ev.Vars[i]
+		if len(prior) != levels || len(st.Base) != levels || &st.Base[0] != &prior[0] {
+			t.Fatalf("%s: %v does not hold its own prior as base", tag, v)
+		}
+		lo, hi := ce.know.Bounds(v)
+		want := prob.VarState{Base: prior, Dist: prior}
+		if lo != 0 || hi != levels-1 {
+			ref := prob.NewEvaluator(prob.Dists{v: prior})
+			ref.Narrow(v, prob.Interval{Lo: lo, Hi: hi})
+			want = ref.Vars[0]
+			narrowed++
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatalf("%s: %v has state %+v, want %+v", tag, v, st, want)
+		}
+	}
+	return narrowed
 }
 
 func sortedIDs(set map[int]bool) []int {

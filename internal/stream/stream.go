@@ -142,10 +142,13 @@ type Engine struct {
 	// incrementally, rebuilt whole under Config.Rebuild.
 	probs map[int]float64
 
-	// Incremental mode state; nil under Config.Rebuild. dead is
-	// evictStep's scratch: the variables the tick retired.
+	// Incremental mode state; nil under Config.Rebuild. vars lists the
+	// live variables in (Obj, Attr) order, which ev.IDs numbers: vars[id]
+	// is the variable whose state is ev.Vars[id]. dead is evictStep's
+	// scratch: the variables the tick retired.
 	tbl  *ctable.DynCTable
 	ev   *prob.Evaluator
+	vars []ctable.Var
 	dead map[ctable.Var]bool
 
 	cTicks, cInserts, cEvicts, cRecomp, cInvalEntries *obs.Counter
@@ -176,7 +179,7 @@ func New(cfg Config) (*Engine, error) {
 			capacity = 64
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
-		e.ev = prob.NewEvaluator(prob.Dists{})
+		e.ev = &prob.Evaluator{IDs: ctable.NewVarIDs(nil)}
 		e.dead = map[ctable.Var]bool{}
 		if !cfg.NoCache {
 			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
@@ -248,59 +251,68 @@ func (e *Engine) expire(now int64, arriving int) []entry {
 func (e *Engine) tickIncremental(now int64, arrivals [][]dataset.Cell) TickResult {
 	var res TickResult
 	e.evictStep(now, len(arrivals), &res)
-	e.insertStep(now, arrivals, &res, nil)
+	e.insertStep(now, arrivals, &res)
 	e.reevalStep(&res)
 	e.finish(&res)
 	return res
 }
 
 // evictStep retires what the window policy expires: the objects leave
-// the table, their distributions, narrowings and cached probabilities
-// are dropped, and so are their cache entries, in one batch. It returns
-// the retired variables so the crowd loop can retract the knowledge
-// recorded about them.
+// the table, their variables' states and cached probabilities are
+// dropped, and so are their cache entries, in one batch. It returns the
+// retired variables, valid until the next tick, so the crowd loop can
+// retract the knowledge recorded about them.
+//
+// Stream ids are never reused and expire retires a prefix of the
+// arrival-ordered queue, so the k retired variables are the first k of
+// vars: dropping them slides every survivor's id down by k.
 func (e *Engine) evictStep(now int64, arriving int, res *TickResult) []ctable.Var {
 	// Retire first — the policy is applied as if the arrivals were
 	// already in, so a count-bound window never transiently exceeds its
 	// capacity and both modes expire the same ids.
 	clear(e.dead)
-	var evictedVars []ctable.Var
+	k := 0
 	for _, en := range e.expire(now, arriving) {
 		vars := e.tbl.Evict(en.id)
 		for _, v := range vars {
-			delete(e.ev.Dists, v)
-			delete(e.ev.Narrowed, v)
 			e.dead[v] = true
 		}
-		evictedVars = append(evictedVars, vars...)
+		k += len(vars)
 		delete(e.probs, en.id)
 		res.Evicted = append(res.Evicted, en.id)
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamEvict, N: en.id, M: len(vars)})
+	}
+	evicted := e.vars[:k:k]
+	if k > 0 {
+		clear(e.ev.Vars[:k])
+		e.vars, e.ev.Vars = e.vars[k:], e.ev.Vars[k:]
+		e.ev.IDs.Renumber(e.vars)
 	}
 	// One batched Drop per tick: the retired variables can never recur
 	// (ids are never reused), so their cache entries are dead weight the
 	// size cap would otherwise evict one live entry at a time.
 	res.InvalidatedEntries = e.ev.Drop(e.dead)
-	return evictedVars
+	return evicted
 }
 
 // insertStep absorbs the tick's arrivals: each one enters the table,
-// gets its missing-cell priors, and joins the live queue. onInsert,
-// when non-nil, observes each arrival's id and variables right after
-// its distributions exist — the crowd loop's hook for snapshotting the
-// base priors it renormalises as answers land.
-func (e *Engine) insertStep(now int64, arrivals [][]dataset.Cell, res *TickResult, onInsert func(id int, vars []ctable.Var)) {
+// its missing cells get their priors, and it joins the live queue. An
+// arrival's id exceeds every live one, so its variables take the
+// largest ids.
+func (e *Engine) insertStep(now int64, arrivals [][]dataset.Cell, res *TickResult) {
 	for _, cells := range arrivals {
 		id, vars := e.tbl.Insert(cells)
 		for _, v := range vars {
-			e.ev.Dists[v] = e.cfg.Dist(id, v.Attr, e.cfg.Attrs[v.Attr].Levels)
+			d := e.cfg.Dist(id, v.Attr, e.cfg.Attrs[v.Attr].Levels)
+			e.ev.Vars = append(e.ev.Vars, prob.VarState{Base: d, Dist: d})
 		}
-		if onInsert != nil {
-			onInsert(id, vars)
-		}
+		e.vars = append(e.vars, vars...)
 		e.queue = append(e.queue, entry{id: id, ts: now})
 		res.Inserted = append(res.Inserted, id)
 		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamInsert, N: id, M: e.tbl.DomSize(id)})
+	}
+	if len(arrivals) > 0 {
+		e.ev.IDs.Renumber(e.vars)
 	}
 }
 
