@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -82,7 +83,7 @@ func LearnStructureAnnealed(names []string, levels []int, data [][]int, opt Anne
 		var apply func()
 		var delta float64
 		switch {
-		case containsInt(parents[v], u):
+		case slices.Contains(parents[v], u):
 			if opt.Rng.Intn(2) == 0 {
 				// Delete u→v.
 				delta = sc.family(v, withoutParent(parents[v], u)) - sc.family(v, parents[v])

@@ -2,297 +2,288 @@ package bayesnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// factor is a nonnegative function over a subset of network variables,
-// used by variable-elimination inference. vars are node indices in
-// ascending order; vals is indexed in mixed radix with the LAST variable
-// varying fastest.
+// Exact inference runs in two stages. Compile decides, from which nodes
+// are observed alone, the elimination schedule: which factors each step
+// multiplies, which variable it sums out, and the stride of every
+// variable in every factor it reads. Plan.Posterior then walks those
+// strides for one row of evidence values: no entry index is ever decoded
+// by division and modulo, and an observed variable is fixed by an offset
+// into its CPT factor instead of a restricted copy.
+//
+// The arithmetic is that of textbook variable elimination over explicit
+// factors, performed in a fixed order: every step forms each product
+// entry as a left-to-right product of its factors' entries (in factor
+// list order) and adds the entries of a summed-out variable into their
+// output cell in increasing value order, starting from zero.
+// testdata/posterior_corpus.txt pins the resulting bits. Products are
+// rounded explicitly (float64(a*b)) so that no platform fuses a product
+// into the following sum.
+
+// factor is node i's CPT laid out for variable elimination: a function
+// over vars (the node and its parents, ascending) whose vals are indexed
+// in mixed radix with the last variable varying fastest; stride[k] is
+// the step of vars[k].
 type factor struct {
-	vars []int
-	card []int
-	vals []float64
+	vars   []int
+	stride []int
+	vals   []float64
 }
 
-func newFactor(vars, card []int) *factor {
-	size := 1
-	for _, c := range card {
-		size *= c
-	}
-	return &factor{vars: vars, card: card, vals: make([]float64, size)}
-}
-
-// index returns the flat index of the given per-variable values.
-func (f *factor) index(values []int) int {
-	idx := 0
-	for i := range f.vars {
-		idx = idx*f.card[i] + values[i]
-	}
-	return idx
-}
-
-// product multiplies two factors over the union of their variables.
-func product(a, b *factor) *factor {
-	// Union of vars, ascending.
-	varsUnion := make([]int, 0, len(a.vars)+len(b.vars))
-	varsUnion = append(varsUnion, a.vars...)
-	for _, v := range b.vars {
-		if !containsInt(a.vars, v) {
-			varsUnion = append(varsUnion, v)
-		}
-	}
-	sort.Ints(varsUnion)
-
-	cardOf := func(v int) int {
-		if i := indexOfInt(a.vars, v); i >= 0 {
-			return a.card[i]
-		}
-		return b.card[indexOfInt(b.vars, v)]
-	}
-	card := make([]int, len(varsUnion))
-	for i, v := range varsUnion {
-		card[i] = cardOf(v)
-	}
-	out := newFactor(varsUnion, card)
-
-	// Map union positions to positions in a and b (-1 if absent).
-	posA := make([]int, len(varsUnion))
-	posB := make([]int, len(varsUnion))
-	for i, v := range varsUnion {
-		posA[i] = indexOfInt(a.vars, v)
-		posB[i] = indexOfInt(b.vars, v)
-	}
-
-	values := make([]int, len(varsUnion))
-	aVals := make([]int, len(a.vars))
-	bVals := make([]int, len(b.vars))
-	for flat := range out.vals {
-		// Decode flat into values (last var fastest).
-		rem := flat
-		for i := len(values) - 1; i >= 0; i-- {
-			values[i] = rem % card[i]
-			rem /= card[i]
-		}
-		for i, p := range posA {
-			if p >= 0 {
-				aVals[p] = values[i]
-			}
-		}
-		for i, p := range posB {
-			if p >= 0 {
-				bVals[p] = values[i]
-			}
-		}
-		out.vals[flat] = a.vals[a.index(aVals)] * b.vals[b.index(bVals)]
-	}
-	return out
-}
-
-// sumOut marginalises variable v out of the factor.
-func (f *factor) sumOut(v int) *factor {
-	pos := indexOfInt(f.vars, v)
-	if pos < 0 {
-		return f
-	}
-	vars := make([]int, 0, len(f.vars)-1)
-	card := make([]int, 0, len(f.vars)-1)
-	for i, fv := range f.vars {
-		if i != pos {
-			vars = append(vars, fv)
-			card = append(card, f.card[i])
-		}
-	}
-	out := newFactor(vars, card)
-
-	values := make([]int, len(f.vars))
-	outVals := make([]int, len(vars))
-	for flat, val := range f.vals {
-		rem := flat
-		for i := len(values) - 1; i >= 0; i-- {
-			values[i] = rem % f.card[i]
-			rem /= f.card[i]
-		}
-		k := 0
-		for i := range values {
-			if i != pos {
-				outVals[k] = values[i]
-				k++
-			}
-		}
-		out.vals[out.index(outVals)] += val
-	}
-	return out
-}
-
-// restrict fixes variable v to value val, dropping it from the factor.
-func (f *factor) restrict(v, val int) *factor {
-	pos := indexOfInt(f.vars, v)
-	if pos < 0 {
-		return f
-	}
-	vars := make([]int, 0, len(f.vars)-1)
-	card := make([]int, 0, len(f.vars)-1)
-	for i, fv := range f.vars {
-		if i != pos {
-			vars = append(vars, fv)
-			card = append(card, f.card[i])
-		}
-	}
-	out := newFactor(vars, card)
-
-	values := make([]int, len(f.vars))
-	outVals := make([]int, len(vars))
-	for flat, fval := range f.vals {
-		rem := flat
-		for i := len(values) - 1; i >= 0; i-- {
-			values[i] = rem % f.card[i]
-			rem /= f.card[i]
-		}
-		if values[pos] != val {
-			continue
-		}
-		k := 0
-		for i := range values {
-			if i != pos {
-				outVals[k] = values[i]
-				k++
-			}
-		}
-		out.vals[out.index(outVals)] = fval
-	}
-	return out
-}
-
-func containsInt(s []int, v int) bool { return indexOfInt(s, v) >= 0 }
-
-func indexOfInt(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// cptFactor converts node i's CPT into a factor over {parents..., i}.
-func (n *Network) cptFactor(i int) *factor {
+// cptFactor lays node i's CPT out as a factor.
+func (n *Network) cptFactor(i int) factor {
 	node := &n.Nodes[i]
-	vars := append(append([]int(nil), node.Parents...), i)
-	sort.Ints(vars)
-	card := make([]int, len(vars))
-	for k, v := range vars {
-		card[k] = n.Nodes[v].Levels
+	vars := append([]int{i}, node.Parents...)
+	slices.Sort(vars)
+	f := factor{vars: vars, stride: make([]int, len(vars)), vals: make([]float64, len(node.CPT))}
+	step := 1
+	for k := len(vars) - 1; k >= 0; k-- {
+		f.stride[k] = step
+		step *= n.Nodes[vars[k]].Levels
 	}
-	f := newFactor(vars, card)
-
-	// Enumerate parent configs × node values in CPT order and scatter
-	// into the sorted-variable factor layout.
-	parentVals := make([]int, len(node.Parents))
-	factorVals := make([]int, len(vars))
-	cfgs := len(node.CPT) / node.Levels
-	for cfg := 0; cfg < cfgs; cfg++ {
-		rem := cfg
-		for k := len(parentVals) - 1; k >= 0; k-- {
-			parentVals[k] = rem % n.Nodes[node.Parents[k]].Levels
-			rem /= n.Nodes[node.Parents[k]].Levels
-		}
+	strideOf := func(v int) int { return f.stride[slices.Index(vars, v)] }
+	// Walk the CPT in its own order (first parent most significant, the
+	// node's value fastest), tracking the factor offset of the current
+	// parent configuration.
+	self := strideOf(i)
+	parentStride := make([]int, len(node.Parents))
+	for k, p := range node.Parents {
+		parentStride[k] = strideOf(p)
+	}
+	parentVal := make([]int, len(node.Parents))
+	at := 0
+	for cfg := 0; cfg*node.Levels < len(node.CPT); cfg++ {
 		for v := 0; v < node.Levels; v++ {
-			for k, fv := range vars {
-				if fv == i {
-					factorVals[k] = v
-				} else {
-					factorVals[k] = parentVals[indexOfInt(node.Parents, fv)]
-				}
+			f.vals[at+v*self] = node.CPT[cfg*node.Levels+v]
+		}
+		for k := len(node.Parents) - 1; k >= 0; k-- {
+			parentVal[k]++
+			at += parentStride[k]
+			if parentVal[k] < n.Nodes[node.Parents[k]].Levels {
+				break
 			}
-			f.vals[f.index(factorVals)] = node.CPT[cfg*node.Levels+v]
+			at -= parentVal[k] * parentStride[k]
+			parentVal[k] = 0
 		}
 	}
 	return f
 }
 
-// Posterior returns P(target | evidence) as a distribution over the
-// target's levels, computed exactly by variable elimination. evidence maps
-// node index to observed value; the target must not be in the evidence.
-// If the evidence has zero probability under the network, the uniform
-// distribution is returned (no information).
-func (n *Network) Posterior(target int, evidence map[int]int) []float64 {
+// Plan is a compiled variable-elimination schedule: the posterior of one
+// target node given evidence on a fixed set of observed nodes. It depends
+// on which nodes are observed, not on their values, so one plan serves
+// every row with the same missing pattern. A Plan is immutable and safe
+// for concurrent use.
+type Plan struct {
+	net    *Network
+	target int
+	steps  []step // the last one multiplies the remaining factors over the target
+	arena  int    // floats of intermediate factors the steps write
+	maxIn  int    // most operands of any step
+	maxVar int    // most iteration variables of any step
+}
+
+// step multiplies its operands entry by entry and sums the product over
+// its last iteration variable. The iteration variables are the output's,
+// ascending, then the summed one; the final step sums over a dummy
+// variable of one level.
+type step struct {
+	in     []operand
+	card   []int // levels of each iteration variable
+	stride []int // stride[k*len(in)+j]: step of iteration variable k in operand j, 0 when absent
+	out    int   // arena offset of the output
+	size   int   // output entries
+}
+
+// operand is one factor a step reads: a node's CPT factor, read at the
+// offset that the evidence on its observed variables fixes, or an earlier
+// step's output in the arena.
+type operand struct {
+	cpt   int   // node whose CPT factor is read; -1 reads the arena
+	base  int   // arena offset of the earlier output, when cpt < 0
+	fixed []int // for cpt >= 0: pairs of (observed node, its stride)
+}
+
+// pending is a factor of the elimination in progress: its variables
+// (ascending), their strides, and where its entries live.
+type pending struct {
+	vars   []int
+	stride []int
+	op     operand
+}
+
+// Compile plans the posterior of target given the nodes observed in
+// evidence: evidence[i] is node i's value, or -1 when node i is hidden.
+// Only which nodes are observed matters; the values are read later by
+// Plan.Posterior. Hidden nodes are eliminated greedily, each time the
+// one whose elimination forms the smallest product factor, ties to the
+// smaller node index.
+func (n *Network) Compile(target int, evidence []int) *Plan {
 	if target < 0 || target >= len(n.Nodes) {
 		panic(fmt.Sprintf("bayesnet: Posterior target %d outside [0,%d)", target, len(n.Nodes)))
 	}
-	if _, ok := evidence[target]; ok {
+	if len(evidence) != len(n.Nodes) {
+		panic(fmt.Sprintf("bayesnet: evidence has %d values, want %d", len(evidence), len(n.Nodes)))
+	}
+	if evidence[target] >= 0 {
 		panic(fmt.Sprintf("bayesnet: Posterior target %d is in the evidence", target))
 	}
-
-	// Build CPT factors restricted by evidence, from the per-node cache.
-	if n.factors == nil {
-		n.factors = make([]*factor, len(n.Nodes))
-		for i := range n.Nodes {
-			n.factors[i] = n.cptFactor(i)
-		}
-	}
-	factors := make([]*factor, 0, len(n.Nodes))
+	p := &Plan{net: n, target: target}
+	factors := make([]pending, len(n.Nodes))
+	var hidden []int
 	for i := range n.Nodes {
-		f := n.factors[i]
-		for v, val := range evidence {
-			f = f.restrict(v, val) // returns f unchanged when v is absent
+		f := &n.factors[i]
+		pf := pending{op: operand{cpt: i}}
+		for k, v := range f.vars {
+			if evidence[v] >= 0 {
+				pf.op.fixed = append(pf.op.fixed, v, f.stride[k])
+			} else {
+				pf.vars = append(pf.vars, v)
+				pf.stride = append(pf.stride, f.stride[k])
+			}
 		}
-		factors = append(factors, f)
-	}
-
-	// Eliminate every hidden variable except the target, greedily picking
-	// the variable whose elimination creates the smallest product factor.
-	hidden := map[int]bool{}
-	for i := range n.Nodes {
-		if i == target {
-			continue
-		}
-		if _, ok := evidence[i]; !ok {
-			hidden[i] = true
+		factors[i] = pf
+		if i != target && evidence[i] < 0 {
+			hidden = append(hidden, i)
 		}
 	}
+	seen := make([]int, len(n.Nodes)) // seen[u] == mark: u counted for the current candidate
+	mark := 0
 	for len(hidden) > 0 {
-		best, bestCost := -1, 0
-		for v := range hidden {
+		best, bestCost := 0, 0
+		for h, v := range hidden {
+			mark++
 			cost := 1
-			seen := map[int]bool{}
 			for _, f := range factors {
-				if containsInt(f.vars, v) {
-					for k, fv := range f.vars {
-						if !seen[fv] {
-							seen[fv] = true
-							cost *= f.card[k]
-						}
+				if !slices.Contains(f.vars, v) {
+					continue
+				}
+				for _, u := range f.vars {
+					if seen[u] != mark {
+						seen[u] = mark
+						cost *= n.Nodes[u].Levels
 					}
 				}
 			}
-			if best == -1 || cost < bestCost || (cost == bestCost && v < best) {
-				best, bestCost = v, cost
+			if h == 0 || cost < bestCost {
+				best, bestCost = h, cost
 			}
 		}
-		factors = eliminate(factors, best)
-		delete(hidden, best)
+		factors = p.eliminate(factors, hidden[best])
+		hidden = slices.Delete(hidden, best, best+1)
 	}
+	// Every factor left is over the target or over nothing.
+	p.addStep(factors, []int{target}, -1)
+	return p
+}
 
-	// Multiply the remaining factors (all over {target} or empty).
-	result := &factor{vars: nil, card: nil, vals: []float64{1}}
+// eliminate replaces the factors mentioning v by one step that multiplies
+// them in list order and sums v out; its output joins the end of the list.
+func (p *Plan) eliminate(factors []pending, v int) []pending {
+	var with []pending
+	var union []int
+	rest := factors[:0] // filtered in place: it never overtakes the reader
 	for _, f := range factors {
-		result = product(result, f)
-	}
-
-	dist := make([]float64, n.Nodes[target].Levels)
-	if len(result.vars) == 0 {
-		// Target was fully determined away — cannot happen since we never
-		// eliminate it; defensive uniform fallback.
-		for v := range dist {
-			dist[v] = 1 / float64(len(dist))
+		if slices.Contains(f.vars, v) {
+			with = append(with, f)
+			for _, u := range f.vars {
+				if u != v && !slices.Contains(union, u) {
+					union = append(union, u)
+				}
+			}
+		} else {
+			rest = append(rest, f)
 		}
-		return dist
 	}
-	copy(dist, result.vals)
+	slices.Sort(union)
+	s := p.addStep(with, union, v)
+	out := pending{vars: union, stride: make([]int, len(union)), op: operand{cpt: -1, base: s.out}}
+	step := 1
+	for k := len(union) - 1; k >= 0; k-- {
+		out.stride[k] = step
+		step *= p.net.Nodes[union[k]].Levels
+	}
+	return append(rest, out)
+}
+
+// addStep appends the step that multiplies factors over the iteration
+// variables vars (ascending) and then summed, placing its output in the
+// arena. The final step passes summed -1, a dummy variable of one level,
+// and writes the distribution instead.
+func (p *Plan) addStep(factors []pending, vars []int, summed int) *step {
+	iter := append(slices.Clip(vars), summed)
+	s := step{
+		in:     make([]operand, len(factors)),
+		card:   make([]int, len(iter)),
+		stride: make([]int, len(iter)*len(factors)),
+		size:   1,
+	}
+	for k, v := range iter {
+		s.card[k] = 1
+		if v >= 0 {
+			s.card[k] = p.net.Nodes[v].Levels
+		}
+	}
+	for _, c := range s.card[:len(vars)] {
+		s.size *= c
+	}
+	for j, f := range factors {
+		s.in[j] = f.op
+		for k, v := range iter {
+			if at := slices.Index(f.vars, v); at >= 0 {
+				s.stride[k*len(factors)+j] = f.stride[at]
+			}
+		}
+	}
+	if summed >= 0 {
+		s.out = p.arena
+		p.arena += s.size
+	}
+	p.maxIn = max(p.maxIn, len(factors))
+	p.maxVar = max(p.maxVar, len(s.card))
+	p.steps = append(p.steps, s)
+	return &p.steps[len(p.steps)-1]
+}
+
+// Posterior returns P(target | evidence) as a distribution over the
+// target's levels. evidence must observe exactly the nodes the plan was
+// compiled for, each with a value inside its domain. If the evidence has
+// zero probability under the network, the uniform distribution is
+// returned (no information).
+func (p *Plan) Posterior(evidence []int) []float64 {
+	arena := make([]float64, p.arena)
+	// Small plans keep their scratch on the stack.
+	var srcBuf [16][]float64
+	var intBuf [48]int
+	src, ints := srcBuf[:], intBuf[:]
+	if p.maxIn > len(srcBuf) || 2*p.maxIn+p.maxVar > len(intBuf) {
+		src, ints = make([][]float64, p.maxIn), make([]int, 2*p.maxIn+p.maxVar)
+	}
+	dist := make([]float64, p.net.Nodes[p.target].Levels)
+	for si := range p.steps {
+		s := &p.steps[si]
+		at, pos, cnt := ints[:len(s.in)], ints[p.maxIn:p.maxIn+len(s.in)], ints[2*p.maxIn:2*p.maxIn+len(s.card)]
+		for j, op := range s.in {
+			if op.cpt < 0 {
+				src[j], at[j] = arena, op.base
+				continue
+			}
+			src[j], at[j] = p.net.factors[op.cpt].vals, 0
+			for k := 0; k < len(op.fixed); k += 2 {
+				at[j] += evidence[op.fixed[k]] * op.fixed[k+1]
+			}
+		}
+		out := dist
+		if si < len(p.steps)-1 {
+			out = arena[s.out : s.out+s.size]
+		}
+		s.run(out, src[:len(s.in)], at, pos, cnt)
+	}
 	sum := 0.0
-	for _, p := range dist {
-		sum += p
+	for _, q := range dist {
+		sum += q
 	}
 	if sum <= 0 {
 		for v := range dist {
@@ -306,23 +297,63 @@ func (n *Network) Posterior(target int, evidence map[int]int) []float64 {
 	return dist
 }
 
-// eliminate multiplies all factors mentioning v and sums v out.
-func eliminate(factors []*factor, v int) []*factor {
-	var keep []*factor
-	var prod *factor
-	for _, f := range factors {
-		if containsInt(f.vars, v) {
-			if prod == nil {
-				prod = f
-			} else {
-				prod = product(prod, f)
+// run writes every output cell in flat order: the sum, over the summed
+// variable's values in increasing order, of the operands' product. at
+// holds each operand's offset of the current cell; pos and cnt are
+// scratch.
+func (s *step) run(out []float64, src [][]float64, at, pos, cnt []int) {
+	n, last := len(src), len(s.card)-1
+	inner, sum := s.card[last], s.stride[last*n:]
+	clear(cnt)
+	for o := range out {
+		copy(pos, at)
+		acc := 0.0
+		for x := 0; x < inner; x++ {
+			q := src[0][pos[0]]
+			for j := 1; j < n; j++ {
+				q = float64(q * src[j][pos[j]])
 			}
-		} else {
-			keep = append(keep, f)
+			acc += q
+			for j := range pos {
+				pos[j] += sum[j]
+			}
+		}
+		out[o] = acc
+		for k := last - 1; k >= 0; k-- {
+			stride := s.stride[k*n : (k+1)*n]
+			cnt[k]++
+			if cnt[k] < s.card[k] {
+				for j := range at {
+					at[j] += stride[j]
+				}
+				break
+			}
+			for j := range at {
+				at[j] -= (s.card[k] - 1) * stride[j]
+			}
+			cnt[k] = 0
 		}
 	}
-	if prod != nil {
-		keep = append(keep, prod.sumOut(v))
+}
+
+// Posterior returns P(target | evidence) as a distribution over the
+// target's levels, computed exactly by variable elimination. evidence maps
+// node index to observed value; the target must not be in the evidence.
+// If the evidence has zero probability under the network, the uniform
+// distribution is returned (no information).
+func (n *Network) Posterior(target int, evidence map[int]int) []float64 {
+	if target < 0 || target >= len(n.Nodes) {
+		panic(fmt.Sprintf("bayesnet: Posterior target %d outside [0,%d)", target, len(n.Nodes)))
 	}
-	return keep
+	ev := make([]int, len(n.Nodes))
+	for i := range ev {
+		ev[i] = -1
+	}
+	for v, val := range evidence {
+		if v < 0 || v >= len(n.Nodes) || val < 0 || val >= n.Nodes[v].Levels {
+			panic(fmt.Sprintf("bayesnet: evidence %d=%d outside the network", v, val))
+		}
+		ev[v] = val
+	}
+	return n.Compile(target, ev).Posterior(ev)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,7 +96,7 @@ func TestAnnealedFindsDependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connected := containsInt(learned.Nodes[1].Parents, 0) || containsInt(learned.Nodes[0].Parents, 1)
+	connected := slices.Contains(learned.Nodes[1].Parents, 0) || slices.Contains(learned.Nodes[0].Parents, 1)
 	if !connected {
 		t.Error("annealed search missed the X0–X1 dependence")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -253,7 +254,7 @@ func climb(s *scorer, start [][]int, opt LearnOptions) [][]int {
 				if u == v {
 					continue
 				}
-				hasEdge := containsInt(parents[v], u)
+				hasEdge := slices.Contains(parents[v], u)
 				switch {
 				case !hasEdge:
 					if len(parents[v]) >= opt.MaxParents || createsCycle(parents, u, v) {

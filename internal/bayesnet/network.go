@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Node is one variable of the network together with its conditional
@@ -41,10 +42,10 @@ type Node struct {
 type Network struct {
 	Nodes []Node
 	topo  []int // cached topological order
-	// factors caches each node's CPT as an inference factor; repeated
-	// Posterior calls (one per missing cell during preprocessing) would
-	// otherwise rebuild them every time.
-	factors []*factor
+	// factors holds each node's CPT laid out as an inference factor. New
+	// builds them once, before any inference can run, so a network is
+	// read-only under concurrent Posterior calls.
+	factors []factor
 }
 
 // New validates the node set (acyclicity, CPT shapes, normalised rows) and
@@ -60,6 +61,10 @@ func New(nodes []Node) (*Network, error) {
 		if err := n.validateCPT(i); err != nil {
 			return nil, err
 		}
+	}
+	n.factors = make([]factor, len(nodes))
+	for i := range nodes {
+		n.factors[i] = n.cptFactor(i)
 	}
 	return n, nil
 }
@@ -122,6 +127,9 @@ func topoSort(nodes []Node) ([]int, error) {
 			}
 			if p == i {
 				return nil, fmt.Errorf("bayesnet: node %q is its own parent", nd.Name)
+			}
+			if slices.Contains(children[p], i) {
+				return nil, fmt.Errorf("bayesnet: node %q lists parent %d twice", nd.Name, p)
 			}
 			children[p] = append(children[p], i)
 			indeg[i]++

@@ -3,6 +3,8 @@ package bayesnet
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -40,6 +42,16 @@ func TestNewRejectsSelfParent(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("New accepted a self-parent")
+	}
+}
+
+func TestNewRejectsDuplicateParent(t *testing.T) {
+	_, err := New([]Node{
+		{Name: "A", Levels: 2, CPT: []float64{0.5, 0.5}},
+		{Name: "B", Levels: 2, Parents: []int{0, 0}, CPT: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}},
+	})
+	if err == nil {
+		t.Fatal("New accepted a parent listed twice")
 	}
 }
 
@@ -315,7 +327,7 @@ func TestLearnStructureFindsDependence(t *testing.T) {
 	}
 	// X0 and X1 must be connected (either direction scores identically);
 	// X2 must stay isolated.
-	connected := containsInt(learned.Nodes[1].Parents, 0) || containsInt(learned.Nodes[0].Parents, 1)
+	connected := slices.Contains(learned.Nodes[1].Parents, 0) || slices.Contains(learned.Nodes[0].Parents, 1)
 	if !connected {
 		t.Error("learned structure misses the X0–X1 dependence")
 	}
@@ -323,7 +335,7 @@ func TestLearnStructureFindsDependence(t *testing.T) {
 		t.Errorf("independent X2 learned parents %v", learned.Nodes[2].Parents)
 	}
 	for i, nd := range learned.Nodes {
-		if containsInt(nd.Parents, 2) {
+		if slices.Contains(nd.Parents, 2) {
 			t.Errorf("node %d has independent X2 as parent", i)
 		}
 	}
@@ -436,6 +448,20 @@ func TestJointPWrongLengthPanics(t *testing.T) {
 	n.JointP([]int{0})
 }
 
+func TestPosteriorBadEvidencePanics(t *testing.T) {
+	n := chain(t)
+	for _, evidence := range []map[int]int{{1: 3}, {1: -1}, {5: 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Posterior with evidence %v outside the network did not panic", evidence)
+				}
+			}()
+			n.Posterior(0, evidence)
+		}()
+	}
+}
+
 func TestPosteriorBadTargetPanics(t *testing.T) {
 	n := chain(t)
 	defer func() {
@@ -444,4 +470,31 @@ func TestPosteriorBadTargetPanics(t *testing.T) {
 		}
 	}()
 	n.Posterior(99, nil)
+}
+
+// TestPosteriorConcurrent calls Posterior from several goroutines at
+// once on one freshly built network. Under -race it fails if inference
+// writes shared network state; every caller must get the bits a twin
+// network gives on its own.
+func TestPosteriorConcurrent(t *testing.T) {
+	n := randomNetwork(rand.New(rand.NewSource(7)), 9, 5)
+	evidence := map[int]int{0: 1, 7: 0}
+	want := randomNetwork(rand.New(rand.NewSource(7)), 9, 5).Posterior(4, evidence)
+	got := make([][]float64, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = n.Posterior(4, evidence)
+		}()
+	}
+	wg.Wait()
+	for g, dist := range got {
+		for v := range dist {
+			if math.Float64bits(dist[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("goroutine %d: Posterior = %v, want %v", g, dist, want)
+			}
+		}
+	}
 }

@@ -123,7 +123,9 @@ type Options struct {
 	CacheSize int
 
 	// Workers bounds the goroutines the framework fans independent work
-	// out to: the c-table dominator scan and CNF construction, the
+	// out to: preprocessing's posterior inference (one elimination plan
+	// per missing pattern, one posterior per distinct evidence profile),
+	// the c-table dominator scan and CNF construction, the
 	// per-object Pr(φ) computation and per-round recomputation, and the
 	// UBS/HHS utility scoring of candidate expressions. <= 0 (the zero
 	// value) means one worker per available CPU (runtime.GOMAXPROCS(0));

@@ -1,14 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"bayescrowd/internal/bayesnet"
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/dataset"
 	"bayescrowd/internal/obs"
+	"bayescrowd/internal/parallel"
 	"bayescrowd/internal/prob"
 )
 
@@ -58,7 +58,7 @@ func Preprocess(d *dataset.Dataset, opt Options) (prob.Dists, error) {
 	if err := checkNetSchema(d, net); err != nil {
 		return nil, err
 	}
-	return emitPreprocess(opt, model, posteriors(d, net)), nil
+	return emitPreprocess(opt, model, posteriors(d, net, parallel.Workers(opt.Workers))), nil
 }
 
 // emitPreprocess traces which preprocessing model produced the
@@ -112,46 +112,79 @@ func checkNetSchema(d *dataset.Dataset, net *bayesnet.Network) error {
 }
 
 // posteriors runs exact inference once per distinct (target attribute,
-// observed-profile) pair, caching across objects with identical evidence.
-func posteriors(d *dataset.Dataset, net *bayesnet.Network) prob.Dists {
-	dists := prob.Dists{}
-	cache := map[string][]float64{}
-	var key strings.Builder
+// observed-profile) pair and gives every missing cell its pair's
+// posterior: objects with identical evidence share one slice. Pairs with
+// the same missing pattern share one compiled elimination plan. Plans
+// and posteriors are computed on up to workers goroutines and collected
+// by index, so the result is the same at any worker count.
+func posteriors(d *dataset.Dataset, net *bayesnet.Network, workers int) prob.Dists {
+	type pair struct {
+		evidence []int // the first such object's cells, -1 where missing
+		target   int
+		plan     int
+	}
+	type cell struct {
+		v    ctable.Var
+		pair int
+	}
+	attrs := d.NumAttrs()
+	evidence := make([]int, len(d.Objects)*attrs)
+	var pairs []pair
+	var cells []cell
+	var planPairs []int // per plan, the first pair it serves
+	pairOf, planOf := map[string]int{}, map[string]int{}
+	var key []byte
 	for i := range d.Objects {
-		o := &d.Objects[i]
-		var evidence map[int]int
-		for j, c := range o.Cells {
-			if c.Missing {
-				continue
+		ev := evidence[i*attrs : (i+1)*attrs]
+		for j, c := range d.Objects[i].Cells {
+			ev[j] = -1
+			if !c.Missing {
+				ev[j] = c.Value
 			}
-			if evidence == nil {
-				evidence = map[int]int{}
-			}
-			evidence[j] = c.Value
 		}
-		for j, c := range o.Cells {
+		for j, c := range d.Objects[i].Cells {
 			if !c.Missing {
 				continue
 			}
-			key.Reset()
-			key.WriteString(strconv.Itoa(j))
-			key.WriteByte('|')
-			for a := 0; a < len(o.Cells); a++ {
-				if v, ok := evidence[a]; ok {
-					key.WriteString(strconv.Itoa(a))
-					key.WriteByte(':')
-					key.WriteString(strconv.Itoa(v))
-					key.WriteByte(',')
+			// The key is the target, the missing pattern, then the
+			// observed values; the prefix up to the values keys the plan.
+			key = binary.AppendUvarint(key[:0], uint64(j))
+			for _, v := range ev {
+				key = append(key, byte(min(v+1, 1)))
+			}
+			plen := len(key)
+			for _, v := range ev {
+				if v >= 0 {
+					key = binary.AppendUvarint(key, uint64(v))
 				}
 			}
-			k := key.String()
-			dist, ok := cache[k]
+			k, ok := pairOf[string(key)]
 			if !ok {
-				dist = net.Posterior(j, evidence)
-				cache[k] = dist
+				plan, ok := planOf[string(key[:plen])]
+				if !ok {
+					plan = len(planPairs)
+					planOf[string(key[:plen])] = plan
+					planPairs = append(planPairs, len(pairs))
+				}
+				k = len(pairs)
+				pairOf[string(key)] = k
+				pairs = append(pairs, pair{evidence: ev, target: j, plan: plan})
 			}
-			dists[ctable.Var{Obj: i, Attr: j}] = dist
+			cells = append(cells, cell{v: ctable.Var{Obj: i, Attr: j}, pair: k})
 		}
+	}
+	plans := make([]*bayesnet.Plan, len(planPairs))
+	parallel.For(workers, len(plans), func(_, k int) {
+		p := pairs[planPairs[k]]
+		plans[k] = net.Compile(p.target, p.evidence)
+	})
+	post := make([][]float64, len(pairs))
+	parallel.For(workers, len(pairs), func(_, k int) {
+		post[k] = plans[pairs[k].plan].Posterior(pairs[k].evidence)
+	})
+	dists := make(prob.Dists, len(cells))
+	for _, c := range cells {
+		dists[c.v] = post[c.pair]
 	}
 	return dists
 }

@@ -143,7 +143,7 @@ func TestPosteriorCacheConsistency(t *testing.T) {
 	d.MustAppend(dataset.Object{ID: "x", Cells: []dataset.Cell{dataset.Known(1), dataset.Unknown()}})
 	d.MustAppend(dataset.Object{ID: "y", Cells: []dataset.Cell{dataset.Known(1), dataset.Unknown()}})
 	d.MustAppend(dataset.Object{ID: "z", Cells: []dataset.Cell{dataset.Known(0), dataset.Unknown()}})
-	dists := posteriors(d, net)
+	dists := posteriors(d, net, 1)
 	x := dists[ctable.Var{Obj: 0, Attr: 1}]
 	y := dists[ctable.Var{Obj: 1, Attr: 1}]
 	z := dists[ctable.Var{Obj: 2, Attr: 1}]
@@ -211,5 +211,70 @@ func TestImputerErrorSurfaces(t *testing.T) {
 	platform := crowd.NewSimulated(d, 1.0, nil)
 	if _, err := Run(d, platform, Options{Budget: 1, Latency: 1, Imputer: failingImputer{}}); err == nil {
 		t.Fatal("Run swallowed the imputer error")
+	}
+}
+
+// TestPreprocessWorkerInvariance checks that posterior inference gives
+// the same bits at any worker count, and that at every count the cells
+// with identical evidence (same attribute, same observed cells) share
+// one slice while cells with different evidence do not.
+func TestPreprocessWorkerInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	d := dataset.GenNBA(rng, 2000).InjectMissing(rng, 0.1)
+	var ref prob.Dists
+	for _, w := range []int{1, 2, 8} {
+		dists, err := Preprocess(d, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w == 1 {
+			ref = dists
+		}
+		if len(dists) != len(ref) {
+			t.Fatalf("workers %d: %d distributions, want %d", w, len(dists), len(ref))
+		}
+		byKey := map[string]*float64{}
+		byPtr := map[*float64]string{}
+		for v, dist := range dists {
+			want := ref[v]
+			if len(dist) != len(want) {
+				t.Fatalf("workers %d: %v has %d levels, want %d", w, v, len(dist), len(want))
+			}
+			for k := range dist {
+				if math.Float64bits(dist[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("workers %d: %v = %v, want %v", w, v, dist, want)
+				}
+			}
+			key := fmt.Sprint(v.Attr, "|")
+			for _, c := range d.Objects[v.Obj].Cells {
+				key += fmt.Sprint(c.Missing, c.Value, ",")
+			}
+			if p, ok := byKey[key]; ok && p != &dist[0] {
+				t.Fatalf("workers %d: %v does not share its profile's slice", w, v)
+			}
+			if k, ok := byPtr[&dist[0]]; ok && k != key {
+				t.Fatalf("workers %d: %v shares a slice with another profile", w, v)
+			}
+			byKey[key], byPtr[&dist[0]] = &dist[0], key
+		}
+	}
+}
+
+// BenchmarkPreprocess times the preprocessing layer as svc-oneshot's
+// dataset registration runs it: GenNBA n=10,000 with 10% of the cells
+// missing, a network learned from the complete rows, then one posterior
+// per distinct evidence profile, at 1 and 2 workers.
+func BenchmarkPreprocess(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := dataset.GenNBA(rng, 10000).InjectMissing(rng, 0.10)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Preprocess(d, Options{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -196,7 +196,7 @@ type Server struct {
 
 	cQueries, cDone, cFailed, cDegraded *obs.Counter
 	cModelBuilds, cModelReuses          *obs.Counter
-	hModelBuild                         *obs.Histogram
+	hModelBuild, hPreprocess            *obs.Histogram
 }
 
 // New validates the configuration and returns a ready Server. Call
@@ -228,6 +228,7 @@ func New(cfg Config) *Server {
 		cModelBuilds: reg.Counter("service.model.builds"),
 		cModelReuses: reg.Counter("service.model.reuses"),
 		hModelBuild:  reg.Histogram("model.build.duration"),
+		hPreprocess:  reg.Histogram("layer.preprocess.duration"),
 	}
 	s.hub = newHub(reg, cfg.Sink)
 	return s
@@ -281,6 +282,22 @@ func (s *Server) ExpireOverdue(cutoff time.Time) int {
 // 32 levels that is 32^4 × 8 B = 8 MiB.
 const MaxLevels = 32
 
+// MaxAttrs caps a dataset's attribute count. Structure learning scores
+// candidate edges between every pair of attributes, and variable
+// elimination runs over one node per attribute, so both grow with it;
+// the paper's datasets have 9 and 11.
+const MaxAttrs = 32
+
+// MaxRetries caps a query's maxRetries. The daemon re-posts a failed
+// round without backoff while holding a compute token, so the cap bounds
+// how long one query can spin on a failing crowd.
+const MaxRetries = 10
+
+// MaxReaskConflicts caps a query's reaskConflicts. Each copy of a
+// re-asked task is a separate open task, so the cap bounds the tasks one
+// conflicting answer can open.
+const MaxReaskConflicts = 10
+
 // RegisterDataset parses, validates and preprocesses a dataset, then
 // publishes it for queries. Preprocessing (Bayesian-network learning
 // or the marginals fallback) runs exactly once here; every query over
@@ -289,8 +306,8 @@ func (s *Server) RegisterDataset(req DatasetRequest) (*DatasetInfo, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("dataset name is required")
 	}
-	if len(req.Attrs) == 0 {
-		return nil, fmt.Errorf("dataset %q has no attributes", req.Name)
+	if len(req.Attrs) == 0 || len(req.Attrs) > MaxAttrs {
+		return nil, fmt.Errorf("dataset %q has %d attributes, want 1 to %d", req.Name, len(req.Attrs), MaxAttrs)
 	}
 	attrs := make([]dataset.Attribute, len(req.Attrs))
 	for i, a := range req.Attrs {
@@ -322,10 +339,17 @@ func (s *Server) RegisterDataset(req DatasetRequest) (*DatasetInfo, error) {
 		return nil, fmt.Errorf("dataset %q has no rows", req.Name)
 	}
 
+	// Preprocessing fans out on -workers, so it holds a compute token
+	// like a query's machine work: -maxconcurrent × -workers stays the
+	// daemon's CPU bound.
+	s.sched.acquire()
+	start := time.Now()
 	base, err := core.Preprocess(d, core.Options{
 		MarginalsOnly: req.MarginalsOnly,
 		Workers:       parallel.Workers(s.cfg.Workers),
 	})
+	s.hPreprocess.Observe(time.Since(start))
+	s.sched.release()
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: %v", err)
 	}
@@ -372,8 +396,11 @@ func (s *Server) SubmitQuery(req QueryRequest) (*QueryStatus, error) {
 	if strategy == core.HHS && req.M <= 0 {
 		return nil, fmt.Errorf("strategy HHS requires a positive m, got %d", req.M)
 	}
-	if req.MaxRetries < 0 || req.ReaskConflicts < 0 {
-		return nil, fmt.Errorf("maxRetries and reaskConflicts must be non-negative")
+	if req.MaxRetries < 0 || req.MaxRetries > MaxRetries {
+		return nil, fmt.Errorf("maxRetries %d outside [0,%d]", req.MaxRetries, MaxRetries)
+	}
+	if req.ReaskConflicts < 0 || req.ReaskConflicts > MaxReaskConflicts {
+		return nil, fmt.Errorf("reaskConflicts %d outside [0,%d]", req.ReaskConflicts, MaxReaskConflicts)
 	}
 
 	s.mu.Lock()
