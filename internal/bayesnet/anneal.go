@@ -55,12 +55,13 @@ func LearnStructureAnnealed(names []string, levels []int, data [][]int, opt Anne
 	if len(names) != len(levels) {
 		return nil, fmt.Errorf("bayesnet: %d names for %d levels", len(names), len(levels))
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("bayesnet: no training data")
-	}
 	opt = opt.withDefaults()
 	n := len(names)
-	sc := &scorer{data: data, levels: levels, cache: map[string]float64{}}
+	sc, err := newScorer(names, levels, data, 1)
+	if err != nil {
+		return nil, err
+	}
+	cyc := newCycleTest(n)
 
 	parents := emptyParents(n)
 	current := totalScore(sc, parents)
@@ -94,9 +95,7 @@ func LearnStructureAnnealed(names []string, levels []int, data [][]int, opt Anne
 					temp *= cool
 					continue
 				}
-				trial := copyParents(parents)
-				trial[v] = withoutParent(trial[v], u)
-				if createsCycle(trial, v, u) {
+				if cyc.reversalCreatesCycle(parents, u, v) {
 					temp *= cool
 					continue
 				}
@@ -109,7 +108,7 @@ func LearnStructureAnnealed(names []string, levels []int, data [][]int, opt Anne
 			}
 		default:
 			// Add u→v.
-			if len(parents[v]) >= opt.MaxParents || createsCycle(parents, u, v) {
+			if len(parents[v]) >= opt.MaxParents || cyc.createsCycle(parents, u, v) {
 				temp *= cool
 				continue
 			}

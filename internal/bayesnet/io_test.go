@@ -127,7 +127,10 @@ func TestAnnealedMatchesHillClimbingScore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := &scorer{data: data, levels: levels, cache: map[string]float64{}}
+	sc, err := newScorer(names, levels, data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scoreOf := func(n *Network) float64 {
 		ps := make([][]int, len(n.Nodes))
 		for i, nd := range n.Nodes {

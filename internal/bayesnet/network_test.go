@@ -366,7 +366,10 @@ func TestLearnedScoreAtLeastEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &scorer{data: data, levels: levels, cache: map[string]float64{}}
+	sc, err := newScorer(names, levels, data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	learnedParents := make([][]int, len(levels))
 	for i, nd := range learned.Nodes {
 		learnedParents[i] = nd.Parents
@@ -380,10 +383,11 @@ func TestCreatesCycle(t *testing.T) {
 	// 0 → 1 → 2 exists; adding 2 → 0 must be detected as a cycle,
 	// adding 0 → 2 must not.
 	parents := [][]int{{}, {0}, {1}}
-	if !createsCycle(parents, 2, 0) {
+	cyc := newCycleTest(3)
+	if !cyc.createsCycle(parents, 2, 0) {
 		t.Error("2→0 not flagged as cycle")
 	}
-	if createsCycle(parents, 0, 2) {
+	if cyc.createsCycle(parents, 0, 2) {
 		t.Error("0→2 wrongly flagged as cycle")
 	}
 }

@@ -123,8 +123,10 @@ type Options struct {
 	CacheSize int
 
 	// Workers bounds the goroutines the framework fans independent work
-	// out to: preprocessing's posterior inference (one elimination plan
-	// per missing pattern, one posterior per distinct evidence profile),
+	// out to: preprocessing's network learning (the candidate families
+	// of each hill-climbing step; it overrides LearnOpts.Workers) and
+	// posterior inference (one elimination plan per missing pattern, one
+	// posterior per distinct evidence profile),
 	// the c-table dominator scan and CNF construction, the
 	// per-object Pr(φ) computation and per-round recomputation, and the
 	// UBS/HHS utility scoring of candidate expressions. <= 0 (the zero
@@ -173,7 +175,8 @@ type Options struct {
 	Trace *obs.Recorder
 	// Metrics, when non-nil, receives the run's scheduling-dependent
 	// numbers as monotonic counters and duration histograms (see
-	// internal/obs.Registry): per-round select/prob/round wall times,
+	// internal/obs.Registry): preprocessing's network-learning wall time
+	// (layer.learn.duration), per-round select/prob/round wall times,
 	// component-cache hit/miss/eviction/invalidation deltas, and task
 	// tallies. These are deliberately kept out of the trace — they vary
 	// with goroutine scheduling. nil — the default — disables metrics at

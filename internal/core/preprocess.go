@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"bayescrowd/internal/bayesnet"
 	"bayescrowd/internal/ctable"
@@ -75,7 +76,7 @@ func emitPreprocess(opt Options, model string, dists prob.Dists) prob.Dists {
 // (bayesnet.WriteJSON) instead of re-learning per query. It returns an
 // error when fewer than 50 complete rows are available.
 func LearnNetwork(d *dataset.Dataset, opts bayesnet.LearnOptions) (*bayesnet.Network, error) {
-	net, err := learnNetwork(d, Options{LearnOpts: opts})
+	net, err := learnNetwork(d, Options{LearnOpts: opts, Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -86,14 +87,22 @@ func LearnNetwork(d *dataset.Dataset, opts bayesnet.LearnOptions) (*bayesnet.Net
 }
 
 // learnNetwork trains structure and parameters on the complete rows of
-// the (incomplete) dataset, returning nil when there are too few.
+// the (incomplete) dataset, returning nil when there are too few. The
+// search scores candidate families on opt.Workers goroutines, and its
+// wall time goes to opt.Metrics' layer.learn.duration histogram.
 func learnNetwork(d *dataset.Dataset, opt Options) (*bayesnet.Network, error) {
 	rows := d.CompleteRows()
 	if len(rows) < minRowsForStructure {
 		return nil, nil
 	}
 	names, levels := d.Schema()
-	return bayesnet.LearnStructure(names, levels, rows, opt.LearnOpts)
+	lo := opt.LearnOpts
+	lo.Workers = opt.Workers
+	//lint:ignore determinism timing observability only: the learn-duration histogram reports wall-clock and never feeds a decision
+	start := time.Now()
+	net, err := bayesnet.LearnStructure(names, levels, rows, lo)
+	opt.Metrics.Histogram("layer.learn.duration").Observe(time.Since(start))
+	return net, err
 }
 
 // checkNetSchema verifies the network's nodes line up with the dataset's

@@ -278,3 +278,23 @@ func BenchmarkPreprocess(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLearnNetwork times structure learning alone — the hill
+// climber's family scoring, fanned out per step — on the complete rows
+// of GenNBA at 10% missing.
+func BenchmarkLearnNetwork(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		rng := rand.New(rand.NewSource(1))
+		d := dataset.GenNBA(rng, n).InjectMissing(rng, 0.10)
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := learnNetwork(d, Options{Workers: w}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -323,6 +323,16 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	touched := newIDSet(m.ids.Len())
 	distChanged := newIDSet(m.ids.Len())
 	seen := make([]int32, len(ct.Conds))
+	// touchedObj marks the objects of the touched variables (listed in
+	// touchedObjs), so that re-simplification evaluates only the
+	// expressions an answer can have decided: every other expression of a
+	// condition was undecided after the last round and its variables'
+	// knowledge has not moved since.
+	touchedObj := make([]bool, len(ct.Conds))
+	var touchedObjs []int
+	answerable := func(e ctable.Expr) bool {
+		return touchedObj[e.X.Obj] || (e.Kind == ctable.VarGTVar && touchedObj[e.Y.Obj])
+	}
 	answeredExpr := map[ctable.Expr]bool{}
 	var stale []int
 	var staleConds []*ctable.Condition
@@ -343,6 +353,10 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		for _, v := range varBuf {
 			if id, ok := m.ids.ID(v); ok {
 				touched.add(id)
+			}
+			if !touchedObj[v.Obj] {
+				touchedObj[v.Obj] = true
+				touchedObjs = append(touchedObjs, v.Obj)
 			}
 		}
 		if id, ok := m.ids.ID(e.X); renormalised && ok {
@@ -410,6 +424,10 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 
 		touched.reset()
 		distChanged.reset()
+		for _, o := range touchedObjs {
+			touchedObj[o] = false
+		}
+		touchedObjs = touchedObjs[:0]
 		var conflicted []crowd.Task
 		var conflictSeen map[ctable.Expr]bool
 		for _, a := range answers {
@@ -557,7 +575,10 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 					continue
 				}
 				prev := ct.Conds[o]
-				cond := prev.Simplified(know)
+				cond := prev.SimplifiedWhere(know, answerable)
+				if resimplifyHook != nil {
+					resimplifyHook(prev, cond, know)
+				}
 				ct.Conds[o] = cond
 				if _, decided := cond.Decided(); decided {
 					delete(probs, o)
@@ -683,6 +704,12 @@ func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *idSet) bool {
 	}
 	return false
 }
+
+// resimplifyHook, when set, sees every condition the crowd phase
+// re-simplifies: the condition before, the filtered result, and the
+// knowledge it was simplified under. Tests set it to check the filter
+// against a full Simplified; it is nil otherwise.
+var resimplifyHook func(prev, got *ctable.Condition, know *ctable.Knowledge)
 
 // idSet is a set of model variable ids: membership by index, members
 // listed in insertion order, cleared in time proportional to them.

@@ -125,13 +125,24 @@ func (c *Condition) Exprs() []Expr {
 // result is a fresh condition sharing every clause slice that did not
 // change — so one condition can back many readers, each simplifying it
 // under its own knowledge.
-func (c *Condition) Simplified(k *Knowledge) *Condition {
+func (c *Condition) Simplified(k *Knowledge) *Condition { return c.SimplifiedWhere(k, nil) }
+
+// SimplifiedWhere is Simplified evaluating only the expressions affected
+// selects (every expression when affected is nil) and keeping the rest as
+// undecided. Knowledge.Eval reads only an expression's own variables, and
+// an answer changes only the variables it mentions, so when c was
+// already simplified under the knowledge as it stood before some answers
+// — a fixed point of it — and affected selects every expression that
+// mentions a variable those answers mentioned, the result is
+// Simplified(k) clause for clause, at the cost of evaluating the
+// expressions that can have changed.
+func (c *Condition) SimplifiedWhere(k *Knowledge, affected func(Expr) bool) *Condition {
 	if c.decided {
 		return c
 	}
 	var out [][]Expr // nil until the first clause that changes
 	for i, cl := range c.Clauses {
-		kept, satisfied, changed := simplifyClause(cl, k)
+		kept, satisfied, changed := simplifyClause(cl, k, affected)
 		if !changed {
 			if out != nil {
 				out = append(out, cl)
@@ -158,13 +169,17 @@ func (c *Condition) Simplified(k *Knowledge) *Condition {
 	return &Condition{Clauses: out}
 }
 
-// simplifyClause rewrites one clause under the knowledge: satisfied when
-// an expression is decided true, otherwise kept holds the expressions
-// not decided false. An unchanged clause comes back as itself; a changed
+// simplifyClause rewrites one clause under the knowledge, evaluating the
+// expressions affected selects (all when nil): satisfied when an
+// expression is decided true, otherwise kept holds the expressions not
+// decided false. An unchanged clause comes back as itself; a changed
 // one is a fresh slice, so cl is never written.
-func simplifyClause(cl []Expr, k *Knowledge) (kept []Expr, satisfied, changed bool) {
+func simplifyClause(cl []Expr, k *Knowledge, affected func(Expr) bool) (kept []Expr, satisfied, changed bool) {
 	for j, e := range cl {
-		v, decided := k.Eval(e)
+		var v, decided bool
+		if affected == nil || affected(e) {
+			v, decided = k.Eval(e)
+		}
 		switch {
 		case decided && v:
 			return nil, true, true

@@ -258,3 +258,50 @@ func consistent(k *Knowledge, c *Condition, assign map[Var]int) bool {
 	}
 	return true
 }
+
+// TestBuildConditionsAreFixedPoints checks that Build emits only
+// conditions empty knowledge cannot simplify: ClauseBetween drops the
+// statically decided expressions ("x < 0", "x > Levels-1"), so no
+// expression of a built condition is decided before the first answer.
+// The crowd phase's filtered re-simplification relies on it. The data
+// are anti-correlated with 3 to 8 levels, so many observed values sit at
+// 0 and at Levels-1.
+func TestBuildConditionsAreFixedPoints(t *testing.T) {
+	for _, levels := range []int{3, 5, 8} {
+		rng := rand.New(rand.NewSource(int64(60 + levels)))
+		d := dataset.GenAntiCorrelated(rng, 120, 3, levels).InjectMissing(rng, 0.3)
+		ends := [2]int{}
+		for i := range d.Objects {
+			for _, c := range d.Objects[i].Cells {
+				switch {
+				case c.Missing:
+				case c.Value == 0:
+					ends[0]++
+				case c.Value == levels-1:
+					ends[1]++
+				}
+			}
+		}
+		if ends[0] == 0 || ends[1] == 0 {
+			t.Fatalf("levels %d: %d values at 0 and %d at Levels-1; want both", levels, ends[0], ends[1])
+		}
+		for _, alpha := range []float64{0, 0.3} {
+			ct := Build(d, BuildOptions{Alpha: alpha, Workers: 1})
+			know := NewKnowledge(d)
+			undecided := 0
+			for i, c := range ct.Conds {
+				if _, decided := c.Decided(); decided {
+					continue
+				}
+				undecided++
+				if got := c.Simplified(know); got != c {
+					t.Fatalf("levels %d, alpha %v: condition %d (%d expressions) simplifies under empty knowledge (to %d)",
+						levels, alpha, i, c.NumExprs(), got.NumExprs())
+				}
+			}
+			if undecided == 0 {
+				t.Fatalf("levels %d, alpha %v: no undecided condition to check", levels, alpha)
+			}
+		}
+	}
+}

@@ -161,3 +161,26 @@ func TestPreprocessObserved(t *testing.T) {
 		t.Fatalf("layer.preprocess.duration counted %d registrations, want 2", got)
 	}
 }
+
+// TestLearnObserved checks that network learning books its wall time on
+// layer.learn.duration: once for a registration that learns a network,
+// never for one that takes the marginals.
+func TestLearnObserved(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	rng := rand.New(rand.NewSource(5))
+	learned := datasetReq("learned", dataset.GenNBA(rng, 200).InjectMissing(rng, 0.1))
+	learned.MarginalsOnly = false
+	incomplete, _ := makeData(79, 6, 2)
+	h := srv.Registry().Histogram("layer.learn.duration")
+	for _, c := range []struct {
+		req  DatasetRequest
+		want int64
+	}{{datasetReq("marginals", incomplete), 0}, {learned, 1}} {
+		if _, err := srv.RegisterDataset(c.req); err != nil {
+			t.Fatalf("registering %q: %v", c.req.Name, err)
+		}
+		if got := h.Count(); got != c.want {
+			t.Fatalf("after registering %q, layer.learn.duration counted %d, want %d", c.req.Name, got, c.want)
+		}
+	}
+}

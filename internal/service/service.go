@@ -142,7 +142,7 @@ type query struct {
 	id  string
 	ds  *datasetEntry
 	req QueryRequest
-	opt core.Options
+	opt core.Options // the run's options; zeroed under mu when the run ends
 
 	mu       sync.Mutex
 	state    State        // guarded by mu
@@ -347,6 +347,7 @@ func (s *Server) RegisterDataset(req DatasetRequest) (*DatasetInfo, error) {
 	base, err := core.Preprocess(d, core.Options{
 		MarginalsOnly: req.MarginalsOnly,
 		Workers:       parallel.Workers(s.cfg.Workers),
+		Metrics:       s.reg,
 	})
 	s.hPreprocess.Observe(time.Since(start))
 	s.sched.release()
@@ -490,6 +491,11 @@ func (s *Server) runQuery(q *query) {
 	}
 
 	q.mu.Lock()
+	// Nothing reads the run options once the run is over. Dropping them
+	// releases the request's rand source (about 4.9 KB) and the OnRound
+	// closure, which the query table would otherwise keep for the
+	// daemon's lifetime.
+	q.opt = core.Options{}
 	if flushFailed {
 		q.traceTrunc = true
 	}

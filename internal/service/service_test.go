@@ -596,6 +596,40 @@ func TestFinishedQueryRetainsNoCTable(t *testing.T) {
 	}
 }
 
+// TestFinishedQueryDropsRunOptions checks that a finished query keeps
+// neither its request's rand source nor its OnRound closure: nothing
+// reads the run options after the run, and the query table keeps every
+// finished query.
+func TestFinishedQueryDropsRunOptions(t *testing.T) {
+	incomplete, truth := makeData(57, 24, 4)
+	loop := NewLoopback(crowd.NewSimulated(truth, 1.0, nil), "")
+	srv := New(Config{Workers: 1, MaxConcurrent: 1, Sink: loop})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	loop.SetEndpoint(ts.URL)
+	loop.Start()
+	defer loop.Stop()
+
+	postJSON(t, ts.URL+"/v1/datasets", datasetReq("d", incomplete), http.StatusCreated, nil)
+	req := QueryRequest{Dataset: "d", Budget: 20, Latency: 4, Strategy: "UBS", Seed: 5, Workers: 1}
+	var st QueryStatus
+	postJSON(t, ts.URL+"/v1/queries", req, http.StatusAccepted, &st)
+	if final := waitDone(t, ts.URL, st.ID); final.State != StateDone {
+		t.Fatalf("query failed: %s", final.Error)
+	}
+	srv.mu.Lock()
+	q := srv.queries[st.ID]
+	srv.mu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.opt.Rng != nil {
+		t.Error("a finished query keeps its rand source")
+	}
+	if q.opt.OnRound != nil {
+		t.Error("a finished query keeps its OnRound closure")
+	}
+}
+
 // TestHTTPErrors walks the error envelope: bad bodies, unknown
 // resources, duplicate registration.
 func TestHTTPErrors(t *testing.T) {
