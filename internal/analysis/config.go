@@ -135,15 +135,15 @@ func RepoConfig(modulePath string) *Config {
 		DocPkgs:     []string{modulePath},
 		LedgerTypes: []string{p("internal/crowd") + ".Ledger"},
 		LedgerRoots: []string{
+			// The task board's settlement methods are the only callers of
+			// Reserve, Charge and Refund, for the service and the streaming
+			// loop alike, which is what keeps Ledger.Conserved a theorem
+			// rather than a hope. Tick keeps the stream's answer tallies.
+			p("internal/crowd") + ".Board.Post",
+			p("internal/crowd") + ".Board.Answer",
+			p("internal/crowd") + ".Board.Lose",
+			p("internal/crowd") + ".Board.Retire",
 			p("internal/stream") + ".CrowdEngine.Tick",
-			// The service hub's settlement paths are the only legal
-			// mutation sites of the per-query crowd-cost ledgers; every
-			// reserve/charge/refund happens inside these call trees, which
-			// is what keeps Ledger.Conserved a theorem rather than a hope.
-			p("internal/service") + ".hub.register",
-			p("internal/service") + ".hub.resolve",
-			p("internal/service") + ".hub.expireOverdue",
-			p("internal/service") + ".hub.drain",
 		},
 	}
 }

@@ -15,8 +15,9 @@ import (
 //
 //   - the accounting helpers: methods declared on the ledger types
 //     themselves (Ledger.Reserve, Charge, Refund), and their call trees;
-//   - the configured accounting roots' call trees (CrowdEngine.Tick and
-//     the service hub's register/resolve/expireOverdue/drain), resolved
+//   - the configured accounting roots' call trees (the task board's
+//     settlement methods Board.Post/Answer/Lose/Retire, and
+//     CrowdEngine.Tick for the stream's answer tallies), resolved
 //     interprocedurally over the call graph — including closures,
 //     method values, and pool-submitted thunks;
 //   - function literals lexically nested inside an allowed node (they

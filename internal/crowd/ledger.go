@@ -23,8 +23,9 @@ const (
 // per-tick movement (Sub).
 //
 // Reserve, Charge and Refund are the only writers of the money and
-// disposition fields; the bayeslint ledger analyzer confines every write
-// to them and to the accounting call trees.
+// disposition fields, and a Board's settlement methods their only
+// callers; the bayeslint ledger analyzer confines every write to them
+// and to the accounting call trees.
 type Ledger struct {
 	// Posted counts requests; Shared counts those that joined a task
 	// already open (the hub's dedup hits).

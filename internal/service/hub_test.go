@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"bayescrowd/internal/crowd"
@@ -88,20 +89,42 @@ func TestReaskCopiesAreSeparateTasks(t *testing.T) {
 	}
 }
 
-// TestHubSplitRemainder checks the exact-split rule directly: UnitMu
-// must divide across k sharers with the earliest joiners absorbing the
-// remainder, summing back to exactly UnitMu.
+// TestHubSplitRemainder checks the exact split through the hub: k
+// queries join one task, and once it is answered each query's charge
+// is the board's split share for its join position — the earliest
+// joiners absorb the remainder — summing to exactly UnitMu.
 func TestHubSplitRemainder(t *testing.T) {
+	task := crowd.Task{Expr: ctable.Expr{Kind: ctable.VarLTConst, X: ctable.Var{Obj: 1, Attr: 0}, C: 3}}
 	for k := 1; k <= 7; k++ {
-		share := int64(crowd.UnitMu / k)
-		extra := crowd.UnitMu % k
-		var sum int64
-		for i := 0; i < k; i++ {
-			c := share
-			if i < extra {
-				c++
+		sink := &recordSink{}
+		h := newHub(obs.NewRegistry(), sink)
+		ds := &datasetEntry{name: "d"}
+		qs := make([]*query, k)
+		for i := range qs {
+			qs[i] = &query{id: fmt.Sprintf("q%d", i), ds: ds}
+			_, fresh, err := h.register(qs[i], []crowd.Task{task})
+			if err != nil {
+				t.Fatal(err)
 			}
-			sum += c
+			h.notify(fresh)
+		}
+		if len(sink.posted) != 1 {
+			t.Fatalf("k=%d: %d tasks opened, want 1 shared task", k, len(sink.posted))
+		}
+		if _, err := h.resolve(sink.posted[0].ID, ctable.LT); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for i, q := range qs {
+			got := h.ledgerOf(q).ChargedMu
+			want := int64(crowd.UnitMu / k)
+			if i < crowd.UnitMu%k {
+				want++
+			}
+			if got != want || got != crowd.SplitMu(k, i) {
+				t.Errorf("k=%d: joiner %d charged %d mu, want %d", k, i, got, want)
+			}
+			sum += got
 		}
 		if sum != crowd.UnitMu {
 			t.Errorf("k=%d: shares sum to %d, want %d", k, sum, crowd.UnitMu)

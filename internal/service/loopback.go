@@ -152,8 +152,9 @@ func (l *Loopback) answer(t PostedTask) {
 	}
 }
 
-// deliver posts one answer callback.
-func (l *Loopback) deliver(taskID string, a crowd.Answer) error {
+// deliver posts one answer callback. It reads the receipt to the end
+// before closing it, so the client reuses its connection.
+func (l *Loopback) deliver(taskID string, a crowd.Answer) (err error) {
 	body, err := json.Marshal(AnswerRequest{Rel: a.Rel.String()})
 	if err != nil {
 		return err
@@ -175,5 +176,6 @@ func (l *Loopback) deliver(taskID string, a crowd.Answer) error {
 		}
 		return fmt.Errorf("answer callback for %s: status %d: %s", taskID, resp.StatusCode, msg)
 	}
+	_, err = io.Copy(io.Discard, resp.Body)
 	return err
 }

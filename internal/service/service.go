@@ -20,11 +20,11 @@
 //     query with another α replaces the slot, which bounds the daemon's
 //     models by its datasets.
 //   - The task hub intercepts every crowd round. A posted task joins
-//     the cross-query dedup table keyed by (dataset, expression): two
-//     queries needing the same missing cell share one outstanding crowd
-//     task, and when the answer arrives its unit price is split exactly
-//     across the sharers (see crowd.Ledger); re-ask copies of one task
-//     within a round each open their own. The posting query parks — the
+//     the cross-query task board (crowd.Board) keyed by (dataset,
+//     expression): two queries needing the same missing cell share one
+//     outstanding crowd task, and when the answer arrives its unit
+//     price is split exactly across the sharers (see crowd.SplitMu);
+//     re-ask copies of one task within a round each open their own. The posting query parks — the
 //     goroutine blocks, holding no compute token — until every task of
 //     its round is resolved by an answer callback, a deadline expiry,
 //     or drain.

@@ -83,13 +83,6 @@ type CrowdTickResult struct {
 	Lagging bool
 }
 
-// inflightTask is one posted, not-yet-resolved task.
-type inflightTask struct {
-	task   crowd.Task
-	posted int // tick it was posted
-	done   bool
-}
-
 // scheduledAnswer is an answer in transit: delivered by the platform at
 // post time, held until its arrival tick.
 type scheduledAnswer struct {
@@ -144,9 +137,10 @@ type CrowdEngine struct {
 	// them.
 	gone map[int]bool
 
-	inflight     []*inflightTask
-	inflightExpr map[ctable.Expr]*inflightTask
-	mailbox      map[int][]scheduledAnswer // arrival tick -> answers, post order
+	// board holds the in-flight tasks, posted at their tick; the
+	// answers in transit wait in mailbox.
+	board   *crowd.Board
+	mailbox map[int][]scheduledAnswer // arrival tick -> answers, post order
 
 	// totals is the running ledger; Charged and InFlight are the spent
 	// and reserved budget units.
@@ -200,15 +194,15 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		return nil, err
 	}
 	c := &CrowdEngine{
-		eng:          eng,
-		cfg:          cfg,
-		know:         ctable.NewKnowledge(dataset.New(cfg.Attrs)),
-		conds:        map[int]*ctable.Condition{},
-		inflightExpr: map[ctable.Expr]*inflightTask{},
-		mailbox:      map[int][]scheduledAnswer{},
-		touched:      map[ctable.Var]bool{},
-		distChanged:  map[ctable.Var]bool{},
-		gone:         map[int]bool{},
+		eng:         eng,
+		cfg:         cfg,
+		know:        ctable.NewKnowledge(dataset.New(cfg.Attrs)),
+		conds:       map[int]*ctable.Condition{},
+		board:       crowd.NewBoard(),
+		mailbox:     map[int][]scheduledAnswer{},
+		touched:     map[ctable.Var]bool{},
+		distChanged: map[ctable.Var]bool{},
+		gone:        map[int]bool{},
 
 		busyScratch:     map[ctable.Var]bool{},
 		answeredScratch: map[ctable.Expr]bool{},
@@ -256,7 +250,7 @@ func (c *CrowdEngine) Spent() int { return c.totals.Charged }
 func (c *CrowdEngine) Reserved() int { return c.totals.InFlight }
 
 // InFlight returns the number of tasks awaiting an answer.
-func (c *CrowdEngine) InFlight() int { return len(c.inflightExpr) }
+func (c *CrowdEngine) InFlight() int { return c.board.Len() }
 
 // Tick advances the stream clock to now, runs the machine steps and the
 // crowd steps interleaved, and returns the tick's delta, answer set and
@@ -275,7 +269,9 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	// cannot be absorbed even if every later check were bypassed.
 	c.retire(res.Evicted, e.evictStep(now, len(arrivals), &res.TickResult))
 
-	c.expireTasks()
+	// Retire the tasks posted more than TaskDeadline ticks ago, in
+	// posting order, refunding their reservations.
+	c.board.Retire(int64(c.eng.tick-c.cfg.TaskDeadline-1), crowd.Expired, c.expired)
 	c.ingest(&res.TickResult)
 
 	e.insertStep(now, arrivals, &res.TickResult)
@@ -289,7 +285,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	e.finish(&res.TickResult)
 
 	res.Crowd = c.totals.Sub(start)
-	res.InFlight = len(c.inflightExpr)
+	res.InFlight = c.board.Len()
 	res.BudgetSpent = c.totals.Charged
 	res.BudgetReserved = c.totals.InFlight
 	res.Lagging = res.Crowd.Expired+res.Crowd.Stale+res.Crowd.Late+res.Crowd.PostFailed > 0
@@ -297,26 +293,10 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	return res
 }
 
-// expireTasks retires overdue in-flight tasks and refunds their
-// reservations. The slice is in posting order, so the scan and its
-// events are deterministic.
-func (c *CrowdEngine) expireTasks() {
-	keep := c.inflight[:0]
-	for _, p := range c.inflight {
-		if p.done {
-			continue // resolved earlier; drop from the scan
-		}
-		if c.eng.tick-p.posted <= c.cfg.TaskDeadline {
-			keep = append(keep, p)
-			continue
-		}
-		p.done = true
-		delete(c.inflightExpr, p.task.Expr)
-		c.totals.Refund(crowd.Expired)
-		c.cExpired.Add(1)
-		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskExpire, Task: p.task.Expr.String(), N: p.posted, M: 1})
-	}
-	c.inflight = keep
+// expired books one task the tick's expiry retired.
+func (c *CrowdEngine) expired(t *crowd.OpenTask) {
+	c.cExpired.Add(1)
+	c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskExpire, Task: t.Key.Expr.String(), N: int(t.At), M: 1})
 }
 
 // ingest drains the answers due at the current tick, in the order they
@@ -343,15 +323,13 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 	for _, sa := range due {
 		c.totals.Arrived++
 		expr := sa.ans.Task.Expr
-		p, ok := c.inflightExpr[expr]
-		if !ok || p.done {
+		t := c.board.Lookup(crowd.Key{Expr: expr})
+		if t == nil {
 			c.totals.Late++
 			c.cStale.Add(1)
 			c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskStale, Task: expr.String(), Note: "late", N: sa.posted})
 			continue
 		}
-		p.done = true
-		delete(c.inflightExpr, expr)
 		// An evicted object makes the answer stale. The tombstone guard
 		// (ErrForgotten) is unreachable behind the liveness check, since
 		// ids are never reused, but it is the safety boundary.
@@ -361,7 +339,7 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 			err = c.ab.Absorb(expr, sa.ans.Rel)
 		}
 		if !live || errors.Is(err, ctable.ErrForgotten) {
-			c.totals.Refund(crowd.Stale)
+			c.board.Lose(t, crowd.Stale)
 			c.cStale.Add(1)
 			c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskStale, Task: expr.String(), Note: "evicted", N: sa.posted, M: 1})
 			continue
@@ -369,7 +347,7 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 		// Charge-on-answer: the crowd did the work, so conflicting
 		// answers cost a unit too — only lost work (expiry, staleness)
 		// is refunded.
-		c.totals.Charge(crowd.UnitMu)
+		c.board.Answer(t, sa.ans.Rel)
 		c.cAnswers.Add(1)
 		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskAnswer, Task: expr.String(), Rel: sa.ans.Rel.String(), N: sa.posted})
 		if err != nil { // *ConflictError — the only other Absorb failure
@@ -461,11 +439,8 @@ func (c *CrowdEngine) postStep() {
 	busy := c.busyScratch
 	clear(busy)
 	var vbuf []ctable.Var
-	for _, p := range c.inflight {
-		if p.done {
-			continue
-		}
-		vbuf = p.task.Expr.Vars(vbuf[:0])
+	for _, t := range c.board.Open() {
+		vbuf = t.Key.Expr.Vars(vbuf[:0])
 		for _, v := range vbuf {
 			busy[v] = true
 		}
@@ -499,10 +474,7 @@ func (c *CrowdEngine) postStep() {
 			// re-selects next tick instead of blocking or retrying now.
 			continue
 		}
-		p := &inflightTask{task: t, posted: c.eng.tick}
-		c.inflight = append(c.inflight, p)
-		c.inflightExpr[t.Expr] = p
-		c.totals.Reserve()
+		c.board.Post(crowd.Key{Expr: t.Expr}, int64(c.eng.tick), &c.totals, nil)
 		c.cPosted.Add(1)
 		c.eng.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamTaskPost, Task: t.Expr.String(), N: c.eng.tick + c.cfg.TaskDeadline, M: 1})
 	}
