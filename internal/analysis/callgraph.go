@@ -413,10 +413,11 @@ func (b *graphBuilder) impls(fn *types.Func) []*cgNode {
 
 // reachableFrom computes the nodes reachable from the given roots over
 // every edge kind. When samePkg is non-nil, traversal is confined to
-// nodes of that package (hotalloc's per-package hot regions). The
-// returned map carries, per reached node, the root that first reached
-// it (for diagnostics).
-func (g *callGraph) reachableFrom(roots []*cgNode, samePkg *Package) map[*cgNode]*cgNode {
+// nodes of that package (hotalloc's per-package hot regions); when stop
+// is non-nil, it does not follow the edges stop reports (the ledger's
+// boundary calls). The returned map carries, per reached node, the root
+// that first reached it (for diagnostics).
+func (g *callGraph) reachableFrom(roots []*cgNode, samePkg *Package, stop func(*cgEdge) bool) map[*cgNode]*cgNode {
 	reached := map[*cgNode]*cgNode{}
 	var queue []*cgNode
 	for _, r := range roots {
@@ -433,7 +434,7 @@ func (g *callGraph) reachableFrom(roots []*cgNode, samePkg *Package) map[*cgNode
 		queue = queue[1:]
 		for _, e := range n.Out {
 			c := e.Callee
-			if reached[c] != nil || (samePkg != nil && c.Pkg != samePkg) {
+			if reached[c] != nil || (samePkg != nil && c.Pkg != samePkg) || (stop != nil && stop(e)) {
 				continue
 			}
 			reached[c] = reached[n]

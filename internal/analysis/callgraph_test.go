@@ -127,7 +127,7 @@ func TestCallGraphReachableSamePkg(t *testing.T) {
 	if root == nil {
 		t.Fatal("root not resolved")
 	}
-	reached := g.reachableFrom([]*cgNode{root}, root.Pkg)
+	reached := g.reachableFrom([]*cgNode{root}, root.Pkg, nil)
 	names := map[string]bool{}
 	for n := range reached {
 		names[n.Name] = true

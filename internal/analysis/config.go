@@ -68,6 +68,11 @@ type Config struct {
 	// are legal only in their interprocedural call trees and in methods
 	// declared on the ledger types themselves.
 	LedgerRoots []string
+	// LedgerBoundaries are "pkgpath.Interface.Method" references to
+	// interface methods the roots' call trees stop at: a call through one
+	// hands work to an implementation whose own code is checked from its
+	// own roots, so its implementations do not join a root's tree.
+	LedgerBoundaries []string
 }
 
 // RepoConfig is the bayescrowd contract set: the invariants PRs 1-3
@@ -96,8 +101,9 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/prob") + ".ComponentCache",
 			p("internal/ctable") + ".DynCTable",
 			// Knowledge is mutated only between fan-outs (Absorb after a
-			// crowd round, Forget on eviction); it has no mutex by design,
-			// so the single-writer gate is its whole concurrency story.
+			// crowd round, Slide and Forget on eviction); it has no mutex
+			// by design, so the single-writer gate is its whole
+			// concurrency story.
 			p("internal/ctable") + ".Knowledge",
 			// A Model is shared read-only by every query on its (dataset,
 			// α) pair, and its conditions by every run's Result.CTable:
@@ -112,6 +118,7 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/prob") + ".Evaluator.Narrow",
 			p("internal/ctable") + ".Knowledge.Absorb",
 			p("internal/ctable") + ".Knowledge.Forget",
+			p("internal/ctable") + ".Knowledge.Slide",
 		},
 		MustCheck: []string{
 			p("internal/crowd") + ".Platform.Post",
@@ -144,6 +151,13 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/crowd") + ".Board.Lose",
 			p("internal/crowd") + ".Board.Retire",
 			p("internal/stream") + ".CrowdEngine.Tick",
+		},
+		// A crowd platform is the marketplace, outside the caller's
+		// books: Tick's posts reach the service hub's Post only through
+		// these interfaces, and the hub settles on the board.
+		LedgerBoundaries: []string{
+			p("internal/crowd") + ".Platform.Post",
+			p("internal/crowd") + ".AsyncPlatform.PostAsync",
 		},
 	}
 }

@@ -41,8 +41,9 @@ func TestRepoConfigResolves(t *testing.T) {
 		}
 	}
 	// Interface methods have no body and so no call-graph node; MustCheck
-	// entries resolve through the named type's method set instead.
-	for _, ref := range cfg.MustCheck {
+	// and LedgerBoundaries entries resolve through the named type's method
+	// set instead.
+	for _, ref := range append(append([]string(nil), cfg.MustCheck...), cfg.LedgerBoundaries...) {
 		pkgPath, typeName, method := splitMethodRef(ref)
 		obj := lookup(pkgPath + "." + typeName)
 		if obj == nil {

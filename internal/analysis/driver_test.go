@@ -40,6 +40,7 @@ func goldenConfig(modulePath string) *Config {
 		DocPkgs:              []string{td + "/doccomment"},
 		LedgerTypes:          []string{td + "/ledger.Ledger", td + "/ledger.Stats"},
 		LedgerRoots:          []string{td + "/ledger.Engine.Tick"},
+		LedgerBoundaries:     []string{td + "/ledger.Platform.Post"},
 	}
 }
 

@@ -342,7 +342,9 @@ func mustCheckFunc(prog *Program, cfg *Config, fn *types.Func) (bool, string) {
 // the call-tree closure of the configured accounting roots. A node in
 // the closure may mutate ledger counters; everything else may not.
 // Methods declared on the ledger types themselves (the accounting
-// helpers) are additional roots: they exist to centralize mutation.
+// helpers) are additional roots: they exist to centralize mutation. The
+// closure does not follow a call through a configured boundary
+// interface method to its implementations.
 func computeLedgerFacts(prog *Program, cfg *Config, f *facts) {
 	for _, ref := range cfg.LedgerTypes {
 		pkgPath, name := splitTypeRef(ref)
@@ -363,7 +365,17 @@ func computeLedgerFacts(prog *Program, cfg *Config, f *facts) {
 			roots = append(roots, n)
 		}
 	}
-	f.ledgerAllowed = f.graph.reachableFrom(roots, nil)
+	boundary := map[string]bool{}
+	for _, ref := range cfg.LedgerBoundaries {
+		boundary[ref] = true
+	}
+	f.ledgerAllowed = f.graph.reachableFrom(roots, nil, func(e *cgEdge) bool {
+		if e.Kind != edgeIface {
+			return false
+		}
+		fn := calleeFunc(e.Caller.Pkg.Info, e.Site)
+		return fn != nil && boundary[funcRef(fn)]
+	})
 }
 
 // isLedgerMethod reports whether fn is declared on one of the ledger

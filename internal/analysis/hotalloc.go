@@ -36,7 +36,7 @@ func runHotAlloc(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 
-	reached := f.graph.reachableFrom(f.hotRoots, pass.Pkg)
+	reached := f.graph.reachableFrom(f.hotRoots, pass.Pkg, nil)
 	for fn, root := range reached {
 		if fn.Pkg != pass.Pkg {
 			continue

@@ -19,7 +19,11 @@ import (
 //     settlement methods Board.Post/Answer/Lose/Retire, and
 //     CrowdEngine.Tick for the stream's answer tallies), resolved
 //     interprocedurally over the call graph — including closures,
-//     method values, and pool-submitted thunks;
+//     method values, and pool-submitted thunks, but stopping at calls
+//     through the configured boundary interface methods
+//     (crowd.Platform.Post, AsyncPlatform.PostAsync): a platform is the
+//     marketplace, outside the caller's books, so an implementation such
+//     as the service hub's is checked from its own roots instead;
 //   - function literals lexically nested inside an allowed node (they
 //     execute as part of it even when no call edge is visible).
 //

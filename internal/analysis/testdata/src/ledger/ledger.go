@@ -26,8 +26,9 @@ func (s *Stats) record(n int) { s.Rounds += n }
 
 // Engine owns the accounting; Tick is the configured root.
 type Engine struct {
-	led   Ledger
-	stats Stats
+	led      Ledger
+	stats    Stats
+	platform Platform
 }
 
 // Tick mutates directly, through a helper in its call tree, and through
@@ -44,6 +45,31 @@ func (e *Engine) Tick() {
 func (e *Engine) step() {
 	e.led.add(Ledger{Posted: 1, Charged: 1})
 	e.stats.record(1)
+	post(e.platform, 1)
+}
+
+// Platform is a configured boundary: the root's tree stops at calls
+// through Platform.Post.
+type Platform interface {
+	Post(n int)
+}
+
+// post reaches the boundary the way a helper shared by several callers
+// does.
+func post(p Platform, n int) { p.Post(n) }
+
+// Hub implements Platform for another owner's books. Tick reaches Post
+// only through the boundary, so Hub's code is not in Tick's tree.
+type Hub struct {
+	led Ledger
+}
+
+// Post is reachable from Tick only through the boundary.
+func (h *Hub) Post(n int) { h.register(n) }
+
+// register writes a counter outside every accounting tree.
+func (h *Hub) register(n int) {
+	h.led.Posted += n // want `write to ledger counter Ledger\.Posted outside the accounting call trees`
 }
 
 // Rogue mutates from outside the accounting tree: every site is a

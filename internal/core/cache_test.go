@@ -52,7 +52,11 @@ func TestProbabilityCacheFreshness(t *testing.T) {
 
 		// Rebuild the final knowledge and effective distributions from
 		// the answer log, exactly as crowdPhase absorbs them.
-		know := ctable.NewKnowledge(incomplete)
+		var vars []ctable.Var
+		for v := range base {
+			vars = append(vars, v)
+		}
+		know := ctable.NewKnowledge(incomplete, ctable.NewVarIDs(vars))
 		ev := prob.NewEvaluator(base)
 		for _, a := range log.answers {
 			if err := know.Absorb(a.Task.Expr, a.Rel); err != nil {

@@ -273,7 +273,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	var prevCache prob.CacheStats
 	var prevApprox int64
 
-	know := ctable.NewKnowledgeIDs(d, m.ids)
+	know := ctable.NewKnowledge(d, m.ids)
 	know.NoInference = opt.NoInference
 
 	// The run's own c-table: a shallow copy of the model's, whose
@@ -320,8 +320,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	// round instead of reallocated — the round count times the set sizes
 	// adds up at paper scale. The variable sets are indexed by model id;
 	// seen stamps each object with the last round that visited it.
-	touched := newIDSet(m.ids.Len())
-	distChanged := newIDSet(m.ids.Len())
+	var touched, distChanged IDSet
 	seen := make([]int32, len(ct.Conds))
 	// touchedObj marks the objects of the touched variables (listed in
 	// touchedObjs), so that re-simplification evaluates only the
@@ -345,14 +344,14 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	ab := &Absorption{Know: know, Ev: ev}
 	var varBuf []ctable.Var
 	absorb := func(e ctable.Expr, rel ctable.Rel) error {
-		renormalised, err := ab.absorb(e, rel)
+		renormalised, err := ab.Absorb(e, rel)
 		if err != nil {
 			return err
 		}
 		varBuf = e.Vars(varBuf[:0])
 		for _, v := range varBuf {
 			if id, ok := m.ids.ID(v); ok {
-				touched.add(id)
+				touched.Add(id)
 			}
 			if !touchedObj[v.Obj] {
 				touchedObj[v.Obj] = true
@@ -360,7 +359,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 			}
 		}
 		if id, ok := m.ids.ID(e.X); renormalised && ok {
-			distChanged.add(id)
+			distChanged.Add(id)
 		}
 		return nil
 	}
@@ -422,8 +421,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 			cRounds.Add(1)
 		}
 
-		touched.reset()
-		distChanged.reset()
+		touched.Reset()
+		distChanged.Reset()
 		for _, o := range touchedObjs {
 			touchedObj[o] = false
 		}
@@ -552,8 +551,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		// A renormalised distribution changes the key of every component
 		// mentioning its variable, so nothing is invalidated; the trace
 		// still records how many variables the round renormalised.
-		if ev.Cache != nil && len(distChanged.ids) > 0 {
-			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged.ids)})
+		if ev.Cache != nil && len(distChanged.IDs) > 0 {
+			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged.IDs)})
 		}
 
 		// Re-simplify exactly the conditions that mention a touched
@@ -564,7 +563,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		// ProbAll publishes this round's mutations to every worker before
 		// any solver reads them (the Evaluator's single-writer contract).
 		stale = stale[:0]
-		for _, id := range touched.ids {
+		for _, id := range touched.IDs {
 			for _, o32 := range m.objs[m.objsOff[id]:m.objsOff[id+1]] {
 				o := int(o32)
 				if seen[o] == int32(round) {
@@ -584,7 +583,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 					delete(probs, o)
 					continue
 				}
-				recompute := cond != prev || (len(distChanged.ids) > 0 && mentionsAny(cond, m.ids, distChanged))
+				recompute := cond != prev || (len(distChanged.IDs) > 0 && mentionsAny(cond, m.ids, &distChanged))
 				if recompute {
 					stale = append(stale, o)
 				}
@@ -694,10 +693,10 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 // mentionsAny reports whether a literal of cond mentions a variable in
 // vars, a set of ids — a scan of the literals in place, where
 // Condition.Vars would allocate the distinct set first.
-func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *idSet) bool {
+func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *IDSet) bool {
 	for _, cl := range cond.Clauses {
 		for _, e := range cl {
-			if vars.hasVar(ids, e.X) || (e.Kind == ctable.VarGTVar && vars.hasVar(ids, e.Y)) {
+			if vars.HasVar(ids, e.X) || (e.Kind == ctable.VarGTVar && vars.HasVar(ids, e.Y)) {
 				return true
 			}
 		}
@@ -710,35 +709,6 @@ func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *idSet) bool {
 // knowledge it was simplified under. Tests set it to check the filter
 // against a full Simplified; it is nil otherwise.
 var resimplifyHook func(prev, got *ctable.Condition, know *ctable.Knowledge)
-
-// idSet is a set of model variable ids: membership by index, members
-// listed in insertion order, cleared in time proportional to them.
-type idSet struct {
-	in  []bool
-	ids []int32
-}
-
-func newIDSet(n int) *idSet { return &idSet{in: make([]bool, n)} }
-
-func (s *idSet) add(id int32) {
-	if !s.in[id] {
-		s.in[id] = true
-		s.ids = append(s.ids, id)
-	}
-}
-
-// hasVar reports whether v has an id in the set.
-func (s *idSet) hasVar(ids *ctable.VarIDs, v ctable.Var) bool {
-	id, ok := ids.ID(v)
-	return ok && s.in[id]
-}
-
-func (s *idSet) reset() {
-	for _, id := range s.ids {
-		s.in[id] = false
-	}
-	s.ids = s.ids[:0]
-}
 
 // postWithRetry posts one round's batch, retrying round-level failures up
 // to Options.MaxRetries with capped exponential backoff (base·2^attempt,

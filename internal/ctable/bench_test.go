@@ -43,7 +43,7 @@ func BenchmarkDominatorsFast(b *testing.B) {
 func BenchmarkSimplify(b *testing.B) {
 	d := benchData(b, 1000)
 	ct := Build(d, BuildOptions{Alpha: 0.05})
-	know := NewKnowledge(d)
+	know := NewKnowledge(d, gridIDs(d.Len(), d.NumAttrs()))
 	// Narrow a handful of variables so Simplified has work to do.
 	narrowed := 0
 	for _, o := range ct.Undecided() {

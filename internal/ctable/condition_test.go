@@ -131,7 +131,7 @@ func knowledgeOver(levels ...int) *Knowledge {
 	for i, l := range levels {
 		attrs[i] = dataset.Attribute{Name: "a", Levels: l}
 	}
-	return NewKnowledge(dataset.New(attrs))
+	return NewKnowledge(dataset.New(attrs), gridIDs(16, len(levels)))
 }
 
 func TestSimplifyDecidesTrue(t *testing.T) {

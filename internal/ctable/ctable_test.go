@@ -199,7 +199,7 @@ func sortedInts(s []int) []int {
 func TestSimplifyAllCountsSettled(t *testing.T) {
 	d := dataset.SampleMovies()
 	ct := Build(d, BuildOptions{Alpha: 1})
-	k := NewKnowledge(d)
+	k := NewKnowledge(d, gridIDs(d.Len(), d.NumAttrs()))
 	// Answer: Var(o5,a4) < 4 — satisfies φ(o1) immediately.
 	if err := k.Absorb(LTConst(v(4, 3), 4), LT); err != nil {
 		t.Fatal(err)

@@ -312,7 +312,7 @@ func TestDynDomIndexMatchesPairwisePredicate(t *testing.T) {
 
 func TestKnowledgeForget(t *testing.T) {
 	d := dataset.SampleMovies()
-	k := NewKnowledge(d)
+	k := NewKnowledge(d, gridIDs(10, d.NumAttrs()))
 	// Narrow two variables and relate a third pair.
 	if err := k.Absorb(LTConst(v(4, 1), 2), LT); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestKnowledgeForgetAfterAbsorbConsistency(t *testing.T) {
 	// values for surviving variables and the conflict count stay
 	// consistent — Forget must not erase history or neighbours.
 	d := dataset.SampleMovies()
-	k := NewKnowledge(d)
+	k := NewKnowledge(d, gridIDs(10, d.NumAttrs()))
 
 	// Pin Var(o5,a2) to exactly 1 and record a conflict against it.
 	if err := k.Absorb(LTConst(v(4, 1), 2), LT); err != nil {
@@ -387,7 +387,7 @@ func TestKnowledgeForgetAfterAbsorbConsistency(t *testing.T) {
 
 func TestKnowledgeForgetNoInference(t *testing.T) {
 	d := dataset.SampleMovies()
-	k := NewKnowledge(d)
+	k := NewKnowledge(d, gridIDs(10, d.NumAttrs()))
 	k.NoInference = true
 	if err := k.Absorb(LTConst(v(4, 1), 2), LT); err != nil {
 		t.Fatal(err)

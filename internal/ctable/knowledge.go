@@ -18,12 +18,11 @@ import (
 // expressions that were never asked.
 type Knowledge struct {
 	levels []int // per attribute
-	// ids, when non-nil, numbers the variables whose intervals live in
-	// byID; every other variable's interval lives in spans (spanOf).
-	// bounded counts the intervals recorded either way.
+	// ids numbers the variables whose intervals the knowledge keeps:
+	// byID[id] is variable id's. Ids past the end of byID are unset.
+	// bounded counts the set intervals.
 	ids     *VarIDs
 	byID    []span
-	spans   map[Var]*span
 	bounded int
 	rel     map[[2]Var]Rel // key ordered by variable identity; value oriented as key[0] REL key[1]
 
@@ -59,14 +58,12 @@ type span struct {
 }
 
 // NewKnowledge returns empty knowledge over the dataset's attribute
-// domains.
-func NewKnowledge(d *dataset.Dataset) *Knowledge { return NewKnowledgeIDs(d, nil) }
-
-// NewKnowledgeIDs is NewKnowledge keeping the intervals of the variables
-// ids numbers in a slice indexed by id, so Bounds and Eval on them hash
-// nothing. Other variables keep their intervals in a map, as under
-// NewKnowledge; what the knowledge decides is the same either way.
-func NewKnowledgeIDs(d *dataset.Dataset, ids *VarIDs) *Knowledge {
+// domains, keeping the interval of each variable ids numbers in a slice
+// indexed by its id, so Bounds and Eval hash nothing. A variable ids does
+// not number has the full domain; absorbing a constant comparison on one
+// panics, since no interval can be kept for it. A caller that renumbers
+// ids keeps the intervals aligned with Slide.
+func NewKnowledge(d *dataset.Dataset, ids *VarIDs) *Knowledge {
 	levels := make([]int, d.NumAttrs())
 	for j, a := range d.Attrs {
 		levels[j] = a.Levels
@@ -75,27 +72,37 @@ func NewKnowledgeIDs(d *dataset.Dataset, ids *VarIDs) *Knowledge {
 		levels:    levels,
 		ids:       ids,
 		byID:      make([]span, ids.Len()),
-		spans:     map[Var]*span{},
 		rel:       map[[2]Var]Rel{},
 		exprTruth: map[Expr]bool{},
 		forgotten: map[Var]bool{},
 	}
 }
 
-// spanOf returns x's interval slot: by id for a numbered variable, from
-// the map otherwise, where a missing slot is created when create is set
-// and reported as nil when not. It is the one place a variable's
-// interval is looked up.
+// spanOf returns x's interval slot, or nil when ids does not number x.
+// Slots past the end of byID are read as unset, and created, unset, when
+// create is set. It is the one place a variable's interval is looked up.
 func (k *Knowledge) spanOf(x Var, create bool) *span {
-	if id, ok := k.ids.ID(x); ok {
-		return &k.byID[id]
+	id, ok := k.ids.ID(x)
+	if ok && create && int(id) >= len(k.byID) {
+		k.byID = append(k.byID, make([]span, k.ids.Len()-len(k.byID))...)
 	}
-	sp := k.spans[x]
-	if sp == nil && create {
-		sp = &span{}
-		k.spans[x] = sp
+	if !ok || int(id) >= len(k.byID) {
+		return nil
 	}
-	return sp
+	return &k.byID[id]
+}
+
+// Slide drops the intervals of the n smallest ids, so that they follow a
+// renumbering that retires those ids and moves every other id n lower,
+// as a sliding window's eviction does. It records no tombstones.
+func (k *Knowledge) Slide(n int) {
+	n = min(n, len(k.byID))
+	for _, sp := range k.byID[:n] {
+		if sp.set {
+			k.bounded--
+		}
+	}
+	k.byID = k.byID[n:]
 }
 
 // Empty reports whether the knowledge currently records nothing: no
@@ -187,7 +194,7 @@ func (e *ForgottenError) Error() string {
 func (e *ForgottenError) Is(target error) bool { return target == ErrForgotten }
 
 // forgottenVar returns the first forgotten variable the expression
-// mentions, if any. nil-map safe for zero-value Knowledge literals.
+// mentions, if any.
 func (k *Knowledge) forgottenVar(e Expr) (Var, bool) {
 	if len(k.forgotten) == 0 {
 		return Var{}, false
@@ -239,6 +246,9 @@ func (k *Knowledge) Absorb(e Expr, rel Rel) error {
 			return &ConflictError{Expr: e, Rel: rel, Lo: lo, Hi: hi}
 		}
 		sp := k.spanOf(e.X, true)
+		if sp == nil {
+			panic(fmt.Sprintf("ctable: knowledge keeps no interval for unnumbered variable %v", e.X))
+		}
 		if !sp.set {
 			k.bounded++
 		}
@@ -286,8 +296,9 @@ func varLess(a, b Var) bool {
 // every other variable is untouched, as is the Conflicts counter —
 // conflicts already charged against departed objects remain historical
 // fact. The streaming engine calls it when an object is evicted, so a
-// long-running window does not accumulate intervals for variables that
-// can never be asked about again.
+// long-running window does not accumulate relations about variables that
+// can never be asked about again; the eviction's Slide has already
+// dropped their intervals.
 //
 // Forget is also a tombstone: the variables join the forgotten set and
 // any later Absorb mentioning one of them is rejected with ErrForgotten
@@ -303,9 +314,6 @@ func (k *Knowledge) Forget(vars ...Var) {
 		return
 	}
 	gone := make(map[Var]bool, len(vars))
-	if k.forgotten == nil {
-		k.forgotten = map[Var]bool{}
-	}
 	for _, v := range vars {
 		gone[v] = true
 		k.forgotten[v] = true
@@ -313,7 +321,6 @@ func (k *Knowledge) Forget(vars ...Var) {
 			*sp = span{}
 			k.bounded--
 		}
-		delete(k.spans, v)
 	}
 	for key := range k.rel {
 		if gone[key[0]] || gone[key[1]] {

@@ -318,3 +318,44 @@ func TestForgetAbsorbForgetProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestKnowledgeSlide renumbers a window the way a stream eviction does —
+// the oldest object's variables retire and every survivor's id falls by
+// their count — and checks that Slide keeps each interval with its
+// variable, leaves the retired and the arriving variables at the full
+// domain, and keeps Empty's count.
+func TestKnowledgeSlide(t *testing.T) {
+	window := []Var{v(0, 0), v(0, 1), v(1, 1), v(2, 0)}
+	ids := NewVarIDs(window)
+	k := NewKnowledge(dataset.New([]dataset.Attribute{{Name: "a", Levels: 6}, {Name: "b", Levels: 6}}), ids)
+	for _, a := range []struct {
+		e   Expr
+		rel Rel
+	}{{LTConst(v(0, 1), 3), LT}, {GTConst(v(1, 1), 2), GT}, {LTConst(v(2, 0), 2), LT}} {
+		if err := k.Absorb(a.e, a.rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window = append(window[2:], v(3, 0))
+	k.Slide(2)
+	ids.Renumber(window)
+	for _, want := range []struct {
+		x      Var
+		lo, hi int
+	}{{v(0, 1), 0, 5}, {v(1, 1), 3, 5}, {v(2, 0), 0, 1}, {v(3, 0), 0, 5}} {
+		if lo, hi := k.Bounds(want.x); lo != want.lo || hi != want.hi {
+			t.Fatalf("Bounds(%v) = [%d,%d] after the slide, want [%d,%d]", want.x, lo, hi, want.lo, want.hi)
+		}
+	}
+	if err := k.Absorb(GTConst(v(3, 0), 4), GT); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := k.Bounds(v(3, 0)); lo != 5 || hi != 5 {
+		t.Fatalf("arrival Bounds = [%d,%d], want [5,5]", lo, hi)
+	}
+	k.Slide(len(window))
+	ids.Renumber(nil)
+	if !k.Empty() {
+		t.Fatal("knowledge not Empty after every interval slid out")
+	}
+}

@@ -40,7 +40,7 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 		}
 
 		// Absorb a few truthful answers about random expressions.
-		know := NewKnowledge(schema)
+		know := NewKnowledge(schema, gridIDs(len(vars)+2, schema.NumAttrs()))
 		exprs := orig.Exprs()
 		for k := 0; k < 1+rng.Intn(3); k++ {
 			e := exprs[rng.Intn(len(exprs))]
@@ -99,7 +99,7 @@ func TestSimplifiedCopyOnChange(t *testing.T) {
 
 		// Answers about a wider variable set than the condition's, some
 		// possibly contradicting each other (those are simply refused).
-		know := NewKnowledge(schema)
+		know := NewKnowledge(schema, gridIDs(len(vars)+2, schema.NumAttrs()))
 		others := append(vars, Var{Obj: len(vars), Attr: 0}, Var{Obj: len(vars) + 1, Attr: 0})
 		for k := rng.Intn(4); k > 0; k-- {
 			e := randomExpr(rng, others, levels)
@@ -287,7 +287,7 @@ func TestBuildConditionsAreFixedPoints(t *testing.T) {
 		}
 		for _, alpha := range []float64{0, 0.3} {
 			ct := Build(d, BuildOptions{Alpha: alpha, Workers: 1})
-			know := NewKnowledge(d)
+			know := NewKnowledge(d, gridIDs(d.Len(), d.NumAttrs()))
 			undecided := 0
 			for i, c := range ct.Conds {
 				if _, decided := c.Decided(); decided {

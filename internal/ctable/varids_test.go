@@ -1,12 +1,21 @@
 package ctable
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
-
-	"bayescrowd/internal/dataset"
 )
+
+// gridIDs numbers every variable of objects 0..objs-1 over attrs
+// attributes, for knowledge that tests absorb into freely.
+func gridIDs(objs, attrs int) *VarIDs {
+	var vars []Var
+	for o := 0; o < objs; o++ {
+		for a := 0; a < attrs; a++ {
+			vars = append(vars, Var{Obj: o, Attr: a})
+		}
+	}
+	return NewVarIDs(vars)
+}
 
 // randomMask draws the missing cells of a random dataset shape. Object 0
 // has no missing cell and object 1 has every cell missing; attribute
@@ -96,62 +105,5 @@ func TestVarIDsOrder(t *testing.T) {
 	var none *VarIDs
 	if _, ok := none.ID(Var{}); ok || none.Len() != 0 {
 		t.Fatal("a nil table numbers something")
-	}
-}
-
-// TestKnowledgeIDsMatchMaps drives random Absorb/Forget sequences through
-// knowledge keeping its intervals by id and knowledge keeping them in
-// maps, and checks that both return the same errors and report the same
-// Bounds, Eval, Conflicts and Empty throughout. One variable stays
-// outside the id space, so the id form's map path runs too.
-func TestKnowledgeIDsMatchMaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	const levels = 6
-	attrs := []dataset.Attribute{{Name: "a", Levels: levels}, {Name: "b", Levels: levels}, {Name: "c", Levels: levels}}
-	vars := []Var{v(0, 0), v(0, 2), v(1, 1), v(2, 0), v(2, 1), v(4, 2)}
-	for trial := 0; trial < 200; trial++ {
-		outside := rng.Intn(len(vars))
-		var numbered []Var
-		for i, x := range vars {
-			if i != outside {
-				numbered = append(numbered, x)
-			}
-		}
-		byMap := NewKnowledge(dataset.New(attrs))
-		byID := NewKnowledgeIDs(dataset.New(attrs), NewVarIDs(numbered))
-		probes := make([]Expr, 30)
-		for i := range probes {
-			probes[i] = randomExpr(rng, vars, levels)
-		}
-		for step := 0; step < 60; step++ {
-			if rng.Intn(6) == 0 {
-				x := vars[rng.Intn(len(vars))]
-				byMap.Forget(x)
-				byID.Forget(x)
-			} else {
-				e, rel := randomExpr(rng, vars, levels), Rel(rng.Intn(3))
-				errMap, errID := byMap.Absorb(e, rel), byID.Absorb(e, rel)
-				if (errMap == nil) != (errID == nil) || errMap != nil && errMap.Error() != errID.Error() ||
-					errors.Is(errMap, ErrConflict) != errors.Is(errID, ErrConflict) {
-					t.Fatalf("trial %d step %d: Absorb(%v, %v) = %v by map, %v by id", trial, step, e, rel, errMap, errID)
-				}
-			}
-			if byMap.Conflicts != byID.Conflicts || byMap.Empty() != byID.Empty() {
-				t.Fatalf("trial %d step %d: conflicts %d/%d, empty %v/%v by map/id",
-					trial, step, byMap.Conflicts, byID.Conflicts, byMap.Empty(), byID.Empty())
-			}
-			for _, x := range vars {
-				lo, hi := byMap.Bounds(x)
-				if l, h := byID.Bounds(x); l != lo || h != hi {
-					t.Fatalf("trial %d step %d: Bounds(%v) = [%d,%d] by map, [%d,%d] by id", trial, step, x, lo, hi, l, h)
-				}
-			}
-			for _, e := range probes {
-				val, dec := byMap.Eval(e)
-				if v, d := byID.Eval(e); v != val || d != dec {
-					t.Fatalf("trial %d step %d: Eval(%v) = %v,%v by map, %v,%v by id", trial, step, e, val, dec, v, d)
-				}
-			}
-		}
 	}
 }

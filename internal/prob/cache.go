@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"slices"
 	"sync"
 
 	"bayescrowd/internal/ctable"
@@ -158,11 +159,11 @@ func (c *ComponentCache) store(key []byte, e cacheEntry) int {
 	return evicted
 }
 
-// Drop removes every entry that mentions a variable in dead and returns
-// how many it removed. Call it with the variables whose entries can no
-// longer be hit — retired by an eviction, or renormalised, which moves
-// every key mentioning the variable — batched per window tick or crowd
-// round, since each call scans every shard. It only reclaims memory: a
+// Drop removes every entry that mentions a variable dead reports and
+// returns how many it removed. Call it with the variables whose entries
+// can no longer be hit — retired by an eviction, or renormalised, which
+// moves every key mentioning the variable — batched per window tick or
+// crowd round, since each call scans every shard. It only reclaims memory: a
 // missed Drop leaves dead entries to the size cap, never a wrong
 // probability. The returned count is scheduling-dependent (which
 // components got cached depends on the preceding fan-out's schedule):
@@ -170,17 +171,14 @@ func (c *ComponentCache) store(key []byte, e cacheEntry) int {
 //
 // Single-writer: Drop must not run concurrently with lookups, i.e. only
 // between parallel fan-outs.
-func (c *ComponentCache) Drop(dead map[ctable.Var]bool) int {
-	if len(dead) == 0 {
-		return 0
-	}
+func (c *ComponentCache) Drop(dead func(ctable.Var) bool) int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		kept := sh.fifo[:0]
 		for _, k := range sh.fifo {
-			if mentions(sh.m[k].vars, dead) {
+			if slices.ContainsFunc(sh.m[k].vars, dead) {
 				delete(sh.m, k)
 				n++
 				continue
@@ -193,16 +191,6 @@ func (c *ComponentCache) Drop(dead map[ctable.Var]bool) int {
 	}
 	c.dropped += uint64(n)
 	return n
-}
-
-// mentions reports whether any of vars is in dead.
-func mentions(vars []ctable.Var, dead map[ctable.Var]bool) bool {
-	for _, v := range vars {
-		if dead[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // Len returns the number of live entries across all shards.

@@ -180,18 +180,19 @@ func (ev *Evaluator) plan(key []byte, e cacheEntry) {
 }
 
 // Drop removes from the cache and from the planned sweep set every entry
-// that mentions a variable in dead, and returns how many cache entries
-// it removed (ComponentCache.Drop). The streaming engine calls it with
-// the variables a tick retired or renormalised, whose entries can never
-// be hit again. Like every distribution write it belongs in a
-// single-writer gap.
-func (ev *Evaluator) Drop(dead map[ctable.Var]bool) int {
-	if ev.Cache == nil || len(dead) == 0 {
+// that mentions a variable dead reports, and returns how many cache
+// entries it removed (ComponentCache.Drop). The streaming engine calls
+// it with the variables a tick retired — "object not live" — or
+// renormalised, whose entries can never be hit again; each call scans
+// every entry, so a caller with nothing to drop skips it. Like every
+// distribution write it belongs in a single-writer gap.
+func (ev *Evaluator) Drop(dead func(ctable.Var) bool) int {
+	if ev.Cache == nil {
 		return 0
 	}
 	ev.plannedMu.Lock()
 	for k, e := range ev.planned {
-		if mentions(e.vars, dead) {
+		if slices.ContainsFunc(e.vars, dead) {
 			delete(ev.planned, k)
 		}
 	}

@@ -146,8 +146,11 @@ type CrowdEngine struct {
 	// and reserved budget units.
 	totals crowd.Ledger
 
-	touched     map[ctable.Var]bool
-	distChanged map[ctable.Var]bool
+	// touched holds the window ids of the variables the tick's answers
+	// mentioned; distChanged those an ingest moved the bounds of. Both
+	// fill after the tick's evictions, so the ids hold until it ends.
+	touched     core.IDSet
+	distChanged core.IDSet
 
 	// Per-tick scratch, reused across ticks (Tick is a hot-loop root):
 	// the in-flight variable set for selection, the answered-task set of
@@ -163,16 +166,16 @@ type CrowdEngine struct {
 }
 
 // NewCrowd validates the configuration and returns an empty engine.
-// The crowd loop needs the incremental engine's delta c-table, so
-// Config.Rebuild is rejected when the budget is positive.
+// The crowd loop needs the incremental engine's delta c-table and window
+// numbering, so Config.Rebuild is rejected.
 func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 	if cfg.Budget < 0 {
 		return nil, fmt.Errorf("stream: negative crowd budget %d", cfg.Budget)
 	}
+	if cfg.Rebuild {
+		return nil, fmt.Errorf("stream: the crowd loop requires the incremental engine (Rebuild is the machine-only baseline)")
+	}
 	if cfg.Budget > 0 {
-		if cfg.Rebuild {
-			return nil, fmt.Errorf("stream: the crowd loop requires the incremental engine (Rebuild is the machine-only baseline)")
-		}
 		if cfg.Platform == nil {
 			return nil, fmt.Errorf("stream: crowd budget %d needs a Platform", cfg.Budget)
 		}
@@ -194,24 +197,22 @@ func NewCrowd(cfg CrowdConfig) (*CrowdEngine, error) {
 		return nil, err
 	}
 	c := &CrowdEngine{
-		eng:         eng,
-		cfg:         cfg,
-		know:        ctable.NewKnowledge(dataset.New(cfg.Attrs)),
-		conds:       map[int]*ctable.Condition{},
-		board:       crowd.NewBoard(),
-		mailbox:     map[int][]scheduledAnswer{},
-		touched:     map[ctable.Var]bool{},
-		distChanged: map[ctable.Var]bool{},
-		gone:        map[int]bool{},
+		eng: eng,
+		cfg: cfg,
+		// The knowledge keeps its intervals by window id; the engine
+		// slides them at each eviction, with the evaluator's states.
+		know:    ctable.NewKnowledge(dataset.New(cfg.Attrs), eng.ev.IDs),
+		conds:   map[int]*ctable.Condition{},
+		board:   crowd.NewBoard(),
+		mailbox: map[int][]scheduledAnswer{},
+		gone:    map[int]bool{},
 
 		busyScratch:     map[ctable.Var]bool{},
 		answeredScratch: map[ctable.Expr]bool{},
 		staleScratch:    map[int]bool{},
 	}
-	c.ab = &core.Absorption{
-		Know: c.know, Ev: eng.ev,
-		Touched: c.touched, DistChanged: c.distChanged,
-	}
+	eng.know = c.know
+	c.ab = &core.Absorption{Know: c.know, Ev: eng.ev}
 	c.opt = core.Options{
 		Strategy: cfg.Strategy,
 		M:        cfg.M,
@@ -262,7 +263,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	e.beginTick(now)
 	var res CrowdTickResult
 	start := c.totals
-	clear(c.touched)
+	c.touched.Reset()
 
 	// Evict, then retract: the knowledge recorded about the retired
 	// variables is tombstoned, so a stale answer racing this eviction
@@ -336,7 +337,7 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 		var err error
 		live := c.liveExpr(expr)
 		if live {
-			err = c.ab.Absorb(expr, sa.ans.Rel)
+			err = c.absorb(expr, sa.ans.Rel)
 		}
 		if !live || errors.Is(err, ctable.ErrForgotten) {
 			c.board.Lose(t, crowd.Stale)
@@ -356,8 +357,34 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 		}
 		c.totals.Absorbed++
 	}
-	res.InvalidatedEntries += c.eng.ev.Drop(c.distChanged)
-	clear(c.distChanged)
+	if len(c.distChanged.IDs) > 0 {
+		res.InvalidatedEntries += c.eng.ev.Drop(func(v ctable.Var) bool { return c.distChanged.HasVar(c.eng.ev.IDs, v) })
+		c.distChanged.Reset()
+	}
+}
+
+// absorb folds an answer about live variables in through the shared
+// absorption path and marks, by window id, the variables it mentions as
+// touched and e.X in distChanged if its bounds moved: an answer that
+// leaves them where they were changes no cache key. Errors pass through
+// with nothing marked.
+func (c *CrowdEngine) absorb(e ctable.Expr, rel ctable.Rel) error {
+	lo, hi := c.know.Bounds(e.X)
+	renormalised, err := c.ab.Absorb(e, rel)
+	if err != nil {
+		return err
+	}
+	ids := c.eng.ev.IDs
+	x, _ := ids.ID(e.X)
+	c.touched.Add(x)
+	if e.Kind == ctable.VarGTVar {
+		y, _ := ids.ID(e.Y)
+		c.touched.Add(y)
+	}
+	if nlo, nhi := c.know.Bounds(e.X); renormalised && (nlo != lo || nhi != hi) {
+		c.distChanged.Add(x)
+	}
+	return nil
 }
 
 // retire forgets what the tick's evictions took: the knowledge of the
@@ -371,9 +398,7 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 func (c *CrowdEngine) retire(ids []int, vars []ctable.Var) {
 	clear(c.gone)
 	clear(c.staleScratch)
-	if len(vars) > 0 {
-		c.know.Forget(vars...)
-	}
+	c.know.Forget(vars...)
 	for _, id := range ids {
 		delete(c.conds, id)
 	}
@@ -525,7 +550,8 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	for _, id := range e.tbl.DrainDirty() {
 		staleSet[id] = true
 	}
-	for v := range c.touched {
+	for _, id := range c.touched.IDs {
+		v := e.vars[id]
 		c.candScratch = e.tbl.Dominatees(v.Obj, append(c.candScratch[:0], v.Obj))
 		for _, id := range c.candScratch {
 			if _, ok := staleSet[id]; !ok && c.conds[id].Mentions(func(x ctable.Var) bool { return x == v }) {

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -121,7 +122,7 @@ func checkStaleSet(t *testing.T, tag string, ce *CrowdEngine, pre map[int]*ctabl
 			continue
 		}
 		for _, v := range cond.Vars() {
-			if ce.touched[v] {
+			if ce.touched.HasVar(ce.eng.ev.IDs, v) {
 				want[id] = false
 				n++
 				break
@@ -188,7 +189,10 @@ func (l priorLog) dist(id, attr, levels int) []float64 {
 // exactly the live objects' variables (rows[id] holds object id's
 // cells), densely in (Obj, Attr) order, and each one's state holds its
 // own prior from priors as Base, narrowed to its knowledge bounds when
-// an answer bounded it and the prior itself otherwise.
+// an answer bounded it and the prior itself otherwise. The knowledge,
+// which keeps its intervals by the same ids and slides them at each
+// eviction, must agree with the state: Bounds is the state's Interval
+// when it is Narrowed and the full domain otherwise.
 // It returns how many live variables are narrowed.
 func checkNumbering(t *testing.T, tag string, ce *CrowdEngine, rows [][]dataset.Cell, priors priorLog) int {
 	t.Helper()
@@ -211,6 +215,13 @@ func checkNumbering(t *testing.T, tag string, ce *CrowdEngine, rows [][]dataset.
 			t.Fatalf("%s: %v does not hold its own prior as base", tag, v)
 		}
 		lo, hi := ce.know.Bounds(v)
+		stateIv := prob.Interval{Hi: levels - 1}
+		if st.Narrowed {
+			stateIv = st.Interval
+		}
+		if (prob.Interval{Lo: lo, Hi: hi}) != stateIv {
+			t.Fatalf("%s: %v has knowledge bounds [%d,%d], its state %+v", tag, v, lo, hi, stateIv)
+		}
 		want := prob.VarState{Base: prior, Dist: prior}
 		if lo != 0 || hi != levels-1 {
 			ref := prob.NewEvaluator(prob.Dists{v: prior})
@@ -234,39 +245,56 @@ func sortedIDs(set map[int]bool) []int {
 	return out
 }
 
-// BenchmarkCrowdTick measures one steady-state crowd tick: a
-// 1000-object window of NBA rows with 10% of the cells missing, one
-// arrival and one eviction a tick, UBS posting 2 tasks a tick to a crowd
-// that answers 1–3 ticks later. The window fill is set-up, outside the
-// timing.
+// BenchmarkCrowdTick measures steady-state crowd ticks on one fixed
+// schedule: a 1000-object window of NBA rows with 10% of the cells
+// missing, then 300 ticks of one arrival and one eviction each, UBS
+// posting 2 tasks a tick, within a budget of 600, to a crowd that
+// answers 1–3 ticks later. Each iteration replays the whole schedule on
+// a fresh engine; the engine and the window fill are set-up, outside the
+// timing. It reports ns/tick and allocs/tick over the timed ticks.
 func BenchmarkCrowdTick(b *testing.B) {
-	const window = 1000
-	truth := dataset.GenNBA(rand.New(rand.NewSource(1)), window+b.N)
+	const window, ticks = 1000, 300
+	truth := dataset.GenNBA(rand.New(rand.NewSource(1)), window+ticks)
 	holes := truth.InjectMissing(rand.New(rand.NewSource(2)), 0.1)
 	rows := make([][]dataset.Cell, len(holes.Objects))
 	for i, o := range holes.Objects {
 		rows[i] = o.Cells
 	}
-	platform := crowd.NewUnreliable(crowd.NewSimulated(truth, 1, nil), 0, 0, 0, rand.New(rand.NewSource(3)))
-	platform.MinDelay, platform.MaxDelay = 1, 3
-	ce, err := NewCrowd(CrowdConfig{
-		Config:       Config{Attrs: truth.Attrs, Window: Window{Count: window}, Workers: 2},
-		Platform:     platform,
-		Budget:       2 * b.N,
-		TasksPerTick: 2,
-		TaskDeadline: 4,
-		Strategy:     core.UBS,
-		Rng:          rand.New(rand.NewSource(4)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ce.Tick(0, rows[:window])
 	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
+	var elapsed time.Duration
+	var allocs uint64
+	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		ce.Tick(int64(i+1), rows[window+i:window+i+1])
+		b.StopTimer()
+		platform := crowd.NewUnreliable(crowd.NewSimulated(truth, 1, nil), 0, 0, 0, rand.New(rand.NewSource(3)))
+		platform.MinDelay, platform.MaxDelay = 1, 3
+		ce, err := NewCrowd(CrowdConfig{
+			Config:       Config{Attrs: truth.Attrs, Window: Window{Count: window}, Workers: 2},
+			Platform:     platform,
+			Budget:       600,
+			TasksPerTick: 2,
+			TaskDeadline: 4,
+			Strategy:     core.UBS,
+			Rng:          rand.New(rand.NewSource(4)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ce.Tick(0, rows[:window])
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
+		b.StartTimer()
+		start := time.Now()
+		for t := 0; t < ticks; t++ {
+			ce.Tick(int64(t+1), rows[window+t:window+t+1])
+		}
+		elapsed += time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs - mallocs
+		b.StartTimer()
 	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N), "ns/tick")
+	n := float64(b.N * ticks)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/tick")
+	b.ReportMetric(float64(allocs)/n, "allocs/tick")
 }

@@ -144,12 +144,12 @@ type Engine struct {
 
 	// Incremental mode state; nil under Config.Rebuild. vars lists the
 	// live variables in (Obj, Attr) order, which ev.IDs numbers: vars[id]
-	// is the variable whose state is ev.Vars[id]. dead is evictStep's
-	// scratch: the variables the tick retired.
+	// is the variable whose state is ev.Vars[id]. know, set by the crowd
+	// loop and nil without one, keeps its intervals by the same ids.
 	tbl  *ctable.DynCTable
 	ev   *prob.Evaluator
 	vars []ctable.Var
-	dead map[ctable.Var]bool
+	know *ctable.Knowledge
 
 	cTicks, cInserts, cEvicts, cRecomp, cInvalEntries *obs.Counter
 }
@@ -180,7 +180,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tbl = ctable.NewDynCTable(cfg.Attrs, capacity)
 		e.ev = &prob.Evaluator{IDs: ctable.NewVarIDs(nil)}
-		e.dead = map[ctable.Var]bool{}
 		if !cfg.NoCache {
 			e.ev.Cache = prob.NewComponentCache(cfg.CacheSize)
 		}
@@ -265,33 +264,34 @@ func (e *Engine) tickIncremental(now int64, arrivals [][]dataset.Cell) TickResul
 //
 // Stream ids are never reused and expire retires a prefix of the
 // arrival-ordered queue, so the k retired variables are the first k of
-// vars: dropping them slides every survivor's id down by k.
+// vars: dropping them slides every survivor's id down by k, and the
+// states in ev.Vars and the intervals in know slide with them.
 func (e *Engine) evictStep(now int64, arriving int, res *TickResult) []ctable.Var {
 	// Retire first — the policy is applied as if the arrivals were
 	// already in, so a count-bound window never transiently exceeds its
 	// capacity and both modes expire the same ids.
-	clear(e.dead)
 	k := 0
 	for _, en := range e.expire(now, arriving) {
-		vars := e.tbl.Evict(en.id)
-		for _, v := range vars {
-			e.dead[v] = true
-		}
-		k += len(vars)
+		n := len(e.tbl.Evict(en.id))
+		k += n
 		delete(e.probs, en.id)
 		res.Evicted = append(res.Evicted, en.id)
-		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamEvict, N: en.id, M: len(vars)})
+		e.cfg.Obs.Emit(obs.Event{Kind: obs.KindStreamEvict, N: en.id, M: n})
 	}
 	evicted := e.vars[:k:k]
 	if k > 0 {
 		clear(e.ev.Vars[:k])
 		e.vars, e.ev.Vars = e.vars[k:], e.ev.Vars[k:]
+		if e.know != nil {
+			e.know.Slide(k)
+		}
 		e.ev.IDs.Renumber(e.vars)
+		// One batched Drop per tick: the retired variables can never
+		// recur (ids are never reused), so their cache entries are dead
+		// weight the size cap would otherwise evict one live entry at a
+		// time.
+		res.InvalidatedEntries = e.ev.Drop(func(v ctable.Var) bool { return !e.tbl.Live(v.Obj) })
 	}
-	// One batched Drop per tick: the retired variables can never recur
-	// (ids are never reused), so their cache entries are dead weight the
-	// size cap would otherwise evict one live entry at a time.
-	res.InvalidatedEntries = e.ev.Drop(e.dead)
 	return evicted
 }
 
