@@ -1,12 +1,12 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race cover bench bench-smoke fuzz examples figures figures-paper ci fmt-check lint docs-check e2ebench
+.PHONY: all build test race cover bench bench-ci bench-smoke fuzz examples figures figures-paper ci fmt-check lint docs-check e2ebench
 
 all: build test
 
 # ci mirrors .github/workflows/ci.yml exactly (plus the gofmt gate), so a
 # local `make ci` reproduces what the pipeline enforces.
-ci: fmt-check lint docs-check build test e2ebench race
+ci: fmt-check lint docs-check build test bench-ci e2ebench race
 
 # lint runs the repo's own invariant analyzers (cmd/bayeslint): the
 # determinism, single-writer, error-handling, goroutine-hygiene,
@@ -48,6 +48,12 @@ cover:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# bench-ci is ci.yml's one-iteration pass over the stream crowd-tick,
+# approximate-estimator, model query-cycle, warm-query, preprocessing,
+# network-learning and hub-cycle benchmarks: same regex, same packages.
+bench-ci:
+	go test -run '^$$' -bench 'CrowdTick|ApproxEstimators|ModelQueryCycle|WarmQuery|Preprocess|LearnNetwork|HubCycle' -benchtime 1x ./internal/stream/ ./internal/prob/ ./internal/core/ ./internal/service/
 
 # bench-smoke is the nightly workflow's one-iteration pass: benchmarks
 # must at least compile and run on every PR.

@@ -73,6 +73,11 @@ type Config struct {
 	// hands work to an implementation whose own code is checked from its
 	// own roots, so its implementations do not join a root's tree.
 	LedgerBoundaries []string
+	// LedgerHelpers are "pkgpath.TypeName.Method" references to ledger
+	// methods that only code in their own package may call: outside it a
+	// call is a finding even inside an accounting root's call tree, so
+	// the package's own settlement code stays their only caller.
+	LedgerHelpers []string
 }
 
 // RepoConfig is the bayescrowd contract set: the invariants PRs 1-3
@@ -158,6 +163,13 @@ func RepoConfig(modulePath string) *Config {
 		LedgerBoundaries: []string{
 			p("internal/crowd") + ".Platform.Post",
 			p("internal/crowd") + ".AsyncPlatform.PostAsync",
+		},
+		// Only internal/crowd — the task board — reserves, charges and
+		// refunds; a loop elsewhere settles through the board.
+		LedgerHelpers: []string{
+			p("internal/crowd") + ".Ledger.Reserve",
+			p("internal/crowd") + ".Ledger.Charge",
+			p("internal/crowd") + ".Ledger.Refund",
 		},
 	}
 }

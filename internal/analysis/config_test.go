@@ -33,7 +33,7 @@ func TestRepoConfigResolves(t *testing.T) {
 			}
 		}
 	}
-	for _, refs := range [][]string{cfg.LedgerRoots, cfg.HotPathRoots, cfg.MutatingMethods} {
+	for _, refs := range [][]string{cfg.LedgerRoots, cfg.HotPathRoots, cfg.MutatingMethods, cfg.LedgerHelpers} {
 		for _, ref := range refs {
 			if g.byRef[ref] == nil {
 				t.Errorf("function %s is not a call-graph node", ref)

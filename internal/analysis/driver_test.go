@@ -19,7 +19,7 @@ import (
 var goldenDirs = []string{
 	"determinism", "guarded", "singlewriter", "errdrop",
 	"pool", "goroutine", "floatcmp", "ignore", "doccomment", "hotalloc",
-	"lockcheck", "lockcopy", "ledger",
+	"lockcheck", "lockcopy", "ledger", "ledger/outside",
 }
 
 // goldenConfig mirrors RepoConfig with every contract pointed at the
@@ -39,8 +39,9 @@ func goldenConfig(modulePath string) *Config {
 		HotPathRoots:         []string{td + "/hotalloc.Scanner.Score"},
 		DocPkgs:              []string{td + "/doccomment"},
 		LedgerTypes:          []string{td + "/ledger.Ledger", td + "/ledger.Stats"},
-		LedgerRoots:          []string{td + "/ledger.Engine.Tick"},
+		LedgerRoots:          []string{td + "/ledger.Engine.Tick", td + "/ledger/outside.Loop.Tick"},
 		LedgerBoundaries:     []string{td + "/ledger.Platform.Post"},
+		LedgerHelpers:        []string{td + "/ledger.Ledger.Reserve"},
 	}
 }
 

@@ -32,6 +32,7 @@ type facts struct {
 	// Ledger conservation (ledger analyzer).
 	ledgerTypes   []*types.Named
 	ledgerAllowed map[*cgNode]*cgNode // node -> root that admits it
+	ledgerHelpers map[string]bool     // funcRef of package-private helpers
 
 	// hotRoots are the resolved HotPathRoots nodes (hotalloc).
 	hotRoots []*cgNode
@@ -368,6 +369,10 @@ func computeLedgerFacts(prog *Program, cfg *Config, f *facts) {
 	boundary := map[string]bool{}
 	for _, ref := range cfg.LedgerBoundaries {
 		boundary[ref] = true
+	}
+	f.ledgerHelpers = map[string]bool{}
+	for _, ref := range cfg.LedgerHelpers {
+		f.ledgerHelpers[ref] = true
 	}
 	f.ledgerAllowed = f.graph.reachableFrom(roots, nil, func(e *cgEdge) bool {
 		if e.Kind != edgeIface {

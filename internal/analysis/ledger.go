@@ -30,6 +30,11 @@ import (
 // A new call site that bumps Posted from, say, a CLI command or a
 // test helper is a finding: route it through the engine or a helper so
 // the conservation check keeps meaning something.
+//
+// The configured package-private helpers (Ledger.Reserve, Charge and
+// Refund) are stricter still: only code in the ledger's own package may
+// call them, from any tree, so the task board stays the one place that
+// reserves, charges and refunds.
 var LedgerAnalyzer = &Analyzer{
 	Name: "ledger",
 	Doc:  "ledger counters (crowd.Ledger) may only be mutated inside accounting helpers and the configured accounting call trees",
@@ -43,7 +48,11 @@ func runLedger(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, n := range f.graph.Nodes {
-		if n.Pkg != pass.Pkg || f.ledgerNodeAllowed(n) {
+		if n.Pkg != pass.Pkg {
+			continue
+		}
+		checkLedgerHelperCalls(pass, f, n)
+		if f.ledgerNodeAllowed(n) {
 			continue
 		}
 		forEachOwnNode(n.Body, func(an ast.Node) {
@@ -102,4 +111,25 @@ func checkLedgerWrite(pass *Pass, f *facts, n *cgNode, lhs ast.Expr) {
 	pass.Reportf(sel.Sel.Pos(),
 		"write to ledger counter %s outside the accounting call trees (in %s): mutate it through an accounting helper or a function reachable from the configured roots",
 		namedOf(tv.Type).Obj().Name()+"."+sel.Sel.Name, n.rootName())
+}
+
+// checkLedgerHelperCalls flags calls in n to a package-private ledger
+// helper declared outside n's package.
+func checkLedgerHelperCalls(pass *Pass, f *facts, n *cgNode) {
+	if len(f.ledgerHelpers) == 0 {
+		return
+	}
+	forEachOwnNode(n.Body, func(an ast.Node) {
+		call, ok := an.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		fn := calleeFunc(pass.Pkg.Info, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pass.Pkg.Path || !f.ledgerHelpers[funcRef(fn)] {
+			return
+		}
+		pass.Reportf(call.Pos(),
+			"accounting helper %s called outside package %s (from %s): only the ledger's own package reserves, charges and refunds",
+			calleeName(fn, call), fn.Pkg().Name(), n.rootName())
+	})
 }

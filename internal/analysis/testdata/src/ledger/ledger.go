@@ -16,6 +16,10 @@ func (l *Ledger) add(d Ledger) {
 	l.Charged += d.Charged
 }
 
+// Reserve is a package-private accounting helper: only this package may
+// call it.
+func (l *Ledger) Reserve(n int) { l.Posted += n }
+
 // Stats is the second configured conservation type.
 type Stats struct {
 	Rounds int
@@ -44,6 +48,7 @@ func (e *Engine) Tick() {
 // step is reachable from the root, so its mutations are in the tree.
 func (e *Engine) step() {
 	e.led.add(Ledger{Posted: 1, Charged: 1})
+	e.led.Reserve(1) // clean: the helper's own package
 	e.stats.record(1)
 	post(e.platform, 1)
 }

@@ -294,8 +294,10 @@ func BenchmarkModelQueryCycle(b *testing.B) {
 // FBS/UBS/HHS specs (M 5) — on one model at one worker, after one
 // untimed pass over the cycle. The model's cache then serves every
 // Pr(φ) the queries need, so what it measures is the per-query
-// bookkeeping: it reports ns/query, allocs/query and the cache misses of
-// each timed pass, which must read 0.
+// bookkeeping: it reports ns/query, allocs/query, lookups/query — the
+// component-cache hits plus misses per query, exact at one worker where
+// allocs/query is not — and the cache misses of each timed pass, which
+// must read 0.
 func BenchmarkWarmQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	truth := dataset.GenNBA(rng, 2000)
@@ -313,28 +315,31 @@ func BenchmarkWarmQuery(b *testing.B) {
 	}
 	const cycle = 24
 	m := BuildModel(d, base, spec(0))
-	pass := func() (misses uint64) {
+	pass := func() (misses, lookups uint64) {
 		for i := 0; i < cycle; i++ {
 			res, err := RunModel(d, m, base, crowd.NewSimulated(truth, 1.0, nil), spec(i))
 			if err != nil {
 				b.Fatal(err)
 			}
 			misses += res.Cache.Misses
+			lookups += res.Cache.Hits + res.Cache.Misses
 		}
-		return misses
+		return misses, lookups
 	}
 	pass()
-	var misses uint64
+	var misses, lookups uint64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		misses += pass()
+		m, l := pass()
+		misses, lookups = misses+m, lookups+l
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	queries := float64(b.N * cycle)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/queries, "ns/query")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/queries, "allocs/query")
+	b.ReportMetric(float64(lookups)/queries, "lookups/query")
 	b.ReportMetric(float64(misses)/float64(b.N), "misses/2nd-pass")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/dataset"
 	"bayescrowd/internal/obs"
+	"bayescrowd/internal/parallel"
 	"bayescrowd/internal/prob"
 )
 
@@ -333,8 +335,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		return touchedObj[e.X.Obj] || (e.Kind == ctable.VarGTVar && touchedObj[e.Y.Obj])
 	}
 	answeredExpr := map[ctable.Expr]bool{}
-	var stale []int
-	var staleConds []*ctable.Condition
+	var stale, resim []int
+	var staleConds, resimConds []*ctable.Condition
 	var sel Selection
 
 	// The absorption path is shared with the streaming crowd loop:
@@ -557,12 +559,14 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 
 		// Re-simplify exactly the conditions that mention a touched
 		// variable, and recompute Pr only where the condition actually
-		// changed or a referenced distribution did. Simplification and
-		// the eff/Knowledge writes above are single-threaded; only the
-		// independent Pr recomputations fan out, and the pool join inside
-		// ProbAll publishes this round's mutations to every worker before
-		// any solver reads them (the Evaluator's single-writer contract).
-		stale = stale[:0]
+		// changed or a referenced distribution did. The eff/Knowledge
+		// writes above are single-threaded. The re-simplifications read
+		// only the knowledge and the conditions, so they fan out, each
+		// condition on one worker, and land in gather order; the pool
+		// joins, here and inside ProbAll, publish this round's mutations
+		// to every worker before any reads them (the Evaluator's
+		// single-writer contract).
+		stale, resim = stale[:0], resim[:0]
 		for _, id := range touched.IDs {
 			for _, o32 := range m.objs[m.objsOff[id]:m.objsOff[id+1]] {
 				o := int(o32)
@@ -570,23 +574,28 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 					continue
 				}
 				seen[o] = int32(round)
-				if _, tracked := probs[o]; !tracked {
-					continue
+				if _, tracked := probs[o]; tracked {
+					resim = append(resim, o)
 				}
-				prev := ct.Conds[o]
-				cond := prev.SimplifiedWhere(know, answerable)
-				if resimplifyHook != nil {
-					resimplifyHook(prev, cond, know)
-				}
-				ct.Conds[o] = cond
-				if _, decided := cond.Decided(); decided {
-					delete(probs, o)
-					continue
-				}
-				recompute := cond != prev || (len(distChanged.IDs) > 0 && mentionsAny(cond, m.ids, &distChanged))
-				if recompute {
-					stale = append(stale, o)
-				}
+			}
+		}
+		resimConds = slices.Grow(resimConds[:0], len(resim))[:len(resim)]
+		parallel.For(opt.Workers, len(resim), func(_, i int) {
+			resimConds[i] = ct.Conds[resim[i]].SimplifiedWhere(know, answerable)
+		})
+		for i, o := range resim {
+			prev, cond := ct.Conds[o], resimConds[i]
+			if resimplifyHook != nil {
+				resimplifyHook(prev, cond, know)
+			}
+			ct.Conds[o] = cond
+			if _, decided := cond.Decided(); decided {
+				delete(probs, o)
+				continue
+			}
+			recompute := cond != prev || (len(distChanged.IDs) > 0 && mentionsAny(cond, m.ids, &distChanged))
+			if recompute {
+				stale = append(stale, o)
 			}
 		}
 		// The gather above follows answer order; the fan-out runs in object
@@ -690,18 +699,10 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	return result, nil
 }
 
-// mentionsAny reports whether a literal of cond mentions a variable in
-// vars, a set of ids — a scan of the literals in place, where
-// Condition.Vars would allocate the distinct set first.
+// mentionsAny reports whether cond mentions a variable in vars, a set of
+// ids — a scan of the condition's variable table, each variable once.
 func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *IDSet) bool {
-	for _, cl := range cond.Clauses {
-		for _, e := range cl {
-			if vars.HasVar(ids, e.X) || (e.Kind == ctable.VarGTVar && vars.HasVar(ids, e.Y)) {
-				return true
-			}
-		}
-	}
-	return false
+	return cond.Mentions(func(v ctable.Var) bool { return vars.HasVar(ids, v) })
 }
 
 // resimplifyHook, when set, sees every condition the crowd phase

@@ -12,12 +12,15 @@ import (
 
 // Selection is the scratch of one crowd loop's task selection, reused
 // from round to round: the batch's conflict set, the top-k expression
-// frequencies and the sort buffers, cleared in place by each SelectTasks
-// call. The zero value is ready for use; a Selection serves one loop,
-// one call at a time.
+// frequencies, the expression buffers and dedup set, and the sort buffers,
+// cleared in place by each call. The zero value is ready for use; a
+// Selection serves one loop, one call at a time.
 type Selection struct {
 	used   map[ctable.Var]bool
 	freq   map[ctable.Expr]int
+	seen   map[ctable.Expr]struct{}
+	exprs  []ctable.Expr
+	avail  []ctable.Expr
 	hs     []float64
 	cands  []candidate
 	ranked []rankedExpr
@@ -100,10 +103,9 @@ func (sel *Selection) SelectTasks(opt Options, objs []int, cond func(int) *ctabl
 	}
 	clear(sel.freq)
 	for _, c := range top {
-		for _, cl := range cond(c.obj).Clauses {
-			for _, e := range cl {
-				sel.freq[e]++
-			}
+		sel.exprs = cond(c.obj).AppendExprs(sel.exprs[:0])
+		for _, e := range sel.exprs {
+			sel.freq[e]++
 		}
 	}
 	if opt.Trace.On() {
@@ -172,7 +174,7 @@ func taskCost(opt Options, t crowd.Task) int {
 // avoiding the variables sel.used holds, ranked by sel.freq. ok is false
 // when no conflict-free expression exists.
 func (sel *Selection) pickExpr(opt Options, ev *prob.Evaluator, cond *ctable.Condition, pPhi float64) (ctable.Expr, bool) {
-	avail := availableExprs(cond, sel.used)
+	avail := sel.availableExprs(cond)
 	if len(avail) == 0 {
 		return ctable.Expr{}, false
 	}
@@ -269,22 +271,25 @@ func utilitiesFor(opt Options, ev *prob.Evaluator, cond *ctable.Condition, avail
 }
 
 // availableExprs returns the condition's distinct expressions whose
-// variables are all unused in the current batch.
-func availableExprs(cond *ctable.Condition, used map[ctable.Var]bool) []ctable.Expr {
-	var out []ctable.Expr
-	var buf []ctable.Var
-	for _, e := range cond.Exprs() {
-		conflict := false
-		buf = e.Vars(buf[:0])
-		for _, v := range buf {
-			if used[v] {
-				conflict = true
-				break
-			}
+// variables are all unused in the current batch (sel.used), in order of
+// first appearance in build order — the order the seeded shuffle
+// consumes. The result lives in sel's scratch until the next call.
+func (sel *Selection) availableExprs(cond *ctable.Condition) []ctable.Expr {
+	if sel.seen == nil {
+		sel.seen = map[ctable.Expr]struct{}{}
+	}
+	clear(sel.seen)
+	out := sel.avail[:0]
+	sel.exprs = cond.AppendExprs(sel.exprs[:0])
+	for _, e := range sel.exprs {
+		if _, dup := sel.seen[e]; dup {
+			continue
 		}
-		if !conflict {
+		sel.seen[e] = struct{}{}
+		if !sel.used[e.X] && (e.Kind != ctable.VarGTVar || !sel.used[e.Y]) {
 			out = append(out, e)
 		}
 	}
+	sel.avail = out
 	return out
 }

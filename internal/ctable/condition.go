@@ -7,14 +7,43 @@ import (
 // Condition is an object's c-table condition φ(o): either the constant
 // true/false or a CNF formula — a conjunction of clauses, each clause a
 // disjunction of expressions (paper §4.1).
+//
+// An undecided condition stores its CNF once, in the compact form
+// form.go describes: a variable table and the literals in build order
+// over it, shared with every simplification of the same build, plus the
+// condition's own live clauses, dropped literals and connected
+// components with their canonical orders and structural hashes. Every
+// clause is non-empty; an empty clause collapses the condition to false
+// and an empty clause list to true during construction and
+// simplification. A condition is immutable once built, so one condition
+// can back many readers.
 type Condition struct {
 	decided bool
 	value   bool
-	// Clauses is the CNF body when the condition is undecided. Every
-	// clause is non-empty; an empty clause collapses the condition to
-	// false and an empty clause list to true during construction and
-	// simplification.
-	Clauses [][]Expr
+	// ident reports that the live clauses are every build clause, in
+	// order, so own does not list them.
+	ident bool
+	// Shared with every simplification of the build, read-only: the
+	// variable table; the literals in build order over it; and base —
+	// the end of each of the nb build clauses in lits, then, for literal
+	// j, the position within its clause of the clause's j-th literal in
+	// canonical order.
+	vars []Var
+	lits []Lit
+	base []int32
+	nb   int32
+	// The condition's own, one allocation (see form.go's views): its nc
+	// live clauses as build clauses, in build order; its ng components,
+	// each with its clauses (by index into the live clauses) in
+	// canonical order, its structural hash and direct flag; the
+	// component of each table variable, -1 for one the condition no
+	// longer mentions; and, from deadAt on, a bit per dropped build
+	// literal, none when no literal is dropped. nLits counts the live
+	// literals.
+	own    []int32
+	nc, ng int32
+	deadAt int32
+	nLits  int32
 }
 
 // True returns the decided-true condition (o is certainly a skyline
@@ -25,7 +54,8 @@ func True() *Condition { return &Condition{decided: true, value: true} }
 func False() *Condition { return &Condition{decided: true, value: false} }
 
 // FromClauses builds a condition from CNF clauses, collapsing trivial
-// cases: an empty clause yields false, no clauses yields true.
+// cases: an empty clause yields false, no clauses yields true. The
+// clauses are copied into the stored form; the caller keeps them.
 func FromClauses(clauses [][]Expr) *Condition {
 	for _, cl := range clauses {
 		if len(cl) == 0 {
@@ -35,7 +65,7 @@ func FromClauses(clauses [][]Expr) *Condition {
 	if len(clauses) == 0 {
 		return True()
 	}
-	return &Condition{Clauses: clauses}
+	return fromClauses(clauses)
 }
 
 // Decided reports whether the condition is settled, and its value.
@@ -49,28 +79,44 @@ func (c *Condition) IsFalse() bool { return c.decided && !c.value }
 
 // Clone returns a deep copy.
 func (c *Condition) Clone() *Condition {
-	out := &Condition{decided: c.decided, value: c.value}
-	if c.Clauses != nil {
-		out.Clauses = make([][]Expr, len(c.Clauses))
-		for i, cl := range c.Clauses {
-			out.Clauses[i] = append([]Expr(nil), cl...)
-		}
+	return &Condition{
+		decided: c.decided, value: c.value, ident: c.ident,
+		vars: clone(c.vars), lits: clone(c.lits), base: clone(c.base), nb: c.nb,
+		own: clone(c.own), nc: c.nc, ng: c.ng, deadAt: c.deadAt, nLits: c.nLits,
 	}
-	return out
 }
 
-// Vars returns the distinct variables mentioned by the condition.
+// clone copies s, keeping nil nil.
+func clone[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// Vars returns the distinct variables of the condition in order of first
+// appearance. For a condition FromClauses built it is the variable table
+// itself, shared and read-only; a simplification, whose table may hold
+// variables it no longer mentions, lists them afresh.
 func (c *Condition) Vars() []Var {
-	seen := map[Var]bool{}
+	if c.ident && len(c.dead()) == 0 {
+		return c.vars
+	}
 	var out []Var
-	var buf []Var
-	for _, cl := range c.Clauses {
-		for _, e := range cl {
-			buf = e.Vars(buf[:0])
-			for _, v := range buf {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
+	seen := make([]bool, len(c.vars))
+	note := func(v int32) {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, c.vars[v])
+		}
+	}
+	for i := 0; i < int(c.nc); i++ {
+		lo, hi := c.span(i)
+		for j := lo; j < hi; j++ {
+			if l := c.lits[j]; c.live(j) {
+				note(l.X)
+				if l.Y >= 0 {
+					note(l.Y)
 				}
 			}
 		}
@@ -78,39 +124,138 @@ func (c *Condition) Vars() []Var {
 	return out
 }
 
-// Mentions reports whether a literal of the condition mentions a
-// variable in — a scan of the literals in place, where Vars would
-// allocate the distinct set first. A decided condition mentions nothing.
+// Table returns the variable table the condition's literals index
+// (AppendClause, AppendCanonClause): Vars for a condition
+// FromClauses built, a superset of them for a simplification. The slice
+// is shared and read-only.
+func (c *Condition) Table() []Var { return c.vars }
+
+// VarIndex returns v's index in the variable table, or false when the
+// condition does not mention v. It scans the table.
+func (c *Condition) VarIndex(v Var) (int, bool) {
+	for i, x := range c.vars {
+		if x == v && c.varComp()[i] >= 0 {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// VarComponent returns the component of table variable i, or -1 when
+// the condition no longer mentions it.
+func (c *Condition) VarComponent(i int) int { return int(c.varComp()[i]) }
+
+// Mentions reports whether the condition mentions a variable in — a scan
+// of its variable table, each variable once. A decided condition
+// mentions nothing.
 func (c *Condition) Mentions(in func(Var) bool) bool {
-	for _, cl := range c.Clauses {
-		for _, e := range cl {
-			if in(e.X) || (e.Kind == VarGTVar && in(e.Y)) {
-				return true
-			}
+	comp := c.varComp()
+	for i, v := range c.vars {
+		if comp[i] >= 0 && in(v) {
+			return true
 		}
 	}
 	return false
 }
 
 // NumExprs returns the total number of expressions across clauses.
-func (c *Condition) NumExprs() int {
-	n := 0
-	for _, cl := range c.Clauses {
-		n += len(cl)
+func (c *Condition) NumExprs() int { return int(c.nLits) }
+
+// AppendExprs appends every expression of the condition to dst in build
+// order — clause by clause, each clause's in the order it was built
+// with, repeats included — and returns the extended slice.
+func (c *Condition) AppendExprs(dst []Expr) []Expr {
+	for i := 0; i < int(c.nc); i++ {
+		lo, hi := c.span(i)
+		for j := lo; j < hi; j++ {
+			if c.live(j) {
+				dst = append(dst, c.exprOf(c.lits[j]))
+			}
+		}
 	}
-	return n
+	return dst
+}
+
+// exprOf returns a literal over the table as an expression.
+func (c *Condition) exprOf(l Lit) Expr {
+	e := Expr{Kind: l.Kind, X: c.vars[l.X]}
+	if l.Kind == VarGTVar {
+		e.Y = c.vars[l.Y]
+	} else {
+		e.C = int(l.C)
+	}
+	return e
+}
+
+// NumClauses returns the number of clauses.
+func (c *Condition) NumClauses() int { return int(c.nc) }
+
+// AppendClause appends clause i's literals to dst in build order and
+// returns the extended slice.
+func (c *Condition) AppendClause(dst []Lit, i int) []Lit {
+	lo, hi := c.span(i)
+	for j := lo; j < hi; j++ {
+		if c.live(j) {
+			dst = append(dst, c.lits[j])
+		}
+	}
+	return dst
+}
+
+// AppendCanonClause appends clause i's literals to dst in canonical
+// order and returns the extended slice.
+func (c *Condition) AppendCanonClause(dst []Lit, i int) []Lit {
+	lo, hi := c.span(i)
+	for _, p := range c.orders()[lo:hi] {
+		if c.live(lo + p) {
+			dst = append(dst, c.lits[lo+p])
+		}
+	}
+	return dst
+}
+
+// NumComponents returns the number of connected components; they are
+// numbered in order of their last clause.
+func (c *Condition) NumComponents() int { return int(c.ng) }
+
+// Component returns a view of component g. Its slices are read-only.
+func (c *Condition) Component(g int) Component {
+	off := c.offs()
+	return Component{Canon: c.canon()[off[g]:off[g+1]], Hash: c.compHash(g), Direct: c.meta()[3*g+2] != 0}
+}
+
+// compHash returns component g's structural hash.
+func (c *Condition) compHash(g int) uint64 {
+	m := c.meta()
+	return uint64(uint32(m[3*g]))<<32 | uint64(uint32(m[3*g+1]))
 }
 
 // Exprs returns the distinct expressions of the condition in clause order.
 func (c *Condition) Exprs() []Expr {
 	seen := map[Expr]bool{}
 	var out []Expr
-	for _, cl := range c.Clauses {
-		for _, e := range cl {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
+	for _, e := range c.AppendExprs(nil) {
+		if !seen[e] {
+			seen[e] = true
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Clauses returns the CNF body in build order, as fresh slices the
+// caller owns; nil for a decided condition.
+func (c *Condition) Clauses() [][]Expr {
+	if c.decided {
+		return nil
+	}
+	out := make([][]Expr, c.nc)
+	var buf []Lit
+	for i := range out {
+		buf = c.AppendClause(buf[:0], i)
+		out[i] = make([]Expr, len(buf))
+		for k, l := range buf {
+			out[i][k] = c.exprOf(l)
 		}
 	}
 	return out
@@ -122,9 +267,9 @@ func (c *Condition) Exprs() []Expr {
 // decides the condition false, and an emptied clause list decides it
 // true. It never writes to the receiver. A decided receiver, or one in
 // which no expression is decided, comes back as itself; otherwise the
-// result is a fresh condition sharing every clause slice that did not
-// change — so one condition can back many readers, each simplifying it
-// under its own knowledge.
+// result is a fresh condition sharing the receiver's build, which
+// carries over every component none of whose clauses changed and
+// derives the rest afresh.
 func (c *Condition) Simplified(k *Knowledge) *Condition { return c.SimplifiedWhere(k, nil) }
 
 // SimplifiedWhere is Simplified evaluating only the expressions affected
@@ -140,62 +285,40 @@ func (c *Condition) SimplifiedWhere(k *Knowledge, affected func(Expr) bool) *Con
 	if c.decided {
 		return c
 	}
-	var out [][]Expr // nil until the first clause that changes
-	for i, cl := range c.Clauses {
-		kept, satisfied, changed := simplifyClause(cl, k, affected)
-		if !changed {
-			if out != nil {
-				out = append(out, cl)
+	var f *form // nil until the first clause that changes
+	kept := false
+	for i := 0; i < int(c.nc); i++ {
+		var st int8
+		if f == nil {
+			if st = c.clauseState(i, k, affected, nil); st == clauseKept {
+				kept = true
+				continue
 			}
-			continue
+			f = formPool.Get().(*form)
+			f.state = fit(f.state, int(c.nc))
+			clear(f.state[:i])
+			f.drop = fit(f.drop, len(c.lits))
+			if st == clauseShrunk {
+				c.clauseState(i, k, affected, f.drop) // mark its drops
+			}
+		} else {
+			st = c.clauseState(i, k, affected, f.drop)
 		}
-		if out == nil {
-			out = append(make([][]Expr, 0, len(c.Clauses)), c.Clauses[:i]...)
-		}
-		if satisfied {
-			continue
-		}
-		if len(kept) == 0 {
+		if st == clauseEmptied {
+			formPool.Put(f)
 			return False()
 		}
-		out = append(out, kept)
+		f.state[i] = st
+		kept = kept || st != clauseSatisfied
 	}
-	if out == nil {
+	if f == nil {
 		return c
 	}
-	if len(out) == 0 {
+	defer formPool.Put(f)
+	if !kept {
 		return True()
 	}
-	return &Condition{Clauses: out}
-}
-
-// simplifyClause rewrites one clause under the knowledge, evaluating the
-// expressions affected selects (all when nil): satisfied when an
-// expression is decided true, otherwise kept holds the expressions not
-// decided false. An unchanged clause comes back as itself; a changed
-// one is a fresh slice, so cl is never written.
-func simplifyClause(cl []Expr, k *Knowledge, affected func(Expr) bool) (kept []Expr, satisfied, changed bool) {
-	for j, e := range cl {
-		var v, decided bool
-		if affected == nil || affected(e) {
-			v, decided = k.Eval(e)
-		}
-		switch {
-		case decided && v:
-			return nil, true, true
-		case decided:
-			if !changed {
-				changed = true
-				kept = append(make([]Expr, 0, len(cl)-1), cl[:j]...)
-			}
-		case changed:
-			kept = append(kept, e)
-		}
-	}
-	if !changed {
-		return cl, false, false
-	}
-	return kept, false, true
+	return f.simplified(c)
 }
 
 // EvalAssign evaluates the condition under a complete assignment of its
@@ -205,17 +328,18 @@ func (c *Condition) EvalAssign(assign map[Var]int) (value, decided bool) {
 	if c.decided {
 		return c.value, true
 	}
-	for _, cl := range c.Clauses {
+	for i := 0; i < int(c.nc); i++ {
 		clauseVal := false
-		for _, e := range cl {
-			v, ok := e.EvalAssign(assign)
+		lo, hi := c.span(i)
+		for j := lo; j < hi && !clauseVal; j++ {
+			if !c.live(j) {
+				continue
+			}
+			v, ok := c.exprOf(c.lits[j]).EvalAssign(assign)
 			if !ok {
 				return false, false
 			}
-			if v {
-				clauseVal = true
-				break
-			}
+			clauseVal = v
 		}
 		if !clauseVal {
 			return false, true
@@ -232,17 +356,18 @@ func (c *Condition) String() string {
 		}
 		return "false"
 	}
-	var parts []string
-	for _, cl := range c.Clauses {
-		var exprs []string
-		for _, e := range cl {
-			exprs = append(exprs, e.String())
+	clauses := c.Clauses()
+	parts := make([]string, len(clauses))
+	for i, cl := range clauses {
+		exprs := make([]string, len(cl))
+		for k, e := range cl {
+			exprs[k] = e.String()
 		}
 		s := strings.Join(exprs, " ∨ ")
-		if len(c.Clauses) > 1 && len(cl) > 1 {
+		if len(clauses) > 1 && len(cl) > 1 {
 			s = "[" + s + "]"
 		}
-		parts = append(parts, s)
+		parts[i] = s
 	}
 	return strings.Join(parts, " ∧ ")
 }

@@ -1,7 +1,11 @@
 package ctable
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bayescrowd/internal/dataset"
@@ -120,9 +124,9 @@ func TestConditionMentions(t *testing.T) {
 func TestConditionClone(t *testing.T) {
 	c := FromClauses([][]Expr{{LTConst(v(0, 0), 2)}})
 	cl := c.Clone()
-	cl.Clauses[0][0] = GTConst(v(9, 9), 1)
-	if c.Clauses[0][0] != LTConst(v(0, 0), 2) {
-		t.Fatal("Clone shares clause storage")
+	cl.lits[0].C = 7
+	if c.Clauses()[0][0] != LTConst(v(0, 0), 2) {
+		t.Fatal("Clone shares literal storage")
 	}
 }
 
@@ -172,8 +176,8 @@ func TestSimplifyDropsOnlyDecidedExprs(t *testing.T) {
 		t.Fatalf("condition decided prematurely: %v", c)
 	}
 	want := [][]Expr{{GTConst(v(1, 0), 2)}, {LTConst(v(2, 0), 4)}}
-	if !reflect.DeepEqual(c.Clauses, want) {
-		t.Fatalf("Clauses = %v, want %v", c.Clauses, want)
+	if !reflect.DeepEqual(c.Clauses(), want) {
+		t.Fatalf("Clauses = %v, want %v", c.Clauses(), want)
 	}
 }
 
@@ -218,5 +222,89 @@ func TestConditionString(t *testing.T) {
 	want := "Var(o2,a2) < 3 ∧ [Var(o5,a2) < 3 ∨ Var(o5,a3) < 1]"
 	if got := c.String(); got != want {
 		t.Fatalf("String = %q, want %q", got, want)
+	}
+}
+
+// TestCanonicalFormMatchesExprCompare checks the stored form against its
+// definition on random conditions: the components are the connected
+// clause groups, numbered by last clause; each lists its clauses in
+// canonical order — every clause's literals sorted by Expr.Compare, the
+// clauses sorted lexicographically — and its hash is FNV-1a over the 'P'
+// byte and that order's AppendKey encoding; a component is direct
+// exactly when each of its variables occurs once.
+func TestCanonicalFormMatchesExprCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	var pool []Var
+	for o := 0; o < 6; o++ {
+		for a := 0; a < 3; a++ {
+			pool = append(pool, v(o, a))
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		c := randomCNF(rng, pool[:2+rng.Intn(len(pool)-1)], 5)
+		if _, decided := c.Decided(); decided {
+			continue
+		}
+		clauses := c.Clauses()
+		prevLast := -1
+		covered := 0
+		for g := 0; g < c.NumComponents(); g++ {
+			comp := c.Component(g)
+			covered += len(comp.Canon)
+			last := int(slices.Max(comp.Canon))
+			if last <= prevLast {
+				t.Fatalf("trial %d: component %d ends at clause %d, after %d", trial, g, last, prevLast)
+			}
+			prevLast = last
+			var want [][]Expr
+			for _, ci := range comp.Canon {
+				cl := slices.Clone(clauses[ci])
+				slices.SortFunc(cl, Expr.Compare)
+				want = append(want, cl)
+				for _, e := range cl {
+					for _, x := range e.Vars(nil) {
+						i, _ := c.VarIndex(x)
+						if c.VarComponent(i) != g {
+							t.Fatalf("trial %d: %v in component %d, its table says %d", trial, x, g, c.VarComponent(i))
+						}
+					}
+				}
+			}
+			if !slices.IsSortedFunc(want, func(a, b []Expr) int {
+				return slices.CompareFunc(a, b, Expr.Compare)
+			}) {
+				t.Fatalf("trial %d: component %d is not in canonical clause order: %v", trial, g, want)
+			}
+			key := []byte{'P'}
+			count := map[Var]int{}
+			for k, ci := range comp.Canon {
+				got := c.AppendCanonClause(nil, int(ci))
+				key = binary.AppendUvarint(key, uint64(len(got)))
+				for j, l := range got {
+					if e := c.exprOf(l); e != want[k][j] {
+						t.Fatalf("trial %d: clause %d literal %d in canonical order is %v, want %v", trial, ci, j, e, want[k][j])
+					}
+					key = want[k][j].AppendKey(key)
+					for _, x := range want[k][j].Vars(nil) {
+						count[x]++
+					}
+				}
+			}
+			h := fnv.New64a()
+			h.Write(key)
+			if comp.Hash != h.Sum64() {
+				t.Fatalf("trial %d: component %d hash %x, FNV-1a of its encoding %x", trial, g, comp.Hash, h.Sum64())
+			}
+			direct := true
+			for _, n := range count {
+				direct = direct && n == 1
+			}
+			if comp.Direct != direct {
+				t.Fatalf("trial %d: component %d direct %v, want %v", trial, g, comp.Direct, direct)
+			}
+		}
+		if covered != len(clauses) {
+			t.Fatalf("trial %d: components cover %d of %d clauses", trial, covered, len(clauses))
+		}
 	}
 }

@@ -49,7 +49,7 @@ func TestPaperTable3Conditions(t *testing.T) {
 	wantO1 := [][]Expr{{
 		LTConst(v(4, 1), 2), LTConst(v(4, 2), 3), LTConst(v(4, 3), 4),
 	}}
-	if !reflect.DeepEqual(ct.Conds[0].Clauses, wantO1) {
+	if !reflect.DeepEqual(ct.Conds[0].Clauses(), wantO1) {
 		t.Errorf("φ(o1) = %v", ct.Conds[0])
 	}
 
@@ -58,7 +58,7 @@ func TestPaperTable3Conditions(t *testing.T) {
 		{LTConst(v(1, 1), 3)},
 		{LTConst(v(4, 1), 3), LTConst(v(4, 2), 1), LTConst(v(4, 3), 2)},
 	}
-	if !reflect.DeepEqual(ct.Conds[3].Clauses, wantO4) {
+	if !reflect.DeepEqual(ct.Conds[3].Clauses(), wantO4) {
 		t.Errorf("φ(o4) = %v", ct.Conds[3])
 	}
 
@@ -68,7 +68,7 @@ func TestPaperTable3Conditions(t *testing.T) {
 		{GTConst(v(4, 1), 2), GTConst(v(4, 2), 3), GTConst(v(4, 3), 4)},
 		{GTVar(v(4, 1), v(1, 1)), GTConst(v(4, 2), 2), GTConst(v(4, 3), 2)},
 	}
-	if !reflect.DeepEqual(ct.Conds[4].Clauses, wantO5) {
+	if !reflect.DeepEqual(ct.Conds[4].Clauses(), wantO5) {
 		t.Errorf("φ(o5) = %v", ct.Conds[4])
 	}
 }

@@ -284,10 +284,9 @@ func (t *DynCTable) dominatees(slot int) {
 
 // Cond materialises the current condition φ(o) of a live object: decided
 // false while any clause is empty, decided true with no dominators, CNF
-// otherwise. Clauses appear in ascending dominator-id order. The clause
-// list is fresh but each clause's expression slice is the table's own,
-// never written after ClauseBetween creates it: callers read it, or
-// simplify it with Condition.Simplified, which copies on change.
+// otherwise. Clauses appear in ascending dominator-id order; the
+// condition copies them into its stored form, so the table's clauses
+// stay its own.
 func (t *DynCTable) Cond(id int) *Condition {
 	s := &t.slots[t.mustSlot(id)]
 	if s.empty > 0 {
@@ -301,6 +300,49 @@ func (t *DynCTable) Cond(id int) *Condition {
 		clauses[i] = s.clauses[i].exprs
 	}
 	return FromClauses(clauses)
+}
+
+// CondUnder is Cond(id).Simplified(k) built in one step: each clause is
+// filtered under the knowledge before the condition is laid out, so the
+// unsimplified form is never derived.
+func (t *DynCTable) CondUnder(id int, k *Knowledge) *Condition {
+	s := &t.slots[t.mustSlot(id)]
+	if s.empty > 0 {
+		return False()
+	}
+	clauses := make([][]Expr, 0, len(s.clauses))
+	for i := range s.clauses {
+		kept, satisfied := simplifyExprs(s.clauses[i].exprs, k)
+		if satisfied {
+			continue
+		}
+		if len(kept) == 0 {
+			return False()
+		}
+		clauses = append(clauses, kept)
+	}
+	return FromClauses(clauses)
+}
+
+// simplifyExprs rewrites one clause under the knowledge: satisfied when
+// an expression is decided true, otherwise the expressions not decided
+// false — cl itself when none is.
+func simplifyExprs(cl []Expr, k *Knowledge) (kept []Expr, satisfied bool) {
+	for j, e := range cl {
+		v, decided := k.Eval(e)
+		switch {
+		case decided && v:
+			return nil, true
+		case decided && kept == nil:
+			kept = append(make([]Expr, 0, len(cl)-1), cl[:j]...)
+		case !decided && kept != nil:
+			kept = append(kept, e)
+		}
+	}
+	if kept == nil {
+		return cl, false
+	}
+	return kept, false
 }
 
 // DrainDirty returns the ids whose condition changed since the last

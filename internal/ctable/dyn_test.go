@@ -30,8 +30,8 @@ func renameCond(c *Condition, indexOf map[int]int) *Condition {
 	if _, decided := c.Decided(); decided {
 		return c
 	}
-	clauses := make([][]Expr, len(c.Clauses))
-	for i, cl := range c.Clauses {
+	clauses := make([][]Expr, c.NumClauses())
+	for i, cl := range c.Clauses() {
 		out := make([]Expr, len(cl))
 		for k, e := range cl {
 			e.X.Obj = indexOf[e.X.Obj]

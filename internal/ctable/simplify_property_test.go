@@ -113,7 +113,7 @@ func TestSimplifiedCopyOnChange(t *testing.T) {
 		if !reflect.DeepEqual(orig, snapshot) {
 			t.Fatalf("trial %d: Simplified wrote to its receiver:\nbefore: %v\nafter:  %v", trial, snapshot, orig)
 		}
-		if want := simplifyInPlace(orig.Clone(), know); !reflect.DeepEqual(got, want) {
+		if want := simplifyInPlace(orig.Clone(), know); !sameForm(got, want) {
 			t.Fatalf("trial %d: Simplified = %v, in-place reference = %v", trial, got, want)
 		}
 		if _, decided := orig.Decided(); decided || !anyDecided(orig, know) {
@@ -161,8 +161,9 @@ func simplifyInPlace(c *Condition, k *Knowledge) *Condition {
 	if c.decided {
 		return c
 	}
-	outClauses := c.Clauses[:0]
-	for _, cl := range c.Clauses {
+	clauses := c.Clauses()
+	outClauses := clauses[:0]
+	for _, cl := range clauses {
 		satisfied := false
 		kept := cl[:0]
 		for _, e := range cl {
@@ -190,13 +191,12 @@ func simplifyInPlace(c *Condition, k *Knowledge) *Condition {
 	if len(outClauses) == 0 {
 		return True()
 	}
-	c.Clauses = outClauses
-	return c
+	return FromClauses(outClauses)
 }
 
 // anyDecided reports whether the knowledge decides any expression of c.
 func anyDecided(c *Condition, k *Knowledge) bool {
-	for _, cl := range c.Clauses {
+	for _, cl := range c.Clauses() {
 		for _, e := range cl {
 			if _, decided := k.Eval(e); decided {
 				return true
@@ -304,4 +304,38 @@ func TestBuildConditionsAreFixedPoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameForm reports whether two conditions are the same formula in the
+// same stored form: decided alike, or the same clauses in build order
+// and the same components, with the same canonical clause and literal
+// orders, hashes and direct flags — whatever build each shares.
+func sameForm(a, b *Condition) bool {
+	av, ad := a.Decided()
+	bv, bd := b.Decided()
+	if ad || bd {
+		return ad == bd && av == bv
+	}
+	if !reflect.DeepEqual(a.Clauses(), b.Clauses()) || a.NumComponents() != b.NumComponents() ||
+		!reflect.DeepEqual(a.Vars(), b.Vars()) {
+		return false
+	}
+	for g := 0; g < a.NumComponents(); g++ {
+		ca, cb := a.Component(g), b.Component(g)
+		if !reflect.DeepEqual(ca, cb) {
+			return false
+		}
+		for _, ci := range ca.Canon {
+			la, lb := a.AppendCanonClause(nil, int(ci)), b.AppendCanonClause(nil, int(ci))
+			if len(la) != len(lb) {
+				return false
+			}
+			for k := range la {
+				if a.exprOf(la[k]) != b.exprOf(lb[k]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

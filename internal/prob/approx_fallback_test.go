@@ -89,14 +89,13 @@ func TestApproxFallbackAgreement(t *testing.T) {
 
 // permuted returns a copy of c with its clause order and every clause's
 // literal order reversed: the same formula in a different layout, so its
-// variables intern in a different order.
+// variable table numbers them in a different order.
 func permuted(c *ctable.Condition) *ctable.Condition {
-	clauses := make([][]ctable.Expr, len(c.Clauses))
-	for i, cl := range c.Clauses {
-		rev := slices.Clone(cl)
-		slices.Reverse(rev)
-		clauses[len(c.Clauses)-1-i] = rev
+	clauses := c.Clauses()
+	for _, cl := range clauses {
+		slices.Reverse(cl)
 	}
+	slices.Reverse(clauses)
 	return ctable.FromClauses(clauses)
 }
 

@@ -38,8 +38,8 @@ func (ev *Evaluator) ApproxCount(c *ctable.Condition, samplesPerLevel int, rng *
 	if samplesPerLevel <= 0 {
 		panic(fmt.Sprintf("prob: ApproxCount with %d samples per level", samplesPerLevel))
 	}
-	s, clauses := newSolver(ev, c.Clauses)
-	p := s.approxCount(clauses, samplesPerLevel, rng)
+	s := ev.solverFor(c, 0)
+	p := s.approxCount(s.buildClauses(nil), samplesPerLevel, rng)
 	s.release()
 	return p
 }
@@ -48,12 +48,18 @@ func (ev *Evaluator) ApproxCount(c *ctable.Condition, samplesPerLevel int, rng *
 // (state.go): each level fixes one variable through stAssign, and the
 // level's residual is read through the liveness bits, never rewritten.
 // The trail and the fixed assignments are reverted on return.
-func (s *solver) approxCount(clauses [][]cexpr, samplesPerLevel int, rng *rand.Rand) float64 {
+func (s *solver) approxCount(clauses [][]ctable.Lit, samplesPerLevel int, rng *rand.Rand) float64 {
 	for _, cl := range clauses {
 		if len(cl) == 0 {
 			return 0
 		}
 	}
+	// Each level visits its variables in order of first appearance in
+	// the whole clause set.
+	s.firstVars(clauses)
+	appear := resize(s.appear, len(s.pos))
+	copy(appear, s.pos)
+	s.appear = appear
 	s.stCompile(clauses)
 	s.stTrail = s.stTrail[:0]
 	defer func() {
@@ -85,7 +91,7 @@ func (s *solver) approxCount(clauses [][]cexpr, samplesPerLevel int, rng *rand.R
 		v := s.stPickVar(residual)
 		lits := s.stGatherEff(residual)
 		vars := s.firstVars(lits)
-		slices.Sort(vars)
+		slices.SortFunc(vars, func(a, b int32) int { return int(appear[a] - appear[b]) })
 
 		// Estimate P(v = a | φ) from satisfying samples.
 		counts := resizeFillFloats(s.satCounts, len(s.dists[v]), 0)
@@ -127,7 +133,7 @@ func (s *solver) approxCount(clauses [][]cexpr, samplesPerLevel int, rng *rand.R
 // stGatherEff copies the live literals of the residual clauses, in their
 // effective form (stEffLit), into reused solver scratch: one clause slice
 // per residual clause, in clause and literal order.
-func (s *solver) stGatherEff(residual []int32) [][]cexpr {
+func (s *solver) stGatherEff(residual []int32) [][]ctable.Lit {
 	s.satLits = s.satLits[:0]
 	for _, c := range residual {
 		for ei := s.stClauseOff[c]; ei < s.stClauseOff[c+1]; ei++ {
@@ -160,15 +166,15 @@ func (s *solver) draw(vars []int32, rng *rand.Rand) []int32 {
 
 // firstViolated returns the first clause no literal of which holds under
 // the dense assignment a, or nil when a satisfies every clause.
-func firstViolated(clauses [][]cexpr, a []int32) []cexpr {
+func firstViolated(clauses [][]ctable.Lit, a []int32) []ctable.Lit {
 	for _, cl := range clauses {
 		sat := false
 		for _, e := range cl {
 			y := int32(0)
-			if e.y >= 0 {
-				y = a[e.y]
+			if e.Y >= 0 {
+				y = a[e.Y]
 			}
-			if litHolds(e, a[e.x], y) {
+			if litHolds(e, a[e.X], y) {
 				sat = true
 				break
 			}
@@ -183,7 +189,7 @@ func firstViolated(clauses [][]cexpr, a []int32) []cexpr {
 // monteCarlo estimates the probability of the clause set as the fraction
 // of samples full draws of vars (the clause set's variables, drawn in the
 // order listed) that satisfy every clause.
-func (s *solver) monteCarlo(clauses [][]cexpr, vars []int32, samples int, rng *rand.Rand) float64 {
+func (s *solver) monteCarlo(clauses [][]ctable.Lit, vars []int32, samples int, rng *rand.Rand) float64 {
 	hits := 0
 	for i := 0; i < samples; i++ {
 		if firstViolated(clauses, s.draw(vars, rng)) == nil {
@@ -200,21 +206,15 @@ func (s *solver) monteCarlo(clauses [][]cexpr, vars []int32, samples int, rng *r
 // component.
 const fallbackSamples = 2000
 
-// approxComponent is the ApproxThreshold fallback of componentProb: a
-// Monte Carlo estimate of a connected component too wide for exact
-// counting. The component arrives in canonical fingerprint order; the
-// rng is seeded from its key, and each draw goes to the n-th variable in
-// first-appearance order of that canonical clause list. The estimate is
-// thus a pure function of the key and the distributions — identical at
-// any worker count, cache state, and clause layout of the condition the
-// component came from.
-func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
-	// FNV-1a over the canonical key.
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
+// approxComponent is the ApproxThreshold fallback of keyed: a Monte
+// Carlo estimate of a connected component too wide for exact counting.
+// The component arrives in canonical order; the rng is seeded from its
+// structural hash h (FNV-1a over the canonical encoding), and each draw
+// goes to the n-th variable in first-appearance order of that canonical
+// clause list. The estimate is thus a pure function of the structure and
+// the distributions — identical at any worker count, cache state, and
+// clause layout of the condition the component came from.
+func (s *solver) approxComponent(comp [][]ctable.Lit, h uint64) float64 {
 	rng := rand.New(rand.NewSource(int64(h)))
 	s.nApprox++
 	return s.monteCarlo(comp, s.firstVars(comp), fallbackSamples, rng)
@@ -227,7 +227,7 @@ func (s *solver) approxComponent(comp [][]cexpr, key []byte) float64 {
 // phase. ok is false if no satisfying assignment was reached within the
 // repair budget. The returned assignment is dense solver scratch indexed
 // by var id, valid until the next draw.
-func (s *solver) sampleSat(clauses [][]cexpr, vars []int32, rng *rand.Rand) ([]int32, bool) {
+func (s *solver) sampleSat(clauses [][]ctable.Lit, vars []int32, rng *rand.Rand) ([]int32, bool) {
 	assignment := s.draw(vars, rng)
 	const maxFlips = 50
 	for flip := 0; flip < maxFlips; flip++ {
@@ -239,9 +239,9 @@ func (s *solver) sampleSat(clauses [][]cexpr, vars []int32, rng *rand.Rand) ([]i
 		// resample one of its variables toward satisfaction, respecting
 		// zero-probability values.
 		e := cl[rng.Intn(len(cl))]
-		target := e.x
-		if e.y >= 0 && rng.Intn(2) == 1 {
-			target = e.y
+		target := e.X
+		if e.Y >= 0 && rng.Intn(2) == 1 {
+			target = e.Y
 		}
 		dist := s.dists[target]
 		for tries := 0; tries < 4; tries++ {

@@ -1,7 +1,6 @@
 package prob
 
 import (
-	"slices"
 	"sync"
 
 	"bayescrowd/internal/ctable"
@@ -9,19 +8,23 @@ import (
 
 // DefaultCacheSize bounds the component cache when the caller passes no
 // explicit capacity. Entries are small — a float, a short variable list
-// and the fingerprint string — so the default costs a few megabytes at
-// paper scale.
+// and the component's shape bytes — so the default costs a few megabytes
+// at paper scale.
 const DefaultCacheSize = 1 << 15
 
-// cacheShardCount must be a power of two; 16 shards keep lock contention
-// negligible at any realistic worker count without bloating the struct.
-const cacheShardCount = 16
+// cacheShardCount shards, picked by a key's top cacheShardBits bits,
+// keep lock contention negligible at any realistic worker count without
+// bloating the struct.
+const (
+	cacheShardBits  = 4
+	cacheShardCount = 1 << cacheShardBits
+)
 
 // CacheStats is a point-in-time snapshot of one evaluator's component
 // cache counters (Evaluator.CacheStats), surfaced through core.Result
 // for observability.
 type CacheStats struct {
-	// Hits and Misses count the evaluator's fingerprint lookups during
+	// Hits and Misses count the evaluator's component-key lookups during
 	// Pr(φ) evaluation. A hit replaces one branching model-counting run
 	// over the component. Lookups by other evaluators sharing the cache
 	// are not counted.
@@ -46,28 +49,88 @@ func (s CacheStats) HitRate() float64 {
 }
 
 type cacheEntry struct {
+	// key is the entry's 64-bit key; entries sharing a key chain through
+	// next, and a hit also matches the shape, which spells out the
+	// component's variables, structure and narrowing (fingerprint.go).
+	key   uint64
+	shape string
+	next  *cacheEntry
 	// p is a memoized component probability; vec, when non-nil, a joint
 	// marginal sweep vector Pr(comp ∧ x=a) instead. The two entry kinds
-	// live in disjoint key spaces (fingerprint domain prefixes), so a key
-	// always identifies which field is meaningful.
+	// live in disjoint key domains, so a key always identifies which
+	// field is meaningful.
 	p   float64
 	vec []float64
-	// vars lists the component's variables, for Drop. It is read-only
-	// and may be shared with other entries of the same component.
-	vars []ctable.Var
+}
+
+// entryChains is a hash table of entries under their 64-bit keys,
+// chaining the entries that share a key.
+type entryChains map[uint64]*cacheEntry
+
+// find returns the entry matching key and shape, or nil.
+func (t entryChains) find(key uint64, shape []byte) *cacheEntry {
+	for e := t[key]; e != nil; e = e.next {
+		if e.shape == string(shape) {
+			return e
+		}
+	}
+	return nil
+}
+
+// drop unchains every entry that mentions a variable dead reports.
+func (t entryChains) drop(dead func(ctable.Var) bool) {
+	for k, head := range t {
+		var kept *cacheEntry
+		for e := head; e != nil; {
+			next := e.next
+			if !shapeMentions(e.shape, dead) {
+				e.next, kept = kept, e
+			}
+			e = next
+		}
+		if kept == nil {
+			delete(t, k)
+		} else {
+			t[k] = kept
+		}
+	}
+}
+
+// insert chains e under its key.
+func (t entryChains) insert(e *cacheEntry) {
+	e.next = t[e.key]
+	t[e.key] = e
+}
+
+// remove unchains e.
+func (t entryChains) remove(e *cacheEntry) {
+	p := t[e.key]
+	if p == e {
+		if e.next == nil {
+			delete(t, e.key)
+		} else {
+			t[e.key] = e.next
+		}
+		e.next = nil
+		return
+	}
+	for p.next != e {
+		p = p.next
+	}
+	p.next, e.next = e.next, nil
 }
 
 type cacheShard struct {
 	mu sync.Mutex
-	m  map[string]cacheEntry // guarded by mu
-	// fifo holds exactly the keys of m, in insertion order: store appends
-	// a new key, the size cap evicts from the front, and Drop filters it
-	// in place.
-	fifo []string // guarded by mu
+	m  entryChains // guarded by mu
+	// fifo holds exactly the entries of m, in insertion order: store
+	// appends a new entry, the size cap evicts from the front, and Drop
+	// filters it in place.
+	fifo []*cacheEntry // guarded by mu
 	cap  int
 }
 
-// ComponentCache memoizes two things under canonical fingerprints: the
+// ComponentCache memoizes two things under canonical component keys: the
 // probability of connected clause components, and joint marginal sweep
 // vectors Pr(component ∧ x=a) keyed by (component, swept variable) — the
 // quantity that lets the UBS/HHS candidate scan price every
@@ -77,7 +140,7 @@ type cacheShard struct {
 // lookups.
 //
 // Every key carries how each of the component's variables was narrowed
-// (fingerprint), so an entry is a pure function of its key and the base
+// (fingerprint.go), so an entry is a pure function of its key and the base
 // distributions, and no distribution change can make it wrong. Any
 // number of evaluators over the same base distributions and solver
 // options may share the cache, each narrowing its variables differently:
@@ -110,51 +173,49 @@ func NewComponentCache(maxEntries int) *ComponentCache {
 	c := &ComponentCache{}
 	for i := range c.shards {
 		//lint:ignore lockcheck construction: the cache has not escaped yet, no other goroutine can observe the shards
-		c.shards[i].m = make(map[string]cacheEntry)
+		c.shards[i].m = make(entryChains)
 		c.shards[i].cap = perShard
 	}
 	return c
 }
 
-// shardOf hashes a fingerprint to its shard (FNV-1a).
-func shardOf[K string | []byte](key K) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return h & (cacheShardCount - 1)
+// shard returns the shard of a key, by its top bits.
+func (c *ComponentCache) shard(key uint64) *cacheShard {
+	return &c.shards[key>>(64-cacheShardBits)]
 }
 
-// lookup returns the entry for the fingerprint, if present. An entry's
-// vec and vars are shared: callers must treat them as read-only.
-func (c *ComponentCache) lookup(key []byte) (cacheEntry, bool) {
-	sh := &c.shards[shardOf(key)]
+// lookup returns the probability and sweep vector of the entry matching
+// key and shape, if present. The vector is shared: callers must treat it
+// as read-only.
+func (c *ComponentCache) lookup(key uint64, shape []byte) (p float64, vec []float64, ok bool) {
+	sh := c.shard(key)
 	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
+	if e := sh.m.find(key, shape); e != nil {
+		p, vec, ok = e.p, e.vec, true
+	}
 	sh.mu.Unlock()
-	return e, ok
+	return p, vec, ok
 }
 
-// store memoizes a freshly computed entry — a component probability p or
-// a sweep vector vec, over the component's variables vars — and returns
-// how many entries the size cap evicted to make room. key may alias
-// caller scratch and is copied; vec and vars are retained as given and
-// must not be mutated afterwards.
-func (c *ComponentCache) store(key []byte, e cacheEntry) int {
-	k := string(key)
-	sh := &c.shards[shardOf(k)]
+// store memoizes a freshly computed entry — a component probability or
+// a sweep vector, with its key and shape — and returns how many entries
+// the size cap evicted to make room. An entry already present (a
+// concurrent store of the same component) is kept. The cache retains e
+// and its vector, which must not be mutated afterwards.
+func (c *ComponentCache) store(e *cacheEntry) int {
+	sh := c.shard(e.key)
 	evicted := 0
 	sh.mu.Lock()
-	if _, exists := sh.m[k]; !exists {
-		for len(sh.m) >= sh.cap {
-			delete(sh.m, sh.fifo[0])
-			sh.fifo[0] = ""
+	if sh.m.find(e.key, []byte(e.shape)) == nil {
+		for len(sh.fifo) >= sh.cap {
+			sh.m.remove(sh.fifo[0])
+			sh.fifo[0] = nil
 			sh.fifo = sh.fifo[1:]
 			evicted++
 		}
-		sh.fifo = append(sh.fifo, k)
+		sh.m.insert(e)
+		sh.fifo = append(sh.fifo, e)
 	}
-	sh.m[k] = e
 	sh.mu.Unlock()
 	return evicted
 }
@@ -177,13 +238,13 @@ func (c *ComponentCache) Drop(dead func(ctable.Var) bool) int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		kept := sh.fifo[:0]
-		for _, k := range sh.fifo {
-			if slices.ContainsFunc(sh.m[k].vars, dead) {
-				delete(sh.m, k)
+		for _, e := range sh.fifo {
+			if shapeMentions(e.shape, dead) {
+				sh.m.remove(e)
 				n++
 				continue
 			}
-			kept = append(kept, k)
+			kept = append(kept, e)
 		}
 		clear(sh.fifo[len(kept):])
 		sh.fifo = kept
@@ -199,7 +260,7 @@ func (c *ComponentCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += len(sh.fifo)
 		sh.mu.Unlock()
 	}
 	return n

@@ -1,6 +1,8 @@
 package prob
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -67,7 +69,7 @@ func TestCacheBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: Prob cached %v / rerun %v vs uncached %v", trial, p1, p2, p0)
 		}
 
-		for _, cl := range cond.Clauses {
+		for _, cl := range cond.Clauses() {
 			for _, e := range cl {
 				ae, aPhi, aT, aF := cached.CondProbsWith(cond, e, p1)
 				be, bPhi, bT, bF := plain.CondProbsWith(cond, e, p0)
@@ -103,7 +105,7 @@ func TestCondScanMatchesCondProbsWith(t *testing.T) {
 			scan := ev.NewCondScan(cond, pPhi)
 			planned := ev.NewCondScan(cond, pPhi)
 			planned.PlanSweeps(cond.Exprs())
-			for _, cl := range cond.Clauses {
+			for _, cl := range cond.Clauses() {
 				for _, e := range cl {
 					for _, cs := range []*CondScan{scan, planned} {
 						ae, aPhi, aT, aF := cs.CondProbs(e)
@@ -149,12 +151,21 @@ func checkQueue(t *testing.T, c *ComponentCache) {
 	queued := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
-		seen := map[string]bool{}
-		for _, k := range sh.fifo {
-			if _, live := sh.m[k]; !live || seen[k] {
-				t.Fatalf("shard %d queues %q: live %v, repeated %v", i, k, live, seen[k])
+		seen := map[*cacheEntry]bool{}
+		for _, e := range sh.fifo {
+			if live := sh.m.find(e.key, []byte(e.shape)) == e; !live || seen[e] {
+				t.Fatalf("shard %d queues %x: live %v, repeated %v", i, e.key, live, seen[e])
 			}
-			seen[k] = true
+			seen[e] = true
+		}
+		chained := 0
+		for _, head := range sh.m {
+			for e := head; e != nil; e = e.next {
+				chained++
+			}
+		}
+		if chained != len(sh.fifo) {
+			t.Fatalf("shard %d chains %d entries, queues %d", i, chained, len(sh.fifo))
 		}
 		queued += len(sh.fifo)
 	}
@@ -199,8 +210,8 @@ func TestDropPrecision(t *testing.T) {
 		t.Fatalf("InvalidatedEntries = %d, want 2", s.InvalidatedEntries)
 	}
 	for k, e := range ev.planned {
-		if slices.Contains(e.vars, x1) {
-			t.Fatalf("planned vector %q mentions the dropped variable", k)
+		if shapeMentions(e.shape, func(v ctable.Var) bool { return v == x1 }) {
+			t.Fatalf("planned vector %x mentions the dropped variable", k)
 		}
 	}
 	if n := len(ev.planned); n != 1 {
@@ -299,45 +310,72 @@ func TestNarrowingKeysPure(t *testing.T) {
 	}
 }
 
-// TestDenseCompareMatchesExprCompare checks the comparison the canonical
-// sort runs on model ids: for random expression pairs over a random id
-// table, its sign is the sign of ctable.Expr.Compare.
-func TestDenseCompareMatchesExprCompare(t *testing.T) {
+// TestMergedCanonMatchesExprCompare checks the canonical order a probe
+// builds by merging a unit clause into the stored canonical orders of
+// the components it touches: for random conditions and random probes,
+// the merged clause list equals the touched clauses plus [e], each
+// clause sorted by ctable.Expr.Compare and the clauses sorted
+// lexicographically — the order the cache keys and the engine branch
+// on — and its hash is the FNV-1a of that list's encoding.
+func TestMergedCanonMatchesExprCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 100; trial++ {
-		var pool []ctable.Var
-		for o := 0; o < 12; o++ {
-			for a := 0; a < 4; a++ {
-				if rng.Intn(2) == 0 {
-					pool = append(pool, v(o, a))
-				}
-			}
-		}
-		if len(pool) < 2 {
+		dists := Dists{}
+		cond := ctable.FromClauses(randClauses(rng, 4+rng.Intn(8), dists))
+		if _, decided := cond.Decided(); decided {
 			continue
 		}
-		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		ids := ctable.NewVarIDs(pool)
-		ev := &Evaluator{IDs: ids, Vars: make([]VarState, ids.Len())}
-		for i := range ev.Vars {
-			ev.Vars[i].Dist = []float64{0.5, 0.5}
-		}
-		expr := func() ctable.Expr {
-			x, y := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
-			switch rng.Intn(3) {
-			case 0:
-				return ctable.LTConst(x, rng.Intn(3))
-			case 1:
-				return ctable.GTConst(x, rng.Intn(3))
+		vars := cond.Vars()
+		ev := NewEvaluator(dists)
+		for i := 0; i < 20; i++ {
+			x, y := vars[rng.Intn(len(vars))], vars[rng.Intn(len(vars))]
+			e := ctable.LTConst(x, rng.Intn(4))
+			if x != y && rng.Intn(2) == 0 {
+				e = ctable.GTVar(x, y)
 			}
-			return ctable.GTVar(x, y)
-		}
-		for i := 0; i < 50; i++ {
-			a, b := expr(), expr()
-			s, interned := newSolverGroups(ev, [][][]ctable.Expr{{{a}, {b}}}, nil)
-			got, want := s.cmpExpr(interned[0][0], interned[1][0]), a.Compare(b)
-			if (got < 0) != (want < 0) || (got > 0) != (want > 0) {
-				t.Fatalf("trial %d: compare(%v, %v) = %d on ids, %d on expressions", trial, a, b, got, want)
+			s := ev.solverFor(cond, 2)
+			u := s.unitLit(e)
+			comps := s.touched(u, nil)
+			got := s.mergedClauses(comps, u)
+
+			all := cond.Clauses()
+			want := [][]ctable.Expr{{e}}
+			for _, g := range comps {
+				for _, ci := range cond.Component(g).Canon {
+					want = append(want, slices.Clone(all[ci]))
+				}
+			}
+			for _, cl := range want {
+				slices.SortFunc(cl, ctable.Expr.Compare)
+			}
+			slices.SortFunc(want, func(a, b []ctable.Expr) int {
+				for k := 0; k < len(a) && k < len(b); k++ {
+					if c := a[k].Compare(b[k]); c != 0 {
+						return c
+					}
+				}
+				return len(a) - len(b)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: merged %d clauses, want %d", trial, len(got), len(want))
+			}
+			key := []byte{'P'}
+			for k, cl := range got {
+				key = binary.AppendUvarint(key, uint64(len(cl)))
+				if len(cl) != len(want[k]) {
+					t.Fatalf("trial %d, clause %d: %d literals, want %d", trial, k, len(cl), len(want[k]))
+				}
+				for j, l := range cl {
+					if s.exprOf(l) != want[k][j] {
+						t.Fatalf("trial %d, clause %d: literal %d is %v, want %v", trial, k, j, s.exprOf(l), want[k][j])
+					}
+					key = want[k][j].AppendKey(key)
+				}
+			}
+			h := fnv.New64a()
+			h.Write(key)
+			if got := s.structHash(got); got != h.Sum64() {
+				t.Fatalf("trial %d: merged hash %x, FNV-1a of the encoding %x", trial, got, h.Sum64())
 			}
 			s.release()
 		}
@@ -464,4 +502,22 @@ func TestCacheConcurrentProbAll(t *testing.T) {
 			t.Fatalf("no cache hits across repeated fan-outs: %+v", s)
 		}
 	}
+}
+
+// TestCacheCollisionsSafe maps every structural hash to one value, so
+// every component key collides with every other of the same narrowing,
+// and checks that cached Pr(φ), CondProbsWith and CondScan probes and
+// sweep vectors over the NBA workloads still reproduce the frozen
+// engine corpus — the cache-off values — bit for bit: a hit needs the
+// exact shape and variables, never only the key.
+func TestCacheCollisionsSafe(t *testing.T) {
+	structHashHook = func(uint64) uint64 { return 1 }
+	defer func() { structHashHook = nil }()
+	conds, dists := nbaConditions(250, 0.2, 0.1, 7)
+	checkCorpus(t, "nba", "colliding keys", corpusNBA(conds, dists, true, 1))
+	conds, dists = nbaConditions(150, 0.25, 0.1, 5)
+	phi, probes, sweeps := corpusCondProbs(conds, dists, true)
+	checkCorpus(t, "condprob/phi", "colliding keys", phi)
+	checkCorpus(t, "condprob/probe", "colliding keys", probes)
+	checkCorpus(t, "condprob/sweep", "colliding keys", sweeps)
 }

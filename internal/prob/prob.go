@@ -64,7 +64,7 @@ type Options struct {
 	// component with more than ApproxThreshold distinct variables is
 	// estimated by Monte Carlo sampling (2000 draws) instead of being
 	// counted exactly. The sampler is seeded from the component's
-	// canonical fingerprint, so both the fallback decision and the
+	// structural hash, so both the fallback decision and the
 	// estimate are pure functions of the component — identical at any
 	// worker count, schedule, and cache state. See
 	// Evaluator.ApproxComponents for the error bound. Zero (the default)
@@ -109,11 +109,11 @@ type Evaluator struct {
 	// nothing (IDs nil). The evaluator numbers them on first use, each at
 	// its base distribution, and never reads Dists again.
 	Dists Dists
-	// IDs numbers the variables, and Vars[id] is each one's state. Ids
-	// follow (Obj, Attr) order, so the canonical clause sort compares ids
-	// with the sign Expr.Compare gives. Component keys carry each
-	// variable's narrowing, so evaluators over the same base
-	// distributions and Options may share one Cache.
+	// IDs numbers the variables, and Vars[id] is each one's state; an
+	// evaluation resolves each variable of a condition's table through
+	// them once. Component keys carry each variable's narrowing, so
+	// evaluators over the same base distributions and Options may share
+	// one Cache.
 	IDs  *ctable.VarIDs
 	Vars []VarState
 	Opt  Options
@@ -140,7 +140,7 @@ type Evaluator struct {
 	// planned holds the sweep vectors this evaluator's scans planned on
 	// its cache, by key, with their component's variables: only these
 	// may price a candidate below marginalsThreshold (CondScan.planComp).
-	planned   map[string]cacheEntry // guarded by plannedMu
+	planned   entryChains // guarded by plannedMu
 	plannedMu sync.Mutex
 }
 
@@ -159,24 +159,29 @@ func (ev *Evaluator) CacheStats() CacheStats {
 	}
 }
 
-// plannedVec returns the sweep vector this evaluator planned under key.
-func (ev *Evaluator) plannedVec(key []byte) ([]float64, bool) {
+// plannedVec returns the sweep vector this evaluator planned under key
+// and shape.
+func (ev *Evaluator) plannedVec(key uint64, shape []byte) ([]float64, bool) {
 	ev.plannedMu.Lock()
 	defer ev.plannedMu.Unlock()
-	e, ok := ev.planned[string(key)]
-	return e.vec, ok
+	if e := ev.planned.find(key, shape); e != nil {
+		return e.vec, true
+	}
+	return nil, false
 }
 
-// plan records a sweep vector e.vec this evaluator planned under key,
-// which may alias solver scratch; e.vars is retained for Drop.
-func (ev *Evaluator) plan(key []byte, e cacheEntry) {
+// plan records a sweep vector this evaluator planned under key and
+// shape. vec is retained and must not be mutated afterwards.
+func (ev *Evaluator) plan(key uint64, shape string, vec []float64) {
 	ev.plannedMu.Lock()
 	defer ev.plannedMu.Unlock()
 	if ev.planned == nil {
 		//lint:ignore hotalloc once per evaluator: the set lives as long as the evaluator and Drop prunes it
-		ev.planned = map[string]cacheEntry{}
+		ev.planned = entryChains{}
 	}
-	ev.planned[string(key)] = e
+	if ev.planned.find(key, []byte(shape)) == nil {
+		ev.planned.insert(&cacheEntry{key: key, shape: shape, vec: vec})
+	}
 }
 
 // Drop removes from the cache and from the planned sweep set every entry
@@ -191,11 +196,7 @@ func (ev *Evaluator) Drop(dead func(ctable.Var) bool) int {
 		return 0
 	}
 	ev.plannedMu.Lock()
-	for k, e := range ev.planned {
-		if slices.ContainsFunc(e.vars, dead) {
-			delete(ev.planned, k)
-		}
-	}
+	ev.planned.drop(dead)
 	ev.plannedMu.Unlock()
 	return ev.Cache.Drop(dead)
 }
@@ -203,7 +204,7 @@ func (ev *Evaluator) Drop(dead func(ctable.Var) bool) int {
 // ApproxComponents returns how many connected-component solves fell back
 // to the approximate estimator (Options.ApproxThreshold) since the
 // evaluator was created. The probability values themselves are
-// deterministic (fingerprint-seeded); the invocation count is not when a
+// deterministic (seeded from the structural hash); the invocation count is not when a
 // component cache is shared across workers or evaluators — like cache
 // hit statistics, it depends on which worker reaches a component first,
 // and on what other evaluators left in the cache (a served estimate is
@@ -340,14 +341,8 @@ func (ev *Evaluator) Prob(c *ctable.Condition) float64 {
 		}
 		return 0
 	}
-	return ev.probClauses(c.Clauses)
-}
-
-// probClauses runs ADPLL over a raw clause set, memoizing connected
-// components when the evaluator carries a cache.
-func (ev *Evaluator) probClauses(clauses [][]ctable.Expr) float64 {
-	s, interned := newSolver(ev, clauses)
-	p := s.adpllTop(interned, ev.activeCache())
+	s := ev.solverFor(c, 0)
+	p := s.prob(ev.activeCache())
 	ev.drain(s)
 	s.release()
 	return p
@@ -374,20 +369,7 @@ func (ev *Evaluator) drain(s *solver) {
 	}
 }
 
-// probGroups returns the probability of the conjunction of several clause
-// groups plus an optional augmenting unit clause [*unit], without ever
-// materialising a combined clause buffer (the unit clause lives in solver
-// scratch). It is the engine behind CondProbsWith and the CondScan's
-// partial re-solves.
-func (ev *Evaluator) probGroups(groups [][][]ctable.Expr, unit *ctable.Expr) float64 {
-	s, interned := newSolverGroups(ev, groups, unit)
-	p := s.adpllTop(interned, ev.activeCache())
-	ev.drain(s)
-	s.release()
-	return p
-}
-
-// activeCache returns the cache adpllTop should consult: nil when there
+// activeCache returns the cache an evaluation should consult: nil when there
 // is none or when caching is structurally meaningless
 // (Options.NoComponents — without component decomposition there is
 // nothing to memoize).
@@ -471,7 +453,7 @@ func (ev *Evaluator) StateSpace(c *ctable.Condition) float64 {
 // MonteCarlo estimates Pr(φ) by sampling each variable from its
 // distribution, in order of first appearance, and reporting the fraction
 // of satisfied draws. It runs the same solver-level sampler as the
-// ApproxThreshold fallback, over the condition's interned clauses.
+// ApproxThreshold fallback, over the condition's clauses in build order.
 func (ev *Evaluator) MonteCarlo(c *ctable.Condition, samples int, rng *rand.Rand) float64 {
 	if value, decided := c.Decided(); decided {
 		if value {
@@ -482,7 +464,8 @@ func (ev *Evaluator) MonteCarlo(c *ctable.Condition, samples int, rng *rand.Rand
 	if samples <= 0 {
 		panic(fmt.Sprintf("prob: MonteCarlo with %d samples", samples))
 	}
-	s, clauses := newSolver(ev, c.Clauses)
+	s := ev.solverFor(c, 0)
+	clauses := s.buildClauses(nil)
 	p := s.monteCarlo(clauses, s.firstVars(clauses), samples, rng)
 	s.release()
 	return p
@@ -523,9 +506,12 @@ func (ev *Evaluator) CondProbsWith(c *ctable.Condition, e ctable.Expr, pPhiKnown
 	pe = ev.ExprProb(e)
 	pPhi = pPhiKnown
 
-	// The unit clause rides in solver scratch (newSolverGroups), so no
-	// augmented clause buffer is allocated per probe.
-	pBoth := ev.probGroups([][][]ctable.Expr{c.Clauses}, &e)
+	// The unit clause rides in solver scratch, so no augmented clause
+	// buffer is allocated per probe.
+	s := ev.solverFor(c, 2)
+	pBoth := s.probWith(s.unitLit(e), ev.activeCache())
+	ev.drain(s)
+	s.release()
 
 	if pe > 0 {
 		pTrue = clampProb(pBoth / pe)

@@ -1,7 +1,6 @@
 package prob
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"bayescrowd/internal/ctable"
@@ -31,12 +30,11 @@ import (
 // pass, and drop it.
 type CondScan struct {
 	ev   *Evaluator
+	cond *ctable.Condition
 	pPhi float64
-	// comps[g] is the g-th connected clause group; probs[g] its
-	// probability under the distributions at construction time.
-	comps [][][]ctable.Expr
+	// probs[g] is component g's probability under the distributions at
+	// construction time.
 	probs []float64
-	byVar map[ctable.Var]int
 	// sweeps holds the joint vectors Pr(comp ∧ x=a) materialised by
 	// PlanSweeps for the variables carrying constant-comparison
 	// candidates. Written only by PlanSweeps (before any concurrent
@@ -54,21 +52,23 @@ type CondScan struct {
 // Already-cached vectors are picked up regardless of the count.
 const marginalsThreshold = 3
 
-// NewCondScan decomposes the condition and computes each component's
-// probability (through the component cache when the evaluator has one).
-// pPhi is the caller's Pr(φ) for the condition — the same value handed to
-// CondProbsWith — so utilities computed through the scan and through
-// CondProbsWith see identical marginals.
+// NewCondScan reads the condition's stored components and computes each
+// one's probability (through the component cache when the evaluator has
+// one). pPhi is the caller's Pr(φ) for the condition — the same value
+// handed to CondProbsWith — so utilities computed through the scan and
+// through CondProbsWith see identical marginals.
 func (ev *Evaluator) NewCondScan(c *ctable.Condition, pPhi float64) *CondScan {
-	cs := &CondScan{ev: ev, pPhi: pPhi}
+	cs := &CondScan{ev: ev, cond: c, pPhi: pPhi}
 	if _, decided := c.Decided(); decided {
 		return cs
 	}
-	cs.comps, cs.byVar = condComponents(c.Clauses)
-	cs.probs = make([]float64, len(cs.comps))
-	for g, comp := range cs.comps {
-		cs.probs[g] = ev.probClauses(comp)
+	cs.probs = make([]float64, c.NumComponents())
+	s := ev.solverFor(c, 0)
+	for g := range cs.probs {
+		cs.probs[g] = s.compProb(g, ev.activeCache())
 	}
+	ev.drain(s)
+	s.release()
 	return cs
 }
 
@@ -83,43 +83,27 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 	// A candidate touches at most two components (one per variable; both
 	// variables of an in-condition expression share a clause, hence a
 	// component, but expressions from other conditions may bridge two).
-	var touched [2]int
-	nt := 0
-	mark := func(v ctable.Var) {
-		g, ok := cs.byVar[v]
-		if !ok {
-			return
-		}
-		for i := 0; i < nt; i++ {
-			if touched[i] == g {
-				return
-			}
-		}
-		touched[nt] = g
-		nt++
+	var buf [2]int
+	touched := buf[:0]
+	if x, ok := cs.cond.VarIndex(e.X); ok {
+		touched = append(touched, cs.cond.VarComponent(x))
 	}
-	mark(e.X)
 	if e.Kind == ctable.VarGTVar {
-		mark(e.Y)
+		if y, ok := cs.cond.VarIndex(e.Y); ok && !slices.Contains(touched, cs.cond.VarComponent(y)) {
+			touched = append(touched, cs.cond.VarComponent(y))
+		}
 	}
 
 	rest := 1.0
 	for g, p := range cs.probs {
-		hit := false
-		for i := 0; i < nt; i++ {
-			if touched[i] == g {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !slices.Contains(touched, g) {
 			rest *= p
 		}
 	}
 
 	var pBoth float64
 	switch {
-	case nt == 0:
+	case len(touched) == 0:
 		// e shares no variable with φ: independent, Pr(φ∧e) = Pr(φ)·Pr(e).
 		pBoth = pPhi * pe
 	case e.Kind != ctable.VarGTVar && cs.sweeps[e.X] != nil:
@@ -144,15 +128,14 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 		pBoth = rest * sum
 	default:
 		// Unswept candidate: re-solve the touched component(s) with the
-		// unit clause [e] riding in solver scratch. Var-vs-var candidates
-		// always land here (they couple two variables, possibly bridging
-		// two components), as do constant comparisons on variables too
+		// unit clause [e] merged in. Var-vs-var candidates always land
+		// here (they couple two variables, possibly bridging two
+		// components), as do constant comparisons on variables too
 		// lightly loaded for PlanSweeps.
-		var groups [2][][]ctable.Expr
-		for i := 0; i < nt; i++ {
-			groups[i] = cs.comps[touched[i]]
-		}
-		pBoth = rest * ev.probGroups(groups[:nt], &e)
+		s := ev.solverFor(cs.cond, 2)
+		pBoth = rest * s.probe(touched, s.unitLit(e), ev.activeCache())
+		ev.drain(s)
+		s.release()
 	}
 
 	if pe > 0 {
@@ -183,25 +166,28 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 // right profile for lazy early-stopping scorers that may probe only a
 // couple of candidates.
 func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
-	if len(cs.comps) == 0 {
+	if len(cs.probs) == 0 {
 		return
 	}
-	counts := make([]int, len(cs.comps))
-	//lint:ignore hotalloc once per sweep plan (per selection pass), not per candidate probe
-	needed := make(map[ctable.Var]bool, len(exprs))
+	counts := make([]int, len(cs.probs))
+	needed := make([]bool, len(cs.cond.Table()))
+	nNeeded := 0
 	for _, e := range exprs {
 		if e.Kind == ctable.VarGTVar {
 			continue
 		}
-		if g, ok := cs.byVar[e.X]; ok {
-			counts[g]++
-			needed[e.X] = true
+		if x, ok := cs.cond.VarIndex(e.X); ok {
+			counts[cs.cond.VarComponent(x)]++
+			if !needed[x] {
+				needed[x] = true
+				nNeeded++
+			}
 		}
 	}
 	// The candidate and sweep-variable counts are pure functions of the
 	// candidate set; what the cache serves versus recomputes below is not,
 	// and stays out of the trace.
-	cs.ev.Obs.Emit(obs.Event{Kind: obs.KindSweepPlan, N: len(exprs), M: len(needed)})
+	cs.ev.Obs.Emit(obs.Event{Kind: obs.KindSweepPlan, N: len(exprs), M: nNeeded})
 	for g, n := range counts {
 		if n > 0 {
 			cs.planComp(g, needed, n)
@@ -222,31 +208,32 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 // in the evaluator's own planned set serve below the gate, and the cache
 // only replaces a computation past it. The planned set keeps its
 // vectors, so eviction from the cache cannot change the path either.
-func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
+func (cs *CondScan) planComp(g int, needed []bool, nCand int) {
 	ev := cs.ev
-	s, interned := newSolverGroups(ev, [][][]ctable.Expr{cs.comps[g]}, nil)
+	s := ev.solverFor(cs.cond, 0)
 	defer s.release()
 	defer ev.drain(s)
-	key, _ := s.fingerprint(interned, sweepKeyPrefix)
-	base := len(key)
-	varKey := func(x ctable.Var) []byte {
-		key = key[:base]
-		key = binary.AppendUvarint(key, uint64(uint32(x.Obj)))
-		key = binary.AppendUvarint(key, uint64(uint32(x.Attr)))
-		s.keyBuf = key
-		return key
+	comp := cs.cond.Component(g)
+	clauses := s.canonClauses(g)
+	vars := s.firstVars(clauses)
+	h := s.narrowedHash(comp.Hash, vars)
+	base := s.shape(clauses, vars)
+	// sweepKey returns the key and shape (scratch) of x's sweep vector.
+	sweepKey := func(x int) (uint64, []byte) {
+		pos := int(s.pos[x])
+		return entryKey(h, domainSweep, pos), entryShape(base, domainSweep, pos)
 	}
 
-	var miss []ctable.Var
-	for x := range needed {
-		if cs.byVar[x] != g {
+	var miss []int
+	for x, need := range needed {
+		if !need || cs.cond.VarComponent(x) != g {
 			continue
 		}
-		if vec, ok := ev.plannedVec(varKey(x)); ok {
+		key, shape := sweepKey(x)
+		if vec, ok := ev.plannedVec(key, shape); ok {
 			cs.addSweep(x, vec)
 			continue
 		}
-		//lint:ignore determinism miss feeds a need-set and per-variable map stores; vectors are computed on the canonical component order, so gather order cannot reach a result
 		miss = append(miss, x)
 	}
 	if len(miss) == 0 || nCand < marginalsThreshold {
@@ -254,13 +241,13 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 	}
 
 	cache := ev.activeCache()
-	var vars []ctable.Var
 	if cache != nil {
 		kept := miss[:0]
 		for _, x := range miss {
-			if e, ok := s.lookup(cache, varKey(x)); ok {
-				cs.addSweep(x, e.vec)
-				ev.plan(varKey(x), e)
+			key, shape := sweepKey(x)
+			if _, vec, ok := s.lookup(cache, key, shape); ok {
+				cs.addSweep(x, vec)
+				ev.plan(key, string(shape), vec)
 				continue
 			}
 			kept = append(kept, x)
@@ -268,19 +255,18 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		if miss = kept; len(miss) == 0 {
 			return
 		}
-		vars = slices.Clone(s.componentVars(interned))
 	}
 
 	for _, x := range miss {
-		s.margNeed[s.varID(ev, x)] = true
+		s.margNeed[x] = true
 	}
-	total, m := s.marginals(interned)
+	total, m := s.marginals(clauses)
 	for _, x := range miss {
-		vec := m[s.varID(ev, x)]
+		vec := m[int32(x)]
 		if vec == nil {
 			// The component collapsed before constraining x (or has zero
 			// probability): the joint is the independent product.
-			d := ev.state(x).Dist
+			d := s.dists[x]
 			vec = make([]float64, len(d))
 			if total != 0 {
 				for b, pb := range d {
@@ -290,76 +276,20 @@ func (cs *CondScan) planComp(g int, needed map[ctable.Var]bool, nCand int) {
 		}
 		cs.addSweep(x, vec)
 		if cache != nil {
-			e := cacheEntry{vec: vec, vars: vars}
-			s.store(cache, varKey(x), e)
-			ev.plan(varKey(x), e)
+			key, shape := sweepKey(x)
+			sh := string(shape)
+			s.store(cache, key, &cacheEntry{shape: sh, vec: vec})
+			ev.plan(key, sh, vec)
 		}
 	}
 }
 
-// addSweep records a planned vector. The slices may be cache-shared:
-// read-only from here on.
-func (cs *CondScan) addSweep(x ctable.Var, vec []float64) {
+// addSweep records a planned vector for table variable x. The slices
+// may be cache-shared: read-only from here on.
+func (cs *CondScan) addSweep(x int, vec []float64) {
 	if cs.sweeps == nil {
 		//lint:ignore hotalloc once per scan construction; probes only read it
 		cs.sweeps = make(map[ctable.Var][]float64)
 	}
-	cs.sweeps[x] = vec
-}
-
-// condComponents groups a condition's clauses into connected components
-// of the clause-variable incidence graph and returns, alongside the
-// groups, the variable-to-group index the scan routes candidates through.
-func condComponents(clauses [][]ctable.Expr) ([][][]ctable.Expr, map[ctable.Var]int) {
-	parent := make([]int, len(clauses))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
-	owner := make(map[ctable.Var]int, len(clauses))
-	claim := func(v ctable.Var, clause int) {
-		if prev, ok := owner[v]; ok {
-			ra, rb := find(prev), find(clause)
-			if ra != rb {
-				parent[ra] = rb
-			}
-			return
-		}
-		owner[v] = clause
-	}
-	for i, cl := range clauses {
-		for _, e := range cl {
-			claim(e.X, i)
-			if e.Kind == ctable.VarGTVar {
-				claim(e.Y, i)
-			}
-		}
-	}
-
-	groupOf := make([]int, len(clauses))
-	nGroups := 0
-	for i := range clauses {
-		if find(i) == i {
-			groupOf[i] = nGroups
-			nGroups++
-		}
-	}
-	comps := make([][][]ctable.Expr, nGroups)
-	for i, cl := range clauses {
-		g := groupOf[find(i)]
-		comps[g] = append(comps[g], cl)
-	}
-	byVar := make(map[ctable.Var]int, len(owner))
-	for v, cl := range owner {
-		byVar[v] = groupOf[find(cl)]
-	}
-	return comps, byVar
+	cs.sweeps[cs.cond.Table()[x]] = vec
 }

@@ -8,38 +8,44 @@ import (
 	"bayescrowd/internal/ctable"
 )
 
-// The solver is the allocation-lean engine behind ADPLL. Public entry
-// points convert a condition's expressions into a dense form first —
-// variables interned to small integer ids, clauses to slices of cexpr —
-// so everything downstream works on array indexing instead of map
-// hashing. This file holds the interning, the literal evaluators
-// (exprProb, litHolds), and the top level: the direct rule, the split
-// into connected components, and their cache and approximate-fallback
-// dispatch. Branching itself runs on the compiled clause-state engine in
-// state.go; the sampling estimators are in approxcount.go.
-
-// cexpr is an interned expression. y < 0 marks a constant right operand.
-type cexpr struct {
-	kind ctable.Kind
-	x, y int32
-	c    int32
-}
+// The solver is the allocation-lean engine behind ADPLL. It reads a
+// condition's stored form in place (ctable's form.go): the condition's
+// variable table numbers the solver's variables — local id v is table
+// variable v, resolved to its distribution and narrowing on first use in
+// an evaluation, with up to two extra ids for a probe's unit clause over
+// variables the condition does not mention — and its literals, already
+// in the solver's ctable.Lit form, are copied into per-evaluation arenas
+// in build order or in a component's stored canonical order. Nothing is
+// interned, sorted or hashed per evaluation except a probe's merged
+// component. This file holds the loading, the literal evaluators
+// (exprProb, litHolds), and the top level: the direct rule, the
+// per-component dispatch through the cache and the approximate
+// fallback, and the unit-clause probes. Component keys are in
+// fingerprint.go; branching itself runs on the compiled clause-state
+// engine in state.go; the sampling estimators are in approxcount.go.
+//
+// Two build orders survive from the condition as built, because the
+// frozen corpora pin their arithmetic: components multiply in the
+// stored component order (by last clause), and the direct rule
+// multiplies a clause's literals in build order. Only branching — the
+// compiled engine, the samplers and the marginal sweeps — runs on the
+// canonical order, which is what makes a component's value a pure
+// function of its cache key.
 
 type solver struct {
-	opt Options
-	// Variable interning assigns per-evaluation var ids in order of first
-	// sight, through idEp/idLocal, indexed by the evaluator's id
-	// (Evaluator.IDs). The slots are epoch-stamped, so "clearing" them
-	// between evaluations is one increment of internEpoch.
-	idEp        []uint64
-	idLocal     []int32
-	internEpoch uint64
-	dists       [][]float64  // per var id
-	vars        []ctable.Var // per var id: the real variable, for fingerprints
-	// gids holds each var id's evaluator id, which the canonical sort
-	// compares (fingerprint).
-	gids []int32
-	// narrow and narrowed hold each var id's narrowing, for fingerprint.
+	opt  Options
+	ev   *Evaluator
+	cond *ctable.Condition
+	// nTable is the loaded condition's table size: ids below it are table
+	// variables, the rest a probe's extra variables.
+	nTable int
+	// Per var id: the distribution, the real variable and the narrowing
+	// the component keys carry, valid once resEp[v] == resEpoch. One
+	// increment of resEpoch unresolves every id between evaluations.
+	resEp    []uint64
+	resEpoch uint64
+	dists    [][]float64
+	vars     []ctable.Var
 	narrow   []Interval
 	narrowed []bool
 	// assign[v] is the branched value of var v, or -1.
@@ -48,28 +54,25 @@ type solver struct {
 	epoch   int
 	seenEp  []int // directProb / stPickVar / firstVars bookkeeping
 	counts  []int
-	ownerEp []int // components bookkeeping
+	ownerEp []int // stComponents bookkeeping
 	owner   []int
-	// Union-find, group and output scratch of components.
-	compParent  []int
-	compGroup   []int
-	compSize    []int
-	compClauses [][]cexpr
-	compOut     [][][]cexpr
-	// ceArena and clArena back the interned clause set of one evaluation:
-	// all literals live in one flat buffer and the clause headers in one
-	// reused slice, so a Pr(φ∧e) probe interns its condition — augmenting
-	// unit clause included — with zero per-clause allocations, and the
-	// UBS/HHS inner loop never materialises an augmented clause buffer.
-	// Carved slices are solver-owned
-	// per-evaluation scratch, which is what lets fingerprint sort them
-	// in place.
-	ceArena []cexpr
-	clArena [][]cexpr
-	// keyBuf and varsBuf are fingerprint scratch, reused across the
-	// components of one evaluation.
-	keyBuf  []byte
-	varsBuf []ctable.Var
+	// pos[v] is v's position in the last firstVars list; appear is
+	// approxCount's copy of it over the whole clause set.
+	pos, appear []int32
+	// ceArena and clArena back the clause lists of one evaluation: the
+	// literals live in one flat buffer and the clause headers in one
+	// reused slice, both sized before any clause is carved, so a Pr(φ∧e)
+	// probe lays out its clauses — augmenting unit clause included — with
+	// zero per-clause allocations. idxBuf and litBuf are clause-index
+	// and literal scratch.
+	ceArena []ctable.Lit
+	clArena [][]ctable.Lit
+	idxBuf  []int32
+	litBuf  []ctable.Lit
+	// shapeBuf and varsBuf hold a component's exact-compare encoding and
+	// its variables (fingerprint.go), reused across components.
+	shapeBuf []byte
+	varsBuf  []ctable.Var
 	// margNeed marks the variables the all-marginals pass must report
 	// vectors for (set by the scan planner, false everywhere otherwise).
 	margNeed []bool
@@ -80,8 +83,8 @@ type solver struct {
 	// sample counts.
 	satVars    []int32
 	satAssign  []int32
-	satLits    []cexpr
-	satClauses [][]cexpr
+	satLits    []ctable.Lit
+	satClauses [][]ctable.Lit
 	satCounts  []float64
 	// nApprox counts the connected components this evaluation resolved
 	// through the approximate estimator (Options.ApproxThreshold), and
@@ -90,21 +93,21 @@ type solver struct {
 	nApprox               int
 	hits, misses, evicted uint64
 
-	// Bitset clause-state engine scratch (state.go). componentProb
+	// Bitset clause-state engine scratch (state.go). stSolve
 	// compiles the component into a flat literal arena once; the recursion
 	// below it then touches only bit-words, counters and the undo trail —
 	// no per-node clause rewriting, no per-node allocation.
-	stExprs     []cexpr  // literal arena, clause-contiguous
-	stClauseOff []int32  // clause c = stExprs[stClauseOff[c]:stClauseOff[c+1]]
-	stClauseOf  []int32  // literal index -> owning clause
-	stLive      []int32  // undecided-literal count per clause
-	stSatW      []uint64 // clause-satisfied bit-words
-	stDeadW     []uint64 // literal-decided-false bit-words
-	stOcc       []int32  // CSR occurrence lists: literal indices per var
-	stOccOff    []int32  // per var id: occurrence range start in stOcc
-	stOccEnd    []int32  // per var id: occurrence range end in stOcc
-	stTrail     []int32  // undo log: +ei+1 literal-dead, -(c+1) clause-sat
-	stIdx       []int32  // stack-discipline arena for clause-index lists
+	stExprs     []ctable.Lit // literal arena, clause-contiguous
+	stClauseOff []int32      // clause c = stExprs[stClauseOff[c]:stClauseOff[c+1]]
+	stClauseOf  []int32      // literal index -> owning clause
+	stLive      []int32      // undecided-literal count per clause
+	stSatW      []uint64     // clause-satisfied bit-words
+	stDeadW     []uint64     // literal-decided-false bit-words
+	stOcc       []int32      // CSR occurrence lists: literal indices per var
+	stOccOff    []int32      // per var id: occurrence range start in stOcc
+	stOccEnd    []int32      // per var id: occurrence range end in stOcc
+	stTrail     []int32      // undo log: +ei+1 literal-dead, -(c+1) clause-sat
+	stIdx       []int32      // stack-discipline arena for clause-index lists
 	// Per-literal probability memos (state.go). A live literal's effective
 	// probability is a pure function of its own variables' assignments, so
 	// the value computed at one recursion node is bit-identical at every
@@ -127,124 +130,103 @@ var solverPool = sync.Pool{
 	New: func() any { return &solver{} },
 }
 
-// newSolver acquires pooled scratch, interns the variables of the clause
-// set and captures their distributions. Callers return the solver with
-// release once the evaluation is done.
-func newSolver(ev *Evaluator, clauses [][]ctable.Expr) (*solver, [][]cexpr) {
-	return newSolverGroups(ev, [][][]ctable.Expr{clauses}, nil)
-}
-
-// newSolverGroups is newSolver over several clause groups plus an
-// optional augmenting unit clause [*unit]. The groups are interned as one
-// conjunction without materialising a combined condition — the unit
-// clause lives in solver scratch — so Pr(φ∧e) runs (the UBS/HHS inner
-// loop) and the component-scan's partial re-solves allocate no augmented
-// clause buffer per candidate.
-func newSolverGroups(ev *Evaluator, groups [][][]ctable.Expr, unit *ctable.Expr) (*solver, [][]cexpr) {
+// solverFor acquires pooled scratch for evaluating cond, with extra
+// spare var ids for a probe's unit clause. Callers return the solver
+// with release once the evaluation is done.
+func (ev *Evaluator) solverFor(cond *ctable.Condition, extra int) *solver {
 	s := solverPool.Get().(*solver)
-	s.opt = ev.Opt
-	s.dists = s.dists[:0]
-	s.vars = s.vars[:0]
-	s.gids = s.gids[:0]
-	s.narrow = s.narrow[:0]
-	s.narrowed = s.narrowed[:0]
+	s.opt, s.ev, s.cond = ev.Opt, ev, cond
 	s.nApprox = 0
-	// One increment invalidates every intern slot left over from earlier
-	// evaluations; see grow for why epoch stamping makes that sound.
-	s.internEpoch++
 	ev.number()
-	if n := ev.IDs.Len(); len(s.idEp) < n {
-		// Fresh stamps are 0, below every live epoch.
-		s.idEp = make([]uint64, n)
-		s.idLocal = make([]int32, n)
-	}
-	n, lits := 0, 0
-	for _, g := range groups {
-		n += len(g)
-		for _, cl := range g {
-			lits += len(cl)
-		}
-	}
-	if unit != nil {
-		n++
-		lits++
-	}
-	// Arena carve: the buffers are pre-sized before any slice is carved,
-	// so no append can reallocate under an aliasing clause.
-	if cap(s.ceArena) < lits {
-		s.ceArena = make([]cexpr, lits)
-	} else {
-		s.ceArena = s.ceArena[:lits]
-	}
-	if cap(s.clArena) < n {
-		s.clArena = make([][]cexpr, n)
-	} else {
-		s.clArena = s.clArena[:n]
-	}
-	k, ci := 0, 0
-	for _, g := range groups {
-		for _, cl := range g {
-			dst := s.ceArena[k : k+len(cl) : k+len(cl)]
-			for j, e := range cl {
-				dst[j] = s.intern(ev, e)
-			}
-			s.clArena[ci] = dst
-			ci++
-			k += len(cl)
-		}
-	}
-	if unit != nil {
-		s.ceArena[k] = s.intern(ev, *unit)
-		s.clArena[ci] = s.ceArena[k : k+1 : k+1]
-	}
-	s.grow(len(s.dists))
-	return s, s.clArena
+	s.nTable = len(cond.Table())
+	n := s.nTable + extra
+	s.dists = resize(s.dists, n)
+	s.vars = resize(s.vars, n)
+	s.narrow = resize(s.narrow, n)
+	s.narrowed = resize(s.narrowed, n)
+	// Stamps past the old length are left from earlier evaluations, hence
+	// below the new epoch; fresh ones are 0.
+	s.resEp = resize(s.resEp, n)
+	s.resEpoch++
+	s.grow(n)
+	return s
 }
 
-// intern converts an expression to its dense form, assigning variable ids
-// on first sight.
-func (s *solver) intern(ev *Evaluator, e ctable.Expr) cexpr {
+// resize returns w resized to n, reallocating only when it is too short;
+// the contents are unspecified.
+func resize[T any](w []T, n int) []T {
+	if cap(w) < n {
+		return make([]T, n)
+	}
+	return w[:n]
+}
+
+// use resolves table variable v on its first use in the evaluation.
+func (s *solver) use(v int32) {
+	if s.resEp[v] != s.resEpoch {
+		s.resolve(v, s.cond.Table()[v])
+	}
+}
+
+// useLit resolves a literal's variables.
+func (s *solver) useLit(l ctable.Lit) {
+	s.use(l.X)
+	if l.Y >= 0 {
+		s.use(l.Y)
+	}
+}
+
+// resolve binds var id v to x's state in the evaluator.
+func (s *solver) resolve(v int32, x ctable.Var) {
+	gid, ok := s.ev.IDs.ID(x)
+	if !ok || s.ev.Vars[gid].Dist == nil {
+		panic(fmt.Sprintf("prob: no distribution for %v", x))
+	}
+	st := &s.ev.Vars[gid]
+	s.dists[v], s.vars[v], s.narrow[v], s.narrowed[v] = st.Dist, x, st.Interval, st.Narrowed
+	s.resEp[v] = s.resEpoch
+}
+
+// unitLit returns e as a literal over the loaded condition's ids, giving
+// a variable the condition does not mention one of the extra ids.
+func (s *solver) unitLit(e ctable.Expr) ctable.Lit {
+	next := int32(s.nTable)
+	local := func(x ctable.Var) int32 {
+		if i, ok := s.cond.VarIndex(x); ok {
+			s.use(int32(i))
+			return int32(i)
+		}
+		for v := int32(s.nTable); v < next; v++ {
+			if s.vars[v] == x {
+				return v
+			}
+		}
+		next++
+		s.resolve(next-1, x)
+		return next - 1
+	}
+	l := ctable.Lit{Kind: e.Kind, X: local(e.X), Y: -1}
 	switch e.Kind {
-	case ctable.VarLTConst, ctable.VarGTConst:
-		return cexpr{kind: e.Kind, x: s.internVar(ev, e.X), y: -1, c: int32(e.C)}
 	case ctable.VarGTVar:
-		return cexpr{kind: e.Kind, x: s.internVar(ev, e.X), y: s.internVar(ev, e.Y)}
+		l.Y = local(e.Y)
+	case ctable.VarLTConst, ctable.VarGTConst:
+		l.C = int32(e.C)
 	default:
 		panic(fmt.Sprintf("prob: unknown expression kind %d", e.Kind))
 	}
+	return l
 }
 
-// internVar returns v's var id, assigning the next one on first sight
-// and capturing v's distribution and narrowing.
-func (s *solver) internVar(ev *Evaluator, v ctable.Var) int32 {
-	gid, ok := ev.IDs.ID(v)
-	if !ok {
-		panic(fmt.Sprintf("prob: no distribution for %v", v))
+// component returns the component a var id belongs to, or -1 for an
+// extra id.
+func (s *solver) component(v int32) int {
+	if int(v) >= s.nTable {
+		return -1
 	}
-	if s.idEp[gid] == s.internEpoch {
-		return s.idLocal[gid]
-	}
-	st := ev.Vars[gid]
-	if st.Dist == nil {
-		panic(fmt.Sprintf("prob: no distribution for %v", v))
-	}
-	id := int32(len(s.dists))
-	s.idEp[gid], s.idLocal[gid] = s.internEpoch, id
-	s.dists = append(s.dists, st.Dist)
-	s.vars = append(s.vars, v)
-	s.gids = append(s.gids, gid)
-	s.narrow = append(s.narrow, st.Interval)
-	s.narrowed = append(s.narrowed, st.Narrowed)
-	return id
+	return s.cond.VarComponent(int(v))
 }
 
-// varID returns the interned id of a variable the evaluation interned.
-func (s *solver) varID(ev *Evaluator, v ctable.Var) int32 {
-	gid, _ := ev.IDs.ID(v)
-	return s.idLocal[gid]
-}
-
-// grow sizes the per-variable scratch for n interned variables. The epoch
+// grow sizes the per-variable scratch for n var ids. The epoch
 // counter is deliberately preserved across reuse: every epoch-guarded
 // lookup first increments s.epoch, so entries left over from earlier
 // evaluations (all stamped with strictly older epochs) can never alias a
@@ -256,6 +238,7 @@ func (s *solver) grow(n int) {
 		s.counts = make([]int, n)
 		s.ownerEp = make([]int, n)
 		s.owner = make([]int, n)
+		s.pos = make([]int32, n)
 		s.margNeed = make([]bool, n)
 		s.satAssign = make([]int32, n)
 		s.stOccOff = make([]int32, n)
@@ -267,6 +250,7 @@ func (s *solver) grow(n int) {
 		s.counts = s.counts[:n]
 		s.ownerEp = s.ownerEp[:n]
 		s.owner = s.owner[:n]
+		s.pos = s.pos[:n]
 		s.margNeed = s.margNeed[:n]
 		s.satAssign = s.satAssign[:n]
 		s.stOccOff = s.stOccOff[:n]
@@ -280,22 +264,24 @@ func (s *solver) grow(n int) {
 }
 
 // release returns the solver's scratch to the pool, dropping the captured
-// distribution references so pooled scratch never pins caller data.
+// distribution and condition references so pooled scratch never pins
+// caller data.
 func (s *solver) release() {
 	for i := range s.dists {
 		s.dists[i] = nil
 	}
+	s.ev, s.cond = nil, nil
 	solverPool.Put(s)
 }
 
-// exprProb is ExprProb over interned expressions and (possibly branched)
+// exprProb is ExprProb over solver literals and (possibly branched)
 // distributions.
-func (s *solver) exprProb(e cexpr) float64 {
-	dx := s.dists[e.x]
-	switch e.kind {
+func (s *solver) exprProb(e ctable.Lit) float64 {
+	dx := s.dists[e.X]
+	switch e.Kind {
 	case ctable.VarLTConst:
 		p := 0.0
-		for v := 0; v < len(dx) && v < int(e.c); v++ {
+		for v := 0; v < len(dx) && v < int(e.C); v++ {
 			p += dx[v]
 		}
 		return p
@@ -304,7 +290,7 @@ func (s *solver) exprProb(e cexpr) float64 {
 		// Hoist the v >= 0 clamp out of the loop: negative constants
 		// (possible only for never-built degenerate expressions) just
 		// start the scan at 0.
-		start := int(e.c) + 1
+		start := int(e.C) + 1
 		if start < 0 {
 			start = 0
 		}
@@ -313,7 +299,7 @@ func (s *solver) exprProb(e cexpr) float64 {
 		}
 		return p
 	default: // VarGTVar
-		dy := s.dists[e.y]
+		dy := s.dists[e.Y]
 		p, cdf := 0.0, 0.0
 		for a := 0; a < len(dx); a++ {
 			if a-1 >= 0 && a-1 < len(dy) {
@@ -325,39 +311,141 @@ func (s *solver) exprProb(e cexpr) float64 {
 	}
 }
 
-// adpllTop is the ADPLL entry point (Algorithm 3) over a freshly interned
-// clause set. It tries the paper's direct rule on the whole formula, then
-// splits it into connected components, each solved in a canonical clause
-// order and, when cache is non-nil, memoized under its canonical
-// fingerprint. A nil cache keeps the canonical order and skips only the
-// memoization — the single difference between cached and uncached
-// evaluation is whether a component's probability is looked up or
-// recomputed, never the arithmetic order, which is what makes the two
-// modes bit-identical. Under Options.NoComponents the whole formula goes
-// to the compiled engine as one unit, which then never decomposes.
-func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
-	// adpllTop is only entered on a fresh solver, so the assignment is
-	// empty and nothing can be substituted: an empty clause set is true,
-	// an empty clause false, and otherwise the interned arena is the
-	// residual as it stands.
-	if len(clauses) == 0 {
-		return 1
+// arena empties the clause arenas, sized for every literal of the
+// condition plus a unit clause and for nc clause headers: slices carved
+// from them stay valid until the next call, since nothing appends past
+// the sizes.
+func (s *solver) arena(nc int) {
+	s.ceArena = resize(s.ceArena, s.cond.NumExprs()+1)[:0]
+	s.clArena = resize(s.clArena, nc)[:0]
+}
+
+// carve appends the clause the literals appended since mark form.
+func (s *solver) carve(mark int) {
+	cl := s.ceArena[mark:len(s.ceArena):len(s.ceArena)]
+	for _, l := range cl {
+		s.useLit(l)
 	}
-	for _, cl := range clauses {
-		if len(cl) == 0 {
-			return 0
+	s.clArena = append(s.clArena, cl)
+}
+
+// buildClauses lays out every clause of the condition in build order,
+// then the unit clause [*unit] when unit is non-nil.
+func (s *solver) buildClauses(unit *ctable.Lit) [][]ctable.Lit {
+	nc := s.cond.NumClauses()
+	s.arena(nc + 1)
+	for i := 0; i < nc; i++ {
+		mark := len(s.ceArena)
+		s.ceArena = s.cond.AppendClause(s.ceArena, i)
+		s.carve(mark)
+	}
+	if unit != nil {
+		s.ceArena = append(s.ceArena, *unit)
+		s.carve(len(s.ceArena) - 1)
+	}
+	return s.clArena
+}
+
+// memberClauses lays out the clauses of the listed components, each in
+// build order, then the unit clause [*unit] when unit is non-nil.
+func (s *solver) memberClauses(comps []int, unit *ctable.Lit) [][]ctable.Lit {
+	idx := s.idxBuf[:0]
+	for _, g := range comps {
+		mark := len(idx)
+		idx = append(idx, s.cond.Component(g).Canon...)
+		slices.Sort(idx[mark:])
+	}
+	s.idxBuf = idx
+	s.arena(len(idx) + 1)
+	for _, ci := range idx {
+		mark := len(s.ceArena)
+		s.ceArena = s.cond.AppendClause(s.ceArena, int(ci))
+		s.carve(mark)
+	}
+	if unit != nil {
+		s.ceArena = append(s.ceArena, *unit)
+		s.carve(len(s.ceArena) - 1)
+	}
+	return s.clArena
+}
+
+// canonClauses lays out component g's clauses in canonical order.
+func (s *solver) canonClauses(g int) [][]ctable.Lit {
+	canon := s.cond.Component(g).Canon
+	s.arena(len(canon))
+	for _, ci := range canon {
+		mark := len(s.ceArena)
+		s.ceArena = s.cond.AppendCanonClause(s.ceArena, int(ci))
+		s.carve(mark)
+	}
+	return s.clArena
+}
+
+// mergedClauses lays out the canonical order of the listed components
+// merged with the unit clause [u]: each component's stored order, merged
+// with the others' and u by the canonical clause order.
+func (s *solver) mergedClauses(comps []int, u ctable.Lit) [][]ctable.Lit {
+	nc := 1
+	for _, g := range comps {
+		nc += len(s.cond.Component(g).Canon)
+	}
+	// Headers: the per-component lists, the unit, then the merge.
+	s.arena(2 * nc)
+	var lists [3][][]ctable.Lit
+	for i, g := range comps {
+		start := len(s.clArena)
+		for _, ci := range s.cond.Component(g).Canon {
+			mark := len(s.ceArena)
+			s.ceArena = s.cond.AppendCanonClause(s.ceArena, int(ci))
+			s.carve(mark)
+		}
+		lists[i] = s.clArena[start:]
+	}
+	s.ceArena = append(s.ceArena, u)
+	s.carve(len(s.ceArena) - 1)
+	lists[len(comps)] = s.clArena[len(s.clArena)-1:]
+	out := s.clArena[len(s.clArena):len(s.clArena)]
+	for {
+		best := -1
+		for i := range lists[:len(comps)+1] {
+			if len(lists[i]) > 0 && (best < 0 || s.cmpClause(lists[i][0], lists[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+}
+
+// cmpClause orders two laid-out clauses canonically: their literals
+// compared lexicographically by ctable.CompareLits, a proper prefix
+// first.
+func (s *solver) cmpClause(a, b []ctable.Lit) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := ctable.CompareLits(s.vars, a[i], b[i]); c != 0 {
+			return c
 		}
 	}
-	if p, ok := s.directProb(clauses); ok {
-		return p
-	}
+	return len(a) - len(b)
+}
+
+// prob is the ADPLL entry point (Algorithm 3) over the loaded
+// condition: the product, in stored component order, of each component's
+// probability (compProb), stopping at zero. A condition whose every
+// variable occurs once is a product of direct components, which is the
+// paper's direct rule over the whole formula. Under Options.NoComponents
+// the whole formula goes to the direct rule or, failing it, to the
+// compiled engine as one unit, in build order.
+func (s *solver) prob(cache *ComponentCache) float64 {
 	if s.opt.NoComponents {
-		return s.stSolve(clauses)
+		return s.wholeProb(s.buildClauses(nil))
 	}
-	comps := s.components(clauses)
 	p := 1.0
-	for _, comp := range comps {
-		p *= s.componentProb(comp, cache)
+	for g := 0; g < s.cond.NumComponents(); g++ {
+		p *= s.compProb(g, cache)
 		if p == 0 {
 			return 0
 		}
@@ -365,71 +453,126 @@ func (s *solver) adpllTop(clauses [][]cexpr, cache *ComponentCache) float64 {
 	return p
 }
 
-// componentProb returns Pr(comp) for one connected component, consulting
-// the cache for components that would need branching. Components decided
-// by the direct independence rule are recomputed every time: they cost
-// as little as fingerprinting them would, and caching them would crowd
-// out entries that save real branching work.
-//
-// Branched components are solved exactly by the compiled bitset
-// clause-state engine (state.go). When Options.ApproxThreshold is set and
-// the component holds more distinct variables than the threshold, the
-// exact count is replaced by a Monte Carlo estimate (approxComponent)
-// seeded from the component's canonical structural key — the decision
-// and the estimate are pure functions of the component, so results stay
-// deterministic at any worker count, schedule, and cache state.
-func (s *solver) componentProb(comp [][]cexpr, cache *ComponentCache) float64 {
-	if p, ok := s.directProb(comp); ok {
+// wholeProb is the NoComponents path over a laid-out clause list: the
+// direct rule, or one compiled solve in the list's order.
+func (s *solver) wholeProb(clauses [][]ctable.Lit) float64 {
+	if p, ok := s.directProb(clauses); ok {
 		return p
 	}
-	key, structLen := s.fingerprint(comp, scalarKeyPrefix)
-	if cache != nil {
-		if e, ok := s.lookup(cache, key); ok {
-			return e.p
+	return s.stSolve(clauses)
+}
+
+// probWith returns Pr(φ ∧ u) for the loaded condition and a unit clause
+// [u]: the components u does not touch multiply in stored order, then
+// the touched ones, merged with [u] into one component, or [u] alone
+// when it touches none.
+func (s *solver) probWith(u ctable.Lit, cache *ComponentCache) float64 {
+	if s.opt.NoComponents {
+		return s.wholeProb(s.buildClauses(&u))
+	}
+	var buf [2]int
+	touched := s.touched(u, buf[:0])
+	p := 1.0
+	for g := 0; g < s.cond.NumComponents(); g++ {
+		if slices.Contains(touched, g) {
+			continue
+		}
+		p *= s.compProb(g, cache)
+		if p == 0 {
+			return 0
 		}
 	}
-	// The variables are gathered once per miss: the approximation
-	// threshold and the store both read them.
-	var vars []ctable.Var
-	if cache != nil || s.opt.ApproxThreshold > 0 {
-		vars = s.componentVars(comp)
+	if len(touched) == 0 {
+		return p * s.unitProb(u, cache)
 	}
-	var p float64
-	if s.opt.ApproxThreshold > 0 && len(vars) > s.opt.ApproxThreshold {
-		p = s.approxComponent(comp, key[:structLen])
-	} else {
-		p = s.stSolve(comp)
-	}
-	if cache != nil {
-		s.store(cache, key, cacheEntry{p: p, vars: slices.Clone(vars)})
-	}
-	return p
+	return p * s.mergedProb(touched, u, cache)
 }
 
-// lookup consults the cache, counting the outcome for the evaluator.
-func (s *solver) lookup(cache *ComponentCache, key []byte) (cacheEntry, bool) {
-	e, ok := cache.lookup(key)
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
+// touched appends to dst the components holding u's variables, x's
+// first.
+func (s *solver) touched(u ctable.Lit, dst []int) []int {
+	if g := s.component(u.X); g >= 0 {
+		dst = append(dst, g)
 	}
-	return e, ok
+	if u.Y >= 0 {
+		if g := s.component(u.Y); g >= 0 && !slices.Contains(dst, g) {
+			dst = append(dst, g)
+		}
+	}
+	return dst
 }
 
-// store memoizes e, counting the evictions it caused for the evaluator.
-func (s *solver) store(cache *ComponentCache, key []byte, e cacheEntry) {
-	s.evicted += uint64(cache.store(key, e))
+// compProb returns Pr of component g, consulting the cache for
+// components that need branching. A direct component — a single clause
+// whose variables occur once — is priced by the direct rule every time:
+// it costs as little as keying it would, and caching it would crowd out
+// entries that save real branching work. Under NoComponents a branched
+// component is solved in build order and never cached.
+func (s *solver) compProb(g int, cache *ComponentCache) float64 {
+	comp := s.cond.Component(g)
+	if comp.Direct {
+		return s.directClause(comp.Canon[0])
+	}
+	if s.opt.NoComponents {
+		return s.stSolve(s.memberClauses([]int{g}, nil))
+	}
+	return s.keyed(s.canonClauses(g), comp.Hash, cache)
+}
+
+// unitProb returns Pr(u) for a unit clause sharing no variable with the
+// condition, the way the direct rule prices a one-literal clause — or,
+// for the degenerate x > x, by a keyed solve.
+func (s *solver) unitProb(u ctable.Lit, cache *ComponentCache) float64 {
+	if u.Kind == ctable.VarGTVar && u.X == u.Y {
+		s.arena(1)
+		s.ceArena = append(s.ceArena, u)
+		s.carve(0)
+		return s.keyed(s.clArena, s.structHash(s.clArena), cache)
+	}
+	return 1 - (1 - s.exprProb(u))
+}
+
+// mergedProb returns Pr(comps ∧ u) for the components u touches, merged
+// with [u] into one component: u shares a variable with them, so the
+// direct rule never applies, and the merged canonical order is hashed
+// afresh.
+func (s *solver) mergedProb(comps []int, u ctable.Lit, cache *ComponentCache) float64 {
+	clauses := s.mergedClauses(comps, u)
+	return s.keyed(clauses, s.structHash(clauses), cache)
+}
+
+// probe returns Pr(comps ∧ u) for the scan's touched components (one or
+// two) and a unit clause over their variables: the merged component,
+// or under NoComponents one compiled solve over the components' clauses
+// in build order, component by component, then [u].
+func (s *solver) probe(comps []int, u ctable.Lit, cache *ComponentCache) float64 {
+	if s.opt.NoComponents {
+		return s.wholeProb(s.memberClauses(comps, &u))
+	}
+	return s.mergedProb(comps, u, cache)
+}
+
+// directClause prices one clause whose variables each occur once by the
+// direct rule, its literals in build order:
+// 1 − Π(1 − Pr(e)).
+func (s *solver) directClause(ci int32) float64 {
+	s.litBuf = s.cond.AppendClause(s.litBuf[:0], int(ci))
+	q := 1.0
+	for _, l := range s.litBuf {
+		s.useLit(l)
+		q *= 1 - s.exprProb(l)
+	}
+	return 1 - q
 }
 
 // litHolds evaluates a literal with its variables at values x and y (y
 // is unused by a constant comparison).
-func litHolds(e cexpr, x, y int32) bool {
-	switch e.kind {
+func litHolds(e ctable.Lit, x, y int32) bool {
+	switch e.Kind {
 	case ctable.VarLTConst:
-		return x < e.c
+		return x < e.C
 	case ctable.VarGTConst:
-		return x > e.c
+		return x > e.C
 	default: // VarGTVar
 		return x > y
 	}
@@ -437,19 +580,19 @@ func litHolds(e cexpr, x, y int32) bool {
 
 // directProb applies the independent-conjunction and general-disjunction
 // rules when every variable occurs exactly once across the clause set.
-func (s *solver) directProb(clauses [][]cexpr) (p float64, ok bool) {
+func (s *solver) directProb(clauses [][]ctable.Lit) (p float64, ok bool) {
 	s.epoch++
 	for _, cl := range clauses {
 		for _, e := range cl {
-			if s.seenEp[e.x] == s.epoch {
+			if s.seenEp[e.X] == s.epoch {
 				return 0, false
 			}
-			s.seenEp[e.x] = s.epoch
-			if e.y >= 0 {
-				if s.seenEp[e.y] == s.epoch {
+			s.seenEp[e.X] = s.epoch
+			if e.Y >= 0 {
+				if s.seenEp[e.Y] == s.epoch {
 					return 0, false
 				}
-				s.seenEp[e.y] = s.epoch
+				s.seenEp[e.Y] = s.epoch
 			}
 		}
 	}
@@ -462,101 +605,4 @@ func (s *solver) directProb(clauses [][]cexpr) (p float64, ok bool) {
 		p *= 1 - qAllFalse
 	}
 	return p, true
-}
-
-// components groups clauses into connected components of the clause-
-// variable incidence graph using an epoch-versioned owner table. The
-// groups list their clauses in input order. The result lives in solver
-// scratch, valid until the next call.
-func (s *solver) components(clauses [][]cexpr) [][][]cexpr {
-	n := len(clauses)
-	parent := resizeInts(s.compParent, n)
-	s.compParent = parent
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
-	s.epoch++
-	claim := func(v int32, clause int) {
-		if s.ownerEp[v] == s.epoch {
-			ra, rb := find(s.owner[v]), find(clause)
-			if ra != rb {
-				parent[ra] = rb
-			}
-			return
-		}
-		s.ownerEp[v] = s.epoch
-		s.owner[v] = clause
-	}
-	for i, cl := range clauses {
-		for _, e := range cl {
-			claim(e.x, i)
-			if e.y >= 0 {
-				claim(e.y, i)
-			}
-		}
-	}
-
-	// Single component fast path.
-	root := find(0)
-	single := true
-	for i := 1; i < n; i++ {
-		if find(i) != root {
-			single = false
-			break
-		}
-	}
-	if single {
-		s.compOut = append(s.compOut[:0], clauses)
-		return s.compOut
-	}
-
-	// Compact the root ids into group indices without map hashing, count
-	// each group's clauses, and carve the groups from one clause buffer.
-	groupOf := resizeInts(s.compGroup, n)
-	s.compGroup = groupOf
-	nGroups := 0
-	for i := range clauses {
-		if find(i) == i {
-			groupOf[i] = nGroups
-			nGroups++
-		}
-	}
-	sizes := resizeInts(s.compSize, nGroups)
-	s.compSize = sizes
-	clear(sizes)
-	for i := range clauses {
-		groupOf[i] = groupOf[find(i)]
-		sizes[groupOf[i]]++
-	}
-	if cap(s.compClauses) < n {
-		s.compClauses = make([][]cexpr, n)
-	}
-	out := s.compOut[:0]
-	off := 0
-	for _, size := range sizes {
-		out = append(out, s.compClauses[off:off:off+size])
-		off += size
-	}
-	for i, cl := range clauses {
-		out[groupOf[i]] = append(out[groupOf[i]], cl)
-	}
-	s.compOut = out
-	return out
-}
-
-// resizeInts returns w resized to n, reallocating only when it is too
-// short; the contents are unspecified.
-func resizeInts(w []int, n int) []int {
-	if cap(w) < n {
-		return make([]int, n)
-	}
-	return w[:n]
 }

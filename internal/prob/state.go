@@ -43,10 +43,10 @@ import "bayescrowd/internal/ctable"
 // afterwards.
 
 // stSolve compiles a clause set under an empty assignment — a connected
-// component in canonical fingerprint order, or under NoComponents the
+// component in its stored canonical order, or under NoComponents the
 // whole formula — and solves it by branching on its most frequent
 // variable. The callers have already tried the direct rule.
-func (s *solver) stSolve(comp [][]cexpr) float64 {
+func (s *solver) stSolve(comp [][]ctable.Lit) float64 {
 	s.stCompile(comp)
 	s.stTrail = s.stTrail[:0]
 	s.stIdx = s.stIdx[:0]
@@ -61,7 +61,7 @@ func (s *solver) stSolve(comp [][]cexpr) float64 {
 
 // stCompile loads the component into the arena and resets the liveness
 // state. The clause and literal order of comp is preserved exactly.
-func (s *solver) stCompile(comp [][]cexpr) {
+func (s *solver) stCompile(comp [][]ctable.Lit) {
 	s.stExprs = s.stExprs[:0]
 	s.stClauseOff = s.stClauseOff[:0]
 	s.stClauseOf = s.stClauseOf[:0]
@@ -103,10 +103,10 @@ func (s *solver) stCompile(comp [][]cexpr) {
 	}
 	slots := 0
 	for _, e := range s.stExprs {
-		s.stOccOff[e.x]++
+		s.stOccOff[e.X]++
 		slots++
-		if e.y >= 0 {
-			s.stOccOff[e.y]++
+		if e.Y >= 0 {
+			s.stOccOff[e.Y]++
 			slots++
 		}
 	}
@@ -123,11 +123,11 @@ func (s *solver) stCompile(comp [][]cexpr) {
 		off += cnt
 	}
 	for ei, e := range s.stExprs {
-		s.stOcc[s.stOccEnd[e.x]] = int32(ei)
-		s.stOccEnd[e.x]++
-		if e.y >= 0 {
-			s.stOcc[s.stOccEnd[e.y]] = int32(ei)
-			s.stOccEnd[e.y]++
+		s.stOcc[s.stOccEnd[e.X]] = int32(ei)
+		s.stOccEnd[e.X]++
+		if e.Y >= 0 {
+			s.stOcc[s.stOccEnd[e.Y]] = int32(ei)
+			s.stOccEnd[e.Y]++
 		}
 	}
 }
@@ -191,12 +191,12 @@ func (s *solver) stAssign(v, a int32) (dead bool) {
 		}
 		e := s.stExprs[ei]
 		x, y := a, int32(0)
-		if e.kind == ctable.VarGTVar {
+		if e.Kind == ctable.VarGTVar {
 			// Decided once both sides are assigned.
-			if e.x == v {
-				y = s.assign[e.y]
+			if e.X == v {
+				y = s.assign[e.Y]
 			} else {
-				x, y = s.assign[e.x], a
+				x, y = s.assign[e.X], a
 			}
 			if x < 0 || y < 0 {
 				continue
@@ -240,13 +240,13 @@ func (s *solver) stRewind(mark int) {
 // constant literal always has its variable unassigned — assignment would
 // have decided it — and a live var-vs-var literal has at most one side
 // assigned.)
-func (s *solver) stEffLit(e cexpr) cexpr {
-	if e.kind == ctable.VarGTVar {
-		if x := s.assign[e.x]; x >= 0 {
-			return cexpr{kind: ctable.VarLTConst, x: e.y, y: -1, c: x}
+func (s *solver) stEffLit(e ctable.Lit) ctable.Lit {
+	if e.Kind == ctable.VarGTVar {
+		if x := s.assign[e.X]; x >= 0 {
+			return ctable.Lit{Kind: ctable.VarLTConst, X: e.Y, Y: -1, C: x}
 		}
-		if y := s.assign[e.y]; y >= 0 {
-			return cexpr{kind: ctable.VarGTConst, x: e.x, y: -1, c: y}
+		if y := s.assign[e.Y]; y >= 0 {
+			return ctable.Lit{Kind: ctable.VarGTConst, X: e.X, Y: -1, C: y}
 		}
 	}
 	return e
@@ -254,11 +254,11 @@ func (s *solver) stEffLit(e cexpr) cexpr {
 
 // stVisitEff calls fn for each variable of a live literal's effective
 // form, x then y.
-func (s *solver) stVisitEff(e cexpr, fn func(v int32)) {
+func (s *solver) stVisitEff(e ctable.Lit, fn func(v int32)) {
 	e = s.stEffLit(e)
-	fn(e.x)
-	if e.y >= 0 {
-		fn(e.y)
+	fn(e.X)
+	if e.Y >= 0 {
+		fn(e.Y)
 	}
 }
 
@@ -358,7 +358,7 @@ func (s *solver) stPickVar(clauses []int32) int32 {
 			}
 			e := s.stExprs[ei]
 			if s.opt.BranchFirstVar {
-				return s.stEffLit(e).x
+				return s.stEffLit(e).X
 			}
 			s.stVisitEff(e, visit)
 		}
@@ -370,7 +370,7 @@ func (s *solver) stPickVar(clauses []int32) int32 {
 // computing exprProb once per compile. exprProb is a pure function of the
 // literal and the distributions, so the cached float is the identical
 // value a recomputation would produce.
-func (s *solver) stProbUn(ei int32, e cexpr) float64 {
+func (s *solver) stProbUn(ei int32, e ctable.Lit) float64 {
 	if p := s.stProb0[ei]; p >= 0 {
 		return p
 	}
@@ -385,10 +385,10 @@ func (s *solver) stProbUn(ei int32, e cexpr) float64 {
 // summation exprProb runs over it — is unchanged, so the cached float is
 // bit-identical to a recomputation. Any re-assignment bumps stVarVer and
 // misses the memo.
-func (s *solver) stEffHalf(ei int32, e cexpr, xAssigned bool) float64 {
-	v := e.x
+func (s *solver) stEffHalf(ei int32, e ctable.Lit, xAssigned bool) float64 {
+	v := e.X
 	if !xAssigned {
-		v = e.y
+		v = e.Y
 	}
 	if s.stEffVer[ei] == s.stVarVer[v] && s.stEffX[ei] == xAssigned {
 		return s.stEffP[ei]
@@ -418,35 +418,35 @@ func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 				continue
 			}
 			e := s.stExprs[ei]
-			if e.kind == ctable.VarGTVar {
-				if s.assign[e.x] >= 0 {
-					if s.seenEp[e.y] == s.epoch {
+			if e.Kind == ctable.VarGTVar {
+				if s.assign[e.X] >= 0 {
+					if s.seenEp[e.Y] == s.epoch {
 						return 0, false
 					}
-					s.seenEp[e.y] = s.epoch
+					s.seenEp[e.Y] = s.epoch
 					qAllFalse *= 1 - s.stEffHalf(ei, e, true)
 					continue
 				}
-				if s.assign[e.y] >= 0 {
-					if s.seenEp[e.x] == s.epoch {
+				if s.assign[e.Y] >= 0 {
+					if s.seenEp[e.X] == s.epoch {
 						return 0, false
 					}
-					s.seenEp[e.x] = s.epoch
+					s.seenEp[e.X] = s.epoch
 					qAllFalse *= 1 - s.stEffHalf(ei, e, false)
 					continue
 				}
-				if s.seenEp[e.x] == s.epoch || s.seenEp[e.y] == s.epoch {
+				if s.seenEp[e.X] == s.epoch || s.seenEp[e.Y] == s.epoch {
 					return 0, false
 				}
-				s.seenEp[e.x] = s.epoch
-				s.seenEp[e.y] = s.epoch
+				s.seenEp[e.X] = s.epoch
+				s.seenEp[e.Y] = s.epoch
 				qAllFalse *= 1 - s.stProbUn(ei, e)
 				continue
 			}
-			if s.seenEp[e.x] == s.epoch {
+			if s.seenEp[e.X] == s.epoch {
 				return 0, false
 			}
-			s.seenEp[e.x] = s.epoch
+			s.seenEp[e.X] = s.epoch
 			qAllFalse *= 1 - s.stProbUn(ei, e)
 		}
 		p *= 1 - qAllFalse

@@ -117,8 +117,8 @@ func floatBits(vs ...float64) []uint64 {
 // distribution bits in first-occurrence order.
 func condInput(c *ctable.Condition, dists Dists) []byte {
 	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(c.Clauses)))
-	for _, cl := range c.Clauses {
+	buf = binary.AppendUvarint(buf, uint64(c.NumClauses()))
+	for _, cl := range c.Clauses() {
 		buf = binary.AppendUvarint(buf, uint64(len(cl)))
 		for _, e := range cl {
 			buf = e.AppendKey(buf)

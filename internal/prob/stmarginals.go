@@ -27,24 +27,24 @@ import "bayescrowd/internal/ctable"
 // the variables that actually carry candidates, so var-vs-var-only
 // variables don't pay for bookkeeping.
 
-// marginalSet maps interned variable ids to their joint vectors over the
+// marginalSet maps solver variable ids to their joint vectors over the
 // subformula the set was computed for. A needed variable absent from the
 // set was eliminated before any branch constrained it: its joint is the
 // independent product value·p(a), filled in by the caller (branch merge
 // or scan planner).
 type marginalSet map[int32][]float64
 
-// marginals returns Pr(interned) together with the joint vectors of every
+// marginals returns Pr(laid) together with the joint vectors of every
 // needed variable. Entered only on a fresh solver (empty assignment),
-// like adpllTop.
-func (s *solver) marginals(interned [][]cexpr) (float64, marginalSet) {
-	s.stCompile(interned)
+// like prob.
+func (s *solver) marginals(laid [][]ctable.Lit) (float64, marginalSet) {
+	s.stCompile(laid)
 	s.stTrail = s.stTrail[:0]
 	s.stIdx = s.stIdx[:0]
-	for c := range interned {
+	for c := range laid {
 		s.stIdx = append(s.stIdx, int32(c))
 	}
-	clauses := s.stIdx[:len(interned)]
+	clauses := s.stIdx[:len(laid)]
 	p, m := s.stAllMarginals(clauses)
 	s.stIdx = s.stIdx[:0]
 	return p, m
@@ -53,12 +53,12 @@ func (s *solver) marginals(interned [][]cexpr) (float64, marginalSet) {
 // stLitProb returns a live literal's effective probability through the
 // per-literal memos; the memoized floats are bit-identical to exprProb
 // over the literal's effective form.
-func (s *solver) stLitProb(ei int32, e cexpr) float64 {
-	if e.kind == ctable.VarGTVar {
-		if s.assign[e.x] >= 0 {
+func (s *solver) stLitProb(ei int32, e ctable.Lit) float64 {
+	if e.Kind == ctable.VarGTVar {
+		if s.assign[e.X] >= 0 {
 			return s.stEffHalf(ei, e, true)
 		}
-		if s.assign[e.y] >= 0 {
+		if s.assign[e.Y] >= 0 {
 			return s.stEffHalf(ei, e, false)
 		}
 	}
@@ -245,7 +245,7 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 			e := s.stExprs[ei]
 			q *= 1 - s.stLitProb(ei, e)
 			eff := s.stEffLit(e)
-			anyNeed = anyNeed || s.margNeed[eff.x] || (eff.y >= 0 && s.margNeed[eff.y])
+			anyNeed = anyNeed || s.margNeed[eff.X] || (eff.Y >= 0 && s.margNeed[eff.Y])
 		}
 		ps[i] = 1 - q
 	}
@@ -289,12 +289,12 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 				continue
 			}
 			e := s.stEffLit(s.stExprs[ei])
-			if s.margNeed[e.x] {
-				dx := s.dists[e.x]
+			if s.margNeed[e.X] {
+				dx := s.dists[e.X]
 				vec := make([]float64, len(dx))
 				q := qx(k)
 				switch {
-				case e.y < 0:
+				case e.Y < 0:
 					for b, pb := range dx {
 						if constLitSat(e, b) {
 							vec[b] = outer * pb
@@ -305,7 +305,7 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 				default:
 					// x > y, conditioned on x=b: the literal holds with
 					// probability Pr(y < b), the running CDF of y.
-					dy := s.dists[e.y]
+					dy := s.dists[e.Y]
 					cdf := 0.0
 					for b, pb := range dx {
 						if b-1 >= 0 && b-1 < len(dy) {
@@ -314,13 +314,13 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 						vec[b] = outer * pb * (1 - (1-cdf)*q)
 					}
 				}
-				out[e.x] = vec
+				out[e.X] = vec
 			}
-			if e.y >= 0 && s.margNeed[e.y] {
+			if e.Y >= 0 && s.margNeed[e.Y] {
 				// x > y, conditioned on y=c: the literal holds with
 				// probability Pr(x > c), the tail mass of x above c.
-				dx := s.dists[e.x]
-				dy := s.dists[e.y]
+				dx := s.dists[e.X]
+				dy := s.dists[e.Y]
 				vec := make([]float64, len(dy))
 				q := qx(k)
 				tail := 1.0
@@ -330,7 +330,7 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 					}
 					vec[cc] = outer * pc * (1 - (1-tail)*q)
 				}
-				out[e.y] = vec
+				out[e.Y] = vec
 			}
 			k++
 		}
@@ -340,9 +340,9 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 
 // constLitSat reports whether a constant-comparison literal holds at
 // value b of its variable.
-func constLitSat(e cexpr, b int) bool {
-	if e.kind == ctable.VarLTConst {
-		return int32(b) < e.c
+func constLitSat(e ctable.Lit, b int) bool {
+	if e.Kind == ctable.VarLTConst {
+		return int32(b) < e.C
 	}
-	return int32(b) > e.c
+	return int32(b) > e.C
 }

@@ -54,12 +54,17 @@ func checkSweepsNaive(t *testing.T, c *ctable.Condition, dists Dists, rng *rand.
 	}
 	scan.PlanSweeps(cands)
 	n := 0
-	for _, x := range c.Vars() {
+	for i, x := range c.Vars() {
 		vec, ok := scan.sweeps[x]
 		if !ok {
 			continue
 		}
-		comp := ctable.FromClauses(scan.comps[scan.byVar[x]])
+		var clauses [][]ctable.Expr
+		all := c.Clauses()
+		for _, ci := range c.Component(c.VarComponent(i)).Canon {
+			clauses = append(clauses, all[ci])
+		}
+		comp := ctable.FromClauses(clauses)
 		if ev.StateSpace(comp) > 1e5 {
 			continue
 		}

@@ -567,20 +567,25 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 
 	conds := make([]*ctable.Condition, len(stale))
 	knowEmpty := c.know.Empty()
-	for i, id := range stale {
-		var cond *ctable.Condition
+	// Simplifying and laying out a condition read only the table, the
+	// knowledge and the cached conditions, so the conditions are built on
+	// the pool, each by one worker, and cached once the fan-out joins.
+	workers := parallel.Workers(e.cfg.Workers)
+	parallel.For(workers, len(stale), func(_, i int) {
+		id := stale[i]
 		switch {
 		case !staleSet[id]:
-			cond = c.conds[id].Simplified(c.know)
+			conds[i] = c.conds[id].Simplified(c.know)
 		case knowEmpty:
-			cond = e.tbl.Cond(id)
+			conds[i] = e.tbl.Cond(id)
 		default:
-			cond = e.tbl.Cond(id).Simplified(c.know)
+			conds[i] = e.tbl.CondUnder(id, c.know)
 		}
-		c.conds[id] = cond
-		conds[i] = cond
+	})
+	for i, id := range stale {
+		c.conds[id] = conds[i]
 	}
-	ps := e.ev.ProbAll(conds, parallel.Workers(e.cfg.Workers))
+	ps := e.ev.ProbAll(conds, workers)
 	for i, id := range stale {
 		e.probs[id] = ps[i]
 	}

@@ -169,7 +169,7 @@ func checkCondsSimplified(t *testing.T, tag string, ce *CrowdEngine) {
 		ref := ce.eng.tbl.Cond(id).Simplified(ce.know)
 		gv, gd := cond.Decided()
 		rv, rd := ref.Decided()
-		if gv != rv || gd != rd || !reflect.DeepEqual(cond.Clauses, ref.Clauses) {
+		if gv != rv || gd != rd || !reflect.DeepEqual(cond.Clauses(), ref.Clauses()) {
 			t.Fatalf("%s: cached condition of %d is %v, the table's simplified is %v", tag, id, cond, ref)
 		}
 	}

@@ -321,10 +321,13 @@ func (e *Engine) insertStep(now int64, arrivals [][]dataset.Cell, res *TickResul
 func (e *Engine) reevalStep(res *TickResult) {
 	dirty := e.tbl.DrainDirty()
 	conds := make([]*ctable.Condition, len(dirty))
-	for i, id := range dirty {
-		conds[i] = e.tbl.Cond(id)
-	}
-	ps := e.ev.ProbAll(conds, parallel.Workers(e.cfg.Workers))
+	// Laying out a condition reads only the table, so the conditions are
+	// built on the pool, each by one worker.
+	workers := parallel.Workers(e.cfg.Workers)
+	parallel.For(workers, len(dirty), func(_, i int) {
+		conds[i] = e.tbl.Cond(dirty[i])
+	})
+	ps := e.ev.ProbAll(conds, workers)
 	for i, id := range dirty {
 		e.probs[id] = ps[i]
 	}
