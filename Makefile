@@ -51,9 +51,10 @@ bench:
 
 # bench-ci is ci.yml's one-iteration pass over the stream crowd-tick,
 # approximate-estimator, model query-cycle, warm-query, preprocessing,
-# network-learning and hub-cycle benchmarks: same regex, same packages.
+# network-learning, hub-cycle and c-table build benchmarks: same regex,
+# same packages.
 bench-ci:
-	go test -run '^$$' -bench 'CrowdTick|ApproxEstimators|ModelQueryCycle|WarmQuery|Preprocess|LearnNetwork|HubCycle' -benchtime 1x ./internal/stream/ ./internal/prob/ ./internal/core/ ./internal/service/
+	go test -run '^$$' -bench 'CrowdTick|ApproxEstimators|ModelQueryCycle|WarmQuery|Preprocess|LearnNetwork|HubCycle|BuildFast' -benchtime 1x ./internal/stream/ ./internal/prob/ ./internal/core/ ./internal/service/ ./internal/ctable/
 
 # bench-smoke is the nightly workflow's one-iteration pass: benchmarks
 # must at least compile and run on every PR.

@@ -99,79 +99,105 @@ func Build(d *dataset.Dataset, opt BuildOptions) *CTable {
 	return ct
 }
 
-// buildCondition emits the CNF condition of object o given its dominator
-// set: one clause [p ⊀ o] per dominator p, holding one expression per
-// attribute where o could still beat p. An empty clause (p dominates o on
-// every attribute already, with no variable able to break it) forces the
-// condition to false — this subsumes Algorithm 2's explicit
-// complete-object dominance check (lines 8-9).
+// buildCondition emits the CNF condition of object o given its
+// dominator set, which may still contain o itself (the sorted build's
+// group-shared candidate set): one clause [p ⊀ o] per dominator p. An
+// empty clause (p dominates o on every attribute already, with no
+// variable able to break it) forces the condition to false — this
+// subsumes Algorithm 2's explicit complete-object dominance check
+// (lines 8-9).
 func buildCondition(d *dataset.Dataset, o int, dom *bitset.Set) *Condition {
-	var clauses [][]Expr
-	result := (*Condition)(nil)
+	f := formPool.Get().(*form)
+	defer formPool.Put(f)
+	f.start(d.Attrs, o, d.Objects[o].Cells, nil)
 	dom.ForEach(func(p int) bool {
-		clause := buildClause(d, o, p)
-		if clause == nil {
-			result = False()
-			return false
-		}
-		clauses = append(clauses, clause)
-		return true
+		return p == o || f.add(p, d.Objects[p].Cells)
 	})
-	if result != nil {
-		return result
+	return f.condition()
+}
+
+// emitter writes the clauses [p ⊀ o] of one condition φ(o) from the
+// objects' cells into flat scratch — the literals, then the end of each
+// clause — which form.condition lays out into the stored form. It is the
+// one place a clause is derived: the batch build, the window c-table's
+// conditions and its empty-clause counts all emit through it.
+type emitter struct {
+	attrs  []dataset.Attribute
+	o      int
+	oCells []dataset.Cell
+	k      *Knowledge
+	exprs  []Expr
+	ends   []int32
+	// empty records that a clause came out empty.
+	empty bool
+}
+
+// start begins the condition of object o, whose cells are oCells and
+// variables Var{o, j}, filtered under the knowledge k; a nil or empty k
+// filters nothing.
+func (e *emitter) start(attrs []dataset.Attribute, o int, oCells []dataset.Cell, k *Knowledge) {
+	if k != nil && k.Empty() {
+		k = nil
 	}
-	return FromClauses(clauses)
+	e.attrs, e.o, e.oCells, e.k = attrs, o, oCells, k
+	e.exprs, e.ends, e.empty = e.exprs[:0], e.ends[:0], false
 }
 
-// buildClause returns the disjuncts of [p ⊀ o]: for every attribute, the
-// expression asserting that o strictly beats p there, when that is still
-// possible. nil means the clause is empty (p certainly dominates o).
-func buildClause(d *dataset.Dataset, o, p int) []Expr {
-	return ClauseBetween(d.Attrs, o, d.Objects[o].Cells, p, d.Objects[p].Cells)
-}
-
-// ClauseBetween builds the clause [p ⊀ o] from raw cells: for every
-// attribute, the expression asserting that object o (with cells oCells,
-// variables numbered Var{o, j}) strictly beats its possible dominator p
-// (pCells, Var{p, j}) there, when that is still possible. nil means the
-// clause is empty — p certainly dominates o. It is the cell-level core of
-// the batch build, exported for the incremental c-table (DynCTable),
-// whose objects are numbered by stream identity rather than by dataset
-// index.
-//
-// Statically unsatisfiable expressions — "x < 0" and "x > Levels-1" — are
-// dropped at construction, so every emitted expression is a meaningful
-// crowd task.
-func ClauseBetween(attrs []dataset.Attribute, o int, oCells []dataset.Cell, p int, pCells []dataset.Cell) []Expr {
-	var clause []Expr
-	for j := range attrs {
-		oc := oCells[j]
-		pc := pCells[j]
+// add emits the clause [p ⊀ o] for a possible dominator p, whose cells
+// are pCells and variables Var{p, j}: for every attribute, the literal
+// asserting that o strictly beats p there, when that is still possible.
+// Statically unsatisfiable literals — "x < 0" and "x > Levels-1" — are
+// never emitted, so every literal is a meaningful crowd task. Under
+// knowledge a literal decided false is dropped and a clause with one
+// decided true is satisfied and skipped. add reports false when the
+// clause comes out empty — p certainly dominates o — which decides the
+// condition false.
+func (e *emitter) add(p int, pCells []dataset.Cell) bool {
+	n := len(e.exprs)
+	for j := range e.attrs {
+		oc, pc := e.oCells[j], pCells[j]
+		var x Expr
 		switch {
 		case !oc.Missing && !pc.Missing:
 			if oc.Value > pc.Value {
-				// o already beats p here; p can never dominate o, the
-				// clause is trivially satisfied, and by Definition 5 such
-				// a p is not in D(o) at all. Reaching this square means
-				// the dominator derivation is broken.
-				panic(fmt.Sprintf("ctable: object %d in D(%d) despite losing attribute %d", p, o, j))
+				// o already beats p here; p can never dominate o, and by
+				// Definition 5 such a p is not in D(o) at all. Reaching
+				// this square means the dominator derivation is broken.
+				panic(fmt.Sprintf("ctable: object %d in D(%d) despite losing attribute %d", p, e.o, j))
 			}
-			// o.[j] <= p.[j]: o cannot beat p here, no expression.
-		case !oc.Missing && pc.Missing:
+			continue // o.[j] <= p.[j]: o cannot beat p here
+		case !oc.Missing:
 			// o beats p iff Var(p,j) < o.[j]; impossible when o.[j] = 0.
-			if oc.Value > 0 {
-				clause = append(clause, LTConst(Var{Obj: p, Attr: j}, oc.Value))
+			if oc.Value <= 0 {
+				continue
 			}
-		case oc.Missing && !pc.Missing:
+			x = LTConst(Var{Obj: p, Attr: j}, oc.Value)
+		case !pc.Missing:
 			// o beats p iff Var(o,j) > p.[j]; impossible when p.[j] is max.
-			if pc.Value < attrs[j].Levels-1 {
-				clause = append(clause, GTConst(Var{Obj: o, Attr: j}, pc.Value))
+			if pc.Value >= e.attrs[j].Levels-1 {
+				continue
 			}
+			x = GTConst(Var{Obj: e.o, Attr: j}, pc.Value)
 		default:
-			clause = append(clause, GTVar(Var{Obj: o, Attr: j}, Var{Obj: p, Attr: j}))
+			x = GTVar(Var{Obj: e.o, Attr: j}, Var{Obj: p, Attr: j})
 		}
+		if e.k != nil {
+			if v, decided := e.k.Eval(x); decided {
+				if v {
+					e.exprs = e.exprs[:n]
+					return true
+				}
+				continue
+			}
+		}
+		e.exprs = append(e.exprs, x)
 	}
-	return clause
+	if len(e.exprs) == n {
+		e.empty = true
+		return false
+	}
+	e.ends = append(e.ends, int32(len(e.exprs)))
+	return true
 }
 
 // ResultSet returns the indices of objects whose condition is decided
@@ -196,23 +222,6 @@ func (ct *CTable) Undecided() []int {
 		}
 	}
 	return out
-}
-
-// SimplifyAll replaces every undecided condition with its simplification
-// under the given knowledge, returning how many conditions became
-// decided. The replaced conditions themselves are not written.
-func (ct *CTable) SimplifyAll(k *Knowledge) int {
-	settled := 0
-	for i, c := range ct.Conds {
-		if _, decided := c.Decided(); decided {
-			continue
-		}
-		ct.Conds[i] = c.Simplified(k)
-		if _, decided := ct.Conds[i].Decided(); decided {
-			settled++
-		}
-	}
-	return settled
 }
 
 // Verify checks the c-table against a complete ground-truth dataset: with

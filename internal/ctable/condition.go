@@ -12,7 +12,9 @@ import (
 // form.go describes: a variable table and the literals in build order
 // over it, shared with every simplification of the same build, plus the
 // condition's own live clauses, dropped literals and connected
-// components with their canonical orders and structural hashes. Every
+// components with their canonical orders and structural hashes. The
+// c-tables emit a condition's clauses from the objects' cells straight
+// into that form (build.go's emitter), never as [][]Expr. Every
 // clause is non-empty; an empty clause collapses the condition to false
 // and an empty clause list to true during construction and
 // simplification. A condition is immutable once built, so one condition
@@ -55,17 +57,21 @@ func False() *Condition { return &Condition{decided: true, value: false} }
 
 // FromClauses builds a condition from CNF clauses, collapsing trivial
 // cases: an empty clause yields false, no clauses yields true. The
-// clauses are copied into the stored form; the caller keeps them.
+// clauses are copied into the stored form; the caller keeps them. The
+// c-table builds emit conditions from the objects' cells instead; this
+// is the reference form tests derive conditions from.
 func FromClauses(clauses [][]Expr) *Condition {
+	f := formPool.Get().(*form)
+	defer formPool.Put(f)
+	f.start(nil, 0, nil, nil)
 	for _, cl := range clauses {
 		if len(cl) == 0 {
 			return False()
 		}
+		f.exprs = append(f.exprs, cl...)
+		f.ends = append(f.ends, int32(len(f.exprs)))
 	}
-	if len(clauses) == 0 {
-		return True()
-	}
-	return fromClauses(clauses)
+	return f.condition()
 }
 
 // Decided reports whether the condition is settled, and its value.
@@ -95,7 +101,7 @@ func clone[T any](s []T) []T {
 }
 
 // Vars returns the distinct variables of the condition in order of first
-// appearance. For a condition FromClauses built it is the variable table
+// appearance. For a freshly built condition it is the variable table
 // itself, shared and read-only; a simplification, whose table may hold
 // variables it no longer mentions, lists them afresh.
 func (c *Condition) Vars() []Var {
@@ -125,8 +131,8 @@ func (c *Condition) Vars() []Var {
 }
 
 // Table returns the variable table the condition's literals index
-// (AppendClause, AppendCanonClause): Vars for a condition
-// FromClauses built, a superset of them for a simplification. The slice
+// (AppendClause, AppendCanonClause): Vars for a freshly built
+// condition, a superset of them for a simplification. The slice
 // is shared and read-only.
 func (c *Condition) Table() []Var { return c.vars }
 

@@ -3,7 +3,6 @@ package ctable
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"bayescrowd/internal/bitset"
@@ -187,31 +186,5 @@ func TestStaticallyUnsatisfiableExprsDropped(t *testing.T) {
 	// impossible with Levels=3 — so the clause is empty and φ(o2) false.
 	if !ct.Conds[1].IsFalse() {
 		t.Errorf("φ(o2) = %v, want false", ct.Conds[1])
-	}
-}
-
-func sortedInts(s []int) []int {
-	out := append([]int(nil), s...)
-	sort.Ints(out)
-	return out
-}
-
-func TestSimplifyAllCountsSettled(t *testing.T) {
-	d := dataset.SampleMovies()
-	ct := Build(d, BuildOptions{Alpha: 1})
-	k := NewKnowledge(d, gridIDs(d.Len(), d.NumAttrs()))
-	// Answer: Var(o5,a4) < 4 — satisfies φ(o1) immediately.
-	if err := k.Absorb(LTConst(v(4, 3), 4), LT); err != nil {
-		t.Fatal(err)
-	}
-	settled := ct.SimplifyAll(k)
-	if settled != 1 {
-		t.Fatalf("settled = %d, want 1", settled)
-	}
-	if !ct.Conds[0].IsTrue() {
-		t.Fatalf("φ(o1) = %v, want true", ct.Conds[0])
-	}
-	if got := sortedInts(ct.ResultSet()); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("ResultSet = %v, want [0 1 2]", got)
 	}
 }

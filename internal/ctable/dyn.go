@@ -2,6 +2,7 @@ package ctable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bayescrowd/internal/bitset"
@@ -10,9 +11,9 @@ import (
 
 // DynCTable maintains the c-table of a changing object set — the
 // incremental counterpart of Build for streaming workloads: objects are
-// inserted and evicted one at a time, and only the clauses the change
-// actually touches are added or retracted, never a full O(n²)-flavoured
-// rebuild.
+// inserted and evicted one at a time, and only the dominator lists the
+// change actually touches are extended or shortened, never a full
+// O(n²)-flavoured rebuild.
 //
 // Identity: every inserted object receives a monotonically increasing
 // stream id, and its c-table variables are numbered Var{id, attr}. Ids
@@ -22,23 +23,30 @@ import (
 // Internally objects occupy recycled *slots* of a DynDomIndex bit
 // universe; slots are invisible to callers.
 //
+// Storage: per live object the table keeps its cells, its dominator set
+// D(o) as a list of slots, and how many of those dominators certainly
+// dominate it (an empty clause). It keeps no clause: a clause [p ⊀ o]
+// is a pure function of the two objects' (immutable) cells, so Cond
+// re-derives the condition from the cells when it is asked for, and
+// each window condition is held once, in the stored form the caller
+// caches.
+//
 // Maintenance: Insert(cells) derives the new object's dominator set with
 // one d-way AND over the live per-dimension index (the updatable form of
-// the sort-partition build's index) and emits its clauses; the reverse
-// query (Dominatees) finds every live object the newcomer possibly
-// dominates, and each of those conditions gains exactly one clause.
-// Evict(id) runs the reverse query once more and retracts the departed
-// object's clause from each affected condition. Both directions rely on
-// the possible-dominance predicate being a pure function of the two
-// objects' (immutable) cells, so membership never needs to be stored —
-// the clause lists themselves are the materialised dominator sets.
+// the sort-partition build's index); the reverse query (Dominatees)
+// finds every live object the newcomer possibly dominates, and each of
+// those lists gains the newcomer. Evict(id) runs the reverse query once
+// more and retracts the departed object from each affected list. Both
+// directions rely on the possible-dominance predicate being a pure
+// function of the two objects' cells, so the reverse edges are never
+// stored.
 //
-// Per-object clause lists are kept sorted by dominator id; since a new
-// dominator always carries the largest id yet, insertion is an append
-// and retraction a binary search. Conditions materialised by Cond list
-// clauses in ascending dominator-id order — the same order the batch
-// build emits (ascending dataset index) — so a window rebuilt from
-// scratch yields literally the same CNF modulo the id↔index renaming.
+// Dominator lists are kept ascending by stream id; since a new dominator
+// always carries the largest id yet, insertion is an append and
+// retraction a binary search. Cond emits clauses in ascending
+// dominator-id order — the same order the batch build emits (ascending
+// dataset index) — so a window rebuilt from scratch yields literally the
+// same CNF modulo the id↔index renaming.
 //
 // DynCTable is not safe for concurrent mutation; like the batch build's
 // caller it is single-writer, with reads (Cond, IDs) safe between
@@ -56,8 +64,9 @@ type DynCTable struct {
 	// DrainDirty — the delta a streaming evaluator needs to re-solve.
 	dirty map[int]struct{}
 
-	// query scratch, reused across Insert/Evict calls.
+	// query and clause scratch, reused across Insert/Evict calls.
 	dom, rev *bitset.Set
+	clause   emitter
 }
 
 // dynSlot is the per-slot state of one live object.
@@ -65,19 +74,12 @@ type dynSlot struct {
 	live  bool
 	id    int
 	cells []dataset.Cell
-	// clauses is the object's condition body, one entry per possible
-	// dominator, ascending by dominator id. A nil exprs slice is an empty
-	// clause — that dominator certainly dominates the object.
-	clauses []dynClause
-	// empty counts the nil-exprs entries; the condition is decided false
-	// while empty > 0.
+	// doms is D(o): the slots of the object's possible dominators,
+	// ascending by their stream id.
+	doms []int32
+	// empty counts the dominators whose clause is empty; the condition
+	// is decided false while empty > 0.
 	empty int
-}
-
-// dynClause is one clause [p ⊀ o] keyed by the dominator's stream id.
-type dynClause struct {
-	dom   int
-	exprs []Expr
 }
 
 // NewDynCTable returns an empty incremental c-table over the attribute
@@ -128,9 +130,9 @@ func (t *DynCTable) Cells(id int) []dataset.Cell {
 }
 
 // DomSize returns |D(o)| for the live object — the number of clauses its
-// condition currently carries.
+// unsimplified condition carries.
 func (t *DynCTable) DomSize(id int) int {
-	return len(t.slots[t.mustSlot(id)].clauses)
+	return len(t.slots[t.mustSlot(id)].doms)
 }
 
 // MissingVars appends Var{id, j} for every missing cell of the given
@@ -146,10 +148,10 @@ func MissingVars(id int, cells []dataset.Cell, dst []Var) []Var {
 }
 
 // Insert adds an object, assigns it the next stream id, derives its
-// dominator clauses from the live index, and adds one clause to every
-// live object it possibly dominates. It returns the new id and the
-// object's c-table variables (one per missing cell). The new object and
-// every patched one are marked dirty.
+// dominator set from the live index, and adds the object to the
+// dominator set of every live object it possibly dominates. It returns
+// the new id and the object's c-table variables (one per missing cell).
+// The new object and every patched one are marked dirty.
 func (t *DynCTable) Insert(cells []dataset.Cell) (id int, vars []Var) {
 	if len(cells) != len(t.attrs) {
 		panic(fmt.Sprintf("ctable: Insert with %d cells, schema has %d attributes", len(cells), len(t.attrs)))
@@ -169,36 +171,34 @@ func (t *DynCTable) Insert(cells []dataset.Cell) (id int, vars []Var) {
 	t.idx.Dominators(cells, t.dom)
 	t.idx.Dominatees(cells, t.rev)
 
-	// The newcomer's condition: one clause per possible dominator,
-	// gathered in ascending slot order then sorted by id (slot recycling
-	// makes the two orders diverge).
+	// The newcomer's dominators, gathered in ascending slot order then
+	// sorted by id (slot recycling makes the two orders diverge).
 	s := &t.slots[slot]
 	s.live = true
 	s.id = id
 	s.cells = append(s.cells[:0], cells...)
-	s.clauses = s.clauses[:0]
+	s.doms = s.doms[:0]
 	s.empty = 0
 	t.dom.ForEach(func(p int) bool {
 		ps := &t.slots[p]
-		exprs := ClauseBetween(t.attrs, id, cells, ps.id, ps.cells)
-		if exprs == nil {
+		if t.emptyClause(id, s.cells, ps.id, ps.cells) {
 			s.empty++
 		}
-		s.clauses = append(s.clauses, dynClause{dom: ps.id, exprs: exprs})
+		s.doms = append(s.doms, int32(p))
 		return true
 	})
-	sort.Slice(s.clauses, func(a, b int) bool { return s.clauses[a].dom < s.clauses[b].dom })
+	slices.SortFunc(s.doms, func(a, b int32) int { return t.slots[a].id - t.slots[b].id })
 
-	// Every object the newcomer possibly dominates gains one clause;
-	// the new id is the largest yet, so the append keeps the list sorted.
+	// Every object the newcomer possibly dominates gains it as a
+	// dominator; the new id is the largest yet, so the append keeps the
+	// list sorted.
 	t.rev.ForEach(func(q int) bool {
 		qs := &t.slots[q]
 		wasFalse := qs.empty > 0
-		exprs := ClauseBetween(t.attrs, qs.id, qs.cells, id, cells)
-		if exprs == nil {
+		if t.emptyClause(qs.id, qs.cells, id, s.cells) {
 			qs.empty++
 		}
-		qs.clauses = append(qs.clauses, dynClause{dom: id, exprs: exprs})
+		qs.doms = append(qs.doms, int32(slot))
 		// A condition that was decided false and stays decided false kept
 		// its probability (0): no need to re-solve it. On correlated data
 		// most of a newcomer's dominatees are certainly dominated already,
@@ -217,12 +217,13 @@ func (t *DynCTable) Insert(cells []dataset.Cell) (id int, vars []Var) {
 	return id, MissingVars(id, cells, nil)
 }
 
-// Evict removes a live object: its condition is dropped and its clause
-// is retracted from every live object it possibly dominated (patching
-// their expressions back to what a fresh build over the remaining window
-// would emit). It returns the evicted object's c-table variables so the
-// caller can invalidate cached components and forget crowd knowledge
-// about them; every patched object is marked dirty.
+// Evict removes a live object: its dominator set is dropped and it is
+// retracted from the dominator set of every live object it possibly
+// dominated (patching their conditions back to what a fresh build over
+// the remaining window would emit). It returns the evicted object's
+// c-table variables so the caller can invalidate cached components and
+// forget crowd knowledge about them; every patched object is marked
+// dirty.
 func (t *DynCTable) Evict(id int) (vars []Var) {
 	slot := t.mustSlot(id)
 	s := &t.slots[slot]
@@ -231,16 +232,16 @@ func (t *DynCTable) Evict(id int) (vars []Var) {
 	t.rev.ForEach(func(q int) bool {
 		qs := &t.slots[q]
 		wasFalse := qs.empty > 0
-		i := sort.Search(len(qs.clauses), func(i int) bool { return qs.clauses[i].dom >= id })
-		if i == len(qs.clauses) || qs.clauses[i].dom != id {
-			panic(fmt.Sprintf("ctable: evict %d: object %d lacks the clause to retract", id, qs.id))
+		i := sort.Search(len(qs.doms), func(i int) bool { return t.slots[qs.doms[i]].id >= id })
+		if i == len(qs.doms) || qs.doms[i] != int32(slot) {
+			panic(fmt.Sprintf("ctable: evict %d: object %d lacks the dominator to retract", id, qs.id))
 		}
-		if qs.clauses[i].exprs == nil {
+		if t.emptyClause(qs.id, qs.cells, id, s.cells) {
 			qs.empty--
 		}
-		qs.clauses = append(qs.clauses[:i], qs.clauses[i+1:]...)
-		// Same still-false skip as Insert: losing one clause cannot revive
-		// a condition still pinned false by another empty clause.
+		qs.doms = append(qs.doms[:i], qs.doms[i+1:]...)
+		// Same still-false skip as Insert: losing one dominator cannot
+		// revive a condition still pinned false by another empty clause.
 		if !wasFalse || qs.empty == 0 {
 			t.dirty[qs.id] = struct{}{}
 		}
@@ -250,7 +251,7 @@ func (t *DynCTable) Evict(id int) (vars []Var) {
 	vars = MissingVars(id, s.cells, nil)
 	t.idx.Evict(slot, s.cells)
 	s.live = false
-	s.clauses = s.clauses[:0]
+	s.doms = s.doms[:0]
 	s.empty = 0
 	delete(t.slotOf, id)
 	delete(t.dirty, id)
@@ -282,67 +283,36 @@ func (t *DynCTable) dominatees(slot int) {
 	t.rev.Clear(slot)
 }
 
-// Cond materialises the current condition φ(o) of a live object: decided
-// false while any clause is empty, decided true with no dominators, CNF
-// otherwise. Clauses appear in ascending dominator-id order; the
-// condition copies them into its stored form, so the table's clauses
-// stay its own.
-func (t *DynCTable) Cond(id int) *Condition {
+// emptyClause reports whether the clause [p ⊀ o] is empty — p certainly
+// dominates o — reading it off the table's own emitter.
+func (t *DynCTable) emptyClause(o int, oCells []dataset.Cell, p int, pCells []dataset.Cell) bool {
+	t.clause.start(t.attrs, o, oCells, nil)
+	return !t.clause.add(p, pCells)
+}
+
+// Cond derives the current condition φ(o) of a live object from the
+// cells under the knowledge k: the result Simplified(k) gives on the
+// unsimplified condition, laid out once. A nil or empty k filters
+// nothing, which is what the machine engine asks for. The condition is
+// decided false while any clause is empty and decided true with no
+// dominators (or every clause satisfied); its clauses appear in
+// ascending dominator-id order. Cond reads the table only, with pooled
+// scratch, so conditions may be derived concurrently between mutations.
+func (t *DynCTable) Cond(id int, k *Knowledge) *Condition {
 	s := &t.slots[t.mustSlot(id)]
 	if s.empty > 0 {
 		return False()
 	}
-	if len(s.clauses) == 0 {
-		return True()
-	}
-	clauses := make([][]Expr, len(s.clauses))
-	for i := range s.clauses {
-		clauses[i] = s.clauses[i].exprs
-	}
-	return FromClauses(clauses)
-}
-
-// CondUnder is Cond(id).Simplified(k) built in one step: each clause is
-// filtered under the knowledge before the condition is laid out, so the
-// unsimplified form is never derived.
-func (t *DynCTable) CondUnder(id int, k *Knowledge) *Condition {
-	s := &t.slots[t.mustSlot(id)]
-	if s.empty > 0 {
-		return False()
-	}
-	clauses := make([][]Expr, 0, len(s.clauses))
-	for i := range s.clauses {
-		kept, satisfied := simplifyExprs(s.clauses[i].exprs, k)
-		if satisfied {
-			continue
-		}
-		if len(kept) == 0 {
-			return False()
-		}
-		clauses = append(clauses, kept)
-	}
-	return FromClauses(clauses)
-}
-
-// simplifyExprs rewrites one clause under the knowledge: satisfied when
-// an expression is decided true, otherwise the expressions not decided
-// false — cl itself when none is.
-func simplifyExprs(cl []Expr, k *Knowledge) (kept []Expr, satisfied bool) {
-	for j, e := range cl {
-		v, decided := k.Eval(e)
-		switch {
-		case decided && v:
-			return nil, true
-		case decided && kept == nil:
-			kept = append(make([]Expr, 0, len(cl)-1), cl[:j]...)
-		case !decided && kept != nil:
-			kept = append(kept, e)
+	f := formPool.Get().(*form)
+	defer formPool.Put(f)
+	f.start(t.attrs, id, s.cells, k)
+	for _, p := range s.doms {
+		ps := &t.slots[p]
+		if !f.add(ps.id, ps.cells) {
+			break
 		}
 	}
-	if kept == nil {
-		return cl, false
-	}
-	return kept, false
+	return f.condition()
 }
 
 // DrainDirty returns the ids whose condition changed since the last

@@ -1,6 +1,7 @@
 package ctable
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -57,7 +58,7 @@ func checkAgainstRebuild(t *testing.T, dt *DynCTable) {
 		indexOf[id] = i
 	}
 	for i, id := range ids {
-		got := renameCond(dt.Cond(id), indexOf)
+		got := renameCond(dt.Cond(id, nil), indexOf)
 		if got.String() != ct.Conds[i].String() {
 			t.Fatalf("id %d (window index %d):\n incremental: %v\n rebuild:     %v",
 				id, i, got, ct.Conds[i])
@@ -134,6 +135,108 @@ func TestDynCTableVerifiesAgainstGroundTruth(t *testing.T) {
 	checkAgainstRebuild(t, dt)
 }
 
+// TestDynCondUnderKnowledge checks the knowledge-filtered window
+// condition against the unfiltered one simplified: under random inserts
+// and evictions, absorbing random answers — constant and var-vs-var
+// comparisons, re-answers that conflict with earlier ones, and every
+// fourth trial under NoInference — each live condition built under the
+// knowledge has the same stored form as the unfiltered condition's
+// simplification, and both are decided alike.
+func TestDynCondUnderKnowledge(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	const steps = 120
+	checked, changed, decided := 0, 0, 0
+	conflicts, noInference := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		nAttrs := 2 + rng.Intn(4)
+		attrs := make([]dataset.Attribute, nAttrs)
+		for j := range attrs {
+			attrs[j] = dataset.Attribute{Name: "a", Levels: 2 + rng.Intn(7)}
+		}
+		missRate := 0.1 + rng.Float64()*0.3
+		dt := NewDynCTable(attrs, 8)
+		k := NewKnowledge(dataset.New(attrs), gridIDs(steps, nAttrs))
+		k.NoInference = trial%4 == 3
+		var live []int
+		var asked []Expr
+		for step := 0; step < steps; step++ {
+			if len(live) > 0 && rng.Float64() < 0.35 {
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				k.Forget(dt.Evict(id)...)
+			} else {
+				id, _ := dt.Insert(randCells(rng, attrs, missRate))
+				live = append(live, id)
+			}
+
+			// Two answers a step: a literal of a live condition, a fresh
+			// constant comparison, or a re-answer of an earlier question.
+			for a := 0; a < 2 && len(live) > 0; a++ {
+				var e Expr
+				switch r := rng.Float64(); {
+				case r < 0.5:
+					lits := dt.Cond(live[rng.Intn(len(live))], nil).AppendExprs(nil)
+					if len(lits) == 0 {
+						continue
+					}
+					e = lits[rng.Intn(len(lits))]
+				case r < 0.8 || len(asked) == 0:
+					id := live[rng.Intn(len(live))]
+					vars := MissingVars(id, dt.Cells(id), nil)
+					if len(vars) == 0 {
+						continue
+					}
+					x := vars[rng.Intn(len(vars))]
+					c := rng.Intn(attrs[x.Attr].Levels)
+					if rng.Intn(2) == 0 {
+						e = LTConst(x, c)
+					} else {
+						e = GTConst(x, c)
+					}
+				default:
+					e = asked[rng.Intn(len(asked))]
+				}
+				err := k.Absorb(e, Rel(rng.Intn(3)))
+				switch {
+				case errors.Is(err, ErrConflict):
+					conflicts++
+				case errors.Is(err, ErrForgotten):
+				case err != nil:
+					t.Fatal(err)
+				default:
+					asked = append(asked, e)
+				}
+			}
+
+			for _, id := range live {
+				plain := dt.Cond(id, nil)
+				want := plain.Simplified(k)
+				got := dt.Cond(id, k)
+				if !sameForm(got, want) {
+					t.Fatalf("trial %d step %d id %d: filtered %v, simplified %v", trial, step, id, got, want)
+				}
+				if _, d := got.Decided(); d {
+					decided++
+				}
+				if want != plain {
+					changed++
+				}
+				if k.NoInference {
+					noInference++
+				}
+				checked++
+			}
+		}
+	}
+	if changed == 0 || decided == 0 || conflicts == 0 || noInference == 0 {
+		t.Fatalf("vacuous run: %d checked, %d changed by knowledge, %d decided, %d conflicts, %d under NoInference",
+			checked, changed, decided, conflicts, noInference)
+	}
+	t.Logf("%d checked, %d changed by knowledge, %d decided, %d conflicts, %d under NoInference",
+		checked, changed, decided, conflicts, noInference)
+}
+
 func TestDynCTableDirtyTracking(t *testing.T) {
 	attrs := []dataset.Attribute{{Name: "a1", Levels: 4}, {Name: "a2", Levels: 4}}
 	dt := NewDynCTable(attrs, 4)
@@ -158,8 +261,8 @@ func TestDynCTableDirtyTracking(t *testing.T) {
 	if got := dt.DrainDirty(); !reflect.DeepEqual(got, []int{id1}) {
 		t.Fatalf("after evict dirty = %v, want [%d]", got, id1)
 	}
-	if !dt.Cond(id1).IsTrue() {
-		t.Fatalf("φ(id1) = %v after dominator left, want true", dt.Cond(id1))
+	if !dt.Cond(id1, nil).IsTrue() {
+		t.Fatalf("φ(id1) = %v after dominator left, want true", dt.Cond(id1, nil))
 	}
 	// Drain is destructive: a second call reports nothing.
 	if got := dt.DrainDirty(); got != nil {
@@ -203,8 +306,8 @@ func TestDynCTableDominatees(t *testing.T) {
 				if !qs.live || qs.id == id {
 					continue
 				}
-				for _, cl := range qs.clauses {
-					if cl.dom == id {
+				for _, p := range qs.doms {
+					if dt.slots[p].id == id {
 						want = append(want, qs.id)
 						break
 					}

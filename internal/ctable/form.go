@@ -9,7 +9,8 @@ import (
 
 // The stored form. A condition keeps its CNF once, in the shape the
 // Pr(φ) solver reads in place (internal/prob), instead of as [][]Expr.
-// A build — FromClauses — lays out, read-only from then on:
+// A build lays out, read-only from then on, from the clauses an emitter
+// derived from the objects' cells (build.go) or FromClauses flattened:
 //
 //   - a variable table in order of first appearance;
 //   - the literals in build order, as Lits over that table, with the end
@@ -124,8 +125,9 @@ func (h StructHash) uvarint(u uint32) StructHash {
 }
 
 // form is the scratch of one form derivation, pooled: builds run on the
-// worker pool.
+// worker pool. A build starts from the clauses its emitter holds.
 type form struct {
+	emitter
 	// Variable numbering: an open-addressed table of packed variables
 	// (slot keys, 0 = empty) to table indices.
 	slotKey []uint64
@@ -183,15 +185,19 @@ func (f *form) number(vars *[]Var, v Var) int32 {
 	}
 }
 
-// fromClauses derives the stored form of a non-empty clause list with
-// no empty clause.
-func fromClauses(clauses [][]Expr) *Condition {
-	nl := 0
-	for _, cl := range clauses {
-		nl += len(cl)
+// condition lays out the emitted clauses: false after an empty clause,
+// true with none, the stored form otherwise. It lets go of the emission's
+// cells and knowledge, so the pooled scratch keeps neither alive.
+func (f *form) condition() *Condition {
+	f.oCells, f.k = nil, nil
+	switch {
+	case f.empty:
+		return False()
+	case len(f.ends) == 0:
+		return True()
 	}
-	f := formPool.Get().(*form)
-	defer formPool.Put(f)
+	exprs, ends := f.exprs, f.ends
+	nl, nc := len(exprs), len(ends)
 	slots := 4
 	for slots < 4*nl {
 		slots *= 2
@@ -200,33 +206,28 @@ func fromClauses(clauses [][]Expr) *Condition {
 	clear(f.slotKey)
 	f.slotIdx = fit(f.slotIdx, slots)
 
-	nc := len(clauses)
 	c := &Condition{lits: make([]Lit, nl), base: make([]int32, nc+nl), nb: int32(nc), nLits: int32(nl)}
 	vars := f.vars[:0]
-	j := 0
-	for i, cl := range clauses {
-		for _, e := range cl {
-			if e.C < math.MinInt32 || e.C > math.MaxInt32 {
-				panic(fmt.Sprintf("ctable: constant of %v out of range", e))
-			}
-			l := Lit{Kind: e.Kind, X: f.number(&vars, e.X), Y: -1}
-			switch e.Kind {
-			case VarGTVar:
-				l.Y = f.number(&vars, e.Y)
-			case VarLTConst, VarGTConst:
-				l.C = int32(e.C)
-			default:
-				panic(fmt.Sprintf("ctable: unknown expression kind %d", e.Kind))
-			}
-			c.lits[j] = l
-			j++
+	for j, e := range exprs {
+		if e.C < math.MinInt32 || e.C > math.MaxInt32 {
+			panic(fmt.Sprintf("ctable: constant of %v out of range", e))
 		}
-		c.base[i] = int32(j)
+		l := Lit{Kind: e.Kind, X: f.number(&vars, e.X), Y: -1}
+		switch e.Kind {
+		case VarGTVar:
+			l.Y = f.number(&vars, e.Y)
+		case VarLTConst, VarGTConst:
+			l.C = int32(e.C)
+		default:
+			panic(fmt.Sprintf("ctable: unknown expression kind %d", e.Kind))
+		}
+		c.lits[j] = l
 	}
+	copy(c.base, ends)
 	f.vars = vars
 	c.vars = slices.Clone(vars)
 	f.keys(c)
-	for i := range clauses {
+	for i := range ends {
 		f.sortClause(c, int32(i))
 	}
 	f.derive(c, nil, nil, nil)

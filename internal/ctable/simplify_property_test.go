@@ -260,7 +260,7 @@ func consistent(k *Knowledge, c *Condition, assign map[Var]int) bool {
 }
 
 // TestBuildConditionsAreFixedPoints checks that Build emits only
-// conditions empty knowledge cannot simplify: ClauseBetween drops the
+// conditions empty knowledge cannot simplify: the clause emitter drops the
 // statically decided expressions ("x < 0", "x > Levels-1"), so no
 // expression of a built condition is decided before the first answer.
 // The crowd phase's filtered re-simplification relies on it. The data

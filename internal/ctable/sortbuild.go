@@ -175,32 +175,8 @@ func buildSorted(d *dataset.Dataset, ix *DomIndex, opt BuildOptions, ct *CTable,
 				ct.Conds[o] = False()
 				ct.PrunedByAlpha[o] = true
 			default:
-				ct.Conds[o] = buildConditionSkip(d, o, cand)
+				ct.Conds[o] = buildCondition(d, o, cand)
 			}
 		}
 	})
-}
-
-// buildConditionSkip is buildCondition over a candidate set that still
-// contains the object itself: the self bit is skipped during iteration
-// instead of being cleared from the (group-shared, read-only) set.
-func buildConditionSkip(d *dataset.Dataset, o int, cand *bitset.Set) *Condition {
-	var clauses [][]Expr
-	result := (*Condition)(nil)
-	cand.ForEach(func(p int) bool {
-		if p == o {
-			return true
-		}
-		clause := buildClause(d, o, p)
-		if clause == nil {
-			result = False()
-			return false
-		}
-		clauses = append(clauses, clause)
-		return true
-	})
-	if result != nil {
-		return result
-	}
-	return FromClauses(clauses)
 }

@@ -526,10 +526,11 @@ func (c *CrowdEngine) postStep() {
 // knowledge the step is exactly the machine engine's — same dirty set,
 // no simplification — so a zero-budget run is bit-identical to Engine.
 //
-// A dirty condition is rebuilt from the table. One stale only because
-// an answer touched it is re-simplified from its cached, already
-// simplified copy, as core's crowd phase does; that gives the same
-// clauses as simplifying the table's condition afresh, because
+// A dirty condition is derived afresh from the table's cells under the
+// knowledge (DynCTable.Cond). One stale only because an answer touched
+// it is re-simplified from its cached, already simplified copy, as
+// core's crowd phase does; that gives the same clauses as simplifying
+// the table's condition afresh, because
 //   - knowledge only narrows: Absorb rejects a conflicting answer, so a
 //     literal decided when the copy was cached is decided the same way
 //     now;
@@ -566,20 +567,15 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	sort.Ints(stale)
 
 	conds := make([]*ctable.Condition, len(stale))
-	knowEmpty := c.know.Empty()
 	// Simplifying and laying out a condition read only the table, the
 	// knowledge and the cached conditions, so the conditions are built on
 	// the pool, each by one worker, and cached once the fan-out joins.
 	workers := parallel.Workers(e.cfg.Workers)
 	parallel.For(workers, len(stale), func(_, i int) {
-		id := stale[i]
-		switch {
-		case !staleSet[id]:
+		if id := stale[i]; staleSet[id] {
+			conds[i] = e.tbl.Cond(id, c.know)
+		} else {
 			conds[i] = c.conds[id].Simplified(c.know)
-		case knowEmpty:
-			conds[i] = e.tbl.Cond(id)
-		default:
-			conds[i] = e.tbl.CondUnder(id, c.know)
 		}
 	})
 	for i, id := range stale {

@@ -166,7 +166,7 @@ func checkCondsSimplified(t *testing.T, tag string, ce *CrowdEngine) {
 		t.Fatalf("%s: %d cached conditions for %d live objects", tag, got, want)
 	}
 	for id, cond := range ce.conds {
-		ref := ce.eng.tbl.Cond(id).Simplified(ce.know)
+		ref := ce.eng.tbl.Cond(id, nil).Simplified(ce.know)
 		gv, gd := cond.Decided()
 		rv, rd := ref.Decided()
 		if gv != rv || gd != rd || !reflect.DeepEqual(cond.Clauses(), ref.Clauses()) {
@@ -251,7 +251,10 @@ func sortedIDs(set map[int]bool) []int {
 // posting 2 tasks a tick, within a budget of 600, to a crowd that
 // answers 1–3 ticks later. Each iteration replays the whole schedule on
 // a fresh engine; the engine and the window fill are set-up, outside the
-// timing. It reports ns/tick and allocs/tick over the timed ticks.
+// timing. It reports ns/tick and allocs/tick over the timed ticks, and
+// retainedB/obj: the live heap after a GC at the end of the schedule
+// minus the live heap before the engine was built, per window object —
+// the in-process counterpart of e2ebench's retained_kb_per_query.
 func BenchmarkCrowdTick(b *testing.B) {
 	const window, ticks = 1000, 300
 	truth := dataset.GenNBA(rand.New(rand.NewSource(1)), window+ticks)
@@ -262,10 +265,13 @@ func BenchmarkCrowdTick(b *testing.B) {
 	}
 	b.ReportAllocs()
 	var elapsed time.Duration
-	var allocs uint64
+	var allocs, retained uint64
 	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		heap := ms.HeapAlloc
 		platform := crowd.NewUnreliable(crowd.NewSimulated(truth, 1, nil), 0, 0, 0, rand.New(rand.NewSource(3)))
 		platform.MinDelay, platform.MaxDelay = 1, 3
 		ce, err := NewCrowd(CrowdConfig{
@@ -292,9 +298,16 @@ func BenchmarkCrowdTick(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&ms)
 		allocs += ms.Mallocs - mallocs
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc > heap {
+			retained += ms.HeapAlloc - heap
+		}
+		runtime.KeepAlive(ce)
 		b.StartTimer()
 	}
 	n := float64(b.N * ticks)
 	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/tick")
 	b.ReportMetric(float64(allocs)/n, "allocs/tick")
+	b.ReportMetric(float64(retained)/float64(b.N*window), "retainedB/obj")
 }

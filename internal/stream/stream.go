@@ -325,7 +325,7 @@ func (e *Engine) reevalStep(res *TickResult) {
 	// built on the pool, each by one worker.
 	workers := parallel.Workers(e.cfg.Workers)
 	parallel.For(workers, len(dirty), func(_, i int) {
-		conds[i] = e.tbl.Cond(dirty[i])
+		conds[i] = e.tbl.Cond(dirty[i], nil)
 	})
 	ps := e.ev.ProbAll(conds, workers)
 	for i, id := range dirty {
