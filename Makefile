@@ -50,11 +50,11 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # bench-ci is ci.yml's one-iteration pass over the stream crowd-tick,
-# approximate-estimator, model query-cycle, warm-query, preprocessing,
-# network-learning, hub-cycle and c-table build benchmarks: same regex,
-# same packages.
+# uncached Pr(phi) fan-out, approximate-estimator, model query-cycle,
+# warm-query, preprocessing, network-learning, hub-cycle and c-table
+# build benchmarks: same regex, same packages.
 bench-ci:
-	go test -run '^$$' -bench 'CrowdTick|ApproxEstimators|ModelQueryCycle|WarmQuery|Preprocess|LearnNetwork|HubCycle|BuildFast' -benchtime 1x ./internal/stream/ ./internal/prob/ ./internal/core/ ./internal/service/ ./internal/ctable/
+	go test -run '^$$' -bench 'CrowdTick|ProbAll|ApproxEstimators|ModelQueryCycle|WarmQuery|Preprocess|LearnNetwork|HubCycle|BuildFast' -benchtime 1x ./internal/stream/ ./internal/prob/ ./internal/core/ ./internal/service/ ./internal/ctable/
 
 # bench-smoke is the nightly workflow's one-iteration pass: benchmarks
 # must at least compile and run on every PR.

@@ -50,8 +50,8 @@ func main() {
 	flag.Parse()
 
 	if *listFlag {
-		for _, name := range bench.Names() {
-			fmt.Printf("%-14s %s\n", name, bench.Descriptions[name])
+		for _, e := range bench.Experiments {
+			fmt.Printf("%-14s %s\n", e.ID, e.Description)
 		}
 		return
 	}

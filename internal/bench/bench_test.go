@@ -160,9 +160,17 @@ func TestEnvLazyDistsComputedOnce(t *testing.T) {
 }
 
 func TestDescriptionsCoverAllExperiments(t *testing.T) {
-	for name := range Experiments {
-		if Descriptions[name] == "" {
-			t.Errorf("experiment %q has no description", name)
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if e.Description == "" {
+			t.Errorf("experiment %q has no description", e.ID)
 		}
+		if e.Run == nil {
+			t.Errorf("experiment %q has no runner", e.ID)
+		}
+		if seen[e.ID] {
+			t.Errorf("experiment %q registered twice", e.ID)
+		}
+		seen[e.ID] = true
 	}
 }

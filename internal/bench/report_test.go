@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,8 +115,9 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestRunTablesRecoversPanics(t *testing.T) {
-	Experiments["zz-panic"] = func(Scale) ([]*Table, error) { panic("boom") }
-	defer delete(Experiments, "zz-panic")
+	saved := Experiments
+	Experiments = append(slices.Clip(Experiments), Experiment{ID: "zz-panic", Run: func(Scale) ([]*Table, error) { panic("boom") }})
+	defer func() { Experiments = saved }()
 	if _, err := RunTables("zz-panic", Quick()); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}

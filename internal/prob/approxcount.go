@@ -39,7 +39,7 @@ func (ev *Evaluator) ApproxCount(c *ctable.Condition, samplesPerLevel int, rng *
 		panic(fmt.Sprintf("prob: ApproxCount with %d samples per level", samplesPerLevel))
 	}
 	s := ev.solverFor(c, 0)
-	p := s.approxCount(s.buildClauses(nil), samplesPerLevel, rng)
+	p := s.approxCount(s.buildClauses(nil, nil), samplesPerLevel, rng)
 	s.release()
 	return p
 }

@@ -295,41 +295,15 @@ func narrow(base []float64, iv Interval) []float64 {
 // values satisfying the inequality (independent variables for the
 // var-vs-var case).
 func (ev *Evaluator) ExprProb(e ctable.Expr) float64 {
-	switch e.Kind {
-	case ctable.VarLTConst:
-		d := ev.state(e.X).Dist
-		p := 0.0
-		for v := 0; v < len(d) && v < e.C; v++ {
-			p += d[v]
-		}
-		return p
-	case ctable.VarGTConst:
-		d := ev.state(e.X).Dist
-		p := 0.0
-		// Hoist the v >= 0 clamp out of the loop: a negative constant
-		// just starts the scan at 0.
-		start := e.C + 1
-		if start < 0 {
-			start = 0
-		}
-		for v := start; v < len(d); v++ {
-			p += d[v]
-		}
-		return p
-	case ctable.VarGTVar:
-		dx, dy := ev.state(e.X).Dist, ev.state(e.Y).Dist
-		// Pr(X > Y) = Σ_a dx[a] · CDF_Y(a-1).
-		p, cdf := 0.0, 0.0
-		for a := 0; a < len(dx); a++ {
-			if a-1 >= 0 && a-1 < len(dy) {
-				cdf += dy[a-1]
-			}
-			p += dx[a] * cdf
-		}
-		return p
-	default:
+	if e.Kind != ctable.VarLTConst && e.Kind != ctable.VarGTConst && e.Kind != ctable.VarGTVar {
 		panic(fmt.Sprintf("prob: unknown expression kind %d", e.Kind))
 	}
+	dx := ev.state(e.X).Dist
+	var dy []float64
+	if e.Kind == ctable.VarGTVar {
+		dy = ev.state(e.Y).Dist
+	}
+	return litProb(e.Kind, dx, dy, e.C)
 }
 
 // Prob returns Pr(φ) via the ADPLL algorithm. Decided conditions return 0
@@ -465,7 +439,7 @@ func (ev *Evaluator) MonteCarlo(c *ctable.Condition, samples int, rng *rand.Rand
 		panic(fmt.Sprintf("prob: MonteCarlo with %d samples", samples))
 	}
 	s := ev.solverFor(c, 0)
-	clauses := s.buildClauses(nil)
+	clauses := s.buildClauses(nil, nil)
 	p := s.monteCarlo(clauses, s.firstVars(clauses), samples, rng)
 	s.release()
 	return p
@@ -512,18 +486,23 @@ func (ev *Evaluator) CondProbsWith(c *ctable.Condition, e ctable.Expr, pPhiKnown
 	pBoth := s.probWith(s.unitLit(e), ev.activeCache())
 	ev.drain(s)
 	s.release()
+	pTrue, pFalse = condTail(pe, pPhi, pBoth)
+	return pe, pPhi, pTrue, pFalse
+}
 
+// condTail returns Pr(φ|e) = Pr(φ∧e)/Pr(e) and Pr(φ|¬e) = (Pr(φ) −
+// Pr(φ∧e))/(1 − Pr(e)) from pe = Pr(e), pPhi = Pr(φ) and pBoth =
+// Pr(φ∧e), clamped to [0, 1]; a conditional on an impossible branch is
+// pPhi.
+func condTail(pe, pPhi, pBoth float64) (pTrue, pFalse float64) {
+	pTrue, pFalse = pPhi, pPhi
 	if pe > 0 {
 		pTrue = clampProb(pBoth / pe)
-	} else {
-		pTrue = pPhi
 	}
 	if pe < 1 {
 		pFalse = clampProb((pPhi - pBoth) / (1 - pe))
-	} else {
-		pFalse = pPhi
 	}
-	return pe, pPhi, pTrue, pFalse
+	return pTrue, pFalse
 }
 
 func clampProb(p float64) float64 {

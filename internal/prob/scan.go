@@ -109,23 +109,9 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 	case e.Kind != ctable.VarGTVar && cs.sweeps[e.X] != nil:
 		// Constant-comparison candidate on a swept variable: the planned
 		// joint vector prices it with a partial sum,
-		// Pr(comp∧e) = Σ_{a satisfying e} Pr(comp ∧ x=a).
-		vec := cs.sweeps[e.X]
-		sum := 0.0
-		if e.Kind == ctable.VarLTConst {
-			for a := 0; a < len(vec) && a < e.C; a++ {
-				sum += vec[a]
-			}
-		} else {
-			start := e.C + 1
-			if start < 0 {
-				start = 0
-			}
-			for a := start; a < len(vec); a++ {
-				sum += vec[a]
-			}
-		}
-		pBoth = rest * sum
+		// Pr(comp∧e) = Σ_{a satisfying e} Pr(comp ∧ x=a), which is the
+		// literal's probability rule run over the vector.
+		pBoth = rest * litProb(e.Kind, cs.sweeps[e.X], nil, e.C)
 	default:
 		// Unswept candidate: re-solve the touched component(s) with the
 		// unit clause [e] merged in. Var-vs-var candidates always land
@@ -137,17 +123,7 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 		ev.drain(s)
 		s.release()
 	}
-
-	if pe > 0 {
-		pTrue = clampProb(pBoth / pe)
-	} else {
-		pTrue = pPhi
-	}
-	if pe < 1 {
-		pFalse = clampProb((pPhi - pBoth) / (1 - pe))
-	} else {
-		pFalse = pPhi
-	}
+	pTrue, pFalse = condTail(pe, pPhi, pBoth)
 	return pe, pPhi, pTrue, pFalse
 }
 
@@ -157,7 +133,7 @@ func (cs *CondScan) CondProbs(e ctable.Expr) (pe, pPhi, pTrue, pFalse float64) {
 // in an earlier scan or round are picked up for free; the rest are
 // served from the cache or computed — when the component's candidate
 // load clears marginalsThreshold — by one
-// all-variable marginal pass per component (stAllMarginals), which costs a
+// all-variable marginal pass per component (marginals), which costs a
 // small constant factor over a single solve however many variables it
 // reports. Call it once, before probing — wholesale scorers like the UBS
 // utility fan-out do — and the per-candidate cost on a swept variable
@@ -198,7 +174,7 @@ func (cs *CondScan) PlanSweeps(exprs []ctable.Expr) {
 // planComp serves or computes the marginal vectors of one component's
 // needed variables: vectors this evaluator planned first, then — if any
 // are missing and the candidate count justifies it — cache lookups, then
-// a single stAllMarginals pass whose vectors are stored for later scans
+// a single marginals pass whose vectors are stored for later scans
 // and rounds. Vectors are computed on the canonically-ordered component,
 // so served and freshly-computed values are bit-identical.
 //

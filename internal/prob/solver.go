@@ -18,7 +18,7 @@ import (
 // in build order or in a component's stored canonical order. Nothing is
 // interned, sorted or hashed per evaluation except a probe's merged
 // component. This file holds the loading, the literal evaluators
-// (exprProb, litHolds), and the top level: the direct rule, the
+// (exprProb, litProb, litHolds), and the top level: the direct rule, the
 // per-component dispatch through the cache and the approximate
 // fallback, and the unit-clause probes. Component keys are in
 // fingerprint.go; branching itself runs on the compiled clause-state
@@ -52,7 +52,7 @@ type solver struct {
 	assign []int32
 	// Scratch epochs avoid clearing per-var arrays on every recursion.
 	epoch   int
-	seenEp  []int // directProb / stPickVar / firstVars bookkeeping
+	seenEp  []int // stDirectProb / stPickVar / firstVars bookkeeping
 	counts  []int
 	ownerEp []int // stComponents bookkeeping
 	owner   []int
@@ -74,8 +74,11 @@ type solver struct {
 	shapeBuf []byte
 	varsBuf  []ctable.Var
 	// margNeed marks the variables the all-marginals pass must report
-	// vectors for (set by the scan planner, false everywhere otherwise).
+	// vectors for (set by the scan planner, false everywhere otherwise),
+	// and sweep turns the recursion's vector bookkeeping on (set by
+	// marginals, cleared by solverFor).
 	margNeed []bool
+	sweep    bool
 	// satVars is firstVars' output, the samplers' variable draw order.
 	// The rest is sampler scratch (approxcount.go): the dense working
 	// assignment, ApproxCount's per-level live literals in effective form
@@ -136,7 +139,7 @@ var solverPool = sync.Pool{
 func (ev *Evaluator) solverFor(cond *ctable.Condition, extra int) *solver {
 	s := solverPool.Get().(*solver)
 	s.opt, s.ev, s.cond = ev.Opt, ev, cond
-	s.nApprox = 0
+	s.nApprox, s.sweep = 0, false
 	ev.number()
 	s.nTable = len(cond.Table())
 	n := s.nTable + extra
@@ -277,38 +280,40 @@ func (s *solver) release() {
 // exprProb is ExprProb over solver literals and (possibly branched)
 // distributions.
 func (s *solver) exprProb(e ctable.Lit) float64 {
-	dx := s.dists[e.X]
-	switch e.Kind {
+	var dy []float64
+	if e.Y >= 0 {
+		dy = s.dists[e.Y]
+	}
+	return litProb(e.Kind, s.dists[e.X], dy, int(e.C))
+}
+
+// litProb returns the probability of a literal of the given kind over
+// independent distributions dx of its variable and, for x > y, dy of its
+// other side: the mass of the values satisfying x < c or x > c, or
+// Σ_a dx[a]·Pr(y < a).
+func litProb(kind ctable.Kind, dx, dy []float64, c int) float64 {
+	p := 0.0
+	switch kind {
 	case ctable.VarLTConst:
-		p := 0.0
-		for v := 0; v < len(dx) && v < int(e.C); v++ {
+		for v := 0; v < len(dx) && v < c; v++ {
 			p += dx[v]
 		}
-		return p
 	case ctable.VarGTConst:
-		p := 0.0
-		// Hoist the v >= 0 clamp out of the loop: negative constants
-		// (possible only for never-built degenerate expressions) just
-		// start the scan at 0.
-		start := int(e.C) + 1
-		if start < 0 {
-			start = 0
-		}
-		for v := start; v < len(dx); v++ {
+		// Hoist the v >= 0 clamp out of the loop: a negative constant
+		// just starts the scan at 0.
+		for v := max(c+1, 0); v < len(dx); v++ {
 			p += dx[v]
 		}
-		return p
 	default: // VarGTVar
-		dy := s.dists[e.Y]
-		p, cdf := 0.0, 0.0
+		cdf := 0.0
 		for a := 0; a < len(dx); a++ {
 			if a-1 >= 0 && a-1 < len(dy) {
 				cdf += dy[a-1]
 			}
 			p += dx[a] * cdf
 		}
-		return p
 	}
+	return p
 }
 
 // arena empties the clause arenas, sized for every literal of the
@@ -329,27 +334,16 @@ func (s *solver) carve(mark int) {
 	s.clArena = append(s.clArena, cl)
 }
 
-// buildClauses lays out every clause of the condition in build order,
-// then the unit clause [*unit] when unit is non-nil.
-func (s *solver) buildClauses(unit *ctable.Lit) [][]ctable.Lit {
-	nc := s.cond.NumClauses()
-	s.arena(nc + 1)
-	for i := 0; i < nc; i++ {
-		mark := len(s.ceArena)
-		s.ceArena = s.cond.AppendClause(s.ceArena, i)
-		s.carve(mark)
-	}
-	if unit != nil {
-		s.ceArena = append(s.ceArena, *unit)
-		s.carve(len(s.ceArena) - 1)
-	}
-	return s.clArena
-}
-
-// memberClauses lays out the clauses of the listed components, each in
-// build order, then the unit clause [*unit] when unit is non-nil.
-func (s *solver) memberClauses(comps []int, unit *ctable.Lit) [][]ctable.Lit {
+// buildClauses lays out, in build order, every clause of the condition
+// when comps is nil, else the clauses of the listed components component
+// by component, then the unit clause [*unit] when unit is non-nil.
+func (s *solver) buildClauses(comps []int, unit *ctable.Lit) [][]ctable.Lit {
 	idx := s.idxBuf[:0]
+	if comps == nil {
+		for i := 0; i < s.cond.NumClauses(); i++ {
+			idx = append(idx, int32(i))
+		}
+	}
 	for _, g := range comps {
 		mark := len(idx)
 		idx = append(idx, s.cond.Component(g).Canon...)
@@ -437,11 +431,11 @@ func (s *solver) cmpClause(a, b []ctable.Lit) int {
 // probability (compProb), stopping at zero. A condition whose every
 // variable occurs once is a product of direct components, which is the
 // paper's direct rule over the whole formula. Under Options.NoComponents
-// the whole formula goes to the direct rule or, failing it, to the
-// compiled engine as one unit, in build order.
+// the whole formula goes to the compiled recursion as one unit, in build
+// order.
 func (s *solver) prob(cache *ComponentCache) float64 {
 	if s.opt.NoComponents {
-		return s.wholeProb(s.buildClauses(nil))
+		return s.wholeProb(s.buildClauses(nil, nil))
 	}
 	p := 1.0
 	for g := 0; g < s.cond.NumComponents(); g++ {
@@ -453,13 +447,12 @@ func (s *solver) prob(cache *ComponentCache) float64 {
 	return p
 }
 
-// wholeProb is the NoComponents path over a laid-out clause list: the
-// direct rule, or one compiled solve in the list's order.
+// wholeProb is the NoComponents path over a laid-out clause list: one
+// run of the compiled recursion from its root, whose first step is the
+// direct rule, in the list's order.
 func (s *solver) wholeProb(clauses [][]ctable.Lit) float64 {
-	if p, ok := s.directProb(clauses); ok {
-		return p
-	}
-	return s.stSolve(clauses)
+	p, _ := s.stNode(s.stRoot(clauses))
+	return p
 }
 
 // probWith returns Pr(φ ∧ u) for the loaded condition and a unit clause
@@ -468,7 +461,7 @@ func (s *solver) wholeProb(clauses [][]ctable.Lit) float64 {
 // when it touches none.
 func (s *solver) probWith(u ctable.Lit, cache *ComponentCache) float64 {
 	if s.opt.NoComponents {
-		return s.wholeProb(s.buildClauses(&u))
+		return s.wholeProb(s.buildClauses(nil, &u))
 	}
 	var buf [2]int
 	touched := s.touched(u, buf[:0])
@@ -514,7 +507,7 @@ func (s *solver) compProb(g int, cache *ComponentCache) float64 {
 		return s.directClause(comp.Canon[0])
 	}
 	if s.opt.NoComponents {
-		return s.stSolve(s.memberClauses([]int{g}, nil))
+		return s.stSolve(s.buildClauses([]int{g}, nil))
 	}
 	return s.keyed(s.canonClauses(g), comp.Hash, cache)
 }
@@ -547,7 +540,7 @@ func (s *solver) mergedProb(comps []int, u ctable.Lit, cache *ComponentCache) fl
 // in build order, component by component, then [u].
 func (s *solver) probe(comps []int, u ctable.Lit, cache *ComponentCache) float64 {
 	if s.opt.NoComponents {
-		return s.wholeProb(s.memberClauses(comps, &u))
+		return s.wholeProb(s.buildClauses(comps, &u))
 	}
 	return s.mergedProb(comps, u, cache)
 }
@@ -576,33 +569,4 @@ func litHolds(e ctable.Lit, x, y int32) bool {
 	default: // VarGTVar
 		return x > y
 	}
-}
-
-// directProb applies the independent-conjunction and general-disjunction
-// rules when every variable occurs exactly once across the clause set.
-func (s *solver) directProb(clauses [][]ctable.Lit) (p float64, ok bool) {
-	s.epoch++
-	for _, cl := range clauses {
-		for _, e := range cl {
-			if s.seenEp[e.X] == s.epoch {
-				return 0, false
-			}
-			s.seenEp[e.X] = s.epoch
-			if e.Y >= 0 {
-				if s.seenEp[e.Y] == s.epoch {
-					return 0, false
-				}
-				s.seenEp[e.Y] = s.epoch
-			}
-		}
-	}
-	p = 1.0
-	for _, cl := range clauses {
-		qAllFalse := 1.0
-		for _, e := range cl {
-			qAllFalse *= 1 - s.exprProb(e)
-		}
-		p *= 1 - qAllFalse
-	}
-	return p, true
 }

@@ -161,3 +161,24 @@ func TestSolverRandomisedStress(t *testing.T) {
 		}
 	}
 }
+
+// TestDegenerateUnitIsImpossible checks Pr(φ ∧ x>x) = 0 in both
+// decomposition modes: the direct rule must not read x > x as a
+// comparison of two independent variables, at the root or below a
+// branch.
+func TestDegenerateUnitIsImpossible(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		cond, dists := randomCondition(rng)
+		if _, decided := cond.Decided(); decided {
+			continue
+		}
+		x := cond.Vars()[rng.Intn(len(cond.Vars()))]
+		for _, opt := range []Options{{}, {NoComponents: true}} {
+			ev := &Evaluator{Dists: dists, Opt: opt}
+			if _, _, pTrue, _ := ev.CondProbsWith(cond, ctable.GTVar(x, x), ev.Prob(cond)); pTrue != 0 {
+				t.Fatalf("trial %d %+v: Pr(φ | %v > %v) = %v, want 0 (condition %s)", trial, opt, x, x, pTrue, cond)
+			}
+		}
+	}
+}

@@ -3,7 +3,10 @@ package prob
 import "bayescrowd/internal/ctable"
 
 // Compiled bitset clause-state engine: the ADPLL recursion (Algorithm 3)
-// every exact Pr(φ), Pr(φ∧e) and marginal sweep runs on.
+// every exact Pr(φ), Pr(φ∧e) and marginal sweep runs on. It is one
+// recursion, a node step (stNode) and a branch step (stBranch); a
+// marginal sweep runs it with its vector bookkeeping switched on
+// (stmarginals.go).
 //
 // A textbook ADPLL rewrites the clause set at every node — a fresh
 // residual with assigned variables substituted into constant forms, and
@@ -35,27 +38,32 @@ import "bayescrowd/internal/ctable"
 // (prob_test.go, TestSweepVectorsMatchNaive).
 //
 // Recursion-local clause-index lists (residuals, component groups) are
-// carved from a stack-disciplined int32 arena (stIdx): a frame records
-// the arena length on entry and truncates back on exit, so steady-state
-// recursion allocates nothing. Slices carved before a reallocation keep
-// pointing into the old backing array; that is sound because a carved
-// list is append-filled only through its own capped slice and read-only
-// afterwards.
+// carved from a stack-disciplined int32 arena (stIdx): stBranch records
+// the arena length before each child node and truncates back after it,
+// so steady-state recursion allocates nothing. Slices carved before a
+// reallocation keep pointing into the old backing array; that is sound
+// because a carved list is append-filled only through its own capped
+// slice and read-only afterwards.
 
-// stSolve compiles a clause set under an empty assignment — a connected
-// component in its stored canonical order, or under NoComponents the
-// whole formula — and solves it by branching on its most frequent
-// variable. The callers have already tried the direct rule.
-func (s *solver) stSolve(comp [][]ctable.Lit) float64 {
-	s.stCompile(comp)
+// stRoot compiles a laid-out clause list under an empty assignment and
+// returns its root clause-index list, the entry of every compiled solve.
+func (s *solver) stRoot(laid [][]ctable.Lit) []int32 {
+	s.stCompile(laid)
 	s.stTrail = s.stTrail[:0]
 	s.stIdx = s.stIdx[:0]
-	for c := range comp {
+	for c := range laid {
 		s.stIdx = append(s.stIdx, int32(c))
 	}
-	clauses := s.stIdx[:len(comp)]
-	p := s.stBranch(clauses, s.stPickVar(clauses))
-	s.stIdx = s.stIdx[:0]
+	return s.stIdx[:len(laid)]
+}
+
+// stSolve solves a clause set — a connected component in its stored
+// canonical order, or under NoComponents a component in build order —
+// by branching on its most frequent variable. The callers have already
+// tried the direct rule.
+func (s *solver) stSolve(comp [][]ctable.Lit) float64 {
+	root := s.stRoot(comp)
+	p, _ := s.stBranch(root, s.stPickVar(root))
 	return p
 }
 
@@ -262,18 +270,13 @@ func (s *solver) stVisitEff(e ctable.Lit, fn func(v int32)) {
 	}
 }
 
-// stAdpll is one ADPLL node over a clause-index list: drop satisfied
+// stNode is one ADPLL node over a clause-index list: drop satisfied
 // clauses, try the direct rule, else branch — per connected component
-// unless NoComponents is set. It truncates its frame's arena carvings on
-// exit.
-func (s *solver) stAdpll(clauses []int32) float64 {
-	base := len(s.stIdx)
-	p := s.stAdpllInner(clauses)
-	s.stIdx = s.stIdx[:base]
-	return p
-}
-
-func (s *solver) stAdpllInner(clauses []int32) float64 {
+// unless NoComponents is set. During a marginal sweep (s.sweep) it also
+// returns the needed variables' joint vectors (stmarginals.go); otherwise
+// the set is nil and no vector bookkeeping runs. Its clause-index lists
+// are carved from stIdx, and the caller truncates them.
+func (s *solver) stNode(clauses []int32) (float64, marginalSet) {
 	// Residual = the clauses not yet satisfied; an emptied clause was
 	// already detected by stAssign, so reaching here means none is empty.
 	rbase := len(s.stIdx)
@@ -284,55 +287,102 @@ func (s *solver) stAdpllInner(clauses []int32) float64 {
 	}
 	residual := s.stIdx[rbase:len(s.stIdx)]
 	if len(residual) == 0 {
-		return 1
+		return 1, nil
 	}
-
 	if p, ok := s.stDirectProb(residual); ok {
-		return p
+		if !s.sweep {
+			return p, nil
+		}
+		return p, s.stLeafMarginals(residual)
 	}
-	if s.opt.NoComponents {
-		return s.stBranch(residual, s.stPickVar(residual))
-	}
-
-	// A one-clause residual is trivially a single component; skip the
-	// union-find (same branch decision, same arithmetic).
-	if len(residual) == 1 {
+	// Branch on the whole residual under NoComponents, and skip the
+	// union-find for a one-clause residual, trivially a single component.
+	if s.opt.NoComponents || len(residual) == 1 {
 		return s.stBranch(residual, s.stPickVar(residual))
 	}
 	comps, single := s.stComponents(residual)
 	if single {
 		return s.stBranch(residual, s.stPickVar(residual))
 	}
+	// The product stops once it hits zero: the remaining components'
+	// vectors would all be zero, which the nil set says.
 	p := 1.0
-	for _, comp := range comps {
+	var vals []float64
+	var sets []marginalSet
+	if s.sweep {
+		vals = make([]float64, len(comps))
+		sets = make([]marginalSet, len(comps))
+	}
+	for i, comp := range comps {
+		var q float64
+		var m marginalSet
 		if direct, ok := s.stDirectProb(comp); ok {
-			p *= direct
-			continue
+			q = direct
+			if s.sweep {
+				m = s.stLeafMarginals(comp)
+			}
+			p *= q
+		} else {
+			q, m = s.stBranch(comp, s.stPickVar(comp))
+			p *= q
+			if p == 0 {
+				return 0, nil
+			}
 		}
-		p *= s.stBranch(comp, s.stPickVar(comp))
-		if p == 0 {
-			return 0
+		if s.sweep {
+			vals[i], sets[i] = q, m
 		}
 	}
-	return p
+	if !s.sweep {
+		return p, nil
+	}
+	return p, scaleSets(vals, sets)
 }
 
 // stBranch enumerates the values of var id v weighted by its
-// distribution, assigning through the trail.
-func (s *solver) stBranch(clauses []int32, v int32) float64 {
+// distribution, assigning through the trail and truncating each child's
+// carvings. During a sweep it mixes the children's vectors (mixBranch).
+func (s *solver) stBranch(clauses []int32, v int32) (float64, marginalSet) {
+	var need []int32
+	var mv []float64
+	var out marginalSet
+	if s.sweep {
+		need = s.stNeeded(clauses, v)
+		if s.margNeed[v] {
+			mv = make([]float64, len(s.dists[v]))
+		}
+		//lint:ignore hotalloc marginal result set handed to the caller, who owns and keeps it
+		out = marginalSet{}
+	}
 	total := 0.0
 	for a, pa := range s.dists[v] {
 		if pa == 0 {
 			continue
 		}
 		mark := len(s.stTrail)
+		// An emptied clause means the child subformula is false: value 0
+		// and no vectors.
+		var cv float64
+		var cm marginalSet
 		if dead := s.stAssign(v, int32(a)); !dead {
-			total += pa * s.stAdpll(clauses)
+			base := len(s.stIdx)
+			cv, cm = s.stNode(clauses)
+			s.stIdx = s.stIdx[:base]
+			total += pa * cv
 		}
 		s.stRewind(mark)
 		s.assign[v] = -1
+		if s.sweep {
+			s.mixBranch(out, need, pa, cv, cm)
+			if mv != nil {
+				mv[a] = pa * cv
+			}
+		}
 	}
-	return total
+	if mv != nil {
+		out[v] = mv
+	}
+	return total, out
 }
 
 // stPickVar returns the most frequent effective variable over the live
@@ -404,10 +454,8 @@ func (s *solver) stEffHalf(ei int32, e ctable.Lit, xAssigned bool) float64 {
 // effective variable occurs exactly once, the probability follows from
 // the independent-conjunction and general-disjunction rules, computed in
 // clause and literal order. The repeated-variable check and the product
-// run as one fused pass — the success path multiplies the same factors in
-// the same order as directProb's two-pass form, and a detected repeat
-// discards the partial product. Factors come from the per-literal memos
-// (stProbUn, stEffHalf).
+// run as one fused pass: a detected repeat discards the partial product.
+// Factors come from the per-literal memos (stProbUn, stEffHalf).
 func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 	s.epoch++
 	p := 1.0
@@ -435,10 +483,14 @@ func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 					qAllFalse *= 1 - s.stEffHalf(ei, e, false)
 					continue
 				}
-				if s.seenEp[e.X] == s.epoch || s.seenEp[e.Y] == s.epoch {
+				// Marking x before testing y rejects a degenerate x > x.
+				if s.seenEp[e.X] == s.epoch {
 					return 0, false
 				}
 				s.seenEp[e.X] = s.epoch
+				if s.seenEp[e.Y] == s.epoch {
+					return 0, false
+				}
 				s.seenEp[e.Y] = s.epoch
 				qAllFalse *= 1 - s.stProbUn(ei, e)
 				continue
@@ -459,8 +511,8 @@ func (s *solver) stDirectProb(residual []int32) (float64, bool) {
 // variables, with the single-component fast path reported as (nil, true).
 // Group order is the root-appearance order of the residual scan and
 // members keep residual order, as in components. The parent, group and
-// bucket tables are carved from the arena; the caller's stAdpll frame
-// reclaims them.
+// bucket tables are carved from the arena, which the caller
+// truncates.
 func (s *solver) stComponents(residual []int32) ([][]int32, bool) {
 	n := len(residual)
 	pbase := len(s.stIdx)

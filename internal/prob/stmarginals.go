@@ -9,19 +9,19 @@ import "bayescrowd/internal/ctable"
 //
 // because each constant-comparison candidate on x is then a partial sum
 // of m_x — no model counting per candidate at all. Computing the vectors
-// one variable at a time would cost a full solve per variable; this file
-// computes all of them in a single pass of the compiled clause-state
-// engine (state.go) instead, by propagating per-variable vectors up the
-// same recursion stAdpll runs: branch nodes mix child vectors weighted by
-// the branch distribution, decomposition nodes scale each component's
-// vectors by the product of its siblings' values, and direct-rule leaves
+// one variable at a time would cost a full solve per variable; a sweep
+// computes all of them in one run of the ADPLL recursion (state.go) with
+// s.sweep set, which propagates per-variable vectors up the recursion:
+// branch nodes mix child vectors weighted by the branch distribution
+// (mixBranch), decomposition nodes scale each component's vectors by the
+// product of its siblings' values (scaleSets), and direct-rule leaves
 // (every variable occurring exactly once) yield their vectors in closed
-// form. The pass visits exactly the subproblems stAdpll would and reuses
-// its stDirectProb/stComponents/stPickVar steps in the same order, so its
-// scalar result is bit-identical to a plain solve; the vector bookkeeping
-// rides along at a small constant factor. The frozen engine corpus
-// (state_equiv_test.go) pins the vectors bit for bit, and
-// TestSweepVectorsMatchNaive checks them against Naive enumeration.
+// form (stLeafMarginals). The probability arithmetic is the recursion's
+// own, so a sweep's scalar result is the plain solve's; the vector
+// bookkeeping rides along at a small constant factor, and with s.sweep
+// clear none of it runs. The frozen engine corpus (state_equiv_test.go)
+// pins the vectors bit for bit, and TestSweepVectorsMatchNaive checks
+// them against Naive enumeration.
 //
 // Only variables with s.margNeed set get vectors — the scan planner marks
 // the variables that actually carry candidates, so var-vs-var-only
@@ -35,19 +35,11 @@ import "bayescrowd/internal/ctable"
 type marginalSet map[int32][]float64
 
 // marginals returns Pr(laid) together with the joint vectors of every
-// needed variable. Entered only on a fresh solver (empty assignment),
-// like prob.
+// needed variable. It turns the solver's sweep bookkeeping on for the
+// rest of the evaluation; solverFor turns it off again.
 func (s *solver) marginals(laid [][]ctable.Lit) (float64, marginalSet) {
-	s.stCompile(laid)
-	s.stTrail = s.stTrail[:0]
-	s.stIdx = s.stIdx[:0]
-	for c := range laid {
-		s.stIdx = append(s.stIdx, int32(c))
-	}
-	clauses := s.stIdx[:len(laid)]
-	p, m := s.stAllMarginals(clauses)
-	s.stIdx = s.stIdx[:0]
-	return p, m
+	s.sweep = true
+	return s.stNode(s.stRoot(laid))
 }
 
 // stLitProb returns a live literal's effective probability through the
@@ -65,96 +57,12 @@ func (s *solver) stLitProb(ei int32, e ctable.Lit) float64 {
 	return s.stProbUn(ei, e)
 }
 
-// stAllMarginals is the sweep pass over a clause-index list: filter the
-// satisfied clauses, then recurse through direct leaves, branch nodes and
-// decompositions, returning the subformula's probability and the needed
-// variables' joint vectors. The frame's arena carvings are reclaimed on
-// exit, like stAdpll.
-func (s *solver) stAllMarginals(clauses []int32) (float64, marginalSet) {
-	rbase := len(s.stIdx)
-	for _, c := range clauses {
-		if !s.stClauseSat(c) {
-			s.stIdx = append(s.stIdx, c)
-		}
-	}
-	residual := s.stIdx[rbase:len(s.stIdx)]
-	if len(residual) == 0 {
-		s.stIdx = s.stIdx[:rbase]
-		return 1, nil
-	}
-	p, m := s.stAllMarginalsInner(residual)
-	s.stIdx = s.stIdx[:rbase]
-	return p, m
-}
-
-func (s *solver) stAllMarginalsInner(residual []int32) (float64, marginalSet) {
-	if p, ok := s.stDirectProb(residual); ok {
-		return p, s.stLeafMarginals(residual)
-	}
-	if s.opt.NoComponents {
-		return s.stBranchMarginals(residual, s.stPickVar(residual))
-	}
-	// A one-clause residual is trivially a single component; skip the
-	// union-find (same branch decision, same arithmetic).
-	if len(residual) == 1 {
-		return s.stBranchMarginals(residual, s.stPickVar(residual))
-	}
-	comps, single := s.stComponents(residual)
-	if single {
-		return s.stBranchMarginals(residual, s.stPickVar(residual))
-	}
-	// Decompose as stAdpll does, including the early return once the
-	// product hits zero (the remaining components' vectors would all be
-	// zero anyway — the nil set says exactly that).
-	p := 1.0
-	vals := make([]float64, len(comps))
-	sets := make([]marginalSet, len(comps))
-	for i, comp := range comps {
-		if direct, ok := s.stDirectProb(comp); ok {
-			vals[i], sets[i] = direct, s.stLeafMarginals(comp)
-			p *= direct
-			continue
-		}
-		vals[i], sets[i] = s.stBranchMarginals(comp, s.stPickVar(comp))
-		p *= vals[i]
-		if p == 0 {
-			return 0, nil
-		}
-	}
-	// Each component's vectors are scaled by the product of the sibling
-	// values (prefix × suffix, no division, zero-safe).
-	suf := 1.0
-	sufs := make([]float64, len(comps))
-	for i := len(comps) - 1; i >= 0; i-- {
-		sufs[i] = suf
-		suf *= vals[i]
-	}
-	//lint:ignore hotalloc marginal result set handed to the caller, who owns and keeps it
-	out := marginalSet{}
-	pre := 1.0
-	for i, set := range sets {
-		outer := pre * sufs[i]
-		for x, vec := range set {
-			for b := range vec {
-				vec[b] *= outer
-			}
-			out[x] = vec
-		}
-		pre *= vals[i]
-	}
-	return p, out
-}
-
-// stBranchMarginals enumerates the branch variable's values through the
-// trail like stBranch, mixing the children's vectors weighted by the
-// branch distribution. A needed variable a child eliminated before
-// branching on it contributes its independent product instead.
-func (s *solver) stBranchMarginals(clauses []int32, v int32) (float64, marginalSet) {
-	// Collect the needed free variables up front: children report vectors
-	// for the variables they still see, and the merge must fill defaults
-	// for the ones a child eliminated — which requires knowing the full
-	// set before descending (the epoch marks below are clobbered by the
-	// recursion).
+// stNeeded returns the needed free variables of a branch node other than
+// its branch variable v. Children report vectors for the variables they
+// still see, and mixBranch fills defaults for the ones a child
+// eliminated, which requires knowing the full set before descending (the
+// epoch marks are clobbered by the recursion).
+func (s *solver) stNeeded(clauses []int32, v int32) []int32 {
 	s.epoch++
 	var need []int32
 	note := func(x int32) {
@@ -174,54 +82,56 @@ func (s *solver) stBranchMarginals(clauses []int32, v int32) (float64, marginalS
 			s.stVisitEff(s.stExprs[ei], note)
 		}
 	}
+	return need
+}
 
-	dv := s.dists[v]
-	var mv []float64
-	if s.margNeed[v] {
-		mv = make([]float64, len(dv))
+// mixBranch adds one branch value's child, of value cv and vectors cm
+// and weighted by pa, into the branch node's vectors out. A needed
+// variable the child eliminated before branching on it contributes its
+// independent product instead.
+func (s *solver) mixBranch(out marginalSet, need []int32, pa, cv float64, cm marginalSet) {
+	for _, x := range need {
+		vec := out[x]
+		if vec == nil {
+			vec = make([]float64, len(s.dists[x]))
+			out[x] = vec
+		}
+		if cvec, ok := cm[x]; ok {
+			for b, w := range cvec {
+				vec[b] += pa * w
+			}
+		} else if cv != 0 {
+			for b, pb := range s.dists[x] {
+				vec[b] += pa * cv * pb
+			}
+		}
+	}
+}
+
+// scaleSets merges the vectors of a decomposition's components, scaling
+// each component's by the product of its siblings' values (prefix ×
+// suffix, no division, zero-safe).
+func scaleSets(vals []float64, sets []marginalSet) marginalSet {
+	suf := 1.0
+	sufs := make([]float64, len(vals))
+	for i := len(vals) - 1; i >= 0; i-- {
+		sufs[i] = suf
+		suf *= vals[i]
 	}
 	//lint:ignore hotalloc marginal result set handed to the caller, who owns and keeps it
 	out := marginalSet{}
-	total := 0.0
-	for a, pa := range dv {
-		if pa == 0 {
-			continue
-		}
-		mark := len(s.stTrail)
-		var cv float64
-		var cm marginalSet
-		// An emptied clause means the child subformula is false: value 0
-		// and no vectors.
-		if dead := s.stAssign(v, int32(a)); !dead {
-			cv, cm = s.stAllMarginals(clauses)
-		}
-		s.stRewind(mark)
-		s.assign[v] = -1
-		total += pa * cv
-		if mv != nil {
-			mv[a] = pa * cv
-		}
-		for _, x := range need {
-			vec := out[x]
-			if vec == nil {
-				vec = make([]float64, len(s.dists[x]))
-				out[x] = vec
+	pre := 1.0
+	for i, set := range sets {
+		outer := pre * sufs[i]
+		for x, vec := range set {
+			for b := range vec {
+				vec[b] *= outer
 			}
-			if cvec, ok := cm[x]; ok {
-				for b, w := range cvec {
-					vec[b] += pa * w
-				}
-			} else if cv != 0 {
-				for b, pb := range s.dists[x] {
-					vec[b] += pa * cv * pb
-				}
-			}
+			out[x] = vec
 		}
+		pre *= vals[i]
 	}
-	if mv != nil {
-		out[v] = mv
-	}
-	return total, out
+	return out
 }
 
 // stLeafMarginals yields the joint vectors of a direct-rule residual —
@@ -296,7 +206,7 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 				switch {
 				case e.Y < 0:
 					for b, pb := range dx {
-						if constLitSat(e, b) {
+						if litHolds(e, int32(b), 0) {
 							vec[b] = outer * pb
 						} else {
 							vec[b] = outer * pb * (1 - q)
@@ -336,13 +246,4 @@ func (s *solver) stLeafMarginals(residual []int32) marginalSet {
 		}
 	}
 	return out
-}
-
-// constLitSat reports whether a constant-comparison literal holds at
-// value b of its variable.
-func constLitSat(e ctable.Lit, b int) bool {
-	if e.Kind == ctable.VarLTConst {
-		return int32(b) < e.C
-	}
-	return int32(b) > e.C
 }

@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bayescrowd/internal/ctable"
@@ -112,5 +113,59 @@ func TestNoComponentsRunsCompiledEngine(t *testing.T) {
 	t.Logf("NoComponents deep chain: %v allocs per evaluation", best)
 	if best > 2 {
 		t.Fatalf("NoComponents deep chain allocates %v times per evaluation, want at most 2", best)
+	}
+}
+
+// TestSweepLeavesScalarSolvesLean checks that a marginal sweep never
+// carries its vector bookkeeping into a later scalar solve on the same
+// pooled solver: right after CondScan.PlanSweeps has swept an NBA
+// condition, an uncached Prob of it allocates exactly as often as it did
+// before any sweep, for every condition that branches. The test holds
+// GOMAXPROCS at 1, so AllocsPerRun does not change it — which would drop
+// the pool, swept solver included. sync.Pool may still drop scratch (a
+// GC, or the race detector's random drops of one Put in four), so each
+// figure is the minimum over 16 single-run samples.
+func TestSweepLeavesScalarSolvesLean(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	conds, dists := nbaConditions(2000, 0.1, 0.01, 1)
+	ev := NewEvaluator(dists)
+	var branched []*ctable.Condition
+	for _, c := range conds {
+		for g := 0; g < c.NumComponents(); g++ {
+			if !c.Component(g).Direct {
+				branched = append(branched, c)
+				break
+			}
+		}
+	}
+	if len(branched) < 100 {
+		t.Fatalf("only %d branched conditions", len(branched))
+	}
+	allocs := func(c *ctable.Condition) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 16; i++ {
+			best = math.Min(best, testing.AllocsPerRun(1, func() { ev.Prob(c) }))
+		}
+		return best
+	}
+	before := make([]float64, len(branched))
+	total := 0.0
+	for i, c := range branched {
+		before[i] = allocs(c)
+		total += before[i]
+	}
+	t.Logf("%d branched conditions, %.3f allocs per Prob before any sweep", len(branched), total/float64(len(branched)))
+
+	for i, c := range branched {
+		var cands []ctable.Expr
+		for _, x := range c.Vars() {
+			for k := 0; k <= len(dists[x]); k++ {
+				cands = append(cands, ctable.LTConst(x, k))
+			}
+		}
+		ev.NewCondScan(c, ev.Prob(c)).PlanSweeps(cands)
+		if got := allocs(c); got != before[i] {
+			t.Fatalf("condition %d: Prob allocates %v times after a sweep, %v before", i, got, before[i])
+		}
 	}
 }
