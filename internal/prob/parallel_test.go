@@ -96,9 +96,15 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 
 // BenchmarkProbAll measures the Pr(φ) fan-out over the paper-scale NBA
 // c-table (10,000 objects, α=0.003, default missing rate) at increasing
-// worker counts — the scaling curve behind the tentpole. On multi-core
-// hardware Workers=4 should come in at least ~2x over Workers=1; on a
-// single-core machine the curve is flat by construction.
+// worker counts — the scaling curve of the parallel fan-out. On
+// multi-core hardware Workers=4 should come in at least ~2x over
+// Workers=1; on a single-core machine the curve is flat by construction.
+//
+// The alpha=0 case is the stream-shaped load instead: a 1,000-object
+// table at 10% missing with no α pruning, the window size of the stream
+// benchmarks, where an object keeps every possible dominator and its
+// components are the large ones the ADPLL kernel spends its time on. It
+// runs at 1 worker with the cache off, so it times the kernel alone.
 func BenchmarkProbAll(b *testing.B) {
 	conds, dists := nbaConditions(10000, 0.1, 0.003, 1)
 	ev := NewEvaluator(dists)
@@ -110,4 +116,13 @@ func BenchmarkProbAll(b *testing.B) {
 			}
 		})
 	}
+	b.Run("alpha=0,n=1000,workers=1", func(b *testing.B) {
+		conds, dists := nbaConditions(1000, 0.1, 0, 1)
+		ev := NewEvaluator(dists)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.ProbAll(conds, 1)
+		}
+	})
 }

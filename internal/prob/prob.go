@@ -293,7 +293,8 @@ func narrow(base []float64, iv Interval) []float64 {
 
 // ExprProb returns Pr(e) under the variable distributions: the mass of
 // values satisfying the inequality (independent variables for the
-// var-vs-var case).
+// var-vs-var case). The degenerate x > x never holds: its probability
+// is 0, not that of two independent copies of x.
 func (ev *Evaluator) ExprProb(e ctable.Expr) float64 {
 	if e.Kind != ctable.VarLTConst && e.Kind != ctable.VarGTConst && e.Kind != ctable.VarGTVar {
 		panic(fmt.Sprintf("prob: unknown expression kind %d", e.Kind))
@@ -301,6 +302,9 @@ func (ev *Evaluator) ExprProb(e ctable.Expr) float64 {
 	dx := ev.state(e.X).Dist
 	var dy []float64
 	if e.Kind == ctable.VarGTVar {
+		if e.Y == e.X {
+			return 0
+		}
 		dy = ev.state(e.Y).Dist
 	}
 	return litProb(e.Kind, dx, dy, e.C)

@@ -91,6 +91,9 @@ func TestExprProb(t *testing.T) {
 		{ctable.GTConst(x, -1), 1},
 		// Pr(X>Y) = Σ_a px[a]·CDF_y(a-1) = 0.2·.25 + 0.3·.5 + 0.4·.75 = 0.5.
 		{ctable.GTVar(x, y), 0.5},
+		// The degenerate y > y never holds (two independent copies of y
+		// would read 0.375).
+		{ctable.GTVar(y, y), 0},
 	}
 	for _, tc := range cases {
 		if got := ev.ExprProb(tc.e); math.Abs(got-tc.want) > 1e-12 {
