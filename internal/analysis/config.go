@@ -124,11 +124,15 @@ func RepoConfig(modulePath string) *Config {
 			p("internal/ctable") + ".Knowledge.Absorb",
 			p("internal/ctable") + ".Knowledge.Forget",
 			p("internal/ctable") + ".Knowledge.Slide",
+			// Both crowd loops absorb every answer through it.
+			p("internal/core") + ".Absorption.Absorb",
 		},
 		MustCheck: []string{
 			p("internal/crowd") + ".Platform.Post",
 			p("internal/crowd") + ".AsyncPlatform.PostAsync",
 			p("internal/ctable") + ".Knowledge.Absorb",
+			// A dropped error would lose a conflict without a trace.
+			p("internal/core") + ".Absorption.Absorb",
 		},
 		PoolPkg:              p("internal/parallel"),
 		ScratchTypePattern:   regexp.MustCompile(`(?i)(solver|scratch)`),

@@ -320,20 +320,9 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 
 	// Per-round scratch, hoisted out of the loop and cleared in place each
 	// round instead of reallocated — the round count times the set sizes
-	// adds up at paper scale. The variable sets are indexed by model id;
-	// seen stamps each object with the last round that visited it.
-	var touched, distChanged IDSet
+	// adds up at paper scale. seen stamps each object with the last round
+	// that visited it.
 	seen := make([]int32, len(ct.Conds))
-	// touchedObj marks the objects of the touched variables (listed in
-	// touchedObjs), so that re-simplification evaluates only the
-	// expressions an answer can have decided: every other expression of a
-	// condition was undecided after the last round and its variables'
-	// knowledge has not moved since.
-	touchedObj := make([]bool, len(ct.Conds))
-	var touchedObjs []int
-	answerable := func(e ctable.Expr) bool {
-		return touchedObj[e.X.Obj] || (e.Kind == ctable.VarGTVar && touchedObj[e.Y.Obj])
-	}
 	answeredExpr := map[ctable.Expr]bool{}
 	var stale, resim []int
 	var staleConds, resimConds []*ctable.Condition
@@ -341,30 +330,9 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 
 	// The absorption path is shared with the streaming crowd loop:
 	// main-round answers and re-ask majorities both fold into the
-	// knowledge through it, renormalising the narrowed distributions;
-	// absorb marks the touched variables by id.
+	// knowledge through it, which marks by model id the variables they
+	// touched and renormalises those whose bounds moved.
 	ab := &Absorption{Know: know, Ev: ev}
-	var varBuf []ctable.Var
-	absorb := func(e ctable.Expr, rel ctable.Rel) error {
-		renormalised, err := ab.Absorb(e, rel)
-		if err != nil {
-			return err
-		}
-		varBuf = e.Vars(varBuf[:0])
-		for _, v := range varBuf {
-			if id, ok := m.ids.ID(v); ok {
-				touched.Add(id)
-			}
-			if !touchedObj[v.Obj] {
-				touchedObj[v.Obj] = true
-				touchedObjs = append(touchedObjs, v.Obj)
-			}
-		}
-		if id, ok := m.ids.ID(e.X); renormalised && ok {
-			distChanged.Add(id)
-		}
-		return nil
-	}
 
 	// pendingDropped tracks fault-dropped tasks across rounds: an expression
 	// goes in when its answer is lost, comes out when a later answer for it
@@ -423,12 +391,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 			cRounds.Add(1)
 		}
 
-		touched.Reset()
-		distChanged.Reset()
-		for _, o := range touchedObjs {
-			touchedObj[o] = false
-		}
-		touchedObjs = touchedObjs[:0]
+		ab.Touched.Reset()
+		ab.Moved.Reset()
 		var conflicted []crowd.Task
 		var conflictSeen map[ctable.Expr]bool
 		for _, a := range answers {
@@ -436,7 +400,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 			if rec.On() {
 				rec.Emit(obs.Event{Kind: obs.KindTaskAnswer, Task: a.Task.Expr.String(), Rel: a.Rel.String()})
 			}
-			if err := absorb(a.Task.Expr, a.Rel); err != nil {
+			if err := ab.Absorb(a.Task.Expr, a.Rel); err != nil {
 				if errors.Is(err, ctable.ErrConflict) {
 					result.ConflictingAnswers++
 					if rec.On() {
@@ -505,7 +469,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 				if !ok {
 					continue // nothing arrived, or no strict majority
 				}
-				if err := absorb(t.Expr, maj); err != nil {
+				if err := ab.Absorb(t.Expr, maj); err != nil {
 					if errors.Is(err, ctable.ErrConflict) {
 						result.ConflictingAnswers++
 						continue
@@ -553,8 +517,8 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		// A renormalised distribution changes the key of every component
 		// mentioning its variable, so nothing is invalidated; the trace
 		// still records how many variables the round renormalised.
-		if ev.Cache != nil && len(distChanged.IDs) > 0 {
-			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(distChanged.IDs)})
+		if ev.Cache != nil && len(ab.Moved.IDs) > 0 {
+			rec.Emit(obs.Event{Kind: obs.KindCacheInvalidate, N: len(ab.Moved.IDs)})
 		}
 
 		// Re-simplify exactly the conditions that mention a touched
@@ -567,7 +531,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		// to every worker before any reads them (the Evaluator's
 		// single-writer contract).
 		stale, resim = stale[:0], resim[:0]
-		for _, id := range touched.IDs {
+		for _, id := range ab.Touched.IDs {
 			for _, o32 := range m.objs[m.objsOff[id]:m.objsOff[id+1]] {
 				o := int(o32)
 				if seen[o] == int32(round) {
@@ -581,7 +545,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 		}
 		resimConds = slices.Grow(resimConds[:0], len(resim))[:len(resim)]
 		parallel.For(opt.Workers, len(resim), func(_, i int) {
-			resimConds[i] = ct.Conds[resim[i]].SimplifiedWhere(know, answerable)
+			resimConds[i] = ct.Conds[resim[i]].SimplifiedWhere(know, &ab.Touched)
 		})
 		for i, o := range resim {
 			prev, cond := ct.Conds[o], resimConds[i]
@@ -593,7 +557,7 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 				delete(probs, o)
 				continue
 			}
-			recompute := cond != prev || (len(distChanged.IDs) > 0 && mentionsAny(cond, m.ids, &distChanged))
+			recompute := cond != prev || (len(ab.Moved.IDs) > 0 && cond.Mentions(func(v ctable.Var) bool { return ab.Moved.HasVar(m.ids, v) }))
 			if recompute {
 				stale = append(stale, o)
 			}
@@ -697,12 +661,6 @@ func crowdPhase(d *dataset.Dataset, m *Model, platform crowd.Platform, opt Optio
 	}
 	rec.Emit(obs.Event{Kind: obs.KindRunEnd, N: result.TasksPosted, M: result.Rounds})
 	return result, nil
-}
-
-// mentionsAny reports whether cond mentions a variable in vars, a set of
-// ids — a scan of the condition's variable table, each variable once.
-func mentionsAny(cond *ctable.Condition, ids *ctable.VarIDs, vars *IDSet) bool {
-	return cond.Mentions(func(v ctable.Var) bool { return vars.HasVar(ids, v) })
 }
 
 // resimplifyHook, when set, sees every condition the crowd phase

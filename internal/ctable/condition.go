@@ -278,50 +278,41 @@ func (c *Condition) Clauses() [][]Expr {
 // derives the rest afresh.
 func (c *Condition) Simplified(k *Knowledge) *Condition { return c.SimplifiedWhere(k, nil) }
 
-// SimplifiedWhere is Simplified evaluating only the expressions affected
-// selects (every expression when affected is nil) and keeping the rest as
-// undecided. Knowledge.Eval reads only an expression's own variables, and
-// an answer changes only the variables it mentions, so when c was
-// already simplified under the knowledge as it stood before some answers
-// — a fixed point of it — and affected selects every expression that
-// mentions a variable those answers mentioned, the result is
-// Simplified(k) clause for clause, at the cost of evaluating the
-// expressions that can have changed.
-func (c *Condition) SimplifiedWhere(k *Knowledge, affected func(Expr) bool) *Condition {
+// SimplifiedWhere is Simplified evaluating only the literals on a
+// variable whose id under k's numbering is in touched (every literal
+// when touched is nil) and keeping the rest as undecided; a condition
+// that mentions no touched variable comes back as itself at once.
+// Knowledge.Eval reads only a literal's own variables, and an answer
+// changes only the variables it mentions, so when c was already
+// simplified under the knowledge as it stood before some answers — a
+// fixed point of it — and touched holds every variable those answers
+// mentioned, the result is Simplified(k) clause for clause, at the cost
+// of evaluating the literals that can have changed.
+func (c *Condition) SimplifiedWhere(k *Knowledge, touched *IDSet) *Condition {
 	if c.decided {
 		return c
 	}
-	var f *form // nil until the first clause that changes
-	kept := false
+	f := formPool.Get().(*form)
+	defer formPool.Put(f)
+	if !f.mark(c, k, touched) {
+		return c
+	}
+	f.state = fit(f.state, int(c.nc))
+	f.drop = fit(f.drop, len(c.lits))
+	changed, kept := false, false
 	for i := 0; i < int(c.nc); i++ {
-		var st int8
-		if f == nil {
-			if st = c.clauseState(i, k, affected, nil); st == clauseKept {
-				kept = true
-				continue
-			}
-			f = formPool.Get().(*form)
-			f.state = fit(f.state, int(c.nc))
-			clear(f.state[:i])
-			f.drop = fit(f.drop, len(c.lits))
-			if st == clauseShrunk {
-				c.clauseState(i, k, affected, f.drop) // mark its drops
-			}
-		} else {
-			st = c.clauseState(i, k, affected, f.drop)
-		}
+		st := f.clauseState(c, i, k)
 		if st == clauseEmptied {
-			formPool.Put(f)
 			return False()
 		}
 		f.state[i] = st
+		changed = changed || st != clauseKept
 		kept = kept || st != clauseSatisfied
 	}
-	if f == nil {
+	switch {
+	case !changed:
 		return c
-	}
-	defer formPool.Put(f)
-	if !kept {
+	case !kept:
 		return True()
 	}
 	return f.simplified(c)

@@ -142,9 +142,13 @@ type form struct {
 	// live clauses; per component: fill cursor and carried source; the
 	// simplification's dropped-literal bits.
 	parent, comp, cls, fill, src, dead []int32
-	// SimplifiedWhere's marks: per clause its state and new index, per
-	// build literal whether it is dropped, per new clause its carried
-	// component, per old component its last clause and new number.
+	// SimplifiedWhere's marks: per table variable its id under the
+	// knowledge's numbering and whether its literals are evaluated, per
+	// clause its state and new index, per build literal whether it is
+	// dropped, per new clause its carried component, per old component
+	// its last clause and new number.
+	vid    []int32
+	hit    []bool
 	state  []int8
 	newIdx []int32
 	drop   []bool
@@ -730,12 +734,34 @@ const (
 	clauseEmptied
 )
 
-// clauseState evaluates clause i under the knowledge, consulting only
-// the live literals affected selects (all when nil): satisfied when a
-// literal is decided true, emptied when every live literal is decided
-// false, shrunk when some are, kept otherwise. With drop non-nil it
-// marks, by build literal, each literal decided false.
-func (c *Condition) clauseState(i int, k *Knowledge, affected func(Expr) bool, drop []bool) int8 {
+// mark resolves each variable c mentions to its id under k's numbering,
+// once, and marks those whose literals are evaluated: every one when
+// touched is nil, else those whose id is in touched. It reports whether
+// it marked any.
+func (f *form) mark(c *Condition, k *Knowledge, touched *IDSet) bool {
+	comp := c.varComp()
+	f.vid = fit(f.vid, len(c.vars))
+	f.hit = fit(f.hit, len(c.vars))
+	marked := false
+	for v, x := range c.vars {
+		f.hit[v] = false
+		if comp[v] < 0 {
+			continue
+		}
+		id, _ := k.ids.ID(x)
+		f.vid[v] = id
+		f.hit[v] = touched == nil || touched.Has(id)
+		marked = marked || f.hit[v]
+	}
+	return marked
+}
+
+// clauseState evaluates clause i's live literals on a marked variable
+// under the knowledge: satisfied when one is decided true, emptied when
+// every live literal is decided false, shrunk when some are, kept
+// otherwise. It marks in f.drop, by build literal, each live literal
+// decided false — all of them unless the clause is satisfied.
+func (f *form) clauseState(c *Condition, i int, k *Knowledge) int8 {
 	lo, hi := c.span(i)
 	dead, n := 0, 0
 	for j := lo; j < hi; j++ {
@@ -743,10 +769,14 @@ func (c *Condition) clauseState(i int, k *Knowledge, affected func(Expr) bool, d
 			continue
 		}
 		n++
-		e := c.exprOf(c.lits[j])
+		l := c.lits[j]
 		decided, v := false, false
-		if affected == nil || affected(e) {
-			v, decided = k.Eval(e)
+		if f.hit[l.X] || (l.Y >= 0 && f.hit[l.Y]) {
+			y := int32(-1)
+			if l.Y >= 0 {
+				y = f.vid[l.Y]
+			}
+			v, decided = k.eval(c.exprOf(l), f.vid[l.X], y)
 		}
 		if decided && v {
 			return clauseSatisfied
@@ -754,9 +784,7 @@ func (c *Condition) clauseState(i int, k *Knowledge, affected func(Expr) bool, d
 		if decided {
 			dead++
 		}
-		if drop != nil {
-			drop[j] = decided
-		}
+		f.drop[j] = decided
 	}
 	switch dead {
 	case 0:

@@ -78,15 +78,15 @@ func NewKnowledge(d *dataset.Dataset, ids *VarIDs) *Knowledge {
 	}
 }
 
-// spanOf returns x's interval slot, or nil when ids does not number x.
-// Slots past the end of byID are read as unset, and created, unset, when
-// create is set. It is the one place a variable's interval is looked up.
-func (k *Knowledge) spanOf(x Var, create bool) *span {
-	id, ok := k.ids.ID(x)
-	if ok && create && int(id) >= len(k.byID) {
+// slot returns the interval slot of variable id, or nil when id is -1
+// (a variable ids does not number). Slots past the end of byID are read
+// as unset, and created, unset, when create is set. It is the one place
+// a variable's interval is looked up.
+func (k *Knowledge) slot(id int32, create bool) *span {
+	if id >= 0 && create && int(id) >= len(k.byID) {
 		k.byID = append(k.byID, make([]span, k.ids.Len()-len(k.byID))...)
 	}
-	if !ok || int(id) >= len(k.byID) {
+	if uint(id) >= uint(len(k.byID)) {
 		return nil
 	}
 	return &k.byID[id]
@@ -109,17 +109,23 @@ func (k *Knowledge) Slide(n int) {
 // interval was ever narrowed (or everything narrowed has since been
 // forgotten), no pairwise relation is stored, and no expression was
 // answered. The tombstone set does not count — forgotten variables are
-// an absence of knowledge, not a presence. Streaming callers use it to
-// skip condition simplification entirely until the first answer lands,
-// keeping the no-crowd path bit-identical to the machine-only engine.
+// an absence of knowledge, not a presence. Its one caller outside tests
+// is the clause emitter (emitter.start), which treats empty knowledge as
+// none and so evaluates no literal until the first answer lands.
 func (k *Knowledge) Empty() bool {
 	return k.bounded == 0 && len(k.rel) == 0 && len(k.exprTruth) == 0
 }
 
 // Bounds returns the inclusive interval of values still possible for x.
 func (k *Knowledge) Bounds(x Var) (lo, hi int) {
+	id, _ := k.ids.ID(x)
+	return k.bounds(x, id)
+}
+
+// bounds is Bounds for x given its id, -1 when the numbering lacks x.
+func (k *Knowledge) bounds(x Var, id int32) (lo, hi int) {
 	lo, hi = 0, k.levels[x.Attr]-1
-	if sp := k.spanOf(x, false); sp != nil && sp.set {
+	if sp := k.slot(id, false); sp != nil && sp.set {
 		lo, hi = max(lo, int(sp.lo)), min(hi, int(sp.hi))
 	}
 	return lo, hi
@@ -142,22 +148,30 @@ var ErrConflict = fmt.Errorf("ctable: answer conflicts with existing knowledge")
 
 // ConflictError details one rejected answer: which expression was
 // answered, what relation the crowd asserted, and the surviving interval
-// it would have emptied (constant comparisons) or the stored relation it
-// contradicts (variable pairs). errors.Is(err, ErrConflict) matches it.
+// it would have emptied (constant comparisons), or for a variable pair
+// the stored relation or the two intervals it contradicts.
+// errors.Is(err, ErrConflict) matches it.
 type ConflictError struct {
 	Expr Expr
 	Rel  Rel
-	// Lo, Hi is the variable's surviving interval (constant comparisons).
-	Lo, Hi int
-	// Stored is the previously recorded relation (variable pairs).
-	Stored Rel
+	// Lo, Hi is the surviving interval of Expr.X, and for a variable
+	// pair without a stored relation YLo, YHi is Expr.Y's.
+	Lo, Hi, YLo, YHi int
+	// Stored is the previously recorded relation of a variable pair, and
+	// Related reports that there is one.
+	Stored  Rel
+	Related bool
 }
 
 // Error renders the conflict with the stored fact it contradicts.
 func (e *ConflictError) Error() string {
-	if e.Expr.Kind == VarGTVar {
+	switch {
+	case e.Related:
 		return fmt.Sprintf("ctable: answer %v %v %v conflicts with stored relation %v",
 			e.Expr.X, e.Rel, e.Expr.Y, e.Stored)
+	case e.Expr.Kind == VarGTVar:
+		return fmt.Sprintf("ctable: answer %v %v %v conflicts with intervals [%d,%d] and [%d,%d]",
+			e.Expr.X, e.Rel, e.Expr.Y, e.Lo, e.Hi, e.YLo, e.YHi)
 	}
 	return fmt.Sprintf("ctable: answer %v %v %d conflicts with interval [%d,%d]",
 		e.Expr.X, e.Rel, e.Expr.C, e.Lo, e.Hi)
@@ -213,7 +227,8 @@ func (k *Knowledge) forgottenVar(e Expr) (Var, bool) {
 // variable's interval shrinks; for variable pairs the relation is stored.
 // It returns a *ConflictError (matching ErrConflict) — leaving the
 // knowledge unchanged and incrementing Conflicts — if the answer would
-// empty the variable's domain or contradict a stored relation, and a
+// empty the variable's domain, or contradict a stored relation or the
+// two variables' intervals, and a
 // *ForgottenError (matching ErrForgotten) if the expression mentions a
 // variable Forget has retracted; the guard applies under NoInference
 // too, so stale answers cannot resurrect state on any path.
@@ -227,7 +242,8 @@ func (k *Knowledge) Absorb(e Expr, rel Rel) error {
 	}
 	switch e.Kind {
 	case VarLTConst, VarGTConst:
-		lo, hi := k.Bounds(e.X)
+		id, _ := k.ids.ID(e.X)
+		lo, hi := k.bounds(e.X, id)
 		nlo, nhi := lo, hi
 		switch rel {
 		case LT:
@@ -245,7 +261,7 @@ func (k *Knowledge) Absorb(e Expr, rel Rel) error {
 			k.Conflicts++
 			return &ConflictError{Expr: e, Rel: rel, Lo: lo, Hi: hi}
 		}
-		sp := k.spanOf(e.X, true)
+		sp := k.slot(id, true)
 		if sp == nil {
 			panic(fmt.Sprintf("ctable: knowledge keeps no interval for unnumbered variable %v", e.X))
 		}
@@ -259,7 +275,16 @@ func (k *Knowledge) Absorb(e Expr, rel Rel) error {
 		if old, ok := k.rel[key]; ok && old != oriented {
 			k.Conflicts++
 			stored, _ := k.relation(e.X, e.Y)
-			return &ConflictError{Expr: e, Rel: rel, Stored: stored}
+			return &ConflictError{Expr: e, Rel: rel, Stored: stored, Related: true}
+		}
+		// An answer the intervals rule out would override what they
+		// decided (Eval reads a stored relation first), so knowledge
+		// would no longer only narrow.
+		loX, hiX := k.Bounds(e.X)
+		loY, hiY := k.Bounds(e.Y)
+		if (rel == LT && loX >= hiY) || (rel == GT && hiX <= loY) || (rel == EQ && (loX > hiY || loY > hiX)) {
+			k.Conflicts++
+			return &ConflictError{Expr: e, Rel: rel, Lo: loX, Hi: hiX, YLo: loY, YHi: hiY}
 		}
 		k.rel[key] = oriented
 		return nil
@@ -317,7 +342,8 @@ func (k *Knowledge) Forget(vars ...Var) {
 	for _, v := range vars {
 		gone[v] = true
 		k.forgotten[v] = true
-		if sp := k.spanOf(v, false); sp != nil && sp.set {
+		id, _ := k.ids.ID(v)
+		if sp := k.slot(id, false); sp != nil && sp.set {
 			*sp = span{}
 			k.bounded--
 		}
@@ -373,13 +399,24 @@ func exprTruthFromRel(e Expr, rel Rel) bool {
 // disjoint intervals for variable pairs. Under NoInference only exactly
 // answered expressions are decided.
 func (k *Knowledge) Eval(e Expr) (value, decided bool) {
+	x, _ := k.ids.ID(e.X)
+	y := int32(-1)
+	if e.Kind == VarGTVar {
+		y, _ = k.ids.ID(e.Y)
+	}
+	return k.eval(e, x, y)
+}
+
+// eval is Eval given the ids of e.X and e.Y, -1 for one the numbering
+// lacks (and for e.Y of a constant comparison).
+func (k *Knowledge) eval(e Expr, x, y int32) (value, decided bool) {
 	if k.NoInference {
 		v, ok := k.exprTruth[e]
 		return v, ok
 	}
 	switch e.Kind {
 	case VarLTConst:
-		lo, hi := k.Bounds(e.X)
+		lo, hi := k.bounds(e.X, x)
 		if hi < e.C {
 			return true, true
 		}
@@ -388,7 +425,7 @@ func (k *Knowledge) Eval(e Expr) (value, decided bool) {
 		}
 		return false, false
 	case VarGTConst:
-		lo, hi := k.Bounds(e.X)
+		lo, hi := k.bounds(e.X, x)
 		if lo > e.C {
 			return true, true
 		}
@@ -400,8 +437,8 @@ func (k *Knowledge) Eval(e Expr) (value, decided bool) {
 		if r, ok := k.relation(e.X, e.Y); ok {
 			return r == GT, true
 		}
-		loX, hiX := k.Bounds(e.X)
-		loY, hiY := k.Bounds(e.Y)
+		loX, hiX := k.bounds(e.X, x)
+		loY, hiY := k.bounds(e.Y, y)
 		if loX > hiY {
 			return true, true
 		}

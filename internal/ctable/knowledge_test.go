@@ -95,6 +95,39 @@ func TestAbsorbVarVarAndFlip(t *testing.T) {
 	}
 }
 
+// TestAbsorbVarVarAgainstIntervals checks that a var-vs-var answer the
+// two intervals rule out is a conflict: Eval reads a stored relation
+// before the intervals, so storing it would turn an expression the
+// intervals decided the other way.
+func TestAbsorbVarVarAgainstIntervals(t *testing.T) {
+	k := knowledgeOver(10)
+	x, y := v(0, 0), v(1, 0)
+	for _, a := range []struct {
+		e   Expr
+		rel Rel
+	}{{GTConst(x, 2), GT}, {LTConst(x, 5), LT}, {LTConst(y, 2), LT}} { // x in [3,4], y in [0,1]
+		if err := k.Absorb(a.e, a.rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, rel := range []Rel{LT, EQ} {
+		err := k.Absorb(GTVar(x, y), rel)
+		var ce *ConflictError
+		if !errors.As(err, &ce) || ce.Related || ce.Lo != 3 || ce.Hi != 4 || ce.YLo != 0 || ce.YHi != 1 {
+			t.Fatalf("x %v y against [3,4] and [0,1] returned %v (%+v), want an interval conflict", rel, err, ce)
+		}
+		if k.Conflicts != i+1 {
+			t.Fatalf("Conflicts = %d, want %d", k.Conflicts, i+1)
+		}
+	}
+	if val, decided := k.Eval(GTVar(x, y)); !decided || !val {
+		t.Fatalf("Eval(x>y) = %v,%v after the refused answers, want true,true", val, decided)
+	}
+	if err := k.Absorb(GTVar(y, x), LT); err != nil {
+		t.Fatalf("answer the intervals allow rejected: %v", err)
+	}
+}
+
 func TestEvalConstExpr(t *testing.T) {
 	k := knowledgeOver(10)
 	x := v(0, 0)

@@ -102,3 +102,40 @@ func (t *VarIDs) ID(v Var) (int32, bool) {
 	}
 	return id, true
 }
+
+// IDSet is a set of variable ids under one numbering (VarIDs):
+// membership by index, members listed in insertion order, cleared in
+// time proportional to them. It grows to hold the ids added.
+type IDSet struct {
+	// IDs lists the members in insertion order. Read-only.
+	IDs []int32
+	in  []bool
+}
+
+// Add puts id in the set.
+func (s *IDSet) Add(id int32) {
+	if int(id) >= len(s.in) {
+		s.in = append(s.in, make([]bool, int(id)+1-len(s.in))...)
+	}
+	if !s.in[id] {
+		s.in[id] = true
+		s.IDs = append(s.IDs, id)
+	}
+}
+
+// Has reports whether id is in the set.
+func (s *IDSet) Has(id int32) bool { return uint(id) < uint(len(s.in)) && s.in[id] }
+
+// HasVar reports whether ids numbers v and v's id is in the set.
+func (s *IDSet) HasVar(ids *VarIDs, v Var) bool {
+	id, ok := ids.ID(v)
+	return ok && s.Has(id)
+}
+
+// Reset empties the set.
+func (s *IDSet) Reset() {
+	for _, id := range s.IDs {
+		s.in[id] = false
+	}
+	s.IDs = s.IDs[:0]
+}

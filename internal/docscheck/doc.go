@@ -11,7 +11,10 @@
 //   - every ```go fenced snippet in those files is gofmt-clean, checked
 //     by re-formatting the snippet as a file, a package-prefixed file,
 //     or a function-wrapped fragment (snippets that parse under none of
-//     those — e.g. mixed import-and-statement elisions — are skipped).
+//     those — e.g. mixed import-and-statement elisions — are skipped);
+//   - the Makefile's bench-ci target and the CI workflow's
+//     one-iteration bench step run the same -bench regex over the same
+//     packages.
 //
 // The package itself carries no runtime code; everything lives in the
 // test files so the gate costs nothing at build time.

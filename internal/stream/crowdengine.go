@@ -125,7 +125,11 @@ type CrowdEngine struct {
 	sel core.Selection
 
 	know *ctable.Knowledge
-	ab   *core.Absorption
+	// ab absorbs the answers. Its Touched holds the window ids of the
+	// variables the tick's answers mentioned, and its Moved those an
+	// ingest moved the bounds of. Both fill after the tick's evictions,
+	// so the ids hold until it ends.
+	ab *core.Absorption
 	// conds caches each live object's simplified condition, refreshed at
 	// the re-evaluate step; task selection reads it one step earlier, so
 	// a tick's selection sees the window as of the previous
@@ -145,12 +149,6 @@ type CrowdEngine struct {
 	// totals is the running ledger; Charged and InFlight are the spent
 	// and reserved budget units.
 	totals crowd.Ledger
-
-	// touched holds the window ids of the variables the tick's answers
-	// mentioned; distChanged those an ingest moved the bounds of. Both
-	// fill after the tick's evictions, so the ids hold until it ends.
-	touched     core.IDSet
-	distChanged core.IDSet
 
 	// Per-tick scratch, reused across ticks (Tick is a hot-loop root):
 	// the in-flight variable set for selection, the answered-task set of
@@ -263,7 +261,7 @@ func (c *CrowdEngine) Tick(now int64, arrivals [][]dataset.Cell) CrowdTickResult
 	e.beginTick(now)
 	var res CrowdTickResult
 	start := c.totals
-	c.touched.Reset()
+	c.ab.Touched.Reset()
 
 	// Evict, then retract: the knowledge recorded about the retired
 	// variables is tombstoned, so a stale answer racing this eviction
@@ -337,7 +335,7 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 		var err error
 		live := c.liveExpr(expr)
 		if live {
-			err = c.absorb(expr, sa.ans.Rel)
+			err = c.ab.Absorb(expr, sa.ans.Rel)
 		}
 		if !live || errors.Is(err, ctable.ErrForgotten) {
 			c.board.Lose(t, crowd.Stale)
@@ -357,34 +355,10 @@ func (c *CrowdEngine) ingest(res *TickResult) {
 		}
 		c.totals.Absorbed++
 	}
-	if len(c.distChanged.IDs) > 0 {
-		res.InvalidatedEntries += c.eng.ev.Drop(func(v ctable.Var) bool { return c.distChanged.HasVar(c.eng.ev.IDs, v) })
-		c.distChanged.Reset()
+	if moved := &c.ab.Moved; len(moved.IDs) > 0 {
+		res.InvalidatedEntries += c.eng.ev.Drop(func(v ctable.Var) bool { return moved.HasVar(c.eng.ev.IDs, v) })
+		moved.Reset()
 	}
-}
-
-// absorb folds an answer about live variables in through the shared
-// absorption path and marks, by window id, the variables it mentions as
-// touched and e.X in distChanged if its bounds moved: an answer that
-// leaves them where they were changes no cache key. Errors pass through
-// with nothing marked.
-func (c *CrowdEngine) absorb(e ctable.Expr, rel ctable.Rel) error {
-	lo, hi := c.know.Bounds(e.X)
-	renormalised, err := c.ab.Absorb(e, rel)
-	if err != nil {
-		return err
-	}
-	ids := c.eng.ev.IDs
-	x, _ := ids.ID(e.X)
-	c.touched.Add(x)
-	if e.Kind == ctable.VarGTVar {
-		y, _ := ids.ID(e.Y)
-		c.touched.Add(y)
-	}
-	if nlo, nhi := c.know.Bounds(e.X); renormalised && (nlo != lo || nhi != hi) {
-		c.distChanged.Add(x)
-	}
-	return nil
 }
 
 // retire forgets what the tick's evictions took: the knowledge of the
@@ -528,10 +502,14 @@ func (c *CrowdEngine) postStep() {
 //
 // A dirty condition is derived afresh from the table's cells under the
 // knowledge (DynCTable.Cond). One stale only because an answer touched
-// it is re-simplified from its cached, already simplified copy, as
-// core's crowd phase does; that gives the same clauses as simplifying
-// the table's condition afresh, because
-//   - knowledge only narrows: Absorb rejects a conflicting answer, so a
+// it is re-simplified from its cached copy over the touched variables
+// (Condition.SimplifiedWhere), as core's crowd phase does; that gives
+// the same clauses as simplifying the table's condition afresh, because
+//   - the copy was simplified under the knowledge of the previous
+//     re-evaluation, and since then only this tick's answers, every
+//     variable of which is in Touched, and its evictions changed it;
+//   - knowledge only narrows: Absorb rejects a conflicting answer — a
+//     var-vs-var one the two intervals rule out among them — so a
 //     literal decided when the copy was cached is decided the same way
 //     now;
 //   - Knowledge.Eval reads only a literal's own variables; and
@@ -540,9 +518,9 @@ func (c *CrowdEngine) postStep() {
 //     clause retraction marked the condition dirty — so a condition
 //     that is not dirty mentions no forgotten variable.
 //
-// Simplifying once more therefore drops exactly the literals and
-// clauses that simplifying the table's condition under today's
-// knowledge would.
+// Evaluating the literals on touched variables therefore drops exactly
+// the literals and clauses that simplifying the table's condition
+// under today's knowledge would.
 func (c *CrowdEngine) reeval(res *TickResult) {
 	e := c.eng
 	// staleSet maps each stale id to whether it is dirty; retire already
@@ -551,7 +529,7 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 	for _, id := range e.tbl.DrainDirty() {
 		staleSet[id] = true
 	}
-	for _, id := range c.touched.IDs {
+	for _, id := range c.ab.Touched.IDs {
 		v := e.vars[id]
 		c.candScratch = e.tbl.Dominatees(v.Obj, append(c.candScratch[:0], v.Obj))
 		for _, id := range c.candScratch {
@@ -575,7 +553,7 @@ func (c *CrowdEngine) reeval(res *TickResult) {
 		if id := stale[i]; staleSet[id] {
 			conds[i] = e.tbl.Cond(id, c.know)
 		} else {
-			conds[i] = c.conds[id].Simplified(c.know)
+			conds[i] = c.conds[id].SimplifiedWhere(c.know, &c.ab.Touched)
 		}
 	})
 	for i, id := range stale {

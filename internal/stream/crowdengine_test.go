@@ -9,7 +9,6 @@ import (
 
 	"bayescrowd/internal/core"
 	"bayescrowd/internal/crowd"
-	"bayescrowd/internal/ctable"
 	"bayescrowd/internal/dataset"
 	"bayescrowd/internal/prob"
 )
@@ -452,49 +451,5 @@ func TestCrowdConfigValidation(t *testing.T) {
 	ok(CrowdConfig{Config: reb, Budget: 1, Platform: sim, Rng: seeded}, "a crowd budget in Rebuild mode")
 	if _, err := NewCrowd(CrowdConfig{Config: base}); err != nil {
 		t.Fatalf("budget-0 config rejected: %v", err)
-	}
-}
-
-// TestAbsorbMarksDistChangedOnlyWhenBoundsMove checks the loop's
-// marking: every absorbed answer marks the window ids of the variables it
-// mentions as touched, but only an answer that moves a variable's bounds
-// marks it renormalised — a repeated answer re-records the same
-// narrowing, and a var-vs-var answer renormalises nothing.
-func TestAbsorbMarksDistChangedOnlyWhenBoundsMove(t *testing.T) {
-	attrs := []dataset.Attribute{{Name: "a", Levels: 5}}
-	ce, err := NewCrowd(CrowdConfig{Config: Config{Attrs: attrs, Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce.Tick(0, [][]dataset.Cell{{{Missing: true}}, {{Missing: true}}})
-	x, y := ctable.Var{Obj: 0, Attr: 0}, ctable.Var{Obj: 1, Attr: 0}
-	ids := ce.eng.ev.IDs
-	steps := []struct {
-		e           ctable.Expr
-		rel         ctable.Rel
-		distChanged bool
-	}{
-		{ctable.GTConst(x, 1), ctable.GT, true},  // [0,4] -> [2,4]
-		{ctable.GTConst(x, 1), ctable.GT, false}, // repeated: still [2,4]
-		{ctable.LTConst(x, 4), ctable.LT, true},  // [2,4] -> [2,3]
-		{ctable.GTVar(x, y), ctable.GT, false},   // a relation, no bounds
-	}
-	for i, s := range steps {
-		ce.touched.Reset()
-		ce.distChanged.Reset()
-		if err := ce.absorb(s.e, s.rel); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		for _, v := range s.e.Vars(nil) {
-			if !ce.touched.HasVar(ids, v) {
-				t.Fatalf("step %d: %v not touched", i, v)
-			}
-		}
-		if got := ce.distChanged.HasVar(ids, x); got != s.distChanged || len(ce.distChanged.IDs) > 1 {
-			t.Fatalf("step %d: renormalised ids %v, want x marked %v", i, ce.distChanged.IDs, s.distChanged)
-		}
-	}
-	if lo, hi := ce.know.Bounds(x); lo != 2 || hi != 3 {
-		t.Fatalf("bounds [%d,%d], want [2,3]", lo, hi)
 	}
 }

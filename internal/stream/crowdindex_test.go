@@ -122,7 +122,7 @@ func checkStaleSet(t *testing.T, tag string, ce *CrowdEngine, pre map[int]*ctabl
 			continue
 		}
 		for _, v := range cond.Vars() {
-			if ce.touched.HasVar(ce.eng.ev.IDs, v) {
+			if ce.ab.Touched.HasVar(ce.eng.ev.IDs, v) {
 				want[id] = false
 				n++
 				break
